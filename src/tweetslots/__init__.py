@@ -7,173 +7,10 @@ models by majority vote, filter predictions against expected entity types,
 and score everything with per-subtask and pooled micro F1.
 """
 
-from .corpus import (
-    AnnotatedTweet,
-    CorpusError,
-    EventType,
-    SplitConfig,
-    SubtaskId,
-    SubtaskRegistry,
-    corpus_digest,
-    explode_instances,
-    load_corpus,
-    save_corpus,
-    split,
-)
-from .encoder import EncoderConfig, EncoderError, EncoderParams, forward, forward_batch, init_params
-from .ensemble import EnsembleConfig, EnsembleError, ensemble_predict, majority_vote, select_top
-from .features import (
-    FeatureError,
-    FeatureStrategy,
-    StrategyKind,
-    extract,
-    extract_batch,
-    feature_dim,
-    init_strategy,
-)
-from .metrics import (
-    MetricsError,
-    MetricsReport,
-    compare,
-    load_report,
-    render_comparison,
-    render_table,
-    save_report,
-    score,
-)
-from .multitask import (
-    DivergenceError,
-    ModelParams,
-    PredictionRecord,
-    TrainConfig,
-    TrainError,
-    init_model,
-    predict,
-    train,
-)
-from .nerfilter import (
-    EntityType,
-    Gazetteer,
-    NerFilterError,
-    TypeMap,
-    default_gazetteer,
-    default_type_map,
-    filter_predictions,
-    load_gazetteer,
-    load_type_map,
-    tag,
-)
-from .pipeline import ConfigError, PipelineConfig, PipelineError, load_config, run_pipeline
-from .preprocess import (
-    CleanConfig,
-    MaskedInstance,
-    MaskingError,
-    PreprocessError,
-    Vocab,
-    clean,
-    mask_candidate,
-    mask_corpus,
-    tokenize,
-    tokenize_words,
-)
-from .serialize import (
-    FormatError,
-    file_sha256,
-    load_ensemble_manifest,
-    load_instances,
-    load_model,
-    load_predictions,
-    load_train_log,
-    save_ensemble_manifest,
-    save_instances,
-    save_model,
-    save_predictions,
-    save_train_log,
-)
+from .corpus import SubtaskRegistry
+from .pipeline import load_config, run_pipeline
+from .synthetic import CueCorpusSpec, make_cue_corpus
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatedTweet",
-    "CleanConfig",
-    "ConfigError",
-    "CorpusError",
-    "DivergenceError",
-    "EncoderConfig",
-    "EncoderError",
-    "EncoderParams",
-    "EnsembleConfig",
-    "EnsembleError",
-    "EntityType",
-    "EventType",
-    "FeatureError",
-    "FeatureStrategy",
-    "FormatError",
-    "Gazetteer",
-    "MaskedInstance",
-    "MaskingError",
-    "MetricsError",
-    "MetricsReport",
-    "ModelParams",
-    "NerFilterError",
-    "PipelineConfig",
-    "PipelineError",
-    "PredictionRecord",
-    "PreprocessError",
-    "SplitConfig",
-    "StrategyKind",
-    "SubtaskId",
-    "SubtaskRegistry",
-    "TrainConfig",
-    "TrainError",
-    "TypeMap",
-    "Vocab",
-    "clean",
-    "compare",
-    "corpus_digest",
-    "default_gazetteer",
-    "default_type_map",
-    "ensemble_predict",
-    "explode_instances",
-    "extract",
-    "extract_batch",
-    "feature_dim",
-    "file_sha256",
-    "filter_predictions",
-    "forward",
-    "forward_batch",
-    "init_model",
-    "init_params",
-    "init_strategy",
-    "load_config",
-    "load_corpus",
-    "load_ensemble_manifest",
-    "load_gazetteer",
-    "load_instances",
-    "load_model",
-    "load_predictions",
-    "load_report",
-    "load_train_log",
-    "load_type_map",
-    "majority_vote",
-    "mask_candidate",
-    "mask_corpus",
-    "predict",
-    "render_comparison",
-    "render_table",
-    "run_pipeline",
-    "save_corpus",
-    "save_ensemble_manifest",
-    "save_instances",
-    "save_model",
-    "save_predictions",
-    "save_report",
-    "save_train_log",
-    "score",
-    "select_top",
-    "split",
-    "tag",
-    "tokenize",
-    "tokenize_words",
-    "train",
-]
+__all__ = ["CueCorpusSpec", "SubtaskRegistry", "load_config", "make_cue_corpus", "run_pipeline"]

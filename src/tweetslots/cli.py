@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (preprocess, train, predict,
-ensemble, postprocess, evaluate, ablate) plus ``run`` for the whole
-sequence. Every stage reads and writes the documented artifact layout under
-``--output``, so running the stages one by one produces the same tree as
-``run``. Logs go to stderr; artifacts only ever land in the output
-directory.
+``run`` executes the whole pipeline. Every stage of ``pipeline._STAGES`` is
+also a subcommand of the same name (``evaluate --filtered`` selects
+``evaluate_filtered``) that calls the stage function directly, under the
+same output-directory lock as ``run``. Running the stages in sequence over
+one output directory reproduces the ``run`` tree byte for byte, except for
+``run_manifest.json``, which only ``run`` writes. ``predict`` is not a
+stage: it scores instances with one trained model. Logs go to stderr;
+artifacts only ever land in the output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 data or environment error,
 4 numeric divergence during training.
@@ -59,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model file written by train")
     p.add_argument("--instances", default=None, help="instance JSONL (default: <output>/val_instances.jsonl)")
     p.add_argument("--out", default=None, help="prediction JSONL (default: <output>/predictions.jsonl)")
-    p = add("ensemble", "majority-vote the top-k pool members")
-    p.add_argument("--manifest", default=None, help="ensemble manifest (default: <output>/ensemble_manifest.jsonl)")
+    add("ensemble", "majority-vote the top-k pool members")
     add("postprocess", "filter predictions against expected entity types")
     p = add("evaluate", "score predictions against the gold corpus")
     p.add_argument("--filtered", action="store_true", help="score the postprocessed predictions")
@@ -80,37 +81,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    if command == "preprocess":
-        pipeline.stage_preprocess(cfg, out_dir)
-    elif command == "train":
-        pipeline.stage_train_pool(cfg, out_dir)
-    elif command == "predict":
-        instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"
-        out_path = Path(args.out) if args.out else out_dir / "predictions.jsonl"
-        params = serialize.load_model(args.model)
-        instances = serialize.load_instances(instances_path)
-        records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))
-        serialize.save_predictions(records, out_path)
-        log.info("predict: %d records -> %s", len(records), out_path)
-    elif command == "ensemble":
-        manifest_path = Path(args.manifest) if args.manifest else out_dir / "ensemble_manifest.jsonl"
-        instances = serialize.load_instances(out_dir / "val_instances.jsonl")
-        records = pipeline.ensemble_from_manifest(
-            manifest_path, instances, cfg.ensemble_k, cfg.train.threshold
-        )
-        serialize.save_predictions(records, out_dir / "predictions.jsonl")
-        log.info("ensemble: %d records -> %s", len(records), out_dir / "predictions.jsonl")
-    elif command == "postprocess":
-        pipeline.stage_postprocess(cfg, out_dir)
-    elif command == "evaluate":
-        if args.filtered:
-            pipeline.stage_evaluate_filtered(cfg, out_dir)
+    with pipeline._OutputLock(out_dir):
+        if command == "predict":
+            instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"
+            out_path = Path(args.out) if args.out else out_dir / "predictions.jsonl"
+            params = serialize.load_model(args.model)
+            instances = serialize.load_instances(instances_path)
+            records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))
+            serialize.save_predictions(records, out_path)
+            log.info("predict: %d records -> %s", len(records), out_path)
         else:
-            pipeline.stage_evaluate(cfg, out_dir)
-    elif command == "ablate":
-        pipeline.stage_ablate(cfg, out_dir)
-    else:  # unreachable with required=True
-        raise ConfigError(f"unknown command {command!r}")
+            name = "evaluate_filtered" if command == "evaluate" and args.filtered else command
+            dict(pipeline._STAGES)[name](cfg, out_dir)
     return EXIT_OK
 
 

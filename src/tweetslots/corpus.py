@@ -208,6 +208,11 @@ class SplitConfig:
             raise CorpusError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bools, floats and strings do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _tweet_from_obj(obj: dict, lineno: int, path: str) -> AnnotatedTweet:
     where = f"{path}:{lineno}"
     if not isinstance(obj, dict):
@@ -221,30 +226,33 @@ def _tweet_from_obj(obj: dict, lineno: int, path: str) -> AnnotatedTweet:
         event = EventType(obj["event"])
     except (ValueError, TypeError):
         raise CorpusError(f"{where}: unknown event {obj['event']!r}") from None
-    try:
-        candidates = tuple((int(s), int(e)) for s, e in obj["candidates"])
-    except (TypeError, ValueError):
-        raise CorpusError(f"{where}: 'candidates' must be a list of [start, end] pairs") from None
+    pairs = obj["candidates"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise CorpusError(f"{where}: 'candidates' must be a list of [start, end] pairs")
+    for i, pair in enumerate(pairs):
+        if not all(map(_is_int, pair)):
+            raise CorpusError(f"{where}: candidate {i} bounds must be integers, got {pair!r}")
+    candidates = tuple((start, end) for start, end in pairs)
     gold_raw = obj["gold"]
     if not isinstance(gold_raw, dict):
         raise CorpusError(f"{where}: 'gold' must be an object")
     gold: dict[str, frozenset[int]] = {}
     for name, idxs in gold_raw.items():
-        try:
-            gold[name] = frozenset(int(i) for i in idxs)
-        except (TypeError, ValueError):
-            raise CorpusError(f"{where}: gold[{name!r}] must be a list of candidate indices") from None
+        if not isinstance(idxs, list) or not all(map(_is_int, idxs)):
+            raise CorpusError(f"{where}: gold[{name!r}] must be a list of integer candidate indices")
+        gold[name] = frozenset(idxs)
     return AnnotatedTweet(id=obj["id"], text=obj["text"], event=event, candidates=candidates, gold=gold)
 
 
 def load_corpus(path: str | Path, registry: SubtaskRegistry | None = None) -> list[AnnotatedTweet]:
     """Read and validate a JSONL corpus, preserving file order.
 
-    Raises CorpusError naming the line number for malformed lines and the
-    tweet id for invariant violations.
+    Raises CorpusError naming the line number for malformed lines and
+    repeated tweet ids, and the tweet id for invariant violations.
     """
     registry = registry or SubtaskRegistry.default()
     tweets: list[AnnotatedTweet] = []
+    first_line: dict[str, int] = {}
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -255,6 +263,11 @@ def load_corpus(path: str | Path, registry: SubtaskRegistry | None = None) -> li
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
             tweet = _tweet_from_obj(obj, lineno, str(path))
+            if tweet.id in first_line:
+                raise CorpusError(
+                    f"{path}:{lineno}: duplicate tweet id {tweet.id!r} (first on line {first_line[tweet.id]})"
+                )
+            first_line[tweet.id] = lineno
             tweet.validate(registry)
             tweets.append(tweet)
     return tweets

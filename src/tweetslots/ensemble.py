@@ -8,10 +8,8 @@ member probability is carried along for reporting only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, TypeVar
 
-from .features import StrategyKind
 from .multitask import PredictionRecord
 
 T = TypeVar("T")
@@ -19,22 +17,6 @@ T = TypeVar("T")
 
 class EnsembleError(ValueError):
     """Invalid ensemble configuration or member set."""
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Candidate pool of (strategy, seed) runs and member count k."""
-
-    pool: tuple[tuple[StrategyKind, int], ...] = tuple(
-        (kind, seed) for kind in StrategyKind for seed in (0, 1, 2)
-    )
-    k: int = 5
-
-    def __post_init__(self):
-        if self.k < 1 or self.k % 2 == 0:
-            raise EnsembleError(f"k must be odd and positive, got {self.k}")
-        if len(self.pool) < self.k:
-            raise EnsembleError(f"pool of {len(self.pool)} runs cannot fill k={self.k} members")
 
 
 def select_top(scored_models: Sequence[tuple[T, float]], k: int) -> list[tuple[T, float]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import EVENT_ORDER, AnnotatedTweet, SubtaskId, SubtaskRegistry
-from .multitask import PredictionRecord
+from .multitask import PredictionRecord, micro_f1_counts
 
 
 class MetricsError(ValueError):
@@ -35,8 +35,7 @@ class SubtaskCounts:
 
     @property
     def f1(self) -> float:
-        denom = 2 * self.tp + self.fp + self.fn
-        return 0.0 if denom == 0 else 2.0 * self.tp / denom
+        return micro_f1_counts(self.tp, self.fp, self.fn)
 
 
 @dataclass
@@ -48,11 +47,11 @@ class MetricsReport:
 
     @property
     def micro_f1(self) -> float:
-        tp = sum(c.tp for c in self.counts.values())
-        fp = sum(c.fp for c in self.counts.values())
-        fn = sum(c.fn for c in self.counts.values())
-        denom = 2 * tp + fp + fn
-        return 0.0 if denom == 0 else 2.0 * tp / denom
+        return micro_f1_counts(
+            sum(c.tp for c in self.counts.values()),
+            sum(c.fp for c in self.counts.values()),
+            sum(c.fn for c in self.counts.values()),
+        )
 
 
 def score(

@@ -187,14 +187,6 @@ def _forward(params: ModelParams, instances: Sequence[MaskedInstance]):
     return cache, feats, marker, labels, logits, groups
 
 
-def predict_logit(params: ModelParams, inst: MaskedInstance) -> float:
-    """Logit of one instance; probability = sigmoid(logit)."""
-    if inst.subtask not in params.heads:
-        raise TrainError(f"no head for subtask {inst.subtask}")
-    *_, logits, _ = _forward(params, [inst])
-    return float(logits[0])
-
-
 def loss(params: ModelParams, batch: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
     """Mean class-weighted BCE over the batch."""
     value, _ = loss_and_grads(params, batch, cfg, want_grads=False)

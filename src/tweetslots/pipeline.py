@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -294,36 +294,6 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     return artifacts
 
 
-def train_one(
-    cfg: PipelineConfig,
-    kind: StrategyKind,
-    seed: int,
-    train_instances: Sequence,
-    val_instances: Sequence,
-    registry: SubtaskRegistry,
-) -> tuple[multitask.ModelParams, list]:
-    params = multitask.init_model(cfg.encoder, kind, registry, seed=seed)
-    train_cfg = TrainConfig(**{**_train_cfg_dict(cfg.train), "seed": seed})
-    return multitask.train(params, train_instances, val_instances, train_cfg)
-
-
-def _train_cfg_dict(train: TrainConfig) -> dict:
-    return {
-        "batch_size": train.batch_size,
-        "learning_rate": train.learning_rate,
-        "weight_decay": train.weight_decay,
-        "beta1": train.beta1,
-        "beta2": train.beta2,
-        "epsilon": train.epsilon,
-        "pos_weight": train.pos_weight,
-        "neg_weight": train.neg_weight,
-        "epochs": train.epochs,
-        "seed": train.seed,
-        "threshold": train.threshold,
-        "clip_norm": train.clip_norm,
-    }
-
-
 def best_val_score(logs: Sequence[multitask.TrainLogEntry]) -> float:
     return max(e.val_micro_f1 for e in logs)
 
@@ -341,7 +311,12 @@ def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     members = []
     for kind, seed in cfg.pool:
         tag = f"{kind.value}-s{seed}"
-        params, logs = train_one(cfg, kind, seed, train_instances, val_instances, registry)
+        params, logs = multitask.train(
+            multitask.init_model(cfg.encoder, kind, registry, seed=seed),
+            train_instances,
+            val_instances,
+            replace(cfg.train, seed=seed),
+        )
         model_path = models_dir / f"{tag}.bin"
         serialize.save_model(params, model_path)
         log_path = logs_dir / f"{tag}.csv"
@@ -397,7 +372,7 @@ def stage_postprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
 
 def _evaluate(
     cfg: PipelineConfig, out_dir: Path, predictions_name: str, label: str, filtered: bool
-) -> tuple[metrics_mod.MetricsReport, dict[str, Path]]:
+) -> dict[str, Path]:
     registry = make_registry(cfg)
     split = load_and_split(cfg, registry)
     records = serialize.load_predictions(out_dir / predictions_name)
@@ -409,25 +384,20 @@ def _evaluate(
         corpus_id=f"{split.digest}/val",
         filtered=filtered,
     )
-    artifacts = {}
     report_path = out_dir / f"report_{label}.json"
     metrics_mod.save_report(report, report_path)
     table_path = out_dir / f"table_{label}.txt"
     table_path.write_text(metrics_mod.render_table(report), encoding="utf-8")
-    artifacts[f"report_{label}"] = report_path
-    artifacts[f"table_{label}"] = table_path
     log.info("evaluate(%s): micro-F1 %.4f", label, report.micro_f1)
-    return report, artifacts
+    return {f"report_{label}": report_path, f"table_{label}": table_path}
 
 
 def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    _, artifacts = _evaluate(cfg, out_dir, "predictions.jsonl", "unfiltered", False)
-    return artifacts
+    return _evaluate(cfg, out_dir, "predictions.jsonl", "unfiltered", False)
 
 
 def stage_evaluate_filtered(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    _, artifacts = _evaluate(cfg, out_dir, "predictions_filtered.jsonl", "filtered", True)
-    return artifacts
+    return _evaluate(cfg, out_dir, "predictions_filtered.jsonl", "filtered", True)
 
 
 def stage_ablate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:

@@ -18,12 +18,12 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import CorpusError, SubtaskId
-from .encoder import EncoderConfig, EncoderParams, LayerParams
+from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import Head, ModelParams, PredictionRecord, TrainLogEntry
 from .preprocess import PAD_ID, MaskedInstance
@@ -38,6 +38,19 @@ class FormatError(ValueError):
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _jsonl_rows(path: Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each nonblank line of a JSONL file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from None
+            yield lineno, obj
 
 
 # -- model container ---------------------------------------------------------
@@ -122,16 +135,10 @@ def load_model(path: str | Path) -> ModelParams:
 
 def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: Sequence[SubtaskId]) -> ModelParams:
     h = cfg.hidden_size
-    encoder = EncoderParams(
-        config=cfg,
-        token_emb=np.zeros((cfg.vocab_size, h)),
-        pos_emb=np.zeros((cfg.max_len, h)),
-        layers=[LayerParams(np.zeros((cfg.num_taps, h, h)), np.zeros(h)) for _ in range(cfg.num_layers)],
-    )
     proj = Proj4Params(w=np.zeros((4, h, h // 4)), b=np.zeros((4, h // 4))) if kind is StrategyKind.PROJ4 else None
     dim = feature_dim(kind, h)
     heads = {s: Head(w=np.zeros(dim), b=np.zeros(1)) for s in subtasks}
-    return ModelParams(encoder=encoder, strategy=FeatureStrategy(kind, proj), heads=heads)
+    return ModelParams(encoder=zero_grads(cfg), strategy=FeatureStrategy(kind, proj), heads=heads)
 
 
 # -- masked instances --------------------------------------------------------
@@ -156,17 +163,7 @@ def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> Non
 
 def load_instances(path: str | Path) -> list[MaskedInstance]:
     path = Path(path)
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            out.append(_instance_from_obj(obj, path, lineno))
-    return out
+    return [_instance_from_obj(obj, path, lineno) for lineno, obj in _jsonl_rows(path)]
 
 
 def _instance_from_obj(obj: dict, path: Path, lineno: int) -> MaskedInstance:
@@ -233,17 +230,7 @@ def save_predictions(records: Iterable[PredictionRecord], path: str | Path, incl
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
     path = Path(path)
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            out.append(_prediction_from_obj(obj, path, lineno))
-    return out
+    return [_prediction_from_obj(obj, path, lineno) for lineno, obj in _jsonl_rows(path)]
 
 
 def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord:
@@ -310,18 +297,14 @@ def save_ensemble_manifest(members: Sequence[tuple[str, float]], path: str | Pat
 def load_ensemble_manifest(path: str | Path) -> list[tuple[str, float]]:
     path = Path(path)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-                member = (str(obj["path"]), float(obj["val_micro_f1"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad manifest row: {exc}") from None
-            if not 0.0 <= member[1] <= 1.0:
-                raise FormatError(f"{path}:{lineno}: field 'val_micro_f1' must lie in [0, 1]")
-            out.append(member)
+    for lineno, obj in _jsonl_rows(path):
+        try:
+            member = (str(obj["path"]), float(obj["val_micro_f1"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: bad manifest row: {exc}") from None
+        if not 0.0 <= member[1] <= 1.0:
+            raise FormatError(f"{path}:{lineno}: field 'val_micro_f1' must lie in [0, 1]")
+        out.append(member)
     if not out:
         raise FormatError(f"{path}: empty ensemble manifest")
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from tweetslots import serialize
-from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, main
+from tweetslots import pipeline, serialize
+from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _build_parser, main
 
 from conftest import CONFIG_TEXT, tree_bytes
 
@@ -57,6 +58,38 @@ class TestRun:
         assert set(a) == set(b)
         for rel in a:
             assert a[rel] == b[rel], rel
+
+
+class TestStageTable:
+    def test_every_stage_label_is_reachable(self, ws, tmp_path, monkeypatch):
+        called = []
+        fakes = tuple(
+            (label, lambda cfg, out_dir, label=label: called.append(label) or {})
+            for label, _ in pipeline._STAGES
+        )
+        monkeypatch.setattr(pipeline, "_STAGES", fakes)
+        base = ["--config", str(ws / "config.ini"), "--output", str(tmp_path)]
+        for label, _ in fakes:
+            argv = ["evaluate", *base, "--filtered"] if label == "evaluate_filtered" else [label, *base]
+            assert main(argv) == EXIT_OK, argv
+        assert called == [label for label, _ in fakes]
+
+    def test_run_and_predict_are_the_only_other_subcommands(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        stages = {label for label, _ in pipeline._STAGES} - {"evaluate_filtered"}
+        assert set(sub.choices) == stages | {"run", "predict"}
+
+    def test_stage_refuses_a_locked_output(self, ws, cli_run, tmp_path):
+        out = tmp_path / "locked"
+        out.mkdir()
+        for name in ("report_unfiltered.json", "report_filtered.json"):
+            (out / name).write_bytes((cli_run / name).read_bytes())
+        lock = out / ".lock"
+        lock.write_text("99999\n")
+        code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
+        assert code == EXIT_DATA
+        assert lock.read_text() == "99999\n"
+        assert not (out / "ablation.json").exists()
 
 
 class TestPredict:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tweetslots.corpus import (
@@ -190,6 +191,31 @@ class TestCorpusIo:
         row = {"id": "a", "text": "t", "event": "nope", "candidates": [], "gold": {}}
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(CorpusError, match="unknown event"):
+            load_corpus(p)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        line = dumps_tweet(make_tweet(0))
+        p.write_text(f"{line}\n{dumps_tweet(make_tweet(1))}\n{line}\n")
+        with pytest.raises(CorpusError, match=r"c\.jsonl:3: duplicate tweet id 't000' \(first on line 1\)"):
+            load_corpus(p)
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        bad=st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=4), st.none()),
+        place=st.sampled_from(["start", "end", "gold"]),
+    )
+    def test_non_integer_bounds_and_gold_rejected(self, tmp_path, bad, place):
+        # JSON integers only: bools, floats (even 3.0) and digit strings must
+        # not be coerced by int().
+        row = json.loads(dumps_tweet(make_tweet(1, gold={"age": frozenset({1})})))
+        if place == "gold":
+            row["gold"]["age"] = [bad]
+        else:
+            row["candidates"][1][place == "end"] = bad
+        p = tmp_path / "c.jsonl"
+        p.write_text(dumps_tweet(make_tweet(0)) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:2: ") + ".*integer"):
             load_corpus(p)
 
 

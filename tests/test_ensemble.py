@@ -9,7 +9,6 @@ import pytest
 
 from tweetslots.corpus import EventType, SubtaskId
 from tweetslots.ensemble import (
-    EnsembleConfig,
     EnsembleError,
     ensemble_predict,
     majority_vote,
@@ -81,23 +80,6 @@ class TestSelectTop:
     def test_k_nonpositive_rejected(self):
         with pytest.raises(EnsembleError):
             select_top([("a", 0.5)], 0)
-
-
-class TestEnsembleConfig:
-    def test_defaults(self):
-        cfg = EnsembleConfig()
-        assert cfg.k == 5
-        assert len(cfg.pool) == 12  # 4 strategies x 3 seeds
-
-    def test_even_k_rejected(self):
-        with pytest.raises(EnsembleError):
-            EnsembleConfig(k=4)
-
-    def test_pool_smaller_than_k_rejected(self):
-        from tweetslots.features import StrategyKind
-
-        with pytest.raises(EnsembleError):
-            EnsembleConfig(k=5, pool=((StrategyKind.LAST, 0),))
 
 
 class TestEnsemblePredict:
