@@ -2,12 +2,16 @@
 
 Every instance from every event flows through the same encoder and feature
 extractor; only the binary head of the instance's own subtask reads the
-feature vector. Training shuffles instances of all events together, so each
-batch's gradient updates the shared trunk plus exactly the heads present in
-the batch. The loss is class-weighted binary cross-entropy (positives
-up-weighted for the heavy negative skew of exploded candidates), optimized
-with AdamW under a global gradient-norm clip, and the returned model is the
-epoch snapshot with the best validation micro-F1.
+feature vector. Forward-only scoring (validation and prediction) runs the
+encoder once per candidate: instances with the same encoder input, the
+subtask fan-out of one candidate, share one feature row that each of their
+heads reads. Training still encodes every instance on its own and shuffles
+instances of all events together, so each batch's gradient updates the
+shared trunk plus exactly the heads present in the batch. The loss is
+class-weighted binary cross-entropy (positives up-weighted for the heavy
+negative skew of exploded candidates), optimized with AdamW under a global
+gradient-norm clip, and the returned model is the epoch snapshot with the
+best validation micro-F1.
 """
 
 from __future__ import annotations
@@ -295,13 +299,40 @@ def _decisions_micro_f1(labels: np.ndarray, decisions: np.ndarray) -> float:
     return micro_f1_counts(tp, fp, fn)
 
 
+def _unit_features(params: ModelParams, units: Sequence[MaskedInstance]) -> np.ndarray:
+    """Feature rows for one batch; its encoder cache is freed on return."""
+    ids, marker, _ = _batch_arrays(units)
+    cache = enc.forward_batch(params.encoder, ids)
+    return feat.extract_batch(params.strategy, cache.hidden, marker)
+
+
 def _predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batch_size: int = 256) -> np.ndarray:
-    probs = np.empty(len(instances))
-    for start in range(0, len(instances), batch_size):
-        chunk = instances[start:start + batch_size]
-        *_, logits, _ = _forward(params, chunk)
-        probs[start:start + len(chunk)] = _sigmoid(logits)
-    return probs
+    """Probabilities in input order, from one forward pass per distinct encoder input.
+
+    The subtask fan-out of a candidate repeats one encoder input; instances
+    are grouped by that input's content (not by tweet id and candidate
+    index), encoded once in batches of ``batch_size`` distinct inputs, and
+    each instance's own head reads its group's feature row.
+    """
+    if not instances:
+        return np.empty(0)
+    unit_of: dict[tuple[int, int, bytes], int] = {}
+    units: list[MaskedInstance] = []
+    rows = np.empty(len(instances), dtype=np.int64)
+    for k, inst in enumerate(instances):
+        row = unit_of.setdefault((inst.length, inst.marker_pos, inst.token_ids.tobytes()), len(units))
+        if row == len(units):
+            units.append(inst)
+        rows[k] = row
+    feats = np.concatenate([
+        _unit_features(params, units[start:start + batch_size])
+        for start in range(0, len(units), batch_size)
+    ])
+    logits = np.empty(len(instances))
+    for subtask, group in _group_by_subtask(instances).items():
+        head = params.heads[subtask]
+        logits[group] = feats[rows[group]] @ head.w + head.b[0]
+    return _sigmoid(logits)
 
 
 def validation_micro_f1(params: ModelParams, instances: Sequence[MaskedInstance], cfg: TrainConfig) -> float:

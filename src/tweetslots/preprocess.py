@@ -13,10 +13,11 @@ chunk) always survive.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -108,9 +109,22 @@ class CleanConfig:
         for tag in self.covid_tags:
             if not tag.startswith("#"):
                 raise PreprocessError(f"covid tag {tag!r} must begin with '#'")
+        # Private read-only copies, so the compiled tables cannot go stale.
+        object.__setattr__(self, "emoji_map", MappingProxyType(dict(self.emoji_map)))
+        object.__setattr__(self, "covid_tags", frozenset(self.covid_tags))
 
-    def _cache_key(self) -> tuple:
-        return (tuple(sorted(self.emoji_map.items())), tuple(sorted(self.covid_tags)))
+    @cached_property
+    def _tables(self) -> tuple[re.Pattern[str] | None, re.Pattern[str] | None]:
+        """(emoji matcher, hashtag matcher), compiled once per config."""
+        emoji_re = None
+        if self.emoji_map:
+            alts = sorted(self.emoji_map, key=len, reverse=True)
+            emoji_re = re.compile("|".join(re.escape(e) for e in alts))
+        tag_re = None
+        if self.covid_tags:
+            alts = sorted(self.covid_tags, key=len, reverse=True)
+            tag_re = re.compile("(?:" + "|".join(re.escape(t) for t in alts) + r")(?!\w)", re.IGNORECASE)
+        return emoji_re, tag_re
 
 
 # Single-pass-complete rules (no lookbehind) keep clean() idempotent.
@@ -128,19 +142,6 @@ _PUNCT_TABLE = {
 }
 
 
-@lru_cache(maxsize=32)
-def _compiled_tables(emoji_items: tuple, tags: tuple):
-    emoji_re = None
-    if emoji_items:
-        alts = sorted((e for e, _ in emoji_items), key=len, reverse=True)
-        emoji_re = re.compile("|".join(re.escape(e) for e in alts))
-    tag_re = None
-    if tags:
-        alts = sorted(tags, key=len, reverse=True)
-        tag_re = re.compile("(?:" + "|".join(re.escape(t) for t in alts) + r")(?!\w)", re.IGNORECASE)
-    return emoji_re, tag_re
-
-
 def clean(text: str, cfg: CleanConfig) -> str:
     """Normalize one piece of tweet text; identity when cleaning is disabled.
 
@@ -151,8 +152,7 @@ def clean(text: str, cfg: CleanConfig) -> str:
     """
     if not cfg.enabled:
         return text
-    emoji_re, tag_re = _compiled_tables(tuple(sorted(cfg.emoji_map.items())),
-                                        tuple(sorted(cfg.covid_tags)))
+    emoji_re, tag_re = cfg._tables
     text = _URL_RE.sub(URL_TOKEN, text)
     text = _MENTION_RE.sub(USER_TOKEN, text)
     if tag_re is not None:
@@ -309,11 +309,25 @@ def mask_corpus(
     max_len: int = 96,
     registry=None,
 ) -> list[MaskedInstance]:
-    """Explode a corpus into masked instances (one per exploded triple)."""
+    """Explode a corpus into masked instances (one per exploded triple).
+
+    The masked sequence depends only on (tweet, candidate), so each candidate
+    is cleaned, tokenized and masked once; its instances for the event's
+    subtasks differ only in ``subtask`` and ``label`` and share one
+    ``token_ids`` array.
+    """
     from .corpus import explode_instances
 
-    by_id = {t.id: t for t in tweets}
+    by_id: dict[str, AnnotatedTweet] = {}
+    for tweet in tweets:
+        if tweet.id in by_id:
+            raise PreprocessError(f"repeated tweet id {tweet.id!r}")
+        by_id[tweet.id] = tweet
+    units: dict[tuple[str, int], MaskedInstance] = {}
     out = []
     for tweet_id, subtask, cand_idx, label in explode_instances(tweets, registry):
-        out.append(mask_candidate(by_id[tweet_id], cand_idx, subtask, label, vocab, cfg, max_len))
+        key = (tweet_id, cand_idx)
+        if key not in units:
+            units[key] = mask_candidate(by_id[tweet_id], cand_idx, subtask, label, vocab, cfg, max_len)
+        out.append(replace(units[key], subtask=subtask, label=int(label)))
     return out

@@ -56,9 +56,18 @@ def _jsonl_rows(path: Path) -> Iterator[tuple[int, object]]:
 # -- model container ---------------------------------------------------------
 
 
+def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{path}: array {name!r} holds non-finite values")
+
+
 def save_model(params: ModelParams, path: str | Path) -> None:
+    """Write the model container; refuses, before opening ``path``, a model
+    with a non-finite weight."""
     cfg = params.encoder.config
     arrays = list(params.named_arrays())
+    for name, arr in arrays:
+        _check_finite(path, name, arr)
     header = {
         "encoder": {
             "num_layers": cfg.num_layers,
@@ -118,6 +127,7 @@ def load_model(path: str | Path) -> ModelParams:
         if end > len(blob):
             raise FormatError(f"{path}: truncated array data at {name!r}")
         stored[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+        _check_finite(path, name, stored[name])
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after array data")

@@ -345,6 +345,84 @@ class TestPredict:
             assert a.probability == pytest.approx(b.probability, rel=1e-12, abs=1e-15)
 
 
+class TestSharedEncoderInput:
+    """Forward-only scoring encodes each distinct encoder input once."""
+
+    @staticmethod
+    def fanned_out():
+        # Each unit is built once per subtask, so equal inputs are equal by
+        # content only, never by array identity.
+        units = [(["sad"], "uncle"), (["sad", "news"], "sixty"), ([], "masks"), (["w"], "uncle")]
+        insts = []
+        for k, (words, chunk) in enumerate(units):
+            for subtask in (AGE, NAME):
+                insts.append(make_instance(words, chunk, subtask, k % 2, f"t{k}", k))
+        insts.append(make_instance([], "masks", OPINION, 1, "t2", 2))
+        return insts, len(units)
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        from tweetslots import encoder
+
+        rows = []
+        original = encoder.forward_batch
+
+        def counting(params, ids):
+            rows.append(len(ids))
+            return original(params, ids)
+
+        monkeypatch.setattr(encoder, "forward_batch", counting)
+        return rows
+
+    def test_predict_encodes_each_input_once(self, monkeypatch):
+        model = init_model(enc_cfg(), StrategyKind.PROJ4, REG, seed=4)
+        insts, n_units = self.fanned_out()
+        singles = [predict(model, [i])[0] for i in insts]
+        rows = self.count_rows(monkeypatch)
+        whole = predict(model, insts, TrainConfig(threshold=0.5))
+        assert sum(rows) == n_units
+        assert [(r.tweet_id, r.subtask, r.candidate_index, r.chunk_text, r.decision) for r in whole] == [
+            (r.tweet_id, r.subtask, r.candidate_index, r.chunk_text, r.decision) for r in singles]
+        for a, b in zip(whole, singles):
+            assert a.probability == pytest.approx(b.probability, rel=1e-12, abs=1e-15)
+
+    def test_validation_encodes_each_input_once(self, monkeypatch):
+        model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=5)
+        insts, n_units = self.fanned_out()
+        cfg = TrainConfig()
+        recs = predict(model, insts, cfg)
+        rows = self.count_rows(monkeypatch)
+        got = validation_micro_f1(model, insts, cfg)
+        assert sum(rows) == n_units
+        tp = sum(1 for r, i in zip(recs, insts) if r.decision == 1 and i.label == 1)
+        fp = sum(1 for r, i in zip(recs, insts) if r.decision == 1 and i.label == 0)
+        fn = sum(1 for r, i in zip(recs, insts) if r.decision == 0 and i.label == 1)
+        assert got == micro_f1_counts(tp, fp, fn)
+
+    def test_same_candidate_different_input_not_merged(self, monkeypatch):
+        model = init_model(enc_cfg(), StrategyKind.LAST, REG, seed=6)
+        a = make_instance(["sad"], "uncle", NAME, 1, "t0", 0)
+        b = make_instance(["glad"], "uncle", AGE, 1, "t0", 0)
+        singles = [predict(model, [i])[0].probability for i in (a, b)]
+        rows = self.count_rows(monkeypatch)
+        got = [r.probability for r in predict(model, [a, b])]
+        assert sum(rows) == 2
+        assert got == pytest.approx(singles, rel=1e-12, abs=1e-15)
+
+    def test_batches_count_distinct_inputs(self, monkeypatch):
+        from tweetslots.multitask import _predict_probs
+
+        model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=7)
+        by_id = {VOCAB.token_to_id(f"w{i}"): f"w{i}" for i in range(200)}
+        words = sorted(by_id.values())[:20]  # 20 words with distinct hashed ids
+        insts = [make_instance([w], "uncle", s, 0, w) for w in words for s in (NAME, AGE)]
+        singles = [_predict_probs(model, [i])[0] for i in insts]
+        rows = self.count_rows(monkeypatch)
+        got = _predict_probs(model, insts, batch_size=8)
+        assert rows == [8, 8, 4]
+        assert list(got) == pytest.approx(singles, rel=1e-12, abs=1e-15)
+
+
 class TestMicroF1:
     def test_hand_values(self):
         assert micro_f1_counts(1, 1, 1) == pytest.approx(0.5)

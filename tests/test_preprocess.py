@@ -78,6 +78,17 @@ class TestClean:
         raw = "check https://x.y  @user “quoted” #covid19"
         assert clean(raw, off) == raw
 
+    def test_caller_mutation_after_construction_ignored(self):
+        emoji = {"\U0001f637": ":mask:"}
+        tags = {"#covid19"}
+        c = CleanConfig(emoji_map=emoji, covid_tags=tags)
+        text = "sick \U0001f637 \U0001f912 #covid19 #flu"
+        before = clean(text, c)
+        emoji["\U0001f912"] = ":fever:"
+        emoji["\U0001f637"] = ":other:"
+        tags.add("#flu")
+        assert clean(text, c) == before == f"sick :mask: \U0001f912 {COVID_TAG_TOKEN} #flu"
+
     def test_idempotent_on_fixed_samples(self, cfg):
         samples = [
             "RT @user: tested positive!! https://t.co/xyz #covid19 \U0001f637",
@@ -264,6 +275,59 @@ class TestMasking:
         insts = mask_corpus(tweets, Vocab(128), cfg, max_len=16)
         rows = explode_instances(tweets)
         assert [(m.tweet_id, m.subtask, m.candidate_index, m.label) for m in insts] == rows
+
+    def test_mask_corpus_rejects_repeated_tweet_id(self, cfg):
+        tweets = [
+            AnnotatedTweet(id="a", text=text, event=EventType.CURE_AND_PREVENTION,
+                           candidates=((0, 5),), gold={})
+            for text in ("alpha beta", "gamma delta")
+        ]
+        with pytest.raises(PreprocessError, match="repeated tweet id 'a'"):
+            mask_corpus(tweets, Vocab(128), cfg, max_len=16)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_corpus_matches_per_triple_oracle(self, data):
+        from tweetslots import preprocess
+        from tweetslots.corpus import SubtaskRegistry, explode_instances
+
+        registry = SubtaskRegistry.default()
+        words = ["alpha", "Beta", "@user", "#covid19", "\U0001f637", "“q”", "62", "https://t.co/x"]
+        tweets = []
+        for i in range(data.draw(st.integers(1, 3))):
+            toks = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8))
+            starts = [sum(len(t) + 1 for t in toks[:k]) for k in range(len(toks))]
+            spans = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                a = data.draw(st.integers(0, len(toks) - 1))
+                b = data.draw(st.integers(a, len(toks) - 1))
+                spans.append((starts[a], starts[b] + len(toks[b])))
+            event = data.draw(st.sampled_from(list(EventType)))
+            names = registry.names_for(event)
+            gold = {n: frozenset(data.draw(st.sets(st.integers(0, len(spans) - 1)))) for n in names[:2]}
+            tweets.append(AnnotatedTweet(id=f"t{i}", text=" ".join(toks), event=event,
+                                         candidates=tuple(spans), gold=gold))
+        max_len = data.draw(st.integers(6, 24))
+        v, c = Vocab(512), CleanConfig()
+        by_id = {t.id: t for t in tweets}
+        try:
+            want = [mask_candidate(by_id[tid], k, sub, lab, v, c, max_len)
+                    for tid, sub, k, lab in explode_instances(tweets, registry)]
+        except MaskingError:
+            with pytest.raises(MaskingError):
+                mask_corpus(tweets, v, c, max_len, registry)
+            return
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(preprocess, "clean", lambda text, cfg: calls.append(text) or clean(text, cfg))
+            got = mask_corpus(tweets, v, c, max_len, registry)
+        assert len(calls) == 3 * sum(len(t.candidates) for t in tweets)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.tweet_id, g.candidate_index, g.subtask, g.label, g.chunk_text) == (
+                w.tweet_id, w.candidate_index, w.subtask, w.label, w.chunk_text)
+            assert (g.length, g.marker_pos) == (w.length, w.marker_pos)
+            assert np.array_equal(g.token_ids, w.token_ids)
 
     @given(
         n_pre=st.integers(0, 30), n_chunk=st.integers(1, 6), n_suf=st.integers(0, 30),

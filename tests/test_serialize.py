@@ -113,6 +113,26 @@ class TestModelBinary:
         with pytest.raises(FormatError, match="version"):
             load_model(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_not_saved(self, bad, tmp_path):
+        model = small_model()
+        model.encoder.token_emb[3, 1] = bad
+        p = tmp_path / "m.bin"
+        with pytest.raises(FormatError, match=r"m\.bin: array 'enc\.token_emb' holds non-finite"):
+            save_model(model, p)
+        assert not p.exists()
+
+    def test_non_finite_weight_rejected_on_load(self, tmp_path):
+        model = small_model()
+        p = tmp_path / "m.bin"
+        save_model(model, p)
+        last_name, last = list(model.named_arrays())[-1]
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<d", blob, len(blob) - 8 * last.size, np.nan)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"m\\.bin: array '{last_name}' holds non-finite"):
+            load_model(p)
+
     def test_proj4_round_trips_projections(self, tmp_path):
         model = small_model(StrategyKind.PROJ4)
         p = tmp_path / "m.bin"
