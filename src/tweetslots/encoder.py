@@ -11,7 +11,9 @@ rewriting a PAD tail leaves all real hidden states bitwise unchanged.
 
 Everything runs in float64. ``backward_batch`` is the hand-derived adjoint of
 ``forward_batch`` and is validated against central finite differences in the
-test suite.
+test suite. Its weight gradient is one GEMM per tap: the shifted layer input
+and the pre-activation gradient are flattened to (B*T, H), so BLAS reduces
+over batch and time in a single (H, B*T) @ (B*T, H) product.
 """
 
 from __future__ import annotations
@@ -194,23 +196,25 @@ def backward_batch(
     if len(upstream) != l:
         raise EncoderError(f"expected {l} upstream gradients, got {len(upstream)}")
     b, t = cache.ids.shape
+    h = cfg.hidden_size
     for g in upstream:
-        if g.shape != (b, t, cfg.hidden_size):
-            raise EncoderError(f"upstream gradient shape {g.shape} != {(b, t, cfg.hidden_size)}")
+        if g.shape != (b, t, h):
+            raise EncoderError(f"upstream gradient shape {g.shape} != {(b, t, h)}")
     grads = zero_grads(cfg)
     mask = cache.mask
     w = cfg.context_window
-    g = np.zeros((b, t, cfg.hidden_size))
+    g = np.zeros((b, t, h))
     for li in range(l - 1, -1, -1):
         g = g + upstream[li]
         a = g * mask  # grad wrt (x_prev + h) before the output masking
         dpre = a * (1.0 - cache.hs[li] ** 2)
         grads.layers[li].b += dpre.sum(axis=(0, 1))
         x_prev = cache.xs[li]
+        dpre_rows = dpre.reshape(-1, h)
         g = a.copy()
         for k in range(cfg.num_taps):
             d = k - w
-            grads.layers[li].w[k] += np.einsum("bti,btj->ij", _shift(x_prev, d), dpre)
+            grads.layers[li].w[k] += _shift(x_prev, d).reshape(-1, h).T @ dpre_rows
             g += _shift(dpre @ params.layers[li].w[k].T, -d)
     demb = g * mask
     np.add.at(grads.token_emb, cache.ids, demb)

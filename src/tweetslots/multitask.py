@@ -253,6 +253,14 @@ class AdamW:
     Each parameter keeps its own step count, advanced only when a gradient
     for it arrives; parameters without a gradient in a step are untouched
     (no decay either), so unused heads keep their initial weights exactly.
+
+    A step works in place: the clipped gradient, the bias-corrected moments
+    and the update go through two scratch rows sized to the largest
+    gradient, allocated once per step. Each element sees the operations of
+    ``v += (1 - beta2) * (g * g)`` and
+    ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)`` in that order, so
+    trained model bytes match the plain formula exactly. The caller's
+    gradient arrays are only read.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -263,11 +271,15 @@ class AdamW:
 
     def step(self, named_params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         cfg = self.cfg
+        buf = np.empty((2, max((g.size for g in grads.values()), default=0)))
+        scratch = {name: (buf[0, :g.size].reshape(g.shape), buf[1, :g.size].reshape(g.shape))
+                   for name, g in grads.items()}
+        scale = None
         if cfg.clip_norm > 0:
-            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in grads.items())
+            total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
-                grads = {name: g * scale for name, g in grads.items()}
         for name, g in grads.items():
             p = named_params[name]
             if name not in self._m:
@@ -278,13 +290,22 @@ class AdamW:
             t = self._t[name]
             m = self._m[name]
             v = self._v[name]
+            s0, s1 = scratch[name]
+            if scale is not None:
+                g = np.multiply(g, scale, s0)
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(g, 1.0 - cfg.beta1, s1)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            p -= cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + cfg.epsilon) + cfg.weight_decay * p)
+            gg = np.multiply(g, g, s1)
+            gg *= 1.0 - cfg.beta2
+            v += gg
+            m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, s0)
+            denom = np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, s1), s1)
+            denom += cfg.epsilon
+            update = np.divide(m_hat, denom, s0)
+            update += np.multiply(p, cfg.weight_decay, s1)
+            update *= cfg.learning_rate
+            p -= update
 
 
 def micro_f1_counts(tp: int, fp: int, fn: int) -> float:
@@ -316,6 +337,7 @@ def _predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], bat
     """
     if not instances:
         return np.empty(0)
+    _check_heads(params, instances)
     unit_of: dict[tuple[int, int, bytes], int] = {}
     units: list[MaskedInstance] = []
     rows = np.empty(len(instances), dtype=np.int64)
@@ -391,7 +413,6 @@ def predict(
     cfg = cfg or TrainConfig()
     if not instances:
         return []
-    _check_heads(params, instances)
     probs = _predict_probs(params, instances)
     records = []
     for inst, p in zip(instances, probs):

@@ -202,7 +202,7 @@ def _instance_from_obj(obj: dict, path: Path, lineno: int) -> MaskedInstance:
         raise FormatError(f"{path}:{lineno}: field 'token_ids' holds {len(ids)} ids, length says {length}")
     if not 0 <= marker_pos < length:
         raise FormatError(f"{path}:{lineno}: field 'marker_pos' outside the token range")
-    if any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids):
+    if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
         raise FormatError(f"{path}:{lineno}: field 'token_ids' must hold nonnegative integers")
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
     token_ids[:length] = ids

@@ -265,6 +265,32 @@ def assert_close(analytic: np.ndarray, numeric: np.ndarray, name: str, tol=1e-6)
     assert rel.max() < tol, f"{name}: max rel err {rel.max():.3g}"
 
 
+def einsum_weight_grads(params: EncoderParams, cache: EncoderCache, upstream) -> tuple[list, list]:
+    """Layer weight gradients by an explicit per-tap einsum over (b, t).
+
+    Restates the adjoint recursion of ``backward_batch``; returns, per layer,
+    the (taps, H, H) gradient and the same sum over absolute terms, the
+    scale of the rounding error any reordering of that sum can make.
+    """
+    cfg = params.config
+    w = cfg.context_window
+    grads, scales = [None] * cfg.num_layers, [None] * cfg.num_layers
+    g = np.zeros_like(upstream[0])
+    for li in range(cfg.num_layers - 1, -1, -1):
+        g = g + upstream[li]
+        a = g * cache.mask
+        dpre = a * (1.0 - cache.hs[li] ** 2)
+        x_prev = cache.xs[li]
+        g = a.copy()
+        grads[li] = np.stack([np.einsum("bti,btj->ij", _shift(x_prev, k - w), dpre)
+                              for k in range(cfg.num_taps)])
+        scales[li] = np.stack([np.einsum("bti,btj->ij", np.abs(_shift(x_prev, k - w)), np.abs(dpre))
+                               for k in range(cfg.num_taps)])
+        for k in range(cfg.num_taps):
+            g += _shift(dpre @ params.layers[li].w[k].T, -(k - w))
+    return grads, scales
+
+
 class TestBackward:
     @pytest.mark.parametrize("window", [0, 1, 2])
     def test_finite_difference_all_groups(self, window):
@@ -335,6 +361,26 @@ class TestBackward:
         bad = [np.zeros((1, 3, cfg.hidden_size)) for _ in range(cfg.num_layers)]
         with pytest.raises(EncoderError, match="shape"):
             backward_batch(params, cache, bad)
+
+    @given(b=st.integers(1, 4), t=st.integers(1, 6), window=st.integers(0, 3),
+           hidden=st.sampled_from([4, 8]), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_grads_match_einsum_oracle(self, b, t, window, hidden, seed):
+        # t <= window makes whole shifted copies fall off the sequence.
+        cfg = small_cfg(hidden_size=hidden, context_window=window, vocab_size=12, max_len=6, seed=seed)
+        params = init_params(cfg)
+        rng = np.random.default_rng(seed)
+        for layer in params.layers:
+            layer.b[:] = rng.standard_normal(hidden)
+        ids = random_ids(cfg, b, t, rng)
+        cache = forward_batch(params, ids)
+        upstream = [rng.standard_normal((b, t, hidden)) for _ in range(cfg.num_layers)]
+        got = backward_batch(params, cache, upstream)
+        want, scale = einsum_weight_grads(params, cache, upstream)
+        for li in range(cfg.num_layers):
+            # rtol 1e-12 of the summed magnitudes: only the summation order
+            # may differ, and all-zero terms (fallen-off shifts) must give 0.
+            assert np.all(np.abs(got.layers[li].w - want[li]) <= 1e-12 * scale[li]), li
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)

@@ -163,7 +163,7 @@ class TestGradients:
 class TestAdamW:
     def reference_step(self, p, g, m, v, t, cfg):
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        v = cfg.beta2 * v + (1 - cfg.beta2) * (g * g)
         m_hat = m / (1 - cfg.beta1 ** t)
         v_hat = v / (1 - cfg.beta2 ** t)
         p = p - cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + cfg.epsilon) + cfg.weight_decay * p)
@@ -185,6 +185,47 @@ class TestAdamW:
                 state[k] = (m, v)
         for k in ref:
             np.testing.assert_allclose(p[k], ref[k], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0, 1e6])
+    def test_bitwise_reference_trajectory(self, clip_norm):
+        # clip_norm 1.0 fires on every step, 1e6 never does. "late" gets its
+        # first gradient at step 3, so its step count lags the others.
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1, clip_norm=clip_norm)
+        rng = np.random.default_rng(5)
+        p = {"a": rng.standard_normal(7), "b": rng.standard_normal((3, 4)), "late": rng.standard_normal(2)}
+        ref = {k: v.copy() for k, v in p.items()}
+        state = {k: (np.zeros_like(v), np.zeros_like(v), 0) for k, v in p.items()}
+        opt = AdamW(cfg)
+        fired = []
+        for step in range(1, 7):
+            grads = {k: rng.standard_normal(v.shape) for k, v in p.items() if k != "late" or step >= 3}
+            opt.step(p, grads)
+            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            fired.append(clip_norm > 0 and total > clip_norm)
+            for k, g in grads.items():
+                m, v, t = state[k]
+                if fired[-1]:
+                    g = g * (clip_norm / total)
+                ref[k], m, v = self.reference_step(ref[k], g, m, v, t + 1, cfg)
+                state[k] = (m, v, t + 1)
+        assert all(fired) if clip_norm == 1.0 else not any(fired)
+        assert opt._t == {"a": 6, "b": 6, "late": 4}
+        for k in ref:
+            assert np.array_equal(p[k], ref[k]), k
+            assert np.array_equal(opt._m[k], state[k][0]), k
+            assert np.array_equal(opt._v[k], state[k][1]), k
+
+    def test_step_leaves_grads_unchanged(self):
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.1, clip_norm=0.5)
+        rng = np.random.default_rng(6)
+        p = {"a": rng.standard_normal(5), "b": rng.standard_normal((2, 3))}
+        grads = {k: rng.standard_normal(v.shape) for k, v in p.items()}
+        before = {k: g.copy() for k, g in grads.items()}
+        opt = AdamW(cfg)
+        for _ in range(3):
+            opt.step(p, grads)
+        for k in grads:
+            assert np.array_equal(grads[k], before[k]), k
 
     def test_decay_is_decoupled(self):
         # Zero gradient with nonzero decay still shrinks the parameter.
@@ -429,6 +470,12 @@ class TestMicroF1:
         assert micro_f1_counts(0, 0, 0) == 0.0
         assert micro_f1_counts(3, 0, 0) == 1.0
         assert micro_f1_counts(0, 2, 5) == 0.0
+
+    def test_validation_micro_f1_missing_head(self):
+        model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
+        stray = make_instance([], "x", SubtaskId(EventType.TESTED_POSITIVE, "who"), 1)
+        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): tested_positive/who$"):
+            validation_micro_f1(model, [stray], TrainConfig())
 
     def test_validation_micro_f1_matches_counting_oracle(self):
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=1)

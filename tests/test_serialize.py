@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
@@ -16,6 +19,7 @@ from tweetslots.preprocess import E_CLOSE_ID, E_OPEN_ID, PAD_ID, MaskedInstance
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
+    _instance_from_obj,
     file_sha256,
     load_ensemble_manifest,
     load_instances,
@@ -199,6 +203,20 @@ class TestInstancesJsonl:
         p.write_text("{nope\n")
         with pytest.raises(FormatError):
             load_instances(p)
+
+    @given(st.lists(st.one_of(
+        st.integers(-2**40, 2**40), st.booleans(), st.floats(), st.text(max_size=3),
+    ), min_size=1, max_size=10))
+    def test_token_id_check_matches_per_token_predicate(self, ids):
+        # Oracle: the same rule checked token by token.
+        bad = any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids)
+        obj = {"subtask": "death/name", "length": len(ids), "max_len": 10, "marker_pos": 0,
+               "label": 0, "token_ids": ids, "chunk_text": "c", "tweet_id": "t", "candidate_index": 0}
+        if bad:
+            with pytest.raises(FormatError, match=r"^i\.jsonl:7: field 'token_ids' must hold nonnegative integers$"):
+                _instance_from_obj(obj, Path("i.jsonl"), 7)
+        else:
+            assert _instance_from_obj(obj, Path("i.jsonl"), 7).token_ids[:len(ids)].tolist() == ids
 
 
 def make_record(decision=1, filtered=False, chunk="c"):
