@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,40 +208,83 @@ class SplitConfig:
             raise CorpusError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: bools, floats and strings do not count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_JSON_KINDS = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+}
 
 
-def _tweet_from_obj(obj: dict, lineno: int, path: str) -> AnnotatedTweet:
-    where = f"{path}:{lineno}"
-    if not isinstance(obj, dict):
-        raise CorpusError(f"{where}: expected an object, got {type(obj).__name__}")
-    for key in ("id", "text", "event", "candidates", "gold"):
-        if key not in obj:
-            raise CorpusError(f"{where}: missing field {key!r}")
-    if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-        raise CorpusError(f"{where}: 'id' and 'text' must be strings")
+def _shown(value) -> str:
+    """A JSON value as error messages name it: containers by kind, scalars as written."""
+    return _JSON_KINDS[type(value)] if type(value) in (list, dict) else json.dumps(value, ensure_ascii=False)
+
+
+def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
+    """The JSON object in ``text``; raises ``error`` prefixed with ``where``
+    for malformed JSON or a value that is not an object."""
     try:
-        event = EventType(obj["event"])
-    except (ValueError, TypeError):
-        raise CorpusError(f"{where}: unknown event {obj['event']!r}") from None
-    pairs = obj["candidates"]
-    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise CorpusError(f"{where}: 'candidates' must be a list of [start, end] pairs")
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: malformed JSON ({exc})") from None
+    if type(obj) is not dict:
+        raise error(f"{where}: expected an object, got {_shown(obj)}")
+    return obj
+
+
+def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each nonblank line of a JSONL file.
+
+    Every artifact loader reads through this and ``json_field``, so one rule
+    holds for all of them: each line is one JSON object and each field has
+    one JSON type, never coerced. Problems raise the loader's ``error``
+    naming the file, the line and the field.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if raw.strip():
+                yield lineno, parse_json_object(raw, f"{path}:{lineno}", error)
+
+
+def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueError]):
+    """``obj[name]`` if it holds a JSON value of type ``kind``, else raise
+    ``error`` prefixed with ``where`` and naming the field.
+
+    Types match exactly, so a bool is neither an int nor a float. A float
+    field also takes a JSON integer (JSON has one number type) and returns
+    it as a float.
+    """
+    try:
+        value = obj[name]
+    except KeyError:
+        raise error(f"{where}: missing field {name!r}") from None
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise error(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, got {_shown(value)}")
+
+
+def _tweet_from_obj(obj: dict, where: str) -> AnnotatedTweet:
+    tweet_id = json_field(obj, "id", str, where, CorpusError)
+    text = json_field(obj, "text", str, where, CorpusError)
+    event_name = json_field(obj, "event", str, where, CorpusError)
+    pairs = json_field(obj, "candidates", list, where, CorpusError)
+    gold_raw = json_field(obj, "gold", dict, where, CorpusError)
+    try:
+        event = EventType(event_name)
+    except ValueError:
+        raise CorpusError(f"{where}: unknown event {event_name!r}") from None
     for i, pair in enumerate(pairs):
-        if not all(map(_is_int, pair)):
+        if type(pair) is not list or len(pair) != 2:
+            raise CorpusError(f"{where}: 'candidates' must be a list of [start, end] pairs")
+        if type(pair[0]) is not int or type(pair[1]) is not int:
             raise CorpusError(f"{where}: candidate {i} bounds must be integers, got {pair!r}")
-    candidates = tuple((start, end) for start, end in pairs)
-    gold_raw = obj["gold"]
-    if not isinstance(gold_raw, dict):
-        raise CorpusError(f"{where}: 'gold' must be an object")
     gold: dict[str, frozenset[int]] = {}
     for name, idxs in gold_raw.items():
-        if not isinstance(idxs, list) or not all(map(_is_int, idxs)):
+        if type(idxs) is not list or any(type(i) is not int for i in idxs):
             raise CorpusError(f"{where}: gold[{name!r}] must be a list of integer candidate indices")
         gold[name] = frozenset(idxs)
-    return AnnotatedTweet(id=obj["id"], text=obj["text"], event=event, candidates=candidates, gold=gold)
+    candidates = tuple((start, end) for start, end in pairs)
+    return AnnotatedTweet(id=tweet_id, text=text, event=event, candidates=candidates, gold=gold)
 
 
 def load_corpus(path: str | Path, registry: SubtaskRegistry | None = None) -> list[AnnotatedTweet]:
@@ -254,22 +297,15 @@ def load_corpus(path: str | Path, registry: SubtaskRegistry | None = None) -> li
     tweets: list[AnnotatedTweet] = []
     first_line: dict[str, int] = {}
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            tweet = _tweet_from_obj(obj, lineno, str(path))
-            if tweet.id in first_line:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate tweet id {tweet.id!r} (first on line {first_line[tweet.id]})"
-                )
-            first_line[tweet.id] = lineno
-            tweet.validate(registry)
-            tweets.append(tweet)
+    for lineno, obj in read_jsonl(path, CorpusError):
+        tweet = _tweet_from_obj(obj, f"{path}:{lineno}")
+        if tweet.id in first_line:
+            raise CorpusError(
+                f"{path}:{lineno}: duplicate tweet id {tweet.id!r} (first on line {first_line[tweet.id]})"
+            )
+        first_line[tweet.id] = lineno
+        tweet.validate(registry)
+        tweets.append(tweet)
     return tweets
 
 

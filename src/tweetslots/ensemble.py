@@ -43,26 +43,23 @@ def _record_key(rec: PredictionRecord) -> tuple:
 def ensemble_predict(member_records: Sequence[Sequence[PredictionRecord]]) -> list[PredictionRecord]:
     """Combine aligned member predictions by majority vote.
 
-    Members must cover the same (tweet, subtask, candidate) triples; output
-    follows the first member's order.
+    Members must cover the same (tweet, subtask, candidate) triples, each
+    once; output follows the first member's order.
     """
     if len(member_records) % 2 == 0:
         raise EnsembleError(f"vote needs an odd member count, got {len(member_records)}")
-    first = member_records[0]
-    indexed = []
-    reference = [_record_key(r) for r in first]
-    reference_set = set(reference)
-    if len(reference_set) != len(reference):
-        raise EnsembleError("duplicate (tweet, subtask, candidate) triples in member predictions")
-    for mi, records in enumerate(member_records[1:], 2):
+    indexed: list[dict[tuple, PredictionRecord]] = []
+    for mi, records in enumerate(member_records, 1):
         by_key = {_record_key(r): r for r in records}
-        if set(by_key) != reference_set:
+        if len(by_key) != len(records):
+            raise EnsembleError(f"member {mi} lists a (tweet, subtask, candidate) triple twice")
+        if indexed and by_key.keys() != indexed[0].keys():
             raise EnsembleError(f"member {mi} predicts a different instance set than member 1")
         indexed.append(by_key)
     out = []
-    for rec in first:
+    for rec in member_records[0]:
         key = _record_key(rec)
-        members = [rec] + [m[key] for m in indexed]
+        members = [m[key] for m in indexed]
         decisions = [m.decision for m in members]
         out.append(
             PredictionRecord(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import EVENT_ORDER, AnnotatedTweet, SubtaskId, SubtaskRegistry
+from .corpus import EVENT_ORDER, AnnotatedTweet, CorpusError, SubtaskId, SubtaskRegistry, json_field, parse_json_object
 from .multitask import PredictionRecord, micro_f1_counts
 
 
@@ -232,30 +232,31 @@ def report_to_obj(report: MetricsReport) -> dict:
     }
 
 
-def report_from_obj(obj: dict) -> MetricsReport:
-    try:
-        counts = {
-            SubtaskId.parse(key): SubtaskCounts(tp=int(v["tp"]), fp=int(v["fp"]), fn=int(v["fn"]))
-            for key, v in obj["subtasks"].items()
-        }
-        return MetricsReport(
-            counts=counts,
-            model_id=str(obj.get("model_id", "")),
-            corpus_id=str(obj.get("corpus_id", "")),
-            filtered=bool(obj.get("filtered", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MetricsError(f"malformed metrics report: {exc}") from None
-
-
 def save_report(report: MetricsReport, path: str | Path) -> None:
     text = json.dumps(report_to_obj(report), sort_keys=True, indent=2, ensure_ascii=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_report(path: str | Path) -> MetricsReport:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MetricsError(f"{path}: not valid JSON: {exc}") from None
-    return report_from_obj(obj)
+    where = str(path)
+    obj = parse_json_object(Path(path).read_text(encoding="utf-8"), where, MetricsError)
+    subtasks = json_field(obj, "subtasks", dict, where, MetricsError)
+    counts = {}
+    for key in subtasks:
+        cell = json_field(subtasks, key, dict, f"{where}, subtasks", MetricsError)
+        try:
+            subtask = SubtaskId.parse(key)
+        except CorpusError as exc:
+            raise MetricsError(f"{where}: {exc}") from None
+        cell_where = f"{where}, subtask {key}"
+        counts[subtask] = SubtaskCounts(
+            tp=json_field(cell, "tp", int, cell_where, MetricsError),
+            fp=json_field(cell, "fp", int, cell_where, MetricsError),
+            fn=json_field(cell, "fn", int, cell_where, MetricsError),
+        )
+    return MetricsReport(
+        counts=counts,
+        model_id=json_field(obj, "model_id", str, where, MetricsError),
+        corpus_id=json_field(obj, "corpus_id", str, where, MetricsError),
+        filtered=json_field(obj, "filtered", bool, where, MetricsError),
+    )

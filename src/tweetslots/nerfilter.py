@@ -14,8 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .multitask import PredictionRecord
@@ -36,16 +38,9 @@ class EntityType(Enum):
     OTHER = "other"
 
 
-# Tie-break order for equal-length matches; OTHER is only a fallback.
-_TYPE_ORDER = {
-    EntityType.PERSON: 0,
-    EntityType.LOCATION: 1,
-    EntityType.ORGANIZATION: 2,
-    EntityType.DATE: 3,
-    EntityType.DURATION: 4,
-    EntityType.AGE: 5,
-    EntityType.OTHER: 6,
-}
+# Tie-break order for equal-length matches: declaration order; OTHER is only
+# a fallback.
+_TYPE_ORDER = {etype: i for i, etype in enumerate(EntityType)}
 
 _PHRASE_FILES = {
     EntityType.PERSON: "person.txt",
@@ -79,10 +74,28 @@ class Gazetteer:
     rules: tuple[tuple[EntityType, "re.Pattern[str]"], ...]
 
     def __post_init__(self):
+        # Private read-only copies, so the compiled matchers cannot go stale.
+        object.__setattr__(self, "phrases", MappingProxyType({e: frozenset(p) for e, p in self.phrases.items()}))
+        object.__setattr__(self, "rules", tuple(self.rules))
         for etype, phrases in self.phrases.items():
             for p in phrases:
                 if not p or p != p.strip() or p != p.lower():
                     raise NerFilterError(f"{etype.value} phrase {p!r} must be nonempty, trimmed, lowercase")
+
+    @cached_property
+    def _matchers(self) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
+        """Per-type anchored phrase matchers, compiled once per gazetteer."""
+        matchers = []
+        for etype in EntityType:
+            phrases = self.phrases.get(etype) if etype is not EntityType.OTHER else None
+            if not phrases:
+                continue
+            # Longest alternative first, so an anchored match returns the
+            # longest phrase starting at that position.
+            alts = sorted(phrases, key=len, reverse=True)
+            pattern = "(?:" + "|".join(re.escape(p) for p in alts) + r")\b"
+            matchers.append((etype, re.compile(pattern)))
+        return tuple(matchers)
 
 
 @dataclass(frozen=True)
@@ -201,25 +214,6 @@ def _normalize(text: str) -> str:
     return re.sub(r"\s+", " ", text.translate(_PUNCT_TABLE).lower()).strip()
 
 
-def _cached_matchers(gaz: Gazetteer) -> list[tuple[EntityType, "re.Pattern[str]"]]:
-    """Per-type anchored phrase matchers, compiled once per gazetteer."""
-    cached = getattr(gaz, "_matchers", None)
-    if cached is not None:
-        return cached
-    matchers = []
-    for etype in _TYPE_ORDER:
-        phrases = gaz.phrases.get(etype) if etype is not EntityType.OTHER else None
-        if not phrases:
-            continue
-        # Longest alternative first, so an anchored match returns the longest
-        # phrase starting at that position.
-        alts = sorted(phrases, key=len, reverse=True)
-        pattern = "(?:" + "|".join(re.escape(p) for p in alts) + r")\b"
-        matchers.append((etype, re.compile(pattern)))
-    object.__setattr__(gaz, "_matchers", matchers)
-    return matchers
-
-
 def tag(chunk_text: str, gaz: Gazetteer) -> EntityType:
     """Entity type of a candidate chunk.
 
@@ -235,7 +229,7 @@ def tag(chunk_text: str, gaz: Gazetteer) -> EntityType:
     starts = [m.start() for m in re.finditer(r"\b\w", text)]
     best: tuple[int, int] | None = None  # (-match_len, type_order)
     best_type = EntityType.OTHER
-    for etype, matcher in _cached_matchers(gaz):
+    for etype, matcher in gaz._matchers:
         for s in starts:
             m = matcher.match(text, s)
             if m is None:

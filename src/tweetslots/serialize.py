@@ -18,11 +18,11 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, SubtaskId
+from .corpus import CorpusError, SubtaskId, json_field, parse_json_object, read_jsonl
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import Head, ModelParams, PredictionRecord, TrainLogEntry
@@ -30,6 +30,7 @@ from .preprocess import PAD_ID, MaskedInstance
 
 MODEL_MAGIC = b"TWSLMODL"
 MODEL_VERSION = 1
+_ENCODER_FIELDS = ("num_layers", "hidden_size", "vocab_size", "max_len", "context_window", "seed")
 
 
 class FormatError(ValueError):
@@ -40,17 +41,11 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def _jsonl_rows(path: Path) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) for each nonblank line of a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            yield lineno, obj
+def _subtask_field(obj: dict, where: str) -> SubtaskId:
+    try:
+        return SubtaskId.parse(json_field(obj, "subtask", str, where, FormatError))
+    except CorpusError as exc:
+        raise FormatError(f"{where}: {exc}") from None
 
 
 # -- model container ---------------------------------------------------------
@@ -69,14 +64,7 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     for name, arr in arrays:
         _check_finite(path, name, arr)
     header = {
-        "encoder": {
-            "num_layers": cfg.num_layers,
-            "hidden_size": cfg.hidden_size,
-            "vocab_size": cfg.vocab_size,
-            "max_len": cfg.max_len,
-            "context_window": cfg.context_window,
-            "seed": cfg.seed,
-        },
+        "encoder": {name: getattr(cfg, name) for name in _ENCODER_FIELDS},
         "strategy": params.strategy.kind.value,
         "subtasks": [str(s) for s in sorted(params.heads)],
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
@@ -99,47 +87,40 @@ def load_model(path: str | Path) -> ModelParams:
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model format version {version}")
     body_start = len(MODEL_MAGIC) + 8
+    where = f"{path}: model header"
     try:
-        header = json.loads(blob[body_start:body_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: corrupt model header: {exc}") from None
+        text = blob[body_start:body_start + header_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    header = parse_json_object(text, where, FormatError)
+    enc_obj = json_field(header, "encoder", dict, where, FormatError)
+    enc_values = {name: json_field(enc_obj, name, int, f"{where}, encoder", FormatError) for name in _ENCODER_FIELDS}
+    kind_name = json_field(header, "strategy", str, where, FormatError)
+    subtask_keys = json_field(header, "subtasks", list, where, FormatError)
+    declared = json_field(header, "arrays", list, where, FormatError)
+    if any(type(key) is not str for key in subtask_keys):
+        raise FormatError(f"{where}: field 'subtasks' must hold 'event/name' strings")
     try:
-        enc_obj = header["encoder"]
-        cfg = EncoderConfig(
-            num_layers=int(enc_obj["num_layers"]),
-            hidden_size=int(enc_obj["hidden_size"]),
-            vocab_size=int(enc_obj["vocab_size"]),
-            max_len=int(enc_obj["max_len"]),
-            context_window=int(enc_obj["context_window"]),
-            seed=int(enc_obj["seed"]),
+        params = _empty_model(
+            EncoderConfig(**enc_values), StrategyKind(kind_name), [SubtaskId.parse(key) for key in subtask_keys]
         )
-        kind = StrategyKind(header["strategy"])
-        subtasks = [SubtaskId.parse(key) for key in header["subtasks"]]
-        manifest = [(str(name), tuple(int(d) for d in shape)) for name, shape in header["arrays"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: corrupt model header: {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    arrays = list(params.named_arrays())
+    # Compared as canonical JSON, so a shape of 4.0 or true never passes for 4.
+    if _canonical_json(declared) != _canonical_json([[name, list(arr.shape)] for name, arr in arrays]):
+        raise FormatError(f"{path}: array manifest does not match the declared config")
 
     offset = body_start + header_len
-    stored: dict[str, np.ndarray] = {}
-    for name, shape in manifest:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
+    for name, arr in arrays:
+        end = offset + 8 * arr.size
         if end > len(blob):
             raise FormatError(f"{path}: truncated array data at {name!r}")
-        stored[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        _check_finite(path, name, stored[name])
+        arr[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(arr.shape)
+        _check_finite(path, name, arr)
         offset = end
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after array data")
-
-    params = _empty_model(cfg, kind, subtasks)
-    expected = dict(params.named_arrays())
-    if list(expected) != [name for name, _ in manifest]:
-        raise FormatError(f"{path}: array manifest does not match the declared config")
-    for name, arr in stored.items():
-        if expected[name].shape != arr.shape:
-            raise FormatError(f"{path}: array {name!r} has shape {arr.shape}, expected {expected[name].shape}")
-        expected[name][...] = arr
     return params
 
 
@@ -173,37 +154,27 @@ def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> Non
 
 def load_instances(path: str | Path) -> list[MaskedInstance]:
     path = Path(path)
-    return [_instance_from_obj(obj, path, lineno) for lineno, obj in _jsonl_rows(path)]
+    return [_instance_from_obj(obj, path, lineno) for lineno, obj in read_jsonl(path, FormatError)]
 
 
 def _instance_from_obj(obj: dict, path: Path, lineno: int) -> MaskedInstance:
-    def field(name, kind):
-        if name not in obj:
-            raise FormatError(f"{path}:{lineno}: missing field {name!r}")
-        value = obj[name]
-        if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-            raise FormatError(f"{path}:{lineno}: field {name!r} must be {kind.__name__}")
-        return value
-
-    try:
-        subtask = SubtaskId.parse(field("subtask", str))
-    except CorpusError as exc:
-        raise FormatError(f"{path}:{lineno}: {exc}") from None
-    length = field("length", int)
-    max_len = field("max_len", int)
-    marker_pos = field("marker_pos", int)
-    label = field("label", int)
-    ids = field("token_ids", list)
+    where = f"{path}:{lineno}"
+    subtask = _subtask_field(obj, where)
+    length = json_field(obj, "length", int, where, FormatError)
+    max_len = json_field(obj, "max_len", int, where, FormatError)
+    marker_pos = json_field(obj, "marker_pos", int, where, FormatError)
+    label = json_field(obj, "label", int, where, FormatError)
+    ids = json_field(obj, "token_ids", list, where, FormatError)
     if label not in (0, 1):
-        raise FormatError(f"{path}:{lineno}: field 'label' must be 0 or 1")
+        raise FormatError(f"{where}: field 'label' must be 0 or 1")
     if not 0 < length <= max_len:
-        raise FormatError(f"{path}:{lineno}: field 'length' must lie in [1, max_len]")
+        raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
     if len(ids) != length:
-        raise FormatError(f"{path}:{lineno}: field 'token_ids' holds {len(ids)} ids, length says {length}")
+        raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
     if not 0 <= marker_pos < length:
-        raise FormatError(f"{path}:{lineno}: field 'marker_pos' outside the token range")
+        raise FormatError(f"{where}: field 'marker_pos' outside the token range")
     if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
-        raise FormatError(f"{path}:{lineno}: field 'token_ids' must hold nonnegative integers")
+        raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
     token_ids[:length] = ids
     return MaskedInstance(
@@ -212,9 +183,9 @@ def _instance_from_obj(obj: dict, path: Path, lineno: int) -> MaskedInstance:
         marker_pos=marker_pos,
         subtask=subtask,
         label=label,
-        chunk_text=field("chunk_text", str),
-        tweet_id=field("tweet_id", str),
-        candidate_index=field("candidate_index", int),
+        chunk_text=json_field(obj, "chunk_text", str, where, FormatError),
+        tweet_id=json_field(obj, "tweet_id", str, where, FormatError),
+        candidate_index=json_field(obj, "candidate_index", int, where, FormatError),
     )
 
 
@@ -240,34 +211,30 @@ def save_predictions(records: Iterable[PredictionRecord], path: str | Path, incl
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
     path = Path(path)
-    return [_prediction_from_obj(obj, path, lineno) for lineno, obj in _jsonl_rows(path)]
+    return [_prediction_from_obj(obj, path, lineno) for lineno, obj in read_jsonl(path, FormatError)]
 
 
 def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord:
-    try:
-        subtask = SubtaskId.parse(str(obj["subtask"]))
-        probability = float(obj["probability"])
-        decision = obj["decision"]
-        candidate_index = obj["candidate_index"]
-        record = PredictionRecord(
-            tweet_id=str(obj["tweet_id"]),
-            subtask=subtask,
-            candidate_index=candidate_index,
-            chunk_text=str(obj["chunk_text"]),
-            probability=probability,
-            decision=decision,
-            filtered=bool(obj.get("filtered", False)),
-        )
-    except (KeyError, TypeError, ValueError, CorpusError) as exc:
-        field = exc.args[0] if isinstance(exc, KeyError) else exc
-        raise FormatError(f"{path}:{lineno}: bad prediction row: {field}") from None
-    if isinstance(decision, bool) or decision not in (0, 1):
-        raise FormatError(f"{path}:{lineno}: field 'decision' must be 0 or 1")
-    if isinstance(candidate_index, bool) or not isinstance(candidate_index, int) or candidate_index < 0:
-        raise FormatError(f"{path}:{lineno}: field 'candidate_index' must be a nonnegative integer")
+    where = f"{path}:{lineno}"
+    subtask = _subtask_field(obj, where)
+    candidate_index = json_field(obj, "candidate_index", int, where, FormatError)
+    probability = json_field(obj, "probability", float, where, FormatError)
+    decision = json_field(obj, "decision", int, where, FormatError)
+    if decision not in (0, 1):
+        raise FormatError(f"{where}: field 'decision' must be 0 or 1")
+    if candidate_index < 0:
+        raise FormatError(f"{where}: field 'candidate_index' must be a nonnegative integer")
     if not 0.0 <= probability <= 1.0:
-        raise FormatError(f"{path}:{lineno}: field 'probability' must lie in [0, 1]")
-    return record
+        raise FormatError(f"{where}: field 'probability' must lie in [0, 1]")
+    return PredictionRecord(
+        tweet_id=json_field(obj, "tweet_id", str, where, FormatError),
+        subtask=subtask,
+        candidate_index=candidate_index,
+        chunk_text=json_field(obj, "chunk_text", str, where, FormatError),
+        probability=probability,
+        decision=decision,
+        filtered=json_field(obj, "filtered", bool, where, FormatError) if "filtered" in obj else False,
+    )
 
 
 # -- training log and ensemble manifest --------------------------------------
@@ -307,14 +274,12 @@ def save_ensemble_manifest(members: Sequence[tuple[str, float]], path: str | Pat
 def load_ensemble_manifest(path: str | Path) -> list[tuple[str, float]]:
     path = Path(path)
     out = []
-    for lineno, obj in _jsonl_rows(path):
-        try:
-            member = (str(obj["path"]), float(obj["val_micro_f1"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: bad manifest row: {exc}") from None
-        if not 0.0 <= member[1] <= 1.0:
-            raise FormatError(f"{path}:{lineno}: field 'val_micro_f1' must lie in [0, 1]")
-        out.append(member)
+    for lineno, obj in read_jsonl(path, FormatError):
+        where = f"{path}:{lineno}"
+        score = json_field(obj, "val_micro_f1", float, where, FormatError)
+        if not 0.0 <= score <= 1.0:
+            raise FormatError(f"{where}: field 'val_micro_f1' must lie in [0, 1]")
+        out.append((json_field(obj, "path", str, where, FormatError), score))
     if not out:
         raise FormatError(f"{path}: empty ensemble manifest")
     return out

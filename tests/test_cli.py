@@ -138,6 +138,15 @@ class TestDataErrors:
         code = main(["preprocess", "--config", str(p), "--output", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_non_object_instance_row(self, ws, cli_run, tmp_path, caplog):
+        out = tmp_path / "o"
+        out.mkdir()
+        first = (cli_run / "val_instances.jsonl").read_text().splitlines()[0]
+        (out / "val_instances.jsonl").write_text(f"{first}\n5\n")
+        code = main(["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)])
+        assert code == EXIT_DATA
+        assert f"{out / 'val_instances.jsonl'}:2: expected an object, got 5" in caplog.text
+
     def test_evaluate_without_predictions(self, ws, tmp_path):
         code = main([
             "evaluate", "--config", str(ws / "config.ini"), "--output", str(tmp_path / "empty"),

@@ -130,6 +130,14 @@ class TestEnsemblePredict:
         with pytest.raises(EnsembleError):
             ensemble_predict([a, a, a])
 
+    def test_triple_repeated_in_a_later_member_rejected(self):
+        # A second copy with decision 1 must not outvote its first copy.
+        a = [rec("t0", NAME, 0, 0.1, 0)]
+        b = [rec("t0", NAME, 0, 0.1, 0), rec("t0", NAME, 0, 0.9, 1)]
+        c = [rec("t0", NAME, 0, 0.9, 1)]
+        with pytest.raises(EnsembleError, match="member 2 lists a"):
+            ensemble_predict([a, b, c])
+
     def test_randomized_vote_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

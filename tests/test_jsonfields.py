@@ -1,0 +1,220 @@
+"""One field rule for every JSON artifact loader.
+
+Each row kind gets a property: replace one field with an arbitrary JSON
+value; the loader rejects it with a type error naming the file, the line (for
+JSONL) and the field exactly when the value's JSON type differs from the
+field's. A number field takes integers too; a boolean is never a number.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tweetslots.corpus import CorpusError, EventType, SubtaskRegistry, load_corpus
+from tweetslots.encoder import EncoderConfig
+from tweetslots.features import StrategyKind
+from tweetslots.metrics import MetricsError, load_report
+from tweetslots.multitask import init_model
+from tweetslots.serialize import (
+    MODEL_MAGIC,
+    FormatError,
+    load_ensemble_manifest,
+    load_instances,
+    load_model,
+    load_predictions,
+    save_model,
+)
+
+TWEET = {"id": "t1", "text": "my aunt died", "event": "death", "candidates": [[0, 7], [8, 12]], "gold": {"name": [0]}}
+INSTANCE = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "label": 1, "chunk_text": "my aunt",
+            "marker_pos": 0, "length": 3, "max_len": 8, "token_ids": [1, 9, 2]}
+PREDICTION = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
+              "probability": 0.75, "decision": 1, "filtered": False}
+MEMBER = {"path": "models/a.bin", "val_micro_f1": 0.5}
+REPORT = {"model_id": "m", "corpus_id": "c", "filtered": False, "micro_f1": 0.4,
+          "subtasks": {"death/name": {"tp": 1, "fp": 0, "fn": 3, "f1": 0.4, "zero_denominator": False}}}
+
+JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-100, 100),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def json_kind(value) -> str:
+    """The JSON type of ``value``, read off its serialized text."""
+    text = json.dumps(value)
+    if text in ("true", "false"):
+        return "boolean"
+    if text == "null":
+        return "null"
+    if text[0] in '"[{':
+        return {'"': "string", "[": "list", "{": "object"}[text[0]]
+    return "integer" if re.fullmatch(r"-?\d+", text) else "number"
+
+
+def check_type_rule(load, error, where: str, field: str, kind: str, value) -> None:
+    """``load()`` raises the type error for ``field`` iff ``value`` has the wrong JSON type."""
+    fits = json_kind(value) == kind or (kind == "number" and json_kind(value) == "integer")
+    type_error = re.escape(f"{where}: field '{field}' must be ") + r"an? \w+, got "
+    if not fits:
+        with pytest.raises(error, match=type_error):
+            load()
+        return
+    try:
+        load()
+    except error as exc:
+        assert not re.search(type_error, str(exc)), exc
+
+
+def write_rows(path, good: dict, field: str, value) -> None:
+    """``good`` on line 1, then ``good`` with ``field`` replaced on line 2."""
+    rows = [{**good, "id": "t0"} if "id" in good else good, {**good, field: value}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def test_unchanged_rows_load(tmp_path):
+    p = tmp_path / "f.jsonl"
+    for load, good in ((load_corpus, TWEET), (load_instances, INSTANCE), (load_predictions, PREDICTION),
+                       (load_ensemble_manifest, MEMBER)):
+        write_rows(p, good, "spare", 0)
+        assert len(load(p)) == 2
+    p.write_text(json.dumps(REPORT))
+    [cell] = load_report(p).counts.values()
+    assert cell.fn == 3
+
+
+CORPUS_FIELDS = {"id": "string", "text": "string", "event": "string", "candidates": "list", "gold": "object"}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(CORPUS_FIELDS)), value=JSON_VALUES)
+def test_corpus_row_fields(tmp_path, field, value):
+    p = tmp_path / "c.jsonl"
+    write_rows(p, TWEET, field, value)
+    check_type_rule(lambda: load_corpus(p), CorpusError, f"{p}:2", field, CORPUS_FIELDS[field], value)
+
+
+INSTANCE_FIELDS = {
+    "tweet_id": "string", "subtask": "string", "candidate_index": "integer", "label": "integer",
+    "chunk_text": "string", "marker_pos": "integer", "length": "integer", "max_len": "integer",
+    "token_ids": "list",
+}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(INSTANCE_FIELDS)), value=JSON_VALUES)
+def test_instance_row_fields(tmp_path, field, value):
+    p = tmp_path / "i.jsonl"
+    write_rows(p, INSTANCE, field, value)
+    check_type_rule(lambda: load_instances(p), FormatError, f"{p}:2", field, INSTANCE_FIELDS[field], value)
+
+
+PREDICTION_FIELDS = {
+    "tweet_id": "string", "subtask": "string", "candidate_index": "integer", "chunk_text": "string",
+    "probability": "number", "decision": "integer", "filtered": "boolean",
+}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(PREDICTION_FIELDS)), value=JSON_VALUES)
+def test_prediction_row_fields(tmp_path, field, value):
+    p = tmp_path / "p.jsonl"
+    write_rows(p, PREDICTION, field, value)
+    check_type_rule(lambda: load_predictions(p), FormatError, f"{p}:2", field, PREDICTION_FIELDS[field], value)
+
+
+MANIFEST_FIELDS = {"path": "string", "val_micro_f1": "number"}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(MANIFEST_FIELDS)), value=JSON_VALUES)
+def test_manifest_row_fields(tmp_path, field, value):
+    p = tmp_path / "m.jsonl"
+    write_rows(p, MEMBER, field, value)
+    check_type_rule(lambda: load_ensemble_manifest(p), FormatError, f"{p}:2", field, MANIFEST_FIELDS[field], value)
+
+
+HEADER_FIELDS = {
+    "encoder": "object", "strategy": "string", "subtasks": "list", "arrays": "list",
+    **{f"encoder.{name}": "integer" for name in ("num_layers", "hidden_size", "vocab_size", "max_len",
+                                                 "context_window", "seed")},
+}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(HEADER_FIELDS)), value=JSON_VALUES)
+def test_model_header_fields(tmp_path, field, value):
+    p = tmp_path / "m.bin"
+    cfg = EncoderConfig(num_layers=4, hidden_size=8, vocab_size=32, max_len=10, context_window=1, seed=0)
+    save_model(init_model(cfg, StrategyKind.SUM4, SubtaskRegistry({EventType.DEATH: ("name",)}), seed=0), p)
+    blob = p.read_bytes()
+    start = len(MODEL_MAGIC) + 8
+    header_len = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)[0]
+    header = json.loads(blob[start:start + header_len])
+    section, _, name = field.rpartition(".")
+    (header[section] if section else header)[name] = value
+    text = json.dumps(header).encode()
+    p.write_bytes(blob[:len(MODEL_MAGIC) + 4] + struct.pack("<I", len(text)) + text + blob[start + header_len:])
+    where = f"{p}: model header" + (f", {section}" if section else "")
+    check_type_rule(lambda: load_model(p), FormatError, where, name, HEADER_FIELDS[field], value)
+
+
+REPORT_FIELDS = {"model_id": "string", "corpus_id": "string", "filtered": "boolean", "subtasks": "object",
+                 "tp": "integer", "fp": "integer", "fn": "integer"}
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(REPORT_FIELDS)), value=JSON_VALUES)
+def test_report_fields(tmp_path, field, value):
+    p = tmp_path / "r.json"
+    obj = json.loads(json.dumps(REPORT))
+    where = str(p)
+    if field in ("tp", "fp", "fn"):
+        obj["subtasks"]["death/name"][field] = value
+        where = f"{p}, subtask death/name"
+    else:
+        obj[field] = value
+    p.write_text(json.dumps(obj))
+    check_type_rule(lambda: load_report(p), MetricsError, where, field, REPORT_FIELDS[field], value)
+
+
+@pytest.mark.parametrize("row", ["5", "null", "[1, 2]", '"text"'])
+def test_non_object_row_names_file_and_line(tmp_path, row):
+    p = tmp_path / "i.jsonl"
+    p.write_text(json.dumps(INSTANCE) + "\n" + row + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:2: expected an object, got ")):
+        load_instances(p)
+
+
+@pytest.mark.parametrize("name, row, load, message", [
+    ("p.jsonl", {**PREDICTION, "filtered": "false"}, load_predictions,
+     ":1: field 'filtered' must be a boolean, got \"false\""),
+    ("r.json", {**REPORT, "subtasks": {"death/name": {"tp": 2.7, "fp": 0, "fn": 0}}}, load_report,
+     ", subtask death/name: field 'tp' must be an integer, got 2.7"),
+    ("m.jsonl", {**MEMBER, "val_micro_f1": "0.5"}, load_ensemble_manifest,
+     ":1: field 'val_micro_f1' must be a number, got \"0.5\""),
+])
+def test_values_once_coerced_are_rejected(tmp_path, name, row, load, message):
+    p = tmp_path / name
+    p.write_text(json.dumps(row) + "\n")
+    with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{message}")):
+        load(p)
+
+
+def test_integer_probability_loads_as_float(tmp_path):
+    p = tmp_path / "p.jsonl"
+    p.write_text(json.dumps({**PREDICTION, "probability": 1}) + "\n")
+    [rec] = load_predictions(p)
+    assert type(rec.probability) is float and rec.probability == 1.0

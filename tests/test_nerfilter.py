@@ -136,6 +136,14 @@ class TestGazetteerIo:
             )
 
 
+    def test_later_edits_to_the_caller_mapping_do_not_leak(self):
+        phrases = {EntityType.LOCATION: frozenset()}
+        g = Gazetteer(phrases=phrases, rules=())
+        phrases[EntityType.LOCATION] = frozenset({"seattle"})
+        assert tag("seattle", g) is EntityType.OTHER
+        assert g.phrases[EntityType.LOCATION] == frozenset()
+
+
 class TestTypeMap:
     def test_default_expectations(self, tmap):
         assert tmap.allowed["name"] == {EntityType.PERSON}

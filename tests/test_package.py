@@ -1,4 +1,5 @@
-"""The package root exports exactly the names the README's Library section documents."""
+"""The README matches the code: the package root exports exactly the names of
+its Library section, and its config paragraph lists exactly the known keys."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import tweetslots
+from tweetslots import pipeline
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,10 @@ def test_root_exports_match_readme():
     block = _library_block()
     names = set(re.findall(r"\b[A-Za-z_]\w*\b", block.split("import", 1)[1]))
     assert set(tweetslots.__all__) == names
+
+
+def test_readme_config_keys_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("All keys"):].split("\n\n", 1)[0]
+    keys = set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", paragraph)))
+    assert keys == pipeline._KNOWN_KEYS
