@@ -59,7 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add("train", "train every (strategy, seed) pool member")
     p = add("predict", "predict with a single trained model")
     p.add_argument("--model", required=True, help="model file written by train")
-    p.add_argument("--instances", default=None, help="instance JSONL (default: <output>/val_instances.jsonl)")
+    p.add_argument(
+        "--instances",
+        default=None,
+        help="instance JSONL, one row per (tweet, candidate), expanded in explode order "
+        "(default: <output>/val_instances.jsonl)",
+    )
     p.add_argument("--out", default=None, help="prediction JSONL (default: <output>/predictions.jsonl)")
     add("ensemble", "majority-vote the top-k pool members")
     add("postprocess", "filter predictions against expected entity types")

@@ -263,6 +263,14 @@ def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueEr
     raise error(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, got {_shown(value)}")
 
 
+def json_nonnegative_int(obj: dict, name: str, where: str, error: type[ValueError]) -> int:
+    """``json_field(obj, name, int, ...)`` that also rejects a value below 0."""
+    value = json_field(obj, name, int, where, error)
+    if value < 0:
+        raise error(f"{where}: field {name!r} must be a nonnegative integer, got {value}")
+    return value
+
+
 def _tweet_from_obj(obj: dict, where: str) -> AnnotatedTweet:
     tweet_id = json_field(obj, "id", str, where, CorpusError)
     text = json_field(obj, "text", str, where, CorpusError)

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import EVENT_ORDER, AnnotatedTweet, CorpusError, SubtaskId, SubtaskRegistry, json_field, parse_json_object
+from .corpus import (
+    EVENT_ORDER,
+    AnnotatedTweet,
+    CorpusError,
+    SubtaskId,
+    SubtaskRegistry,
+    json_field,
+    json_nonnegative_int,
+    parse_json_object,
+)
 from .multitask import PredictionRecord, micro_f1_counts
 
 
@@ -250,9 +259,9 @@ def load_report(path: str | Path) -> MetricsReport:
             raise MetricsError(f"{where}: {exc}") from None
         cell_where = f"{where}, subtask {key}"
         counts[subtask] = SubtaskCounts(
-            tp=json_field(cell, "tp", int, cell_where, MetricsError),
-            fp=json_field(cell, "fp", int, cell_where, MetricsError),
-            fn=json_field(cell, "fn", int, cell_where, MetricsError),
+            tp=json_nonnegative_int(cell, "tp", cell_where, MetricsError),
+            fp=json_nonnegative_int(cell, "fp", cell_where, MetricsError),
+            fn=json_nonnegative_int(cell, "fn", cell_where, MetricsError),
         )
     return MetricsReport(
         counts=counts,

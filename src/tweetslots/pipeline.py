@@ -424,7 +424,15 @@ _STAGES: tuple[tuple[str, Callable], ...] = (
 
 
 class _OutputLock:
-    """Exclusive ownership of an output directory via an O_EXCL lock file."""
+    """Exclusive ownership of an output directory via an O_EXCL lock file.
+
+    The file records ``<pid> <host>``. A lock that this host recorded for a
+    pid that no longer runs is stale: it is removed with a warning and taken.
+    A lock naming another host, or no host, is never judged stale, because
+    its pid cannot be checked here. Removing a stale lock and creating the
+    new one are two steps, so two commands that find the same stale lock at
+    the same moment can both proceed.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -434,12 +442,39 @@ class _OutputLock:
         try:
             self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise PipelineError(
-                f"output directory is locked by {self.path}; "
-                "another run may be active (remove the file if not)"
-            ) from None
-        os.write(self._fd, f"{os.getpid()}\n".encode())
+            pid = self._dead_owner()
+            if pid is None:
+                raise self._locked() from None
+            log.warning("removing stale lock %s: its pid %d no longer runs on this host", self.path, pid)
+            self.path.unlink(missing_ok=True)
+            try:
+                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                raise self._locked() from None
+        os.write(self._fd, f"{os.getpid()} {os.uname().nodename}\n".encode())
         return self
+
+    def _locked(self) -> PipelineError:
+        return PipelineError(
+            f"output directory is locked by {self.path}; another run may be active (remove the file if not)"
+        )
+
+    def _dead_owner(self) -> int | None:
+        """The recorded pid if the lock is from this host and that pid no longer runs."""
+        try:
+            pid_text, host = self.path.read_text(encoding="utf-8").split()
+            pid = int(pid_text)
+        except (OSError, UnicodeDecodeError, ValueError):
+            return None
+        if host != os.uname().nodename or pid <= 0:
+            return None
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except PermissionError:  # it runs under another user
+            pass
+        return None
 
     def __exit__(self, *exc_info):
         if self._fd is not None:

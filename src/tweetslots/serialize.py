@@ -15,14 +15,24 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import struct
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, SubtaskId, json_field, parse_json_object, read_jsonl
+from .corpus import (
+    CorpusError,
+    EventType,
+    SubtaskId,
+    json_field,
+    json_nonnegative_int,
+    parse_json_object,
+    read_jsonl,
+)
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import Head, ModelParams, PredictionRecord, TrainLogEntry
@@ -101,27 +111,39 @@ def load_model(path: str | Path) -> ModelParams:
     if any(type(key) is not str for key in subtask_keys):
         raise FormatError(f"{where}: field 'subtasks' must hold 'event/name' strings")
     try:
-        params = _empty_model(
-            EncoderConfig(**enc_values), StrategyKind(kind_name), [SubtaskId.parse(key) for key in subtask_keys]
-        )
+        cfg = EncoderConfig(**enc_values)
+        kind = StrategyKind(kind_name)
+        subtasks = [SubtaskId.parse(key) for key in subtask_keys]
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
+    # Checked before anything is allocated, so a header cannot ask for more
+    # memory than the file holds data for.
+    offset = body_start + header_len
+    data_len, implied = len(blob) - offset, _array_bytes(cfg, kind, len(set(subtasks)))
+    if data_len < implied:
+        raise FormatError(f"{path}: truncated array data: {data_len} bytes, the header implies {implied}")
+    if data_len > implied:
+        raise FormatError(f"{path}: {data_len - implied} trailing bytes after array data")
+    params = _empty_model(cfg, kind, subtasks)
     arrays = list(params.named_arrays())
     # Compared as canonical JSON, so a shape of 4.0 or true never passes for 4.
     if _canonical_json(declared) != _canonical_json([[name, list(arr.shape)] for name, arr in arrays]):
         raise FormatError(f"{path}: array manifest does not match the declared config")
-
-    offset = body_start + header_len
     for name, arr in arrays:
-        end = offset + 8 * arr.size
-        if end > len(blob):
-            raise FormatError(f"{path}: truncated array data at {name!r}")
+        end = offset + arr.nbytes
         arr[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(arr.shape)
         _check_finite(path, name, arr)
         offset = end
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after array data")
     return params
+
+
+def _array_bytes(cfg: EncoderConfig, kind: StrategyKind, num_heads: int) -> int:
+    """Size of the float64 array data of the model ``_empty_model`` builds."""
+    h = cfg.hidden_size
+    size = (cfg.vocab_size + cfg.max_len) * h + cfg.num_layers * (cfg.num_taps * h * h + h)
+    if kind is StrategyKind.PROJ4:
+        size += h * h + h
+    return 8 * (size + num_heads * (feature_dim(kind, h) + 1))
 
 
 def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: Sequence[SubtaskId]) -> ModelParams:
@@ -133,60 +155,166 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: Sequence[Subt
 
 
 # -- masked instances --------------------------------------------------------
+#
+# One JSONL row per unit, a (tweet, candidate) pair. The masked input is
+# stored once, with ``labels`` mapping each subtask name of the tweet's event
+# to 0 or 1. Rows go in tweet order, then candidate order; the loader expands
+# each tweet in ``explode_instances`` order (subtask name, then candidate).
 
 
 def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> None:
+    """Write one row per unit; refuses, before opening ``path``, instances
+    that unit rows cannot reproduce exactly (see ``_tweet_unit_rows``)."""
+    lines = []
+    done: set[str] = set()
+    for tweet_id, block in itertools.groupby(instances, key=attrgetter("tweet_id")):
+        if tweet_id in done:
+            raise FormatError(f"{path}: instances of tweet {tweet_id!r} are not adjacent")
+        done.add(tweet_id)
+        rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}")
+        lines.extend(_canonical_json(row) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for inst in instances:
-            row = {
-                "tweet_id": inst.tweet_id,
-                "subtask": str(inst.subtask),
-                "candidate_index": inst.candidate_index,
-                "label": inst.label,
-                "chunk_text": inst.chunk_text,
-                "marker_pos": inst.marker_pos,
-                "length": inst.length,
-                "max_len": int(inst.token_ids.shape[0]),
-                "token_ids": [int(t) for t in inst.token_ids[:inst.length]],
-            }
-            fh.write(_canonical_json(row) + "\n")
+        fh.writelines(lines)
+
+
+def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str) -> list[dict]:
+    """Unit rows of one tweet's instances, which must be exactly what the
+    rows load back as: one instance per (subtask of one event, candidate) in
+    explode order, with one masked input (tokens, marker, chunk text) per
+    candidate."""
+    event = block[0].subtask.event
+    units: dict[int, MaskedInstance] = {}
+    labels: dict[int, dict[str, int]] = {}
+    for inst in block:
+        unit = units.setdefault(inst.candidate_index, inst)
+        if inst.subtask.event is not event:
+            raise FormatError(f"{where}: instances span events {event.value} and {inst.subtask.event.value}")
+        if not (
+            inst.length == unit.length
+            and inst.marker_pos == unit.marker_pos
+            and inst.chunk_text == unit.chunk_text
+            and (inst.token_ids is unit.token_ids or np.array_equal(inst.token_ids, unit.token_ids))
+        ):
+            raise FormatError(f"{where}: candidate {unit.candidate_index} has two different masked inputs")
+        if inst.label not in (0, 1):
+            raise FormatError(f"{where}: label {inst.label!r} of {inst.subtask} is not 0 or 1")
+        labels.setdefault(inst.candidate_index, {})[inst.subtask.name] = int(inst.label)
+    candidates = sorted(units)
+    explode = [(name, c) for name in sorted(labels[candidates[0]]) for c in candidates]
+    if [(inst.subtask.name, inst.candidate_index) for inst in block] != explode:
+        raise FormatError(f"{where}: instances are not one per (subtask, candidate) in explode order")
+    return [
+        {
+            "tweet_id": units[c].tweet_id,
+            "candidate_index": c,
+            "event": event.value,
+            "chunk_text": units[c].chunk_text,
+            "marker_pos": units[c].marker_pos,
+            "length": units[c].length,
+            "max_len": int(units[c].token_ids.shape[0]),
+            "token_ids": units[c].token_ids[:units[c].length].tolist(),
+            "labels": labels[c],
+        }
+        for c in candidates
+    ]
 
 
 def load_instances(path: str | Path) -> list[MaskedInstance]:
+    """Read unit rows and expand each tweet in ``explode_instances`` order;
+    the instances of one unit share one token array."""
     path = Path(path)
-    return [_instance_from_obj(obj, path, lineno) for lineno, obj in read_jsonl(path, FormatError)]
+    out: list[MaskedInstance] = []
+    first_line: dict[str, int] = {}
+    parsed: dict[tuple[str, ...], list[SubtaskId]] = {}
+    rows: list[tuple[dict, str, dict]] = []  # (fields, event, labels) of the current tweet
+    subtasks: list[SubtaskId] = []
+    prev_line = 0
+    for lineno, obj in read_jsonl(path, FormatError):
+        where = f"{path}:{lineno}"
+        fields, event, labels = _unit_from_obj(obj, where)
+        tweet_id, index = fields["tweet_id"], fields["candidate_index"]
+        if rows and tweet_id == rows[0][0]["tweet_id"]:
+            first, prev = first_line[tweet_id], rows[-1][0]["candidate_index"]
+            if index == prev:
+                raise FormatError(f"{where}: repeated unit (tweet {tweet_id!r}, candidate {index}; "
+                                  f"first on line {prev_line})")
+            if index < prev:
+                raise FormatError(f"{where}: field 'candidate_index' must exceed {prev} (line {prev_line}); "
+                                  "a tweet's rows go in candidate order")
+            if event != rows[0][1]:
+                raise FormatError(f"{where}: field 'event' differs from line {first} of the same tweet")
+            if labels.keys() != rows[0][2].keys():
+                raise FormatError(f"{where}: field 'labels' names other subtasks than line {first} of the same tweet")
+        else:
+            if tweet_id in first_line:
+                raise FormatError(f"{where}: rows of tweet {tweet_id!r} are not adjacent "
+                                  f"(first on line {first_line[tweet_id]})")
+            first_line[tweet_id] = lineno
+            out.extend(_expand(subtasks, rows))
+            rows, subtasks = [], _label_subtasks(event, labels, where, parsed)
+        rows.append((fields, event, labels))
+        prev_line = lineno
+    out.extend(_expand(subtasks, rows))
+    return out
 
 
-def _instance_from_obj(obj: dict, path: Path, lineno: int) -> MaskedInstance:
-    where = f"{path}:{lineno}"
-    subtask = _subtask_field(obj, where)
+def _label_subtasks(event: str, labels: dict, where: str, parsed: dict) -> list[SubtaskId]:
+    """The subtasks ``labels`` names, names ascending; ``parsed`` caches them per (event, names)."""
+    key = (event, *sorted(labels))
+    if key not in parsed:
+        try:
+            EventType(event)
+        except ValueError:
+            raise FormatError(f"{where}: field 'event': unknown event {event!r}") from None
+        try:
+            parsed[key] = [SubtaskId.parse(f"{event}/{name}") for name in key[1:]]
+        except CorpusError as exc:
+            raise FormatError(f"{where}: field 'labels': {exc}") from None
+    return parsed[key]
+
+
+def _expand(subtasks: Sequence[SubtaskId], rows: Sequence[tuple[dict, str, dict]]) -> list[MaskedInstance]:
+    """One tweet's instances: subtask names ascending, then candidates."""
+    return [
+        MaskedInstance(subtask=subtask, label=labels[subtask.name], **fields)
+        for subtask in subtasks
+        for fields, _, labels in rows
+    ]
+
+
+def _unit_from_obj(obj: dict, where: str) -> tuple[dict, str, dict[str, int]]:
+    """The ``MaskedInstance`` fields a unit row shares, its event and its labels."""
     length = json_field(obj, "length", int, where, FormatError)
     max_len = json_field(obj, "max_len", int, where, FormatError)
-    marker_pos = json_field(obj, "marker_pos", int, where, FormatError)
-    label = json_field(obj, "label", int, where, FormatError)
+    marker_pos = json_nonnegative_int(obj, "marker_pos", where, FormatError)
     ids = json_field(obj, "token_ids", list, where, FormatError)
-    if label not in (0, 1):
-        raise FormatError(f"{where}: field 'label' must be 0 or 1")
+    event = json_field(obj, "event", str, where, FormatError)
+    labels = json_field(obj, "labels", dict, where, FormatError)
     if not 0 < length <= max_len:
         raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
     if len(ids) != length:
         raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
-    if not 0 <= marker_pos < length:
+    if marker_pos >= length:
         raise FormatError(f"{where}: field 'marker_pos' outside the token range")
     if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
         raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+    if not labels:
+        raise FormatError(f"{where}: field 'labels' names no subtask")
+    labels_where = f"{where}, labels"
+    for name in labels:
+        if json_field(labels, name, int, labels_where, FormatError) not in (0, 1):
+            raise FormatError(f"{labels_where}: field {name!r} must be 0 or 1, got {labels[name]}")
     token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
     token_ids[:length] = ids
-    return MaskedInstance(
-        token_ids=token_ids,
-        length=length,
-        marker_pos=marker_pos,
-        subtask=subtask,
-        label=label,
-        chunk_text=json_field(obj, "chunk_text", str, where, FormatError),
-        tweet_id=json_field(obj, "tweet_id", str, where, FormatError),
-        candidate_index=json_field(obj, "candidate_index", int, where, FormatError),
-    )
+    fields = {
+        "token_ids": token_ids,
+        "length": length,
+        "marker_pos": marker_pos,
+        "chunk_text": json_field(obj, "chunk_text", str, where, FormatError),
+        "tweet_id": json_field(obj, "tweet_id", str, where, FormatError),
+        "candidate_index": json_nonnegative_int(obj, "candidate_index", where, FormatError),
+    }
+    return fields, event, labels
 
 
 # -- predictions -------------------------------------------------------------
@@ -217,13 +345,11 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
 def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord:
     where = f"{path}:{lineno}"
     subtask = _subtask_field(obj, where)
-    candidate_index = json_field(obj, "candidate_index", int, where, FormatError)
+    candidate_index = json_nonnegative_int(obj, "candidate_index", where, FormatError)
     probability = json_field(obj, "probability", float, where, FormatError)
     decision = json_field(obj, "decision", int, where, FormatError)
     if decision not in (0, 1):
         raise FormatError(f"{where}: field 'decision' must be 0 or 1")
-    if candidate_index < 0:
-        raise FormatError(f"{where}: field 'candidate_index' must be a nonnegative integer")
     if not 0.0 <= probability <= 1.0:
         raise FormatError(f"{where}: field 'probability' must lie in [0, 1]")
     return PredictionRecord(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -90,6 +91,38 @@ class TestStageTable:
         assert code == EXIT_DATA
         assert lock.read_text() == "99999\n"
         assert not (out / "ablation.json").exists()
+
+    def test_stage_takes_the_lock_of_an_exited_pid(self, ws, cli_run, tmp_path, caplog):
+        out = tmp_path / "stale"
+        out.mkdir()
+        for name in ("report_unfiltered.json", "report_filtered.json"):
+            (out / name).write_bytes((cli_run / name).read_bytes())
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        assert child.wait(timeout=60) == 0  # exited and reaped: its pid runs no more
+        lock = out / ".lock"
+        lock.write_text(f"{child.pid} {os.uname().nodename}\n")
+        code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
+        assert code == EXIT_OK
+        assert f"removing stale lock {lock}: its pid {child.pid} no longer runs" in caplog.text
+        assert (out / "ablation.json").is_file()
+        assert not lock.exists()
+
+    def test_stage_refuses_the_lock_of_a_live_pid(self, ws, cli_run, tmp_path):
+        out = tmp_path / "held"
+        out.mkdir()
+        for name in ("report_unfiltered.json", "report_filtered.json"):
+            (out / name).write_bytes((cli_run / name).read_bytes())
+        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            lock = out / ".lock"
+            lock.write_text(f"{child.pid} {os.uname().nodename}\n")
+            code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
+            assert code == EXIT_DATA
+            assert lock.read_text() == f"{child.pid} {os.uname().nodename}\n"
+            assert not (out / "ablation.json").exists()
+        finally:
+            child.kill()
+            child.wait(timeout=60)
 
 
 class TestPredict:

@@ -13,7 +13,7 @@ import re
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tweetslots.corpus import CorpusError, EventType, SubtaskRegistry, load_corpus
@@ -32,8 +32,8 @@ from tweetslots.serialize import (
 )
 
 TWEET = {"id": "t1", "text": "my aunt died", "event": "death", "candidates": [[0, 7], [8, 12]], "gold": {"name": [0]}}
-INSTANCE = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "label": 1, "chunk_text": "my aunt",
-            "marker_pos": 0, "length": 3, "max_len": 8, "token_ids": [1, 9, 2]}
+INSTANCE = {"tweet_id": "t1", "candidate_index": 0, "event": "death", "chunk_text": "my aunt", "marker_pos": 0,
+            "length": 3, "max_len": 8, "token_ids": [1, 9, 2], "labels": {"name": 1}}
 PREDICTION = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
               "probability": 0.75, "decision": 1, "filtered": False}
 MEMBER = {"path": "models/a.bin", "val_micro_f1": 0.5}
@@ -79,8 +79,13 @@ def check_type_rule(load, error, where: str, field: str, kind: str, value) -> No
 
 
 def write_rows(path, good: dict, field: str, value) -> None:
-    """``good`` on line 1, then ``good`` with ``field`` replaced on line 2."""
-    rows = [{**good, "id": "t0"} if "id" in good else good, {**good, field: value}]
+    """``good`` on line 1, then ``good`` with ``field`` replaced on line 2.
+
+    Line 1 names another tweet, because a corpus repeats no tweet id and an
+    instance file no (tweet, candidate) unit.
+    """
+    first = {**good, **{key: "t0" for key in ("id", "tweet_id") if key in good}}
+    rows = [first, {**good, field: value}]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
@@ -107,9 +112,8 @@ def test_corpus_row_fields(tmp_path, field, value):
 
 
 INSTANCE_FIELDS = {
-    "tweet_id": "string", "subtask": "string", "candidate_index": "integer", "label": "integer",
-    "chunk_text": "string", "marker_pos": "integer", "length": "integer", "max_len": "integer",
-    "token_ids": "list",
+    "tweet_id": "string", "candidate_index": "integer", "event": "string", "chunk_text": "string",
+    "marker_pos": "integer", "length": "integer", "max_len": "integer", "token_ids": "list", "labels": "object",
 }
 
 
@@ -119,6 +123,23 @@ def test_instance_row_fields(tmp_path, field, value):
     p = tmp_path / "i.jsonl"
     write_rows(p, INSTANCE, field, value)
     check_type_rule(lambda: load_instances(p), FormatError, f"{p}:2", field, INSTANCE_FIELDS[field], value)
+
+
+@PROPERTY
+@given(value=JSON_VALUES)
+@example(value=True)
+@example(value=2)
+@example(value="1")
+def test_instance_label_values(tmp_path, value):
+    p = tmp_path / "i.jsonl"
+    write_rows(p, INSTANCE, "labels", {"name": value})
+    if json_kind(value) == "integer" and value not in (0, 1):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:2, labels: field 'name' must be 0 or 1, got {value}")):
+            load_instances(p)
+        return
+    check_type_rule(lambda: load_instances(p), FormatError, f"{p}:2, labels", "name", "integer", value)
+    if value in (0, 1) and type(value) is int:
+        assert [inst.label for inst in load_instances(p)] == [1, value]
 
 
 PREDICTION_FIELDS = {
@@ -207,6 +228,23 @@ def test_non_object_row_names_file_and_line(tmp_path, row):
      ":1: field 'val_micro_f1' must be a number, got \"0.5\""),
 ])
 def test_values_once_coerced_are_rejected(tmp_path, name, row, load, message):
+    p = tmp_path / name
+    p.write_text(json.dumps(row) + "\n")
+    with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{message}")):
+        load(p)
+
+
+@pytest.mark.parametrize("name, row, load, message", [
+    ("r.json", {**REPORT, "subtasks": {"death/name": {"tp": -3, "fp": 0, "fn": 0}}}, load_report,
+     ", subtask death/name: field 'tp' must be a nonnegative integer, got -3"),
+    ("i.jsonl", {**INSTANCE, "candidate_index": -4}, load_instances,
+     ":1: field 'candidate_index' must be a nonnegative integer, got -4"),
+    ("i.jsonl", {**INSTANCE, "marker_pos": -1}, load_instances,
+     ":1: field 'marker_pos' must be a nonnegative integer, got -1"),
+    ("p.jsonl", {**PREDICTION, "candidate_index": -2}, load_predictions,
+     ":1: field 'candidate_index' must be a nonnegative integer, got -2"),
+])
+def test_negative_counts_and_indices_are_rejected(tmp_path, name, row, load, message):
     p = tmp_path / name
     p.write_text(json.dumps(row) + "\n")
     with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{message}")):

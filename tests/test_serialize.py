@@ -3,23 +3,33 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
+from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import PredictionRecord, TrainLogEntry, init_model
-from tweetslots.preprocess import E_CLOSE_ID, E_OPEN_ID, PAD_ID, MaskedInstance
+from tweetslots.preprocess import (
+    E_CLOSE_ID,
+    E_OPEN_ID,
+    PAD_ID,
+    CleanConfig,
+    MaskedInstance,
+    MaskingError,
+    Vocab,
+    mask_corpus,
+)
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
-    _instance_from_obj,
+    _unit_from_obj,
     file_sha256,
     load_ensemble_manifest,
     load_instances,
@@ -137,6 +147,20 @@ class TestModelBinary:
         with pytest.raises(FormatError, match=f"m\\.bin: array '{last_name}' holds non-finite"):
             load_model(p)
 
+    def test_header_implying_more_data_than_the_file_holds(self, tmp_path):
+        # Refused before the zeroed model is built: it would need 58 TiB.
+        p = tmp_path / "m.bin"
+        save_model(small_model(), p)
+        blob = p.read_bytes()
+        start = len(MODEL_MAGIC) + 8
+        header_len = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)[0]
+        header = json.loads(blob[start:start + header_len])
+        header["encoder"]["vocab_size"] = 10**12
+        text = json.dumps(header).encode()
+        p.write_bytes(blob[:len(MODEL_MAGIC) + 4] + struct.pack("<I", len(text)) + text + blob[start + header_len:])
+        with pytest.raises(FormatError, match=r"m\.bin: truncated array data: \d+ bytes, the header implies 64\d{12}$"):
+            load_model(p)
+
     def test_proj4_round_trips_projections(self, tmp_path):
         model = small_model(StrategyKind.PROJ4)
         p = tmp_path / "m.bin"
@@ -146,31 +170,50 @@ class TestModelBinary:
         assert np.array_equal(loaded.strategy.proj.b, model.strategy.proj.b)
 
 
-def make_instance(label=1, length=5):
-    ids = np.full(10, PAD_ID, dtype=np.int64)
-    ids[:length] = [9, E_OPEN_ID, 12, E_CLOSE_ID, 15][:length]
+AGE = SubtaskId(EventType.DEATH, "age")
+
+
+def make_instance(label=1, length=5, subtask=NAME, tweet_id="tw1", candidate_index=2, token_ids=None):
+    if token_ids is None:
+        token_ids = np.full(10, PAD_ID, dtype=np.int64)
+        token_ids[:length] = [9, E_OPEN_ID, 12, E_CLOSE_ID, 15][:length]
     return MaskedInstance(
-        token_ids=ids, length=length, marker_pos=1, subtask=NAME, label=label,
-        chunk_text="the chunk", tweet_id="tw1", candidate_index=2,
+        token_ids=token_ids, length=length, marker_pos=1, subtask=subtask, label=label,
+        chunk_text="the chunk", tweet_id=tweet_id, candidate_index=candidate_index,
     )
+
+
+def assert_same_instances(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.token_ids, b.token_ids)
+        assert a.token_ids.dtype == b.token_ids.dtype
+        assert a.length == b.length
+        assert a.marker_pos == b.marker_pos
+        assert a.subtask == b.subtask
+        assert a.label == b.label
+        assert a.chunk_text == b.chunk_text
+        assert a.tweet_id == b.tweet_id
+        assert a.candidate_index == b.candidate_index
+
+
+def write_lines(path, rows) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
 class TestInstancesJsonl:
     def test_round_trip(self, tmp_path):
-        insts = [make_instance(1), make_instance(0, length=4)]
+        shared = make_instance().token_ids
+        insts = [
+            make_instance(0, subtask=AGE, token_ids=shared), make_instance(1, subtask=NAME, token_ids=shared),
+            make_instance(0, length=4, tweet_id="tw2"),
+        ]
         p = tmp_path / "i.jsonl"
         save_instances(insts, p)
+        assert len(p.read_text().splitlines()) == 2
         loaded = load_instances(p)
-        assert len(loaded) == 2
-        for a, b in zip(insts, loaded):
-            assert np.array_equal(a.token_ids, b.token_ids)
-            assert a.length == b.length
-            assert a.marker_pos == b.marker_pos
-            assert a.subtask == b.subtask
-            assert a.label == b.label
-            assert a.chunk_text == b.chunk_text
-            assert a.tweet_id == b.tweet_id
-            assert a.candidate_index == b.candidate_index
+        assert_same_instances(loaded, insts)
+        assert loaded[0].token_ids is loaded[1].token_ids
 
     def test_rows_trim_pad(self, tmp_path):
         p = tmp_path / "i.jsonl"
@@ -178,13 +221,15 @@ class TestInstancesJsonl:
         row = json.loads(p.read_text().splitlines()[0])
         assert len(row["token_ids"]) == 5
         assert row["max_len"] == 10
-        assert row["subtask"] == "death/name"
+        assert row["event"] == "death"
+        assert row["labels"] == {"name": 1}
+        assert "subtask" not in row and "label" not in row
 
     def test_rejects_bool_label(self, tmp_path):
         p = tmp_path / "i.jsonl"
         save_instances([make_instance()], p)
         row = json.loads(p.read_text().splitlines()[0])
-        row["label"] = True
+        row["labels"]["name"] = True
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(FormatError):
             load_instances(p)
@@ -210,13 +255,111 @@ class TestInstancesJsonl:
     def test_token_id_check_matches_per_token_predicate(self, ids):
         # Oracle: the same rule checked token by token.
         bad = any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids)
-        obj = {"subtask": "death/name", "length": len(ids), "max_len": 10, "marker_pos": 0,
-               "label": 0, "token_ids": ids, "chunk_text": "c", "tweet_id": "t", "candidate_index": 0}
+        obj = {"event": "death", "labels": {"name": 0}, "length": len(ids), "max_len": 10, "marker_pos": 0,
+               "token_ids": ids, "chunk_text": "c", "tweet_id": "t", "candidate_index": 0}
         if bad:
             with pytest.raises(FormatError, match=r"^i\.jsonl:7: field 'token_ids' must hold nonnegative integers$"):
-                _instance_from_obj(obj, Path("i.jsonl"), 7)
+                _unit_from_obj(obj, "i.jsonl:7")
         else:
-            assert _instance_from_obj(obj, Path("i.jsonl"), 7).token_ids[:len(ids)].tolist() == ids
+            fields, _, _ = _unit_from_obj(obj, "i.jsonl:7")
+            assert fields["token_ids"][:len(ids)].tolist() == ids
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mask_corpus_output_round_trips(self, tmp_path, data):
+        names = ["age", "name", "opinion", "relation", "symptoms", "when", "where"]
+        registry = SubtaskRegistry({
+            event: tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7, unique=True)))
+            for event in EventType
+        })
+        words = ["alpha", "Beta", "@user", "#covid19", "\U0001f637", "“q”", "62", "https://t.co/x"]
+        tweets = []
+        for i in range(data.draw(st.integers(1, 4))):
+            toks = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8))
+            starts = [sum(len(t) + 1 for t in toks[:k]) for k in range(len(toks))]
+            spans = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                a = data.draw(st.integers(0, len(toks) - 1))
+                b = data.draw(st.integers(a, len(toks) - 1))
+                spans.append((starts[a], starts[b] + len(toks[b])))
+            event = data.draw(st.sampled_from(list(EventType)))
+            gold = {n: frozenset(data.draw(st.sets(st.integers(0, len(spans) - 1))))
+                    for n in registry.names_for(event)}
+            tweets.append(AnnotatedTweet(id=f"t{i}", text=" ".join(toks), event=event,
+                                         candidates=tuple(spans), gold=gold))
+        try:
+            insts = mask_corpus(tweets, Vocab(512), CleanConfig(), data.draw(st.integers(8, 40)), registry)
+        except MaskingError:
+            return
+        p = tmp_path / "i.jsonl"
+        save_instances(insts, p)
+        loaded = load_instances(p)
+        assert_same_instances(loaded, insts)
+        arrays = {}
+        for inst in loaded:
+            arrays.setdefault((inst.tweet_id, inst.candidate_index), set()).add(id(inst.token_ids))
+        assert all(len(ids) == 1 for ids in arrays.values())
+        assert len(p.read_text().splitlines()) == len(arrays) == sum(len(t.candidates) for t in tweets)
+
+    @pytest.mark.parametrize("case, message", [
+        ("tokens differ", "tweet 'tw1': candidate 0 has two different masked inputs"),
+        ("marker differs", "tweet 'tw1': candidate 0 has two different masked inputs"),
+        ("chunk text differs", "tweet 'tw1': candidate 0 has two different masked inputs"),
+        ("events differ", "tweet 'tw1': instances span events death and cure_and_prevention"),
+        ("subtask sets differ", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
+        ("instance repeated", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
+        ("tweets not adjacent", "instances of tweet 'tw1' are not adjacent"),
+        ("candidate-major order", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
+        ("subtasks descending", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
+        ("candidates descending", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
+        ("label outside 0/1", "tweet 'tw1': label 2 of death/age is not 0 or 1"),
+    ])
+    def test_writer_refuses_what_it_cannot_round_trip(self, tmp_path, case, message):
+        a = make_instance(0, subtask=AGE, candidate_index=0)
+        b = make_instance(1, subtask=AGE, candidate_index=1, token_ids=a.token_ids)
+        c = make_instance(1, subtask=NAME, candidate_index=0, token_ids=a.token_ids)
+        d = make_instance(0, subtask=NAME, candidate_index=1, token_ids=a.token_ids)
+        other = make_instance(tweet_id="tw9")
+        insts = {
+            "tokens differ": [a, replace(c, token_ids=a.token_ids + 1)],
+            "marker differs": [a, replace(c, marker_pos=2)],
+            "chunk text differs": [a, replace(c, chunk_text="other")],
+            "events differ": [a, replace(c, subtask=SubtaskId(EventType.CURE_AND_PREVENTION, "opinion"))],
+            "subtask sets differ": [a, b, c],
+            "instance repeated": [a, a],
+            "tweets not adjacent": [a, other, c],
+            "candidate-major order": [a, c, b, d],
+            "subtasks descending": [c, d, a, b],
+            "candidates descending": [b, a, d, c],
+            "label outside 0/1": [a, replace(b, label=2)],
+        }[case]
+        save_instances([a, b, c, d, other], tmp_path / "ok.jsonl")  # explode order is accepted
+        p = tmp_path / "i.jsonl"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
+            save_instances(insts, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [rows[0], rows[0]], r":2: repeated unit \(tweet 'tw1', candidate 0; first on line 1\)"),
+        (lambda rows: [rows[1], rows[0]], r":2: field 'candidate_index' must exceed 1"),
+        (lambda rows: [rows[0], rows[2], rows[1]], r":3: rows of tweet 'tw1' are not adjacent \(first on line 1\)"),
+        (lambda rows: [rows[0], {**rows[1], "labels": {"name": 1}}],
+         r":2: field 'labels' names other subtasks than line 1"),
+        (lambda rows: [rows[0], {**rows[1], "event": "tested_positive"}], r":2: field 'event' differs from line 1"),
+        (lambda rows: [{**rows[0], "labels": {}}], r":1: field 'labels' names no subtask"),
+        (lambda rows: [{**rows[0], "labels": {"Age": 0}}], r":1: field 'labels': subtask name 'Age'"),
+        (lambda rows: [{**rows[0], "event": "flu"}], r":1: field 'event': unknown event 'flu'"),
+    ])
+    def test_loader_rejects_rows_it_cannot_expand(self, tmp_path, edit, message):
+        a = make_instance(0, subtask=AGE, candidate_index=0)
+        b = make_instance(1, subtask=AGE, candidate_index=1, token_ids=a.token_ids)
+        save_instances([a, b, replace(a, subtask=NAME), replace(b, subtask=NAME), make_instance(tweet_id="tw2")],
+                       tmp_path / "ok.jsonl")
+        rows = [json.loads(line) for line in (tmp_path / "ok.jsonl").read_text().splitlines()]
+        p = tmp_path / "i.jsonl"
+        write_lines(p, edit(rows))
+        with pytest.raises(FormatError, match=re.escape(str(p)) + message):
+            load_instances(p)
 
 
 def make_record(decision=1, filtered=False, chunk="c"):
