@@ -11,7 +11,7 @@ of one encoder gradient entry.
 import numpy as np
 
 from tweetslots.encoder import EncoderConfig, backward_batch, forward_batch, init_params
-from tweetslots.features import FeatureStrategy, StrategyKind, extract, feature_dim, init_proj4
+from tweetslots.features import FeatureStrategy, StrategyKind, extract_batch, feature_dim, init_proj4
 
 cfg = EncoderConfig(
     num_layers=4, hidden_size=8, vocab_size=64, max_len=10, context_window=1, seed=0
@@ -28,14 +28,12 @@ print("layer outputs:", len(cache.hidden))
 for i, h in enumerate(cache.hidden):
     print(f"  layer {i + 1}: shape {h.shape}  pad rows all zero: {not h[0, 5:].any()}")
 
-# Single-sequence views for extract(): drop the batch axis.
-layers = [h[0] for h in cache.hidden]
-
 rng = np.random.default_rng(1)
 for kind in StrategyKind:
     proj = init_proj4(cfg.hidden_size, rng) if kind is StrategyKind.PROJ4 else None
     strategy = FeatureStrategy(kind, proj)
-    feat = extract(strategy, layers, marker)
+    # One feature row per batch row; this batch holds one sequence.
+    [feat] = extract_batch(strategy, cache.hidden, np.array([marker]))
     print(f"{kind.value:>8}: dim {feature_dim(kind, cfg.hidden_size):>2}  first values {np.round(feat[:4], 4)}")
 
 # Gradient sanity through a scalar readout sum(last layer): the adjoint

@@ -14,7 +14,7 @@ from tweetslots.encoder import EncoderConfig
 from tweetslots.ensemble import ensemble_predict, majority_vote, select_top
 from tweetslots.features import StrategyKind
 from tweetslots.metrics import score
-from tweetslots.multitask import TrainConfig, init_model, predict, train
+from tweetslots.multitask import TrainConfig, init_model, predict_probs, train
 from tweetslots.nerfilter import default_gazetteer, default_type_map, filter_predictions, tag
 from tweetslots.preprocess import CleanConfig, Vocab, mask_corpus
 from tweetslots.synthetic import CueCorpusSpec, make_cue_corpus
@@ -35,23 +35,23 @@ enc = EncoderConfig(
 train_set = mask_corpus(train_tweets, vocab, clean_cfg, enc.max_len, registry)
 val_set = mask_corpus(val_tweets, vocab, clean_cfg, enc.max_len, registry)
 
-# A 3-member pool: two strategies x seeds, scored on validation.
-cfg = TrainConfig(epochs=10, seed=0)
+# A 3-member pool: two strategies x seeds, scored on validation. Every
+# member scores the same validation list; the vote runs on those arrays.
 pool = []
-member_records = []
+member_probs = []
 for kind, seed in ((StrategyKind.LAST, 0), (StrategyKind.SUM4, 0), (StrategyKind.SUM4, 1)):
     model, logs = train(init_model(enc, kind, registry, seed=seed), train_set, val_set,
                         TrainConfig(epochs=10, seed=seed))
     best = max(e.val_micro_f1 for e in logs)
     pool.append((f"{kind.value}-s{seed}", best))
-    member_records.append(predict(model, val_set, cfg))
+    member_probs.append(predict_probs(model, val_set))
     print(f"member {kind.value}-s{seed}: best val micro-F1 {best:.4f}")
 
 top = select_top(pool, k=3)
 print("\ntop-3 members:", [name for name, _ in top])
 print("majority_vote([1, 0, 1]) =", majority_vote([1, 0, 1]))
 
-voted = ensemble_predict(member_records)
+voted = ensemble_predict(member_probs, val_set, threshold=0.5)
 print(f"ensemble records: {len(voted)}")
 
 # Filter: positives whose tagged type conflicts with the slot are

@@ -129,21 +129,6 @@ class EncoderCache:
         return self.xs[1:]
 
 
-def _shift(x: np.ndarray, d: int) -> np.ndarray:
-    """Rows t of the result hold x[:, t + d]; out-of-range rows are zero."""
-    if d == 0:
-        return x
-    out = np.zeros_like(x)
-    t = x.shape[1]
-    if d > 0:
-        if d < t:
-            out[:, : t - d] = x[:, d:]
-    else:
-        if -d < t:
-            out[:, -d:] = x[:, :t + d]
-    return out
-
-
 def forward_batch(params: EncoderParams, ids: np.ndarray) -> EncoderCache:
     """Run the stack over a batch of id rows; returns all layer states.
 
@@ -166,21 +151,20 @@ def forward_batch(params: EncoderParams, ids: np.ndarray) -> EncoderCache:
     xs = [x]
     hs = []
     w = cfg.context_window
+    # Tap k reads xp[:, k:k + t]: row t holds x[:, t + k - w], and zero
+    # where that falls outside the sequence. The padding rows stay zero.
+    xp = np.zeros((b, t + 2 * w, cfg.hidden_size))
     for layer in params.layers:
         pre = np.broadcast_to(layer.b, x.shape).copy()
+        xp[:, w:w + t] = x
         for k in range(cfg.num_taps):
-            pre += _shift(x, k - w) @ layer.w[k]
-        h = np.tanh(pre)
-        x = (x + h) * mask
+            pre += xp[:, k:k + t] @ layer.w[k]
+        h = np.tanh(pre, out=pre)
+        x = x + h
+        x *= mask
         xs.append(x)
         hs.append(h)
     return EncoderCache(ids=ids, mask=mask, xs=xs, hs=hs)
-
-
-def forward(params: EncoderParams, token_ids: Sequence[int]) -> list[np.ndarray]:
-    """Single-sequence convenience wrapper; returns the L layer states (T, H)."""
-    cache = forward_batch(params, np.asarray(token_ids, dtype=np.int64)[None, :])
-    return [layer[0] for layer in cache.hidden]
 
 
 def backward_batch(
@@ -203,19 +187,24 @@ def backward_batch(
     grads = zero_grads(cfg)
     mask = cache.mask
     w = cfg.context_window
-    g = np.zeros((b, t, h))
+    # xp is the forward pass's padded layer input. Tap k read
+    # x_prev[:, t + k - w] for output row t, so its input gradient lands on
+    # that row: the window k:k + t of gp, whose centre g holds the gradient
+    # wrt (x_prev + h) before the output masking when the taps start, and
+    # whose padding rows are never read. Taps add in k order.
+    xp = np.zeros((b, t + 2 * w, h))
+    gp = np.zeros((b, t + 2 * w, h))
+    g = gp[:, w:w + t]
     for li in range(l - 1, -1, -1):
-        g = g + upstream[li]
-        a = g * mask  # grad wrt (x_prev + h) before the output masking
-        dpre = a * (1.0 - cache.hs[li] ** 2)
+        g += upstream[li]
+        g *= mask
+        dpre = g * (1.0 - cache.hs[li] ** 2)
         grads.layers[li].b += dpre.sum(axis=(0, 1))
-        x_prev = cache.xs[li]
+        xp[:, w:w + t] = cache.xs[li]
         dpre_rows = dpre.reshape(-1, h)
-        g = a.copy()
         for k in range(cfg.num_taps):
-            d = k - w
-            grads.layers[li].w[k] += _shift(x_prev, d).reshape(-1, h).T @ dpre_rows
-            g += _shift(dpre @ params.layers[li].w[k].T, -d)
+            grads.layers[li].w[k] += xp[:, k:k + t].reshape(-1, h).T @ dpre_rows
+            gp[:, k:k + t] += dpre @ params.layers[li].w[k].T
     demb = g * mask
     np.add.at(grads.token_emb, cache.ids, demb)
     grads.pos_emb[:t] += demb.sum(axis=0)

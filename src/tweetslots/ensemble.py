@@ -2,15 +2,21 @@
 
 A pool of trained models (different feature strategies and seeds) is ranked
 by validation micro-F1; the top k (odd, default 5) become ensemble members.
-Votes are cast on thresholded binary decisions, not probabilities; the mean
-member probability is carried along for reporting only.
+Every member scores the same instance list, so the vote runs on the k
+members' probability arrays: each member's decision is its probability
+thresholded, the instance's decision is the majority of those, and the
+mean member probability is carried along for reporting only. One record
+per (tweet, subtask, candidate) is built, after the vote.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from .multitask import PredictionRecord
+import numpy as np
+
+from .multitask import PredictionRecord, prediction_records
+from .preprocess import MaskedInstance
 
 T = TypeVar("T")
 
@@ -36,40 +42,21 @@ def majority_vote(decisions: Sequence[int]) -> int:
     return 1 if sum(1 for d in decisions if d) > len(decisions) // 2 else 0
 
 
-def _record_key(rec: PredictionRecord) -> tuple:
-    return (rec.tweet_id, rec.subtask.key, rec.candidate_index)
+def ensemble_predict(
+    member_probs: Sequence[Sequence[float]], instances: Sequence[MaskedInstance], threshold: float
+) -> list[PredictionRecord]:
+    """Majority-vote the members' probabilities over one instance list.
 
-
-def ensemble_predict(member_records: Sequence[Sequence[PredictionRecord]]) -> list[PredictionRecord]:
-    """Combine aligned member predictions by majority vote.
-
-    Members must cover the same (tweet, subtask, candidate) triples, each
-    once; output follows the first member's order.
+    ``member_probs[m][i]`` is member m's probability for ``instances[i]``;
+    member m votes 1 iff it is >= ``threshold``. The reported probability
+    is the members' sum, taken in member order, divided by their count.
+    Output follows instance order.
     """
-    if len(member_records) % 2 == 0:
-        raise EnsembleError(f"vote needs an odd member count, got {len(member_records)}")
-    indexed: list[dict[tuple, PredictionRecord]] = []
-    for mi, records in enumerate(member_records, 1):
-        by_key = {_record_key(r): r for r in records}
-        if len(by_key) != len(records):
-            raise EnsembleError(f"member {mi} lists a (tweet, subtask, candidate) triple twice")
-        if indexed and by_key.keys() != indexed[0].keys():
-            raise EnsembleError(f"member {mi} predicts a different instance set than member 1")
-        indexed.append(by_key)
-    out = []
-    for rec in member_records[0]:
-        key = _record_key(rec)
-        members = [m[key] for m in indexed]
-        decisions = [m.decision for m in members]
-        out.append(
-            PredictionRecord(
-                tweet_id=rec.tweet_id,
-                subtask=rec.subtask,
-                candidate_index=rec.candidate_index,
-                chunk_text=rec.chunk_text,
-                probability=sum(m.probability for m in members) / len(members),
-                decision=majority_vote(decisions),
-                filtered=False,
-            )
-        )
-    return out
+    if len(member_probs) % 2 == 0:
+        raise EnsembleError(f"vote needs an odd member count, got {len(member_probs)}")
+    probs = [np.asarray(p, dtype=np.float64) for p in member_probs]
+    for mi, p in enumerate(probs, 1):
+        if p.shape != (len(instances),):
+            raise EnsembleError(f"member {mi} gives {p.shape} probabilities for {len(instances)} instances")
+    votes = np.stack([p >= threshold for p in probs], axis=1).tolist()
+    return prediction_records(instances, sum(probs) / len(probs), map(majority_vote, votes))

@@ -327,7 +327,7 @@ def _unit_features(params: ModelParams, units: Sequence[MaskedInstance]) -> np.n
     return feat.extract_batch(params.strategy, cache.hidden, marker)
 
 
-def _predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batch_size: int = 256) -> np.ndarray:
+def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batch_size: int = 256) -> np.ndarray:
     """Probabilities in input order, from one forward pass per distinct encoder input.
 
     The subtask fan-out of a candidate repeats one encoder input; instances
@@ -359,7 +359,7 @@ def _predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], bat
 
 def validation_micro_f1(params: ModelParams, instances: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
     labels = np.asarray([i.label for i in instances], dtype=np.int64)
-    decisions = (_predict_probs(params, instances) >= cfg.threshold).astype(np.int64)
+    decisions = (predict_probs(params, instances) >= cfg.threshold).astype(np.int64)
     return _decisions_micro_f1(labels, decisions)
 
 
@@ -404,6 +404,24 @@ def train(
     return best_params, logs
 
 
+def prediction_records(
+    instances: Sequence[MaskedInstance], probs: Sequence[float], decisions: Sequence[int]
+) -> list[PredictionRecord]:
+    """One record per instance, in input order, from its probability and decision."""
+    return [
+        PredictionRecord(
+            tweet_id=inst.tweet_id,
+            subtask=inst.subtask,
+            candidate_index=inst.candidate_index,
+            chunk_text=inst.chunk_text,
+            probability=float(p),
+            decision=int(d),
+            filtered=False,
+        )
+        for inst, p, d in zip(instances, probs, decisions)
+    ]
+
+
 def predict(
     params: ModelParams,
     instances: Sequence[MaskedInstance],
@@ -411,20 +429,5 @@ def predict(
 ) -> list[PredictionRecord]:
     """One record per instance; decision = [probability >= threshold]."""
     cfg = cfg or TrainConfig()
-    if not instances:
-        return []
-    probs = _predict_probs(params, instances)
-    records = []
-    for inst, p in zip(instances, probs):
-        records.append(
-            PredictionRecord(
-                tweet_id=inst.tweet_id,
-                subtask=inst.subtask,
-                candidate_index=inst.candidate_index,
-                chunk_text=inst.chunk_text,
-                probability=float(p),
-                decision=int(p >= cfg.threshold),
-                filtered=False,
-            )
-        )
-    return records
+    probs = predict_probs(params, instances)
+    return prediction_records(instances, probs, probs >= cfg.threshold)

@@ -204,6 +204,15 @@ def load_config(
         raise ConfigError(f"split.train_fraction must lie in (0, 1), got {cfg.train_fraction}")
     if cfg.ensemble_k < 1 or cfg.ensemble_k % 2 == 0:
         raise ConfigError(f"ensemble.k must be odd and positive, got {cfg.ensemble_k}")
+    # A repeated entry would train one (strategy, seed) twice into one model
+    # file, which the top-k vote could then count twice.
+    for key, entries in (
+        ("ensemble.strategies", [kind.value for kind in cfg.ensemble_strategies]),
+        ("ensemble.seeds", list(cfg.ensemble_seeds)),
+    ):
+        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeated:
+            raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
     if len(cfg.pool) < cfg.ensemble_k:
         raise ConfigError(
             f"ensemble pool of {len(cfg.pool)} runs cannot fill k={cfg.ensemble_k} members"
@@ -338,16 +347,15 @@ def ensemble_from_manifest(
     members = serialize.load_ensemble_manifest(manifest_path)
     top = ensemble_mod.select_top(members, k)
     base = manifest_path.parent
-    member_records = []
-    predict_cfg = TrainConfig(threshold=threshold)
+    member_probs = []
     for rel_path, score in top:
         model_path = Path(rel_path)
         if not model_path.is_absolute():
             model_path = base / model_path
         params = serialize.load_model(model_path)
-        member_records.append(multitask.predict(params, instances, predict_cfg))
+        member_probs.append(multitask.predict_probs(params, instances))
         log.info("ensemble: member %s (val micro-F1 %.4f)", rel_path, score)
-    return ensemble_mod.ensemble_predict(member_records)
+    return ensemble_mod.ensemble_predict(member_probs, instances, threshold)
 
 
 def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:

@@ -156,6 +156,12 @@ class TestConfigErrors:
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\nmystery = 1\n")
         assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_repeated_pool_entry(self, ws, tmp_path, caplog):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\nensemble.strategies = last,last\nensemble.k = 1\n")
+        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "ensemble.strategies lists 'last' more than once" in caplog.text
+
     def test_missing_corpus_path(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("data.corpus = gone.jsonl\n")

@@ -17,9 +17,7 @@ from tweetslots.encoder import (
     EncoderConfig,
     EncoderError,
     EncoderParams,
-    _shift,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     zero_grads,
@@ -123,18 +121,42 @@ class TestInit:
 
 
 class TestShift:
+    """Tap k of a layer reads the layer input at offset k - context_window."""
+
+    @staticmethod
+    def one_tap(cfg, k):
+        # Embeddings 0.05 * (4 * id + column), no positional part; layer 0
+        # has identity weights at tap k only, so hs[0] = tanh(tap k's read).
+        params = init_params(cfg)
+        params.token_emb[:] = 0.05 * np.arange(params.token_emb.size).reshape(params.token_emb.shape)
+        params.pos_emb[:] = 0.0
+        params.layers[0].w[:] = 0.0
+        params.layers[0].w[k] = np.eye(cfg.hidden_size)
+        params.layers[0].b[:] = 0.0
+        return params
+
     def test_hand_example(self):
-        x = np.arange(8, dtype=float).reshape(1, 4, 2)
-        fwd = _shift(x, 1)
-        assert np.array_equal(fwd[0], [[2, 3], [4, 5], [6, 7], [0, 0]])
-        back = _shift(x, -1)
-        assert np.array_equal(back[0], [[0, 0], [0, 1], [2, 3], [4, 5]])
-        assert _shift(x, 0) is x
+        cfg = small_cfg(hidden_size=4, context_window=1, vocab_size=8, max_len=4)
+        ids = np.array([[1, 2, 3, 4]], dtype=np.int64)
+        x = 0.05 * np.arange(4, 20, dtype=float).reshape(4, 4)  # rows of ids 1..4
+        zero = np.zeros(4)
+        for k, want in ((2, [x[1], x[2], x[3], zero]), (0, [zero, x[0], x[1], x[2]]), (1, x)):
+            cache = forward_batch(self.one_tap(cfg, k), ids)
+            np.testing.assert_allclose(np.arctanh(cache.hs[0][0]), want, rtol=1e-12, atol=1e-15)
 
     def test_shift_past_length_is_zero(self):
-        x = np.ones((2, 3, 2))
-        assert np.array_equal(_shift(x, 5), np.zeros_like(x))
-        assert np.array_equal(_shift(x, -5), np.zeros_like(x))
+        # Offsets -5 and +5 over 3 positions read only padding: the layer's
+        # pre-activation and those taps' weight gradients are exactly 0.
+        cfg = small_cfg(context_window=5, max_len=8)
+        ids = np.array([[3, 4, 5], [6, 7, PAD_ID]], dtype=np.int64)
+        for k in (0, 10):
+            params = self.one_tap(cfg, k)
+            cache = forward_batch(params, ids)
+            assert np.array_equal(cache.hs[0], np.zeros_like(cache.hs[0]))
+            upstream = [np.ones_like(x) for x in cache.hidden]
+            grads = backward_batch(params, cache, upstream)
+            assert np.array_equal(grads.layers[1].w[k], np.zeros((cfg.hidden_size, cfg.hidden_size)))
+            assert np.any(grads.layers[1].w[5] != 0.0)
 
 
 class TestForward:
@@ -191,12 +213,12 @@ class TestForward:
             for a, b in zip(batch.hidden, solo.hidden):
                 assert np.array_equal(a[i], b[0])
 
-    def test_single_sequence_wrapper(self):
+    def test_single_sequence_batch(self):
         cfg = small_cfg()
         params = init_params(cfg)
-        states = forward(params, [3, 4, 5])
+        states = forward_batch(params, np.array([[3, 4, 5]], dtype=np.int64)).hidden
         assert len(states) == cfg.num_layers
-        assert states[0].shape == (3, cfg.hidden_size)
+        assert states[0][0].shape == (3, cfg.hidden_size)
 
     def test_receptive_field_respects_window(self):
         # With window w and L layers, position j reaches at most j +- w*L.
@@ -265,6 +287,15 @@ def assert_close(analytic: np.ndarray, numeric: np.ndarray, name: str, tol=1e-6)
     assert rel.max() < tol, f"{name}: max rel err {rel.max():.3g}"
 
 
+def shifted(x: np.ndarray, d: int) -> np.ndarray:
+    """Row t holds x[:, t + d]; rows that fall outside the sequence are zero."""
+    out = np.zeros_like(x)
+    for t in range(x.shape[1]):
+        if 0 <= t + d < x.shape[1]:
+            out[:, t] = x[:, t + d]
+    return out
+
+
 def einsum_weight_grads(params: EncoderParams, cache: EncoderCache, upstream) -> tuple[list, list]:
     """Layer weight gradients by an explicit per-tap einsum over (b, t).
 
@@ -282,12 +313,12 @@ def einsum_weight_grads(params: EncoderParams, cache: EncoderCache, upstream) ->
         dpre = a * (1.0 - cache.hs[li] ** 2)
         x_prev = cache.xs[li]
         g = a.copy()
-        grads[li] = np.stack([np.einsum("bti,btj->ij", _shift(x_prev, k - w), dpre)
+        grads[li] = np.stack([np.einsum("bti,btj->ij", shifted(x_prev, k - w), dpre)
                               for k in range(cfg.num_taps)])
-        scales[li] = np.stack([np.einsum("bti,btj->ij", np.abs(_shift(x_prev, k - w)), np.abs(dpre))
+        scales[li] = np.stack([np.einsum("bti,btj->ij", np.abs(shifted(x_prev, k - w)), np.abs(dpre))
                                for k in range(cfg.num_taps)])
         for k in range(cfg.num_taps):
-            g += _shift(dpre @ params.layers[li].w[k].T, -(k - w))
+            g += shifted(dpre @ params.layers[li].w[k].T, -(k - w))
     return grads, scales
 
 

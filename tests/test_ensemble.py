@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetslots.corpus import EventType, SubtaskId
 from tweetslots.ensemble import (
@@ -15,16 +17,47 @@ from tweetslots.ensemble import (
     select_top,
 )
 from tweetslots.multitask import PredictionRecord
+from tweetslots.preprocess import MaskedInstance
 
 NAME = SubtaskId(EventType.DEATH, "name")
 AGE = SubtaskId(EventType.DEATH, "age")
 
 
-def rec(tweet_id, subtask, cand, prob, decision, chunk="c"):
-    return PredictionRecord(
-        tweet_id=tweet_id, subtask=subtask, candidate_index=cand,
-        chunk_text=chunk, probability=prob, decision=decision,
+def inst(tweet_id, subtask, cand, chunk="c"):
+    return MaskedInstance(
+        token_ids=np.zeros(4, dtype=np.int64), length=1, marker_pos=0, subtask=subtask,
+        label=0, chunk_text=chunk, tweet_id=tweet_id, candidate_index=cand,
     )
+
+
+def triples(records):
+    return [(r.tweet_id, r.subtask, r.candidate_index, r.chunk_text, r.filtered) for r in records]
+
+
+def per_record_vote(member_probs, instances, threshold):
+    """The per-record path: each member builds its own record list, the
+    records are re-keyed by (tweet, subtask, candidate) and voted per key
+    in the first member's order. The mean is a left fold in member order
+    (what ``sum`` gives for floats before Python 3.12)."""
+    member_records = [
+        [PredictionRecord(tweet_id=i.tweet_id, subtask=i.subtask, candidate_index=i.candidate_index,
+                          chunk_text=i.chunk_text, probability=float(p), decision=int(p >= threshold))
+         for i, p in zip(instances, probs)]
+        for probs in member_probs
+    ]
+    indexed = [{(r.tweet_id, r.subtask.key, r.candidate_index): r for r in m} for m in member_records]
+    out = []
+    for rec in member_records[0]:
+        members = [m[(rec.tweet_id, rec.subtask.key, rec.candidate_index)] for m in indexed]
+        total = 0
+        for m in members:
+            total += m.probability
+        out.append(PredictionRecord(
+            tweet_id=rec.tweet_id, subtask=rec.subtask, candidate_index=rec.candidate_index,
+            chunk_text=rec.chunk_text, probability=total / len(members),
+            decision=majority_vote([m.decision for m in members]), filtered=False,
+        ))
+    return out
 
 
 class TestMajorityVote:
@@ -83,60 +116,41 @@ class TestSelectTop:
 
 
 class TestEnsemblePredict:
-    def members(self, decisions_per_member, probs=None):
-        out = []
-        for mi, decisions in enumerate(decisions_per_member):
-            member = []
-            for ri, d in enumerate(decisions):
-                p = probs[mi][ri] if probs else (0.8 if d else 0.2)
-                member.append(rec("t0", NAME, ri, p, d))
-            out.append(member)
-        return out
+    def instances(self, n):
+        return [inst("t0", NAME, i) for i in range(n)]
+
+    def probs(self, decisions_per_member):
+        return [np.where(np.asarray(d) == 1, 0.8, 0.2) for d in decisions_per_member]
 
     def test_vote_per_record(self):
-        members = self.members([[1, 0], [1, 1], [0, 0]])
-        got = ensemble_predict(members)
+        # A probability equal to the threshold votes 1.
+        members = [[0.5, 0.2], [0.8, 0.5], [0.2, 0.2]]
+        got = ensemble_predict(members, self.instances(2), 0.5)
         assert [r.decision for r in got] == [1, 0]
 
     def test_probability_is_mean(self):
-        members = self.members([[1], [1], [0]], probs=[[0.9], [0.6], [0.3]])
-        [r] = ensemble_predict(members)
+        [r] = ensemble_predict([[0.9], [0.6], [0.3]], self.instances(1), 0.5)
         assert r.probability == pytest.approx(0.6)
+        assert r.probability == (0.9 + 0.6 + 0.3) / 3
 
-    def test_output_follows_first_member_order(self):
-        a = [rec("t0", NAME, 1, 0.9, 1), rec("t0", NAME, 0, 0.8, 1), rec("t1", AGE, 0, 0.1, 0)]
-        # Second member, same triples, shuffled.
-        b = [a[2], a[0], a[1]]
-        c = [a[1], a[2], a[0]]
-        got = ensemble_predict([a, b, c])
-        assert [(r.tweet_id, r.subtask, r.candidate_index) for r in got] == [
-            ("t0", NAME, 1), ("t0", NAME, 0), ("t1", AGE, 0)
+    def test_output_follows_instance_order(self):
+        instances = [inst("t0", NAME, 1, "b"), inst("t0", NAME, 0, "a"), inst("t1", AGE, 0, "z")]
+        got = ensemble_predict([[0.9, 0.8, 0.1]] * 3, instances, 0.5)
+        assert triples(got) == [
+            ("t0", NAME, 1, "b", False), ("t0", NAME, 0, "a", False), ("t1", AGE, 0, "z", False)
         ]
+        assert [r.decision for r in got] == [1, 1, 0]
 
     def test_even_member_count_rejected(self):
-        members = self.members([[1], [0]])
-        with pytest.raises(EnsembleError):
-            ensemble_predict(members)
+        with pytest.raises(EnsembleError, match="odd"):
+            ensemble_predict(self.probs([[1], [0]]), self.instances(1), 0.5)
+        with pytest.raises(EnsembleError, match="odd"):
+            ensemble_predict([], self.instances(1), 0.5)
 
-    def test_mismatched_triples_rejected(self):
-        a = [rec("t0", NAME, 0, 0.9, 1)]
-        b = [rec("t0", NAME, 1, 0.9, 1)]
-        c = [rec("t0", NAME, 0, 0.9, 1)]
-        with pytest.raises(EnsembleError):
-            ensemble_predict([a, b, c])
-
-    def test_duplicate_triples_rejected(self):
-        a = [rec("t0", NAME, 0, 0.9, 1), rec("t0", NAME, 0, 0.8, 1)]
-        with pytest.raises(EnsembleError):
-            ensemble_predict([a, a, a])
-
-    def test_triple_repeated_in_a_later_member_rejected(self):
-        # A second copy with decision 1 must not outvote its first copy.
-        a = [rec("t0", NAME, 0, 0.1, 0)]
-        b = [rec("t0", NAME, 0, 0.1, 0), rec("t0", NAME, 0, 0.9, 1)]
-        c = [rec("t0", NAME, 0, 0.9, 1)]
-        with pytest.raises(EnsembleError, match="member 2 lists a"):
-            ensemble_predict([a, b, c])
+    def test_member_array_of_wrong_length_rejected(self):
+        members = [np.full(3, 0.9), np.full(2, 0.9), np.full(3, 0.9)]
+        with pytest.raises(EnsembleError, match=r"member 2 gives \(2,\) probabilities for 3 instances"):
+            ensemble_predict(members, self.instances(3), 0.5)
 
     def test_randomized_vote_oracle(self):
         rng = np.random.default_rng(5)
@@ -144,8 +158,25 @@ class TestEnsemblePredict:
             n_members = int(rng.choice([1, 3, 5]))
             n_records = int(rng.integers(1, 8))
             decisions = rng.integers(0, 2, size=(n_members, n_records))
-            members = self.members(decisions.tolist())
-            got = ensemble_predict(members)
+            got = ensemble_predict(self.probs(decisions), self.instances(n_records), 0.5)
             for ri, r in enumerate(got):
                 want = 1 if decisions[:, ri].sum() > n_members // 2 else 0
                 assert r.decision == want
+
+    @given(data=st.data(), k=st.sampled_from([1, 3, 5]), n=st.integers(0, 20),
+           threshold=st.sampled_from([0.5, 0.3, 0.7, 0.1 + 0.2]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_record_path(self, data, k, n, threshold):
+        # Probabilities at, just below and just above the threshold included.
+        prob = st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)]),
+        )
+        member_probs = [np.asarray(data.draw(st.lists(prob, min_size=n, max_size=n)), dtype=np.float64)
+                        for _ in range(k)]
+        instances = [inst(f"t{i // 4}", (NAME, AGE)[i % 2], i // 2, f"chunk {i}") for i in range(n)]
+        got = ensemble_predict(member_probs, instances, threshold)
+        want = per_record_vote(member_probs, instances, threshold)
+        assert triples(got) == triples(want)
+        assert [r.decision for r in got] == [r.decision for r in want]
+        assert [r.probability.hex() for r in got] == [r.probability.hex() for r in want]

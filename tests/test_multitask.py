@@ -451,15 +451,15 @@ class TestSharedEncoderInput:
         assert got == pytest.approx(singles, rel=1e-12, abs=1e-15)
 
     def test_batches_count_distinct_inputs(self, monkeypatch):
-        from tweetslots.multitask import _predict_probs
+        from tweetslots.multitask import predict_probs
 
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=7)
         by_id = {VOCAB.token_to_id(f"w{i}"): f"w{i}" for i in range(200)}
         words = sorted(by_id.values())[:20]  # 20 words with distinct hashed ids
         insts = [make_instance([w], "uncle", s, 0, w) for w in words for s in (NAME, AGE)]
-        singles = [_predict_probs(model, [i])[0] for i in insts]
+        singles = [predict_probs(model, [i])[0] for i in insts]
         rows = self.count_rows(monkeypatch)
-        got = _predict_probs(model, insts, batch_size=8)
+        got = predict_probs(model, insts, batch_size=8)
         assert rows == [8, 8, 4]
         assert list(got) == pytest.approx(singles, rel=1e-12, abs=1e-15)
 

@@ -135,6 +135,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="pool"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "lines, pat",
+        [
+            ("ensemble.strategies = last,last\nensemble.k = 1", "ensemble.strategies lists 'last'"),
+            ("ensemble.strategies = sum4, LAST ,last", "ensemble.strategies lists 'last'"),
+            ("ensemble.seeds = 0,1,0", "ensemble.seeds lists 0"),
+            ("ensemble.seeds = 7, 07\nensemble.k = 1", "ensemble.seeds lists 7"),
+        ],
+        ids=["strategy-twice", "strategy-case-and-space", "seed-twice", "seed-leading-zero"],
+    )
+    def test_repeated_pool_entry_rejected(self, ws, tmp_path, lines, pat):
+        # Two pool members with one (strategy, seed) would write one model
+        # file and could be counted twice by the vote.
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{lines}\n")
+        with pytest.raises(ConfigError, match=pat):
+            load_config(p)
+
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))
         b = config_fingerprint(load_config(ws / "config.ini"))
