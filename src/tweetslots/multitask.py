@@ -17,7 +17,7 @@ best validation micro-F1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -85,6 +85,10 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise TrainError(f"{f.name} must be finite, got {value}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.pos_weight <= 0 or self.neg_weight <= 0:
@@ -95,6 +99,10 @@ class TrainConfig:
             raise TrainError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise TrainError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.weight_decay < 0:
+            raise TrainError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epsilon <= 0:
+            raise TrainError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise TrainError("betas must lie in [0, 1)")
         if self.clip_norm < 0:
@@ -173,18 +181,19 @@ def _group_by_subtask(instances: Sequence[MaskedInstance]) -> dict[SubtaskId, np
     return {s: np.asarray(rows, dtype=np.int64) for s, rows in groups.items()}
 
 
-def _check_heads(params: ModelParams, instances: Iterable[MaskedInstance]) -> None:
-    missing = {str(i.subtask) for i in instances if i.subtask not in params.heads}
+def _check_heads(params: ModelParams, subtasks: Iterable[SubtaskId]) -> None:
+    missing = {str(s) for s in subtasks if s not in params.heads}
     if missing:
         raise TrainError(f"no head for subtask(s): {', '.join(sorted(missing))}")
 
 
 def _forward(params: ModelParams, instances: Sequence[MaskedInstance]):
+    groups = _group_by_subtask(instances)
+    _check_heads(params, groups)
     ids, marker, labels = _batch_arrays(instances)
     cache = enc.forward_batch(params.encoder, ids)
     feats = feat.extract_batch(params.strategy, cache.hidden, marker)
     logits = np.empty(len(instances))
-    groups = _group_by_subtask(instances)
     for subtask, rows in groups.items():
         head = params.heads[subtask]
         logits[rows] = feats[rows] @ head.w + head.b[0]
@@ -211,7 +220,6 @@ def loss_and_grads(
     """
     if not batch:
         raise TrainError("batch must be nonempty")
-    _check_heads(params, batch)
     cache, feats, marker, labels, logits, groups = _forward(params, batch)
     probs = _sigmoid(logits)
     clamped = np.clip(probs, 1e-12, 1.0 - 1e-12)
@@ -337,7 +345,8 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batc
     """
     if not instances:
         return np.empty(0)
-    _check_heads(params, instances)
+    groups = _group_by_subtask(instances)
+    _check_heads(params, groups)
     unit_of: dict[tuple[int, int, bytes], int] = {}
     units: list[MaskedInstance] = []
     rows = np.empty(len(instances), dtype=np.int64)
@@ -351,7 +360,7 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batc
         for start in range(0, len(units), batch_size)
     ])
     logits = np.empty(len(instances))
-    for subtask, group in _group_by_subtask(instances).items():
+    for subtask, group in groups.items():
         head = params.heads[subtask]
         logits[group] = feats[rows[group]] @ head.w + head.b[0]
     return _sigmoid(logits)
@@ -377,8 +386,8 @@ def train(
     """
     if not train_set or not val_set:
         raise TrainError("train and validation sets must both be nonempty")
-    _check_heads(params, train_set)
-    _check_heads(params, val_set)
+    _check_heads(params, {i.subtask for i in train_set})
+    _check_heads(params, {i.subtask for i in val_set})
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
     named = dict(params.named_arrays())

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -56,6 +56,16 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
     return out
 
 
+# Each `encoder.*` and `train.*` key is a field of its section's dataclass,
+# except the fields set from `vocab.size` and `seed`.
+_SECTIONS = (("encoder", EncoderConfig), ("train", TrainConfig))
+_SET_ELSEWHERE = ("vocab_size", "seed")
+
+
+def _section_fields(cls) -> list[Field]:
+    return [f for f in fields(cls) if f.name not in _SET_ELSEWHERE]
+
+
 _KNOWN_KEYS = {
     "data.corpus", "data.gazetteer_dir", "data.type_map", "data.emoji_map",
     "data.covid_tags", "data.subtasks",
@@ -63,13 +73,9 @@ _KNOWN_KEYS = {
     "vocab.size",
     "split.train_fraction",
     "seed",
-    "encoder.num_layers", "encoder.hidden_size", "encoder.max_len", "encoder.context_window",
     "feature_strategy",
-    "train.batch_size", "train.learning_rate", "train.weight_decay", "train.beta1",
-    "train.beta2", "train.epsilon", "train.pos_weight", "train.neg_weight",
-    "train.epochs", "train.threshold", "train.clip_norm",
     "ensemble.k", "ensemble.strategies", "ensemble.seeds",
-}
+} | {f"{prefix}.{f.name}" for prefix, cls in _SECTIONS for f in _section_fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,7 @@ class PipelineConfig:
     covid_tags_path: Path | None
     subtasks_path: Path | None
     clean_enabled: bool
-    vocab_size: int
-    train_fraction: float
+    split: SplitConfig
     seed: int
     encoder: EncoderConfig
     feature_strategy: StrategyKind
@@ -105,6 +110,13 @@ def _typed(raw: dict[str, str], key: str, parse: Callable, default):
         raise
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+def _section(raw: dict[str, str], prefix: str, cls, **elsewhere):
+    """``cls`` from its ``prefix.<field>`` keys: each value is parsed with the
+    type of the field's default, and an absent key keeps that default."""
+    values = {f.name: _typed(raw, f"{prefix}.{f.name}", type(f.default), f.default) for f in _section_fields(cls)}
+    return cls(**values, **elsewhere)
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,7 +150,7 @@ def load_config(
 
     base = path.parent
 
-    def resolve(key: str, required: bool = False) -> Path | None:
+    def resolve(key: str) -> Path | None:
         if key not in raw:
             return None
         p = Path(raw[key])
@@ -149,30 +161,10 @@ def load_config(
         return p
 
     seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
-    clean_enabled = False if no_clean else _typed(raw, "clean.enabled", _parse_bool, True)
+    clean_enabled = False if no_clean else _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled)
     try:
-        encoder = EncoderConfig(
-            num_layers=_typed(raw, "encoder.num_layers", int, 4),
-            hidden_size=_typed(raw, "encoder.hidden_size", int, 32),
-            vocab_size=_typed(raw, "vocab.size", int, 4096),
-            max_len=_typed(raw, "encoder.max_len", int, 96),
-            context_window=_typed(raw, "encoder.context_window", int, 2),
-            seed=seed,
-        )
-        train = TrainConfig(
-            batch_size=_typed(raw, "train.batch_size", int, 32),
-            learning_rate=_typed(raw, "train.learning_rate", float, 1e-3),
-            weight_decay=_typed(raw, "train.weight_decay", float, 0.01),
-            beta1=_typed(raw, "train.beta1", float, 0.9),
-            beta2=_typed(raw, "train.beta2", float, 0.999),
-            epsilon=_typed(raw, "train.epsilon", float, 1e-8),
-            pos_weight=_typed(raw, "train.pos_weight", float, 10.0),
-            neg_weight=_typed(raw, "train.neg_weight", float, 1.0),
-            epochs=_typed(raw, "train.epochs", int, 30),
-            seed=seed,
-            threshold=_typed(raw, "train.threshold", float, 0.5),
-            clip_norm=_typed(raw, "train.clip_norm", float, 5.0),
-        )
+        vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
+        train_fraction = _typed(raw, "split.train_fraction", float, SplitConfig.train_fraction)
         strategies = tuple(
             StrategyKind.parse(part)
             for part in raw.get("ensemble.strategies", "last,sum4,concat4,proj4").split(",")
@@ -186,12 +178,11 @@ def load_config(
             covid_tags_path=resolve("data.covid_tags"),
             subtasks_path=resolve("data.subtasks"),
             clean_enabled=clean_enabled,
-            vocab_size=_typed(raw, "vocab.size", int, 4096),
-            train_fraction=_typed(raw, "split.train_fraction", float, 0.8),
+            split=SplitConfig(train_fraction=train_fraction, seed=seed),
             seed=seed,
-            encoder=encoder,
+            encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size, seed=seed),
             feature_strategy=StrategyKind.parse(_typed(raw, "feature_strategy", str, "last")),
-            train=train,
+            train=_section(raw, "train", TrainConfig, seed=seed),
             ensemble_k=_typed(raw, "ensemble.k", int, 5),
             ensemble_strategies=strategies,
             ensemble_seeds=seeds,
@@ -200,8 +191,6 @@ def load_config(
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not 0.0 < cfg.train_fraction < 1.0:
-        raise ConfigError(f"split.train_fraction must lie in (0, 1), got {cfg.train_fraction}")
     if cfg.ensemble_k < 1 or cfg.ensemble_k % 2 == 0:
         raise ConfigError(f"ensemble.k must be odd and positive, got {cfg.ensemble_k}")
     # A repeated entry would train one (strategy, seed) twice into one model
@@ -271,9 +260,7 @@ def load_and_split(cfg: PipelineConfig, registry: SubtaskRegistry) -> SplitArtif
     if len(tweets) < 2:
         raise corpus_mod.CorpusError(f"{cfg.corpus_path}: need at least 2 tweets to split")
     digest = corpus_mod.corpus_digest(tweets)
-    train_tweets, val_tweets = corpus_mod.split(
-        tweets, SplitConfig(train_fraction=cfg.train_fraction, seed=cfg.seed)
-    )
+    train_tweets, val_tweets = corpus_mod.split(tweets, cfg.split)
     return SplitArtifacts(train_tweets=train_tweets, val_tweets=val_tweets, digest=digest)
 
 
@@ -281,13 +268,13 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     """Split the corpus and write masked instance files plus a split manifest."""
     registry = make_registry(cfg)
     clean_cfg = make_clean_config(cfg)
-    vocab = Vocab(size=cfg.vocab_size)
+    vocab = Vocab(size=cfg.encoder.vocab_size)
     split = load_and_split(cfg, registry)
     artifacts = {}
     manifest = {
         "corpus_digest": split.digest,
         "seed": cfg.seed,
-        "train_fraction": cfg.train_fraction,
+        "train_fraction": cfg.split.train_fraction,
         "train_ids": [t.id for t in split.train_tweets],
         "val_ids": [t.id for t in split.val_tweets],
     }

@@ -181,7 +181,7 @@ def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str) -> list[dict]:
     """Unit rows of one tweet's instances, which must be exactly what the
     rows load back as: one instance per (subtask of one event, candidate) in
     explode order, with one masked input (tokens, marker, chunk text) per
-    candidate."""
+    candidate, and only PAD past each input's length."""
     event = block[0].subtask.event
     units: dict[int, MaskedInstance] = {}
     labels: dict[int, dict[str, int]] = {}
@@ -196,6 +196,8 @@ def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str) -> list[dict]:
             and (inst.token_ids is unit.token_ids or np.array_equal(inst.token_ids, unit.token_ids))
         ):
             raise FormatError(f"{where}: candidate {unit.candidate_index} has two different masked inputs")
+        if unit is inst and np.count_nonzero(inst.token_ids[inst.length:] != PAD_ID):
+            raise FormatError(f"{where}: candidate {inst.candidate_index} has non-PAD token ids past its length")
         if inst.label not in (0, 1):
             raise FormatError(f"{where}: label {inst.label!r} of {inst.subtask} is not 0 or 1")
         labels.setdefault(inst.candidate_index, {})[inst.subtask.name] = int(inst.label)

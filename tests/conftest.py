@@ -30,6 +30,12 @@ CONFIG_TEXT = textwrap.dedent(
     """
 )
 
+# Every float `train.*` key; each must hold a finite value.
+FLOAT_TRAIN_KEYS = (
+    "train.learning_rate", "train.weight_decay", "train.beta1", "train.beta2", "train.epsilon",
+    "train.pos_weight", "train.neg_weight", "train.threshold", "train.clip_norm",
+)
+
 
 @pytest.fixture(scope="session")
 def ws(tmp_path_factory) -> Path:

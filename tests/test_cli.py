@@ -14,7 +14,7 @@ import pytest
 from tweetslots import pipeline, serialize
 from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _build_parser, main
 
-from conftest import CONFIG_TEXT, tree_bytes
+from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,15 @@ class TestConfigErrors:
         p = tmp_path / "c.ini"
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\nmystery = 1\n")
         assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_TRAIN_KEYS)
+    def test_non_finite_train_value(self, ws, tmp_path, caplog, key, value):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{key} = {value}\n")
+        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{key.split('.')[1]} must be finite" in caplog.text
+        assert not (tmp_path / "o").exists()
 
     def test_repeated_pool_entry(self, ws, tmp_path, caplog):
         p = tmp_path / "c.ini"

@@ -110,8 +110,9 @@ class TestLossValues:
     def test_unknown_subtask_rejected(self):
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
         stray = make_instance([], "x", SubtaskId(EventType.DEATH, "where"), 1)
-        with pytest.raises(TrainError):
-            loss(model, [stray], TrainConfig())
+        batch = [stray, make_instance([], "x", NAME, 1), stray]
+        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): death/where$"):
+            loss(model, batch, TrainConfig())
 
 
 class TestGradients:
@@ -510,6 +511,9 @@ class TestTrainConfigValidation:
             dict(beta1=1.0),
             dict(beta2=-0.1),
             dict(clip_norm=-1.0),
+            dict(weight_decay=-0.1),
+            dict(epsilon=0.0),
+            dict(epsilon=-1.0),
         ):
             with pytest.raises(TrainError):
                 TrainConfig(**kw)

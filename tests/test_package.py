@@ -1,5 +1,6 @@
 """The README matches the code: the package root exports exactly the names of
-its Library section, and its config paragraph lists exactly the known keys."""
+its Library section, and its config paragraph lists exactly the known keys
+with the defaults that the parser applies."""
 
 from __future__ import annotations
 
@@ -34,3 +35,18 @@ def test_readme_config_keys_match_the_parser():
     paragraph = text[text.index("All keys"):].split("\n\n", 1)[0]
     keys = set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", paragraph)))
     assert keys == pipeline._KNOWN_KEYS
+
+
+def test_readme_defaults_match_the_parser(ws, tmp_path):
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("All keys"):].split("\n\n", 1)[0]
+    corpus = f"data.corpus = {ws / 'corpus.jsonl'}\n"
+    lines = []
+    for key, note in re.findall(r"`([^`]+)`(?:\s+\(([^)]*)\))?", paragraph):
+        default = note.split(";")[0]
+        if default and default != "required":
+            lines.append(f"{key} = {default}\n")
+    assert len(lines) == len(pipeline._KNOWN_KEYS) - 6  # the data.* keys have no default
+    (tmp_path / "minimal.ini").write_text(corpus, encoding="utf-8")
+    (tmp_path / "defaults.ini").write_text(corpus + "".join(lines), encoding="utf-8")
+    assert pipeline.load_config(tmp_path / "defaults.ini") == pipeline.load_config(tmp_path / "minimal.ini")

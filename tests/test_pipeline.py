@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from tweetslots.pipeline import (
     run_pipeline,
 )
 
-from conftest import tree_bytes
+from conftest import FLOAT_TRAIN_KEYS, tree_bytes
 
 
 class TestParseConfigText:
@@ -58,7 +59,7 @@ class TestLoadConfig:
         assert cfg.subtasks_path == ws / "subtasks.txt"
         assert cfg.gazetteer_dir is None
         assert cfg.clean_enabled is True
-        assert cfg.train_fraction == 0.8
+        assert cfg.split.train_fraction == 0.8
         assert cfg.feature_strategy is StrategyKind.LAST
         assert cfg.train.pos_weight == 10.0
         assert cfg.train.neg_weight == 1.0
@@ -92,8 +93,55 @@ class TestLoadConfig:
 
     def test_unknown_key(self, ws, tmp_path):
         p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\ntrain.lr = 0.1\n")
-        with pytest.raises(ConfigError, match="unknown config key.*train.lr"):
+        # The last three are section fields set from `vocab.size` and `seed`.
+        for key in ("train.lr", "train.seed", "encoder.seed", "encoder.vocab_size"):
+            p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{key} = 1\n")
+            with pytest.raises(ConfigError, match=f"unknown config key.*{key}"):
+                load_config(p)
+
+    # (key, field it lands on, a valid non-default value): every key that a
+    # section dataclass declares, plus the pipeline keys that set a field.
+    SECTION_KEYS = [
+        ("vocab.size", "encoder.vocab_size", 512),
+        ("encoder.num_layers", "encoder.num_layers", 5),
+        ("encoder.hidden_size", "encoder.hidden_size", 12),
+        ("encoder.max_len", "encoder.max_len", 20),
+        ("encoder.context_window", "encoder.context_window", 1),
+        ("split.train_fraction", "split.train_fraction", 0.6),
+        ("train.batch_size", "train.batch_size", 7),
+        ("train.learning_rate", "train.learning_rate", 0.002),
+        ("train.weight_decay", "train.weight_decay", 0.0),
+        ("train.beta1", "train.beta1", 0.8),
+        ("train.beta2", "train.beta2", 0.99),
+        ("train.epsilon", "train.epsilon", 1e-06),
+        ("train.pos_weight", "train.pos_weight", 3.5),
+        ("train.neg_weight", "train.neg_weight", 0.5),
+        ("train.epochs", "train.epochs", 3),
+        ("train.threshold", "train.threshold", 0.4),
+        ("train.clip_norm", "train.clip_norm", 0.0),
+    ]
+
+    def test_section_keys_cover_the_dataclass_fields(self):
+        derived = {k for k in pipeline._KNOWN_KEYS if k.startswith(("encoder.", "train."))}
+        assert derived <= {key for key, _, _ in self.SECTION_KEYS}
+
+    @pytest.mark.parametrize("key, target, value", SECTION_KEYS, ids=[key for key, _, _ in SECTION_KEYS])
+    def test_section_key_lands_on_its_field(self, ws, tmp_path, key, target, value):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n")
+        base = load_config(p)
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{key} = {value}\n")
+        section, name = target.split(".")
+        assert getattr(getattr(base, section), name) != value
+        want = replace(base, **{section: replace(getattr(base, section), **{name: value})})
+        assert load_config(p) == want
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_TRAIN_KEYS)
+    def test_non_finite_train_value_rejected(self, ws, tmp_path, key, value):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key.split('.')[1]} must be finite"):
             load_config(p)
 
     def test_missing_corpus_key(self, tmp_path):
@@ -115,6 +163,8 @@ class TestLoadConfig:
             ("train.epochs = many", "train.epochs"),
             ("split.train_fraction = 1.5", "train_fraction"),
             ("split.train_fraction = 0", "train_fraction"),
+            ("train.epsilon = -1", "epsilon"),
+            ("train.weight_decay = -0.5", "weight_decay"),
             ("ensemble.k = 4", "odd"),
             ("ensemble.k = -1", "odd"),
             ("feature_strategy = mean4", "strategy"),

@@ -313,6 +313,7 @@ class TestInstancesJsonl:
         ("subtasks descending", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
         ("candidates descending", "tweet 'tw1': instances are not one per (subtask, candidate) in explode order"),
         ("label outside 0/1", "tweet 'tw1': label 2 of death/age is not 0 or 1"),
+        ("token ids past length", "tweet 'tw1': candidate 0 has non-PAD token ids past its length"),
     ])
     def test_writer_refuses_what_it_cannot_round_trip(self, tmp_path, case, message):
         a = make_instance(0, subtask=AGE, candidate_index=0)
@@ -332,6 +333,7 @@ class TestInstancesJsonl:
             "subtasks descending": [c, d, a, b],
             "candidates descending": [b, a, d, c],
             "label outside 0/1": [a, replace(b, label=2)],
+            "token ids past length": [replace(a, length=4)],
         }[case]
         save_instances([a, b, c, d, other], tmp_path / "ok.jsonl")  # explode order is accepted
         p = tmp_path / "i.jsonl"
