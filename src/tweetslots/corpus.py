@@ -145,9 +145,6 @@ class SubtaskRegistry:
     def names_for(self, event: EventType) -> tuple[str, ...]:
         return self.subtasks.get(event, ())
 
-    def contains(self, subtask: SubtaskId) -> bool:
-        return subtask.name in self.subtasks.get(subtask.event, ())
-
     def all_subtasks(self) -> list[SubtaskId]:
         """Every registered subtask, events in declaration order."""
         out = []
@@ -216,6 +213,12 @@ _JSON_KINDS = {
 def _shown(value) -> str:
     """A JSON value as error messages name it: containers by kind, scalars as written."""
     return _JSON_KINDS[type(value)] if type(value) in (list, dict) else json.dumps(value, ensure_ascii=False)
+
+
+def canonical_json(obj) -> str:
+    """The one text of ``obj`` every artifact writer emits: sorted keys,
+    compact separators, non-ASCII kept as is."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
@@ -328,7 +331,7 @@ def tweet_to_obj(tweet: AnnotatedTweet) -> dict:
 
 
 def dumps_tweet(tweet: AnnotatedTweet) -> str:
-    return json.dumps(tweet_to_obj(tweet), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return canonical_json(tweet_to_obj(tweet))
 
 
 def save_corpus(tweets: Iterable[AnnotatedTweet], path: str | Path) -> None:

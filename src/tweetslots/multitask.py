@@ -2,7 +2,9 @@
 
 Every instance from every event flows through the same encoder and feature
 extractor; only the binary head of the instance's own subtask reads the
-feature vector. Forward-only scoring (validation and prediction) runs the
+feature vector. Training and scoring build every batch the same way: one
+function encodes it and extracts its feature rows, another applies each
+instance's head. Forward-only scoring (validation and prediction) runs the
 encoder once per candidate: instances with the same encoder input, the
 subtask fan-out of one candidate, share one feature row that each of their
 heads reads. Training still encodes every instance on its own and shuffles
@@ -161,23 +163,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_arrays(instances: Sequence[MaskedInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack ids/markers/labels, cropping the shared PAD tail.
-
-    Cropping is exact: PAD states are zeroed at every layer, so dropping
-    all-PAD columns changes no real position's value or gradient.
-    """
-    t = max(i.length for i in instances)
-    ids = np.stack([i.token_ids[:t] for i in instances])
-    marker = np.asarray([i.marker_pos for i in instances], dtype=np.int64)
-    labels = np.asarray([i.label for i in instances], dtype=np.float64)
-    return ids, marker, labels
-
-
-def _group_by_subtask(instances: Sequence[MaskedInstance]) -> dict[SubtaskId, np.ndarray]:
+def _group_by_subtask(params: ModelParams, instances: Sequence[MaskedInstance]) -> dict[SubtaskId, np.ndarray]:
+    """Positions of each subtask's instances; every subtask must have a head."""
     groups: dict[SubtaskId, list[int]] = {}
     for row, inst in enumerate(instances):
         groups.setdefault(inst.subtask, []).append(row)
+    _check_heads(params, groups)
     return {s: np.asarray(rows, dtype=np.int64) for s, rows in groups.items()}
 
 
@@ -187,17 +178,29 @@ def _check_heads(params: ModelParams, subtasks: Iterable[SubtaskId]) -> None:
         raise TrainError(f"no head for subtask(s): {', '.join(sorted(missing))}")
 
 
-def _forward(params: ModelParams, instances: Sequence[MaskedInstance]):
-    groups = _group_by_subtask(instances)
-    _check_heads(params, groups)
-    ids, marker, labels = _batch_arrays(instances)
+def _batch_features(params: ModelParams, batch: Sequence[MaskedInstance]):
+    """Encoder cache, marker positions and feature rows of one batch.
+
+    The ids are cropped to the batch's longest input. Cropping is exact: PAD
+    states are zeroed at every layer, so dropping all-PAD columns changes no
+    real position's value or gradient.
+    """
+    t = max(i.length for i in batch)
+    ids = np.stack([i.token_ids[:t] for i in batch])
+    marker = np.asarray([i.marker_pos for i in batch], dtype=np.int64)
     cache = enc.forward_batch(params.encoder, ids)
-    feats = feat.extract_batch(params.strategy, cache.hidden, marker)
-    logits = np.empty(len(instances))
+    return cache, marker, feat.extract_batch(params.strategy, cache.hidden, marker)
+
+
+def _head_logits(
+    params: ModelParams, groups: Mapping[SubtaskId, np.ndarray], feats: np.ndarray, feat_rows: np.ndarray
+) -> np.ndarray:
+    """Logit of instance k: its subtask's head over feature row ``feat_rows[k]``."""
+    logits = np.empty(len(feat_rows))
     for subtask, rows in groups.items():
         head = params.heads[subtask]
-        logits[rows] = feats[rows] @ head.w + head.b[0]
-    return cache, feats, marker, labels, logits, groups
+        logits[rows] = feats[feat_rows[rows]] @ head.w + head.b[0]
+    return logits
 
 
 def loss(params: ModelParams, batch: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
@@ -220,8 +223,11 @@ def loss_and_grads(
     """
     if not batch:
         raise TrainError("batch must be nonempty")
-    cache, feats, marker, labels, logits, groups = _forward(params, batch)
-    probs = _sigmoid(logits)
+    groups = _group_by_subtask(params, batch)
+    cache, marker, feats = _batch_features(params, batch)
+    rows = np.arange(len(batch))
+    probs = _sigmoid(_head_logits(params, groups, feats, rows))
+    labels = np.asarray([i.label for i in batch], dtype=np.float64)
     clamped = np.clip(probs, 1e-12, 1.0 - 1e-12)
     weights = np.where(labels == 1.0, cfg.pos_weight, cfg.neg_weight)
     bce = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
@@ -229,21 +235,19 @@ def loss_and_grads(
     if not want_grads:
         return value, {}
 
-    n = len(batch)
-    dlogit = weights * (probs - labels) / n
+    dlogit = weights * (probs - labels) / len(batch)
     grads: dict[str, np.ndarray] = {}
     dfeats = np.zeros_like(feats)
-    for subtask, rows in groups.items():
+    for subtask, group in groups.items():
         head = params.heads[subtask]
-        grads[f"head.{subtask}.w"] = feats[rows].T @ dlogit[rows]
-        grads[f"head.{subtask}.b"] = np.asarray([dlogit[rows].sum()])
-        dfeats[rows] = np.outer(dlogit[rows], head.w)
+        grads[f"head.{subtask}.w"] = feats[group].T @ dlogit[group]
+        grads[f"head.{subtask}.b"] = np.asarray([dlogit[group].sum()])
+        dfeats[group] = np.outer(dlogit[group], head.w)
     row_grads, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
     num_layers = params.encoder.config.num_layers
     b, t = cache.ids.shape
     h = params.encoder.config.hidden_size
     upstream = [np.zeros((b, t, h)) for _ in range(num_layers)]
-    rows = np.arange(b)
     for j in range(4):
         upstream[num_layers - 4 + j][rows, marker] = row_grads[j]
     enc_grads = enc.backward_batch(params.encoder, cache, upstream)
@@ -321,32 +325,18 @@ def micro_f1_counts(tp: int, fp: int, fn: int) -> float:
     return 0.0 if denom == 0 else 2.0 * tp / denom
 
 
-def _decisions_micro_f1(labels: np.ndarray, decisions: np.ndarray) -> float:
-    tp = int(np.sum((decisions == 1) & (labels == 1)))
-    fp = int(np.sum((decisions == 1) & (labels == 0)))
-    fn = int(np.sum((decisions == 0) & (labels == 1)))
-    return micro_f1_counts(tp, fp, fn)
-
-
-def _unit_features(params: ModelParams, units: Sequence[MaskedInstance]) -> np.ndarray:
-    """Feature rows for one batch; its encoder cache is freed on return."""
-    ids, marker, _ = _batch_arrays(units)
-    cache = enc.forward_batch(params.encoder, ids)
-    return feat.extract_batch(params.strategy, cache.hidden, marker)
-
-
-def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batch_size: int = 256) -> np.ndarray:
+def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance]) -> np.ndarray:
     """Probabilities in input order, from one forward pass per distinct encoder input.
 
     The subtask fan-out of a candidate repeats one encoder input; instances
     are grouped by that input's content (not by tweet id and candidate
-    index), encoded once in batches of ``batch_size`` distinct inputs, and
-    each instance's own head reads its group's feature row.
+    index), encoded through the training batch path in batches of the
+    default ``TrainConfig.batch_size`` distinct inputs, and each instance's
+    own head reads its group's feature row.
     """
     if not instances:
         return np.empty(0)
-    groups = _group_by_subtask(instances)
-    _check_heads(params, groups)
+    groups = _group_by_subtask(params, instances)
     unit_of: dict[tuple[int, int, bytes], int] = {}
     units: list[MaskedInstance] = []
     rows = np.empty(len(instances), dtype=np.int64)
@@ -355,21 +345,20 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance], batc
         if row == len(units):
             units.append(inst)
         rows[k] = row
+    size = TrainConfig.batch_size
     feats = np.concatenate([
-        _unit_features(params, units[start:start + batch_size])
-        for start in range(0, len(units), batch_size)
+        _batch_features(params, units[start:start + size])[2] for start in range(0, len(units), size)
     ])
-    logits = np.empty(len(instances))
-    for subtask, group in groups.items():
-        head = params.heads[subtask]
-        logits[group] = feats[rows[group]] @ head.w + head.b[0]
-    return _sigmoid(logits)
+    return _sigmoid(_head_logits(params, groups, feats, rows))
 
 
 def validation_micro_f1(params: ModelParams, instances: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
     labels = np.asarray([i.label for i in instances], dtype=np.int64)
     decisions = (predict_probs(params, instances) >= cfg.threshold).astype(np.int64)
-    return _decisions_micro_f1(labels, decisions)
+    tp = int(np.sum((decisions == 1) & (labels == 1)))
+    fp = int(np.sum((decisions == 1) & (labels == 0)))
+    fn = int(np.sum((decisions == 0) & (labels == 1)))
+    return micro_f1_counts(tp, fp, fn)
 
 
 def train(

@@ -161,6 +161,8 @@ def load_config(
         return p
 
     seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"{path}: {'seed' if seed_override is None else '--seed'} must be >= 0, got {seed}")
     clean_enabled = False if no_clean else _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled)
     try:
         vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
@@ -193,6 +195,9 @@ def load_config(
         raise ConfigError(f"{path}: {exc}") from None
     if cfg.ensemble_k < 1 or cfg.ensemble_k % 2 == 0:
         raise ConfigError(f"ensemble.k must be odd and positive, got {cfg.ensemble_k}")
+    negative = [s for s in cfg.ensemble_seeds if s < 0]
+    if negative:
+        raise ConfigError(f"{path}: ensemble.seeds entries must be >= 0, got {negative[0]}")
     # A repeated entry would train one (strategy, seed) twice into one model
     # file, which the top-k vote could then count twice.
     for key, entries in (
@@ -315,7 +320,7 @@ def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
         )
         model_path = models_dir / f"{tag}.bin"
         serialize.save_model(params, model_path)
-        log_path = logs_dir / f"{tag}.csv"
+        log_path = logs_dir / f"{tag}.jsonl"
         serialize.save_train_log(logs, log_path)
         score = best_val_score(logs)
         members.append((str(model_path.relative_to(out_dir)), score))

@@ -13,10 +13,9 @@ line, and field of the first problem.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
-import json
+import math
 import struct
 from operator import attrgetter
 from pathlib import Path
@@ -28,6 +27,7 @@ from .corpus import (
     CorpusError,
     EventType,
     SubtaskId,
+    canonical_json,
     json_field,
     json_nonnegative_int,
     parse_json_object,
@@ -45,10 +45,6 @@ _ENCODER_FIELDS = ("num_layers", "hidden_size", "vocab_size", "max_len", "contex
 
 class FormatError(ValueError):
     """Malformed or inconsistent artifact file."""
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _subtask_field(obj: dict, where: str) -> SubtaskId:
@@ -79,7 +75,7 @@ def save_model(params: ModelParams, path: str | Path) -> None:
         "subtasks": [str(s) for s in sorted(params.heads)],
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    header_bytes = _canonical_json(header).encode("utf-8")
+    header_bytes = canonical_json(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
@@ -127,7 +123,7 @@ def load_model(path: str | Path) -> ModelParams:
     params = _empty_model(cfg, kind, subtasks)
     arrays = list(params.named_arrays())
     # Compared as canonical JSON, so a shape of 4.0 or true never passes for 4.
-    if _canonical_json(declared) != _canonical_json([[name, list(arr.shape)] for name, arr in arrays]):
+    if canonical_json(declared) != canonical_json([[name, list(arr.shape)] for name, arr in arrays]):
         raise FormatError(f"{path}: array manifest does not match the declared config")
     for name, arr in arrays:
         end = offset + arr.nbytes
@@ -172,7 +168,7 @@ def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> Non
             raise FormatError(f"{path}: instances of tweet {tweet_id!r} are not adjacent")
         done.add(tweet_id)
         rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}")
-        lines.extend(_canonical_json(row) + "\n" for row in rows)
+        lines.extend(canonical_json(row) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 
@@ -336,7 +332,7 @@ def save_predictions(records: Iterable[PredictionRecord], path: str | Path, incl
             }
             if include_filtered:
                 row["filtered"] = rec.filtered
-            fh.write(_canonical_json(row) + "\n")
+            fh.write(canonical_json(row) + "\n")
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
@@ -369,26 +365,29 @@ def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord
 
 
 def save_train_log(entries: Sequence[TrainLogEntry], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_micro_f1"])
+    """One row per epoch: {epoch, train_loss, val_micro_f1}."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in entries:
-            writer.writerow([e.epoch, repr(e.train_loss), repr(e.val_micro_f1)])
+            row = {"epoch": e.epoch, "train_loss": e.train_loss, "val_micro_f1": e.val_micro_f1}
+            fh.write(canonical_json(row) + "\n")
 
 
 def load_train_log(path: str | Path) -> list[TrainLogEntry]:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != ["epoch", "train_loss", "val_micro_f1"]:
-        raise FormatError(f"{path}: missing training-log header row")
     out = []
-    for lineno, row in enumerate(rows[1:], 2):
-        try:
-            out.append(TrainLogEntry(epoch=int(row[0]), train_loss=float(row[1]), val_micro_f1=float(row[2])))
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: bad training-log row: {exc}") from None
+    for lineno, obj in read_jsonl(path, FormatError):
+        where = f"{path}:{lineno}"
+        epoch = json_field(obj, "epoch", int, where, FormatError)
+        train_loss = json_field(obj, "train_loss", float, where, FormatError)
+        score = json_field(obj, "val_micro_f1", float, where, FormatError)
+        if epoch < 1:
+            raise FormatError(f"{where}: field 'epoch' must be >= 1, got {epoch}")
+        # JSON's NaN and Infinity literals parse, so these checks refuse them.
+        if not (math.isfinite(train_loss) and train_loss >= 0.0):
+            raise FormatError(f"{where}: field 'train_loss' must be finite and >= 0, got {train_loss}")
+        if not 0.0 <= score <= 1.0:
+            raise FormatError(f"{where}: field 'val_micro_f1' must lie in [0, 1], got {score}")
+        out.append(TrainLogEntry(epoch=epoch, train_loss=train_loss, val_micro_f1=score))
     return out
 
 
@@ -396,7 +395,7 @@ def save_ensemble_manifest(members: Sequence[tuple[str, float]], path: str | Pat
     """Rows of {path, val_micro_f1}; paths are relative to the manifest."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for model_path, score in members:
-            fh.write(_canonical_json({"path": model_path, "val_micro_f1": score}) + "\n")
+            fh.write(canonical_json({"path": model_path, "val_micro_f1": score}) + "\n")
 
 
 def load_ensemble_manifest(path: str | Path) -> list[tuple[str, float]]:

@@ -171,6 +171,22 @@ class TestConfigErrors:
         assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "ensemble.strategies lists 'last' more than once" in caplog.text
 
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("seed = -1", [], "seed must be >= 0, got -1"),
+            ("seed = 1", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", [], "ensemble.seeds entries must be >= 0, got -1"),
+        ],
+        ids=["seed", "seed-flag", "ensemble-seed"],
+    )
+    def test_negative_seed(self, ws, tmp_path, caplog, line, flags, message):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
+        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
+        assert f"{p}: {message}" in caplog.text
+        assert not (tmp_path / "o").exists()
+
     def test_missing_corpus_path(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("data.corpus = gone.jsonl\n")

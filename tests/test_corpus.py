@@ -59,11 +59,6 @@ class TestRegistry:
         keys = [s.key for s in subtasks]
         assert len(set(keys)) == len(keys)
 
-    def test_contains(self):
-        reg = SubtaskRegistry.default()
-        assert reg.contains(SubtaskId(EventType.DEATH, "age"))
-        assert not reg.contains(SubtaskId(EventType.DEATH, "employer"))
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(CorpusError):
             SubtaskRegistry({EventType.DEATH: ("age", "age")})

@@ -454,14 +454,17 @@ class TestSharedEncoderInput:
     def test_batches_count_distinct_inputs(self, monkeypatch):
         from tweetslots.multitask import predict_probs
 
+        # Scoring encodes distinct inputs in batches of the training default.
+        assert TrainConfig().batch_size == 32
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=7)
         by_id = {VOCAB.token_to_id(f"w{i}"): f"w{i}" for i in range(200)}
-        words = sorted(by_id.values())[:20]  # 20 words with distinct hashed ids
-        insts = [make_instance([w], "uncle", s, 0, w) for w in words for s in (NAME, AGE)]
+        words = sorted(by_id.values())[:9]  # 9 words with distinct hashed ids
+        inputs = [[a, b] for a in words for b in words][:70]  # 70 distinct two-word inputs
+        insts = [make_instance(ws, "uncle", s, 0, f"t{k}") for k, ws in enumerate(inputs) for s in (NAME, AGE)]
         singles = [predict_probs(model, [i])[0] for i in insts]
         rows = self.count_rows(monkeypatch)
-        got = predict_probs(model, insts, batch_size=8)
-        assert rows == [8, 8, 4]
+        got = predict_probs(model, insts)
+        assert rows == [32, 32, 6]
         assert list(got) == pytest.approx(singles, rel=1e-12, abs=1e-15)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -203,6 +204,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=pat):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "line, override, message",
+        [
+            ("seed = -1", None, "seed must be >= 0, got -1"),
+            ("seed = 1", -1, "--seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", None, "ensemble.seeds entries must be >= 0, got -1"),
+        ],
+        ids=["seed", "seed-override", "ensemble-seed"],
+    )
+    def test_negative_seed_rejected(self, ws, tmp_path, line, override, message):
+        # numpy refuses a negative seed, so it must not get past loading.
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            load_config(p, seed_override=override)
+
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))
         b = config_fingerprint(load_config(ws / "config.ini"))
@@ -243,7 +260,7 @@ class TestRunPipeline:
         for kind in ("last", "sum4"):
             for seed in (0, 1, 2):
                 assert (run_dir / "models" / f"{kind}-s{seed}.bin").is_file()
-                assert (run_dir / "logs" / f"{kind}-s{seed}.csv").is_file()
+                assert (run_dir / "logs" / f"{kind}-s{seed}.jsonl").is_file()
 
     def test_lock_released(self, run_dir):
         assert not (run_dir / ".lock").exists()

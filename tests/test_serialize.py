@@ -410,26 +410,55 @@ class TestPredictionsJsonl:
             load_predictions(p)
 
 
-class TestTrainLogCsv:
+class TestTrainLog:
     def test_round_trip_exact_floats(self, tmp_path):
         entries = [
             TrainLogEntry(epoch=1, train_loss=1.2345678901234567, val_micro_f1=0.1),
             TrainLogEntry(epoch=2, train_loss=0.3, val_micro_f1=2 / 3),
         ]
-        p = tmp_path / "log.csv"
+        p = tmp_path / "log.jsonl"
         save_train_log(entries, p)
         loaded = load_train_log(p)
         assert loaded == entries
 
-    def test_header(self, tmp_path):
-        p = tmp_path / "log.csv"
-        save_train_log([TrainLogEntry(1, 0.5, 0.5)], p)
-        assert p.read_text().splitlines()[0] == "epoch,train_loss,val_micro_f1"
+    def test_rows_are_canonical_json(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        save_train_log([TrainLogEntry(1, 0.5, 0.25), TrainLogEntry(2, 3.0, 1.0)], p)
+        assert p.read_text() == (
+            '{"epoch":1,"train_loss":0.5,"val_micro_f1":0.25}\n'
+            '{"epoch":2,"train_loss":3.0,"val_micro_f1":1.0}\n'
+        )
 
     def test_rejects_garbage(self, tmp_path):
-        p = tmp_path / "log.csv"
-        p.write_text("epoch,train_loss,val_micro_f1\nx,y,z\n")
-        with pytest.raises(FormatError):
+        p = tmp_path / "log.jsonl"
+        p.write_text("x,y,z\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:1: malformed JSON')}"):
+            load_train_log(p)
+
+    # The old CSV reader took "1,nan,inf", " 1 , 1_000.5 ,0.5", "+2,1e3,  .25"
+    # and a validation F1 of 7.5; each row below must name its field.
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"train_loss": 0.5, "val_micro_f1": 0.5', "missing field 'epoch'"),
+            ('"epoch": "1", "train_loss": 0.5, "val_micro_f1": 0.5', "field 'epoch' must be an integer"),
+            ('"epoch": 1.0, "train_loss": 0.5, "val_micro_f1": 0.5', "field 'epoch' must be an integer"),
+            ('"epoch": 0, "train_loss": 0.5, "val_micro_f1": 0.5', "field 'epoch' must be >= 1, got 0"),
+            ('"epoch": 1, "train_loss": "1_000.5", "val_micro_f1": 0.5', "field 'train_loss' must be a number"),
+            ('"epoch": 1, "train_loss": NaN, "val_micro_f1": 0.5', "field 'train_loss' must be finite"),
+            ('"epoch": 1, "train_loss": Infinity, "val_micro_f1": 0.5', "field 'train_loss' must be finite"),
+            ('"epoch": 1, "train_loss": -0.5, "val_micro_f1": 0.5', "field 'train_loss' must be finite and >= 0"),
+            ('"epoch": 1, "train_loss": 0.5, "val_micro_f1": 7.5', "field 'val_micro_f1' must lie in [0, 1]"),
+            ('"epoch": 1, "train_loss": 0.5, "val_micro_f1": NaN', "field 'val_micro_f1' must lie in [0, 1]"),
+            ('"epoch": 1, "train_loss": 0.5, "val_micro_f1": true', "field 'val_micro_f1' must be a number"),
+        ],
+        ids=["no-epoch", "epoch-string", "epoch-float", "epoch-zero", "loss-string", "loss-nan", "loss-inf",
+             "loss-negative", "f1-above-one", "f1-nan", "f1-bool"],
+    )
+    def test_rejects_a_field_out_of_rule(self, tmp_path, fields, message):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"epoch": 1, "train_loss": 0.5, "val_micro_f1": 0.5}\n{' + fields + "}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}"):
             load_train_log(p)
 
 
