@@ -266,6 +266,14 @@ def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueEr
     raise error(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, got {_shown(value)}")
 
 
+def json_known_fields(obj: dict, known: frozenset[str], where: str, error: type[ValueError]) -> None:
+    """Raise ``error`` prefixed with ``where`` for the first field of ``obj``
+    not in ``known``, so a misspelt field is never read as absent."""
+    if not obj.keys() <= known:
+        name = next(name for name in obj if name not in known)
+        raise error(f"{where}: unknown field {name!r}")
+
+
 def json_nonnegative_int(obj: dict, name: str, where: str, error: type[ValueError]) -> int:
     """``json_field(obj, name, int, ...)`` that also rejects a value below 0."""
     value = json_field(obj, name, int, where, error)

@@ -77,14 +77,6 @@ class EncoderParams:
             yield f"enc.layer{i}.w", layer.w
             yield f"enc.layer{i}.b", layer.b
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            config=self.config,
-            token_emb=self.token_emb.copy(),
-            pos_emb=self.pos_emb.copy(),
-            layers=[LayerParams(l.w.copy(), l.b.copy()) for l in self.layers],
-        )
-
 
 def init_params(cfg: EncoderConfig) -> EncoderParams:
     """Seeded init: weights uniform in +-1/sqrt(H), biases zero.

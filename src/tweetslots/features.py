@@ -61,10 +61,6 @@ class FeatureStrategy:
             yield "proj.w", self.proj.w
             yield "proj.b", self.proj.b
 
-    def copy(self) -> "FeatureStrategy":
-        proj = None if self.proj is None else Proj4Params(self.proj.w.copy(), self.proj.b.copy())
-        return FeatureStrategy(self.kind, proj)
-
 
 def init_proj4(hidden_size: int, rng: np.random.Generator) -> Proj4Params:
     """Uniform +-1/sqrt(H) weights, zero biases; one projection per layer."""

@@ -18,6 +18,7 @@ best validation micro-F1.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
@@ -62,13 +63,6 @@ class ModelParams:
             head = self.heads[subtask]
             yield f"head.{subtask}.w", head.w
             yield f"head.{subtask}.b", head.b
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            encoder=self.encoder.copy(),
-            strategy=self.strategy.copy(),
-            heads={s: Head(h.w.copy(), h.b.copy()) for s, h in self.heads.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,7 @@ def train(
     named = dict(params.named_arrays())
     n = len(train_set)
     best_score = -1.0
-    best_params = params.copy()
+    best_params = copy.deepcopy(params)
     logs: list[TrainLogEntry] = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
@@ -398,7 +392,7 @@ def train(
         logs.append(TrainLogEntry(epoch=epoch, train_loss=float(np.mean(batch_losses)), val_micro_f1=score))
         if score > best_score:
             best_score = score
-            best_params = params.copy()
+            best_params = copy.deepcopy(params)
     return best_params, logs
 
 

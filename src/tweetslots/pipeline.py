@@ -299,8 +299,13 @@ def best_val_score(logs: Sequence[multitask.TrainLogEntry]) -> float:
     return max(e.val_micro_f1 for e in logs)
 
 
+def member_tag(kind: StrategyKind, seed: int) -> str:
+    """The name of a pool member's ``models/<tag>.bin`` and ``logs/<tag>.jsonl``."""
+    return f"{kind.value}-s{seed}"
+
+
 def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    """Train every (strategy, seed) pool member; write models, logs, manifest."""
+    """Train every (strategy, seed) pool member; write its model and training log."""
     registry = make_registry(cfg)
     train_instances = serialize.load_instances(out_dir / "train_instances.jsonl")
     val_instances = serialize.load_instances(out_dir / "val_instances.jsonl")
@@ -309,9 +314,8 @@ def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     models_dir.mkdir(exist_ok=True)
     logs_dir.mkdir(exist_ok=True)
     artifacts = {}
-    members = []
     for kind, seed in cfg.pool:
-        tag = f"{kind.value}-s{seed}"
+        tag = member_tag(kind, seed)
         params, logs = multitask.train(
             multitask.init_model(cfg.encoder, kind, registry, seed=seed),
             train_instances,
@@ -322,39 +326,34 @@ def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
         serialize.save_model(params, model_path)
         log_path = logs_dir / f"{tag}.jsonl"
         serialize.save_train_log(logs, log_path)
-        score = best_val_score(logs)
-        members.append((str(model_path.relative_to(out_dir)), score))
         artifacts[f"model_{tag}"] = model_path
         artifacts[f"log_{tag}"] = log_path
-        log.info("train: %s best val micro-F1 %.4f", tag, score)
-    manifest_path = out_dir / "ensemble_manifest.jsonl"
-    serialize.save_ensemble_manifest(members, manifest_path)
-    artifacts["ensemble_manifest"] = manifest_path
+        log.info("train: %s best val micro-F1 %.4f", tag, best_val_score(logs))
     return artifacts
 
 
 def ensemble_from_manifest(
-    manifest_path: Path, instances: Sequence, k: int, threshold: float
+    members: Sequence[tuple[Path, float]], instances: Sequence, k: int, threshold: float
 ) -> list[multitask.PredictionRecord]:
-    members = serialize.load_ensemble_manifest(manifest_path)
-    top = ensemble_mod.select_top(members, k)
-    base = manifest_path.parent
+    """Majority-vote the top ``k`` of ``members``, (model path, validation
+    micro-F1) pairs in pool order, over ``instances``."""
     member_probs = []
-    for rel_path, score in top:
-        model_path = Path(rel_path)
-        if not model_path.is_absolute():
-            model_path = base / model_path
-        params = serialize.load_model(model_path)
-        member_probs.append(multitask.predict_probs(params, instances))
-        log.info("ensemble: member %s (val micro-F1 %.4f)", rel_path, score)
+    for model_path, score in ensemble_mod.select_top(members, k):
+        member_probs.append(multitask.predict_probs(serialize.load_model(model_path), instances))
+        log.info("ensemble: member %s (val micro-F1 %.4f)", model_path.name, score)
     return ensemble_mod.ensemble_predict(member_probs, instances, threshold)
 
 
 def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
+    """Rank the config's pool by the best validation micro-F1 in each
+    member's training log and vote its top ``ensemble.k``."""
     instances = serialize.load_instances(out_dir / "val_instances.jsonl")
-    records = ensemble_from_manifest(
-        out_dir / "ensemble_manifest.jsonl", instances, cfg.ensemble_k, cfg.train.threshold
-    )
+    members = []
+    for kind, seed in cfg.pool:
+        tag = member_tag(kind, seed)
+        logs = serialize.load_train_log(out_dir / "logs" / f"{tag}.jsonl")
+        members.append((out_dir / "models" / f"{tag}.bin", best_val_score(logs)))
+    records = ensemble_from_manifest(members, instances, cfg.ensemble_k, cfg.train.threshold)
     path = out_dir / "predictions.jsonl"
     serialize.save_predictions(records, path)
     return {"predictions": path}

@@ -7,8 +7,8 @@ float64 little-endian array bytes in manifest order. Identical parameters
 produce identical bytes.
 
 JSONL rows are canonical JSON (sorted keys, compact separators) so files are
-reproducible byte-for-byte; loaders validate schemas and report the file,
-line, and field of the first problem.
+reproducible byte-for-byte; loaders validate schemas, refuse fields they do
+not read, and report the file, line, and field of the first problem.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .corpus import (
     SubtaskId,
     canonical_json,
     json_field,
+    json_known_fields,
     json_nonnegative_int,
     parse_json_object,
     read_jsonl,
@@ -280,8 +281,14 @@ def _expand(subtasks: Sequence[SubtaskId], rows: Sequence[tuple[dict, str, dict]
     ]
 
 
+_UNIT_FIELDS = frozenset(
+    ("tweet_id", "candidate_index", "event", "chunk_text", "marker_pos", "length", "max_len", "token_ids", "labels")
+)
+
+
 def _unit_from_obj(obj: dict, where: str) -> tuple[dict, str, dict[str, int]]:
     """The ``MaskedInstance`` fields a unit row shares, its event and its labels."""
+    json_known_fields(obj, _UNIT_FIELDS, where, FormatError)
     length = json_field(obj, "length", int, where, FormatError)
     max_len = json_field(obj, "max_len", int, where, FormatError)
     marker_pos = json_nonnegative_int(obj, "marker_pos", where, FormatError)
@@ -340,8 +347,14 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
     return [_prediction_from_obj(obj, path, lineno) for lineno, obj in read_jsonl(path, FormatError)]
 
 
+_PREDICTION_FIELDS = frozenset(
+    ("tweet_id", "subtask", "candidate_index", "chunk_text", "probability", "decision", "filtered")
+)
+
+
 def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord:
     where = f"{path}:{lineno}"
+    json_known_fields(obj, _PREDICTION_FIELDS, where, FormatError)
     subtask = _subtask_field(obj, where)
     candidate_index = json_nonnegative_int(obj, "candidate_index", where, FormatError)
     probability = json_field(obj, "probability", float, where, FormatError)
@@ -361,11 +374,15 @@ def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord
     )
 
 
-# -- training log and ensemble manifest --------------------------------------
+# -- training log ------------------------------------------------------------
+
+
+_LOG_FIELDS = frozenset(("epoch", "train_loss", "val_micro_f1"))
 
 
 def save_train_log(entries: Sequence[TrainLogEntry], path: str | Path) -> None:
-    """One row per epoch: {epoch, train_loss, val_micro_f1}."""
+    """One row per epoch: {epoch, train_loss, val_micro_f1}. The ensemble
+    stage ranks pool members by the best ``val_micro_f1`` of their log."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in entries:
             row = {"epoch": e.epoch, "train_loss": e.train_loss, "val_micro_f1": e.val_micro_f1}
@@ -377,6 +394,7 @@ def load_train_log(path: str | Path) -> list[TrainLogEntry]:
     out = []
     for lineno, obj in read_jsonl(path, FormatError):
         where = f"{path}:{lineno}"
+        json_known_fields(obj, _LOG_FIELDS, where, FormatError)
         epoch = json_field(obj, "epoch", int, where, FormatError)
         train_loss = json_field(obj, "train_loss", float, where, FormatError)
         score = json_field(obj, "val_micro_f1", float, where, FormatError)
@@ -388,27 +406,8 @@ def load_train_log(path: str | Path) -> list[TrainLogEntry]:
         if not 0.0 <= score <= 1.0:
             raise FormatError(f"{where}: field 'val_micro_f1' must lie in [0, 1], got {score}")
         out.append(TrainLogEntry(epoch=epoch, train_loss=train_loss, val_micro_f1=score))
-    return out
-
-
-def save_ensemble_manifest(members: Sequence[tuple[str, float]], path: str | Path) -> None:
-    """Rows of {path, val_micro_f1}; paths are relative to the manifest."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for model_path, score in members:
-            fh.write(canonical_json({"path": model_path, "val_micro_f1": score}) + "\n")
-
-
-def load_ensemble_manifest(path: str | Path) -> list[tuple[str, float]]:
-    path = Path(path)
-    out = []
-    for lineno, obj in read_jsonl(path, FormatError):
-        where = f"{path}:{lineno}"
-        score = json_field(obj, "val_micro_f1", float, where, FormatError)
-        if not 0.0 <= score <= 1.0:
-            raise FormatError(f"{where}: field 'val_micro_f1' must lie in [0, 1]")
-        out.append((json_field(obj, "path", str, where, FormatError), score))
     if not out:
-        raise FormatError(f"{path}: empty ensemble manifest")
+        raise FormatError(f"{path}: empty training log")
     return out
 
 

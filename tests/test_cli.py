@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -216,6 +217,38 @@ class TestDataErrors:
             "evaluate", "--config", str(ws / "config.ini"), "--output", str(tmp_path / "empty"),
         ])
         assert code == EXIT_DATA
+
+
+class TestEnsemblePool:
+    """``ensemble`` ranks the config's pool by the members' training logs."""
+
+    def test_lowered_logged_f1_changes_the_members(self, ws, cli_run, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        shutil.copytree(cli_run, out)
+        loaded = []
+        load_model = serialize.load_model
+        monkeypatch.setattr(serialize, "load_model", lambda path: loaded.append(path.name) or load_model(path))
+        argv = ["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        before, top = list(loaded), loaded[0].removesuffix(".bin")
+        log_path = out / "logs" / f"{top}.jsonl"
+        rows = [json.loads(line) for line in log_path.read_text().splitlines()]
+        log_path.write_text("".join(json.dumps({**row, "val_micro_f1": 0.0}) + "\n" for row in rows))
+        loaded.clear()
+        assert main(argv) == EXIT_OK
+        assert f"{top}.bin" not in loaded
+        assert len(loaded) == len(before)
+
+    def test_untrained_member_names_its_log(self, ws, cli_run, tmp_path, caplog):
+        out = tmp_path / "o"
+        shutil.copytree(cli_run, out)
+        p = tmp_path / "c.ini"
+        p.write_text(CONFIG_TEXT.replace("ensemble.seeds = 0,1,2", "ensemble.seeds = 0,1,2,5"))
+        for name in ("corpus.jsonl", "subtasks.txt"):
+            (tmp_path / name).write_bytes((ws / name).read_bytes())
+        code = main(["ensemble", "--config", str(p), "--output", str(out)])
+        assert code == EXIT_DATA
+        assert str(out / "logs" / "last-s5.jsonl") in caplog.text
 
 
 class TestDivergence:

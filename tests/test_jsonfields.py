@@ -24,10 +24,10 @@ from tweetslots.multitask import init_model
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
-    load_ensemble_manifest,
     load_instances,
     load_model,
     load_predictions,
+    load_train_log,
     save_model,
 )
 
@@ -36,7 +36,7 @@ INSTANCE = {"tweet_id": "t1", "candidate_index": 0, "event": "death", "chunk_tex
             "length": 3, "max_len": 8, "token_ids": [1, 9, 2], "labels": {"name": 1}}
 PREDICTION = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
               "probability": 0.75, "decision": 1, "filtered": False}
-MEMBER = {"path": "models/a.bin", "val_micro_f1": 0.5}
+LOG_ROW = {"epoch": 1, "train_loss": 0.5, "val_micro_f1": 0.25}
 REPORT = {"model_id": "m", "corpus_id": "c", "filtered": False, "micro_f1": 0.4,
           "subtasks": {"death/name": {"tp": 1, "fp": 0, "fn": 3, "f1": 0.4, "zero_denominator": False}}}
 
@@ -91,10 +91,14 @@ def write_rows(path, good: dict, field: str, value) -> None:
 
 def test_unchanged_rows_load(tmp_path):
     p = tmp_path / "f.jsonl"
-    for load, good in ((load_corpus, TWEET), (load_instances, INSTANCE), (load_predictions, PREDICTION),
-                       (load_ensemble_manifest, MEMBER)):
+    # A corpus comes from outside the program and may carry metadata; the
+    # program's own artifact rows hold only the fields their loader reads.
+    write_rows(p, TWEET, "spare", 0)
+    assert len(load_corpus(p)) == 2
+    for load, good in ((load_instances, INSTANCE), (load_predictions, PREDICTION)):
         write_rows(p, good, "spare", 0)
-        assert len(load(p)) == 2
+        with pytest.raises(FormatError, match=re.escape(f"{p}:2: unknown field 'spare'")):
+            load(p)
     p.write_text(json.dumps(REPORT))
     [cell] = load_report(p).counts.values()
     assert cell.fn == 3
@@ -156,17 +160,6 @@ def test_prediction_row_fields(tmp_path, field, value):
     check_type_rule(lambda: load_predictions(p), FormatError, f"{p}:2", field, PREDICTION_FIELDS[field], value)
 
 
-MANIFEST_FIELDS = {"path": "string", "val_micro_f1": "number"}
-
-
-@PROPERTY
-@given(field=st.sampled_from(sorted(MANIFEST_FIELDS)), value=JSON_VALUES)
-def test_manifest_row_fields(tmp_path, field, value):
-    p = tmp_path / "m.jsonl"
-    write_rows(p, MEMBER, field, value)
-    check_type_rule(lambda: load_ensemble_manifest(p), FormatError, f"{p}:2", field, MANIFEST_FIELDS[field], value)
-
-
 HEADER_FIELDS = {
     "encoder": "object", "strategy": "string", "subtasks": "list", "arrays": "list",
     **{f"encoder.{name}": "integer" for name in ("num_layers", "hidden_size", "vocab_size", "max_len",
@@ -224,13 +217,24 @@ def test_non_object_row_names_file_and_line(tmp_path, row):
      ":1: field 'filtered' must be a boolean, got \"false\""),
     ("r.json", {**REPORT, "subtasks": {"death/name": {"tp": 2.7, "fp": 0, "fn": 0}}}, load_report,
      ", subtask death/name: field 'tp' must be an integer, got 2.7"),
-    ("m.jsonl", {**MEMBER, "val_micro_f1": "0.5"}, load_ensemble_manifest,
-     ":1: field 'val_micro_f1' must be a number, got \"0.5\""),
 ])
 def test_values_once_coerced_are_rejected(tmp_path, name, row, load, message):
     p = tmp_path / name
     p.write_text(json.dumps(row) + "\n")
     with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{message}")):
+        load(p)
+
+
+@pytest.mark.parametrize("row, load, field", [
+    # Read leniently, this row loaded as filtered=False.
+    ({**{k: v for k, v in PREDICTION.items() if k != "filtered"}, "filterd": True}, load_predictions, "filterd"),
+    ({**LOG_ROW, "val_f1": 0.9}, load_train_log, "val_f1"),
+    ({**INSTANCE, "label": 1}, load_instances, "label"),
+], ids=["prediction", "log", "instance"])
+def test_unknown_artifact_field_is_refused(tmp_path, row, load, field):
+    p = tmp_path / "a.jsonl"
+    p.write_text(json.dumps(row) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:1: unknown field '{field}'")):
         load(p)
 
 

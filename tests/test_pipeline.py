@@ -240,7 +240,6 @@ EXPECTED_FILES = {
     "split_manifest.json",
     "train_instances.jsonl",
     "val_instances.jsonl",
-    "ensemble_manifest.jsonl",
     "predictions.jsonl",
     "predictions_filtered.jsonl",
     "report_unfiltered.json",
@@ -270,7 +269,7 @@ class TestRunPipeline:
         assert obj["status"] == "ok"
         assert obj["seed"] == 1
         assert "partial" not in obj
-        assert len(obj["artifacts"]) == 24
+        assert len(obj["artifacts"]) == 23
         for name, entry in obj["artifacts"].items():
             path = run_dir / entry["path"]
             assert path.is_file(), name

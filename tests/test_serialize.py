@@ -1,4 +1,4 @@
-"""Model binary, instance/prediction JSONL, log, and manifest format tests."""
+"""Model binary, instance/prediction JSONL, and training log format tests."""
 
 from __future__ import annotations
 
@@ -31,12 +31,10 @@ from tweetslots.serialize import (
     FormatError,
     _unit_from_obj,
     file_sha256,
-    load_ensemble_manifest,
     load_instances,
     load_model,
     load_predictions,
     load_train_log,
-    save_ensemble_manifest,
     save_instances,
     save_model,
     save_predictions,
@@ -461,25 +459,11 @@ class TestTrainLog:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}"):
             load_train_log(p)
 
-
-class TestEnsembleManifest:
-    def test_round_trip(self, tmp_path):
-        members = [("models/sum4-s0.bin", 0.91), ("models/last-s2.bin", 0.88)]
-        p = tmp_path / "m.jsonl"
-        save_ensemble_manifest(members, p)
-        assert load_ensemble_manifest(p) == members
-
-    def test_empty_rejected(self, tmp_path):
-        p = tmp_path / "m.jsonl"
-        p.write_text("")
-        with pytest.raises(FormatError):
-            load_ensemble_manifest(p)
-
-    def test_score_range_checked(self, tmp_path):
-        p = tmp_path / "m.jsonl"
-        p.write_text('{"path": "m.bin", "val_micro_f1": 1.5}\n')
-        with pytest.raises(FormatError):
-            load_ensemble_manifest(p)
+    def test_empty_log_rejected(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text("\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: empty training log')}"):
+            load_train_log(p)
 
 
 class TestSha256:
