@@ -1,19 +1,19 @@
-"""Joint multi-task model: shared encoder, shared extractor, per-subtask heads.
+"""Joint multi-task model: shared encoder, shared extractor, one head matrix.
 
 Every instance from every event flows through the same encoder and feature
-extractor; only the binary head of the instance's own subtask reads the
-feature vector. Training and scoring build every batch the same way: one
-function encodes it and extracts its feature rows, another applies each
-instance's head. Forward-only scoring (validation and prediction) runs the
-encoder once per candidate: instances with the same encoder input, the
-subtask fan-out of one candidate, share one feature row that each of their
-heads reads. Training still encodes every instance on its own and shuffles
-instances of all events together, so each batch's gradient updates the
-shared trunk plus exactly the heads present in the batch. The loss is
-class-weighted binary cross-entropy (positives up-weighted for the heavy
-negative skew of exploded candidates), optimized with AdamW under a global
-gradient-norm clip, and the returned model is the epoch snapshot with the
-best validation micro-F1.
+extractor. The heads are the rows of one matrix, one per subtask in sorted
+order, and only the row of the instance's own subtask reads its feature
+vector. Training and scoring build every batch the same way: one function
+encodes it and extracts its feature rows, another applies each instance's
+head row. Forward-only scoring (validation and prediction) runs the encoder
+once per candidate: the subtask fan-out of one candidate shares one feature
+row that each of its head rows reads. Training encodes every instance on its
+own and shuffles instances of all events together, so each batch's gradient
+updates the shared trunk plus exactly the head rows present in the batch.
+The loss is class-weighted binary cross-entropy (positives up-weighted for
+the heavy negative skew of exploded candidates), optimized with AdamW under a
+global gradient-norm clip, and the returned model is the epoch snapshot with
+the best validation micro-F1.
 """
 
 from __future__ import annotations
@@ -45,24 +45,19 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class Head:
-    w: np.ndarray  # (feature_dim,)
-    b: np.ndarray  # (1,)
-
-
-@dataclass
 class ModelParams:
     encoder: enc.EncoderParams
     strategy: feat.FeatureStrategy
-    heads: dict[SubtaskId, Head]
+    subtasks: tuple[SubtaskId, ...]  # sorted; row i of head_w and head_b is the head of subtasks[i]
+    head_w: np.ndarray  # (len(subtasks), feature_dim); named_arrays yields row views
+    head_b: np.ndarray  # (len(subtasks),)
 
     def named_arrays(self):
         yield from self.encoder.named_arrays()
         yield from self.strategy.named_arrays()
-        for subtask in sorted(self.heads):
-            head = self.heads[subtask]
-            yield f"head.{subtask}.w", head.w
-            yield f"head.{subtask}.b", head.b
+        for i, subtask in enumerate(self.subtasks):
+            yield f"head.{subtask}.w", self.head_w[i]
+            yield f"head.{subtask}.b", self.head_b[i:i + 1]
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,9 @@ def init_model(
     strategy = feat.init_strategy(kind, cfg.hidden_size, rng)
     dim = feat.feature_dim(kind, cfg.hidden_size)
     scale = 1.0 / np.sqrt(dim)
-    heads = {}
-    for subtask in sorted(registry.all_subtasks()):
-        heads[subtask] = Head(w=rng.uniform(-scale, scale, size=dim), b=np.zeros(1))
-    return ModelParams(encoder=encoder_params, strategy=strategy, heads=heads)
+    subtasks = tuple(sorted(registry.all_subtasks()))
+    head_w = rng.uniform(-scale, scale, size=(len(subtasks), dim))
+    return ModelParams(encoder_params, strategy, subtasks, head_w, np.zeros(len(subtasks)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -157,19 +151,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_by_subtask(params: ModelParams, instances: Sequence[MaskedInstance]) -> dict[SubtaskId, np.ndarray]:
-    """Positions of each subtask's instances; every subtask must have a head."""
-    groups: dict[SubtaskId, list[int]] = {}
-    for row, inst in enumerate(instances):
-        groups.setdefault(inst.subtask, []).append(row)
-    _check_heads(params, groups)
-    return {s: np.asarray(rows, dtype=np.int64) for s, rows in groups.items()}
-
-
-def _check_heads(params: ModelParams, subtasks: Iterable[SubtaskId]) -> None:
-    missing = {str(s) for s in subtasks if s not in params.heads}
+def _head_groups(params: ModelParams, subtasks: Iterable[SubtaskId]) -> list[tuple[int, np.ndarray]]:
+    """(head row, positions) per subtask, in order of first appearance; refuses missing heads."""
+    positions: dict[SubtaskId, list[int]] = {}
+    for k, subtask in enumerate(subtasks):
+        positions.setdefault(subtask, []).append(k)
+    row_of = {subtask: row for row, subtask in enumerate(params.subtasks)}
+    missing = sorted(str(s) for s in positions if s not in row_of)
     if missing:
-        raise TrainError(f"no head for subtask(s): {', '.join(sorted(missing))}")
+        raise TrainError(f"no head for subtask(s): {', '.join(missing)}")
+    return [(row_of[s], np.asarray(ks, dtype=np.int64)) for s, ks in positions.items()]
 
 
 def _batch_features(params: ModelParams, batch: Sequence[MaskedInstance]):
@@ -187,13 +178,13 @@ def _batch_features(params: ModelParams, batch: Sequence[MaskedInstance]):
 
 
 def _head_logits(
-    params: ModelParams, groups: Mapping[SubtaskId, np.ndarray], feats: np.ndarray, feat_rows: np.ndarray
+    params: ModelParams, groups: Sequence[tuple[int, np.ndarray]], feats: np.ndarray, feat_rows: np.ndarray
 ) -> np.ndarray:
-    """Logit of instance k: its subtask's head over feature row ``feat_rows[k]``."""
+    """Logit of instance k: its subtask's head over feature row ``feat_rows[k]``, one GEMV per
+    head (a row-wise dot with the gathered head rows rounds differently and changes model bytes)."""
     logits = np.empty(len(feat_rows))
-    for subtask, rows in groups.items():
-        head = params.heads[subtask]
-        logits[rows] = feats[feat_rows[rows]] @ head.w + head.b[0]
+    for row, ks in groups:
+        logits[ks] = feats[feat_rows[ks]] @ params.head_w[row] + params.head_b[row]
     return logits
 
 
@@ -217,7 +208,7 @@ def loss_and_grads(
     """
     if not batch:
         raise TrainError("batch must be nonempty")
-    groups = _group_by_subtask(params, batch)
+    groups = _head_groups(params, [i.subtask for i in batch])
     cache, marker, feats = _batch_features(params, batch)
     rows = np.arange(len(batch))
     probs = _sigmoid(_head_logits(params, groups, feats, rows))
@@ -232,11 +223,11 @@ def loss_and_grads(
     dlogit = weights * (probs - labels) / len(batch)
     grads: dict[str, np.ndarray] = {}
     dfeats = np.zeros_like(feats)
-    for subtask, group in groups.items():
-        head = params.heads[subtask]
-        grads[f"head.{subtask}.w"] = feats[group].T @ dlogit[group]
-        grads[f"head.{subtask}.b"] = np.asarray([dlogit[group].sum()])
-        dfeats[group] = np.outer(dlogit[group], head.w)
+    for row, ks in groups:
+        subtask = params.subtasks[row]
+        grads[f"head.{subtask}.w"] = feats[ks].T @ dlogit[ks]
+        grads[f"head.{subtask}.b"] = np.asarray([dlogit[ks].sum()])
+        dfeats[ks] = np.outer(dlogit[ks], params.head_w[row])
     row_grads, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
     num_layers = params.encoder.config.num_layers
     b, t = cache.ids.shape
@@ -330,7 +321,7 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance]) -> n
     """
     if not instances:
         return np.empty(0)
-    groups = _group_by_subtask(params, instances)
+    groups = _head_groups(params, [i.subtask for i in instances])
     unit_of: dict[tuple[int, int, bytes], int] = {}
     units: list[MaskedInstance] = []
     rows = np.empty(len(instances), dtype=np.int64)
@@ -369,8 +360,8 @@ def train(
     """
     if not train_set or not val_set:
         raise TrainError("train and validation sets must both be nonempty")
-    _check_heads(params, {i.subtask for i in train_set})
-    _check_heads(params, {i.subtask for i in val_set})
+    _head_groups(params, {i.subtask for i in train_set})
+    _head_groups(params, {i.subtask for i in val_set})
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
     named = dict(params.named_arrays())

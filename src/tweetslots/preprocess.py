@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedTweet, SubtaskId
+from .corpus import AnnotatedTweet, SubtaskId, explode_instances
 
 PAD_ID = 0
 UNK_ID = 1
@@ -316,8 +316,6 @@ def mask_corpus(
     subtasks differ only in ``subtask`` and ``label`` and share one
     ``token_ids`` array.
     """
-    from .corpus import explode_instances
-
     by_id: dict[str, AnnotatedTweet] = {}
     for tweet in tweets:
         if tweet.id in by_id:

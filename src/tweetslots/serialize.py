@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
-from .multitask import Head, ModelParams, PredictionRecord, TrainLogEntry
+from .multitask import ModelParams, PredictionRecord, TrainLogEntry
 from .preprocess import PAD_ID, MaskedInstance
 
 MODEL_MAGIC = b"TWSLMODL"
@@ -73,7 +73,7 @@ def save_model(params: ModelParams, path: str | Path) -> None:
     header = {
         "encoder": {name: getattr(cfg, name) for name in _ENCODER_FIELDS},
         "strategy": params.strategy.kind.value,
-        "subtasks": [str(s) for s in sorted(params.heads)],
+        "subtasks": [str(s) for s in params.subtasks],
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
     header_bytes = canonical_json(header).encode("utf-8")
@@ -110,13 +110,13 @@ def load_model(path: str | Path) -> ModelParams:
     try:
         cfg = EncoderConfig(**enc_values)
         kind = StrategyKind(kind_name)
-        subtasks = [SubtaskId.parse(key) for key in subtask_keys]
+        subtasks = tuple(sorted({SubtaskId.parse(key) for key in subtask_keys}))
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
     # Checked before anything is allocated, so a header cannot ask for more
     # memory than the file holds data for.
     offset = body_start + header_len
-    data_len, implied = len(blob) - offset, _array_bytes(cfg, kind, len(set(subtasks)))
+    data_len, implied = len(blob) - offset, _array_bytes(cfg, kind, len(subtasks))
     if data_len < implied:
         raise FormatError(f"{path}: truncated array data: {data_len} bytes, the header implies {implied}")
     if data_len > implied:
@@ -143,12 +143,11 @@ def _array_bytes(cfg: EncoderConfig, kind: StrategyKind, num_heads: int) -> int:
     return 8 * (size + num_heads * (feature_dim(kind, h) + 1))
 
 
-def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: Sequence[SubtaskId]) -> ModelParams:
-    h = cfg.hidden_size
+def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[SubtaskId, ...]) -> ModelParams:
+    h, n = cfg.hidden_size, len(subtasks)
     proj = Proj4Params(w=np.zeros((4, h, h // 4)), b=np.zeros((4, h // 4))) if kind is StrategyKind.PROJ4 else None
-    dim = feature_dim(kind, h)
-    heads = {s: Head(w=np.zeros(dim), b=np.zeros(1)) for s in subtasks}
-    return ModelParams(encoder=zero_grads(cfg), strategy=FeatureStrategy(kind, proj), heads=heads)
+    head_w = np.zeros((n, feature_dim(kind, h)))
+    return ModelParams(zero_grads(cfg), FeatureStrategy(kind, proj), subtasks, head_w, np.zeros(n))
 
 
 # -- masked instances --------------------------------------------------------
@@ -164,21 +163,22 @@ def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> Non
     that unit rows cannot reproduce exactly (see ``_tweet_unit_rows``)."""
     lines = []
     done: set[str] = set()
+    parsed: dict[tuple[str, ...], list[SubtaskId]] = {}
     for tweet_id, block in itertools.groupby(instances, key=attrgetter("tweet_id")):
         if tweet_id in done:
             raise FormatError(f"{path}: instances of tweet {tweet_id!r} are not adjacent")
         done.add(tweet_id)
-        rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}")
+        rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}", parsed)
         lines.extend(canonical_json(row) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 
 
-def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str) -> list[dict]:
+def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str, parsed: dict) -> list[dict]:
     """Unit rows of one tweet's instances, which must be exactly what the
     rows load back as: one instance per (subtask of one event, candidate) in
     explode order, with one masked input (tokens, marker, chunk text) per
-    candidate, and only PAD past each input's length."""
+    candidate; ``parsed`` caches the subtask names as in the loader."""
     event = block[0].subtask.event
     units: dict[int, MaskedInstance] = {}
     labels: dict[int, dict[str, int]] = {}
@@ -193,29 +193,40 @@ def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str) -> list[dict]:
             and (inst.token_ids is unit.token_ids or np.array_equal(inst.token_ids, unit.token_ids))
         ):
             raise FormatError(f"{where}: candidate {unit.candidate_index} has two different masked inputs")
-        if unit is inst and np.count_nonzero(inst.token_ids[inst.length:] != PAD_ID):
-            raise FormatError(f"{where}: candidate {inst.candidate_index} has non-PAD token ids past its length")
         if inst.label not in (0, 1):
             raise FormatError(f"{where}: label {inst.label!r} of {inst.subtask} is not 0 or 1")
         labels.setdefault(inst.candidate_index, {})[inst.subtask.name] = int(inst.label)
     candidates = sorted(units)
-    explode = [(name, c) for name in sorted(labels[candidates[0]]) for c in candidates]
-    if [(inst.subtask.name, inst.candidate_index) for inst in block] != explode:
+    names = [s.name for s in _label_subtasks(event.value, labels[candidates[0]], where, parsed)]
+    if [(inst.subtask.name, inst.candidate_index) for inst in block] != [(n, c) for n in names for c in candidates]:
         raise FormatError(f"{where}: instances are not one per (subtask, candidate) in explode order")
-    return [
-        {
-            "tweet_id": units[c].tweet_id,
-            "candidate_index": c,
-            "event": event.value,
-            "chunk_text": units[c].chunk_text,
-            "marker_pos": units[c].marker_pos,
-            "length": units[c].length,
-            "max_len": int(units[c].token_ids.shape[0]),
-            "token_ids": units[c].token_ids[:units[c].length].tolist(),
-            "labels": labels[c],
-        }
-        for c in candidates
-    ]
+    return [_unit_row(units[c], event, labels[c], where) for c in candidates]
+
+
+def _unit_row(unit: MaskedInstance, event: EventType, labels: dict[str, int], where: str) -> dict:
+    """One unit's row; refuses the fields the loader would refuse, each token array checked once, as a whole."""
+    ids, length, where = unit.token_ids, unit.length, f"{where}: candidate {unit.candidate_index}"
+    if unit.candidate_index < 0:
+        raise FormatError(f"{where}: field 'candidate_index' must be >= 0")
+    if not 0 < length <= len(ids):
+        raise FormatError(f"{where}: field 'length' must lie in [1, max_len {len(ids)}], got {length}")
+    if not 0 <= unit.marker_pos < length:
+        raise FormatError(f"{where}: field 'marker_pos' must lie in [0, length), got {unit.marker_pos}")
+    if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
+        raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+    if np.count_nonzero(ids[length:] != PAD_ID):
+        raise FormatError(f"{where} has non-PAD token ids past its length")
+    return {
+        "tweet_id": unit.tweet_id,
+        "candidate_index": unit.candidate_index,
+        "event": event.value,
+        "chunk_text": unit.chunk_text,
+        "marker_pos": unit.marker_pos,
+        "length": length,
+        "max_len": len(ids),
+        "token_ids": ids[:length].tolist(),
+        "labels": labels,
+    }
 
 
 def load_instances(path: str | Path) -> list[MaskedInstance]:

@@ -20,6 +20,7 @@ from tweetslots.multitask import (
     loss_and_grads,
     micro_f1_counts,
     predict,
+    predict_probs,
     train,
     validation_micro_f1,
 )
@@ -70,9 +71,8 @@ def tiny_batch():
 
 
 def zero_heads(model):
-    for head in model.heads.values():
-        head.w[:] = 0.0
-        head.b[:] = 0.0
+    model.head_w[:] = 0.0
+    model.head_b[:] = 0.0
 
 
 class TestLossValues:
@@ -108,11 +108,24 @@ class TestLossValues:
             loss(model, [], TrainConfig())
 
     def test_unknown_subtask_rejected(self):
+        # Every entry point refuses the same way, naming each missing head once, sorted.
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
-        stray = make_instance([], "x", SubtaskId(EventType.DEATH, "where"), 1)
-        batch = [stray, make_instance([], "x", NAME, 1), stray]
-        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): death/where$"):
-            loss(model, batch, TrainConfig())
+        where = make_instance([], "x", SubtaskId(EventType.DEATH, "where"), 1)
+        when = make_instance([], "x", SubtaskId(EventType.DEATH, "when"), 0)
+        known = make_instance([], "x", NAME, 1)
+        batch = [where, known, when, where]
+        cfg = TrainConfig(epochs=1)
+        calls = {
+            "loss": lambda: loss(model, batch, cfg),
+            "loss_and_grads": lambda: loss_and_grads(model, batch, cfg),
+            "predict_probs": lambda: predict_probs(model, batch),
+            "validation_micro_f1": lambda: validation_micro_f1(model, batch, cfg),
+            "train, validation set only": lambda: train(model, [known], batch, cfg),
+        }
+        for name, call in calls.items():
+            with pytest.raises(TrainError, match=r"^no head for subtask\(s\): death/when, death/where$"):
+                call()
+                pytest.fail(name)
 
 
 class TestGradients:
@@ -159,6 +172,21 @@ class TestGradients:
         m2 = init_model(enc_cfg(), StrategyKind.PROJ4, REG, seed=0)
         _, g2 = loss_and_grads(m2, batch, TrainConfig())
         assert "proj.w" in g2 and "proj.b" in g2
+
+
+class TestHeadMatrix:
+    def test_named_head_entries_are_matrix_rows(self):
+        model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
+        named = dict(model.named_arrays())
+        assert model.subtasks == (OPINION, AGE, NAME)  # sorted by (event, name)
+        assert model.head_w.shape == (3, 8) and model.head_b.shape == (3,)
+        for row, subtask in enumerate(model.subtasks):
+            w, b = named[f"head.{subtask}.w"], named[f"head.{subtask}.b"]
+            assert np.shares_memory(w, model.head_w) and np.shares_memory(b, model.head_b)
+            w[0] = 7.0 + row
+            b[:] = -1.0 - row
+        assert list(model.head_w[:, 0]) == [7.0, 8.0, 9.0]
+        assert list(model.head_b) == [-1.0, -2.0, -3.0]
 
 
 class TestAdamW:
@@ -325,10 +353,11 @@ class TestTraining:
         train_set = [i for i in train_set if i.subtask is not OPINION]
         val_set = [i for i in val_set if i.subtask is not OPINION]
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
-        w_before = model.heads[OPINION].w.copy()
+        row = model.subtasks.index(OPINION)
+        w_before, b_before = model.head_w[row].copy(), model.head_b[row]
         best, _ = train(model, train_set, val_set, cfg)
-        assert np.array_equal(best.heads[OPINION].w, w_before)
-        assert np.array_equal(model.heads[OPINION].w, w_before)
+        for m in (best, model):
+            assert np.array_equal(m.head_w[row], w_before) and m.head_b[row] == b_before
 
     def test_divergence_detected(self):
         cfg = TrainConfig(batch_size=6, epochs=5, seed=0, learning_rate=1e200)
@@ -452,8 +481,6 @@ class TestSharedEncoderInput:
         assert got == pytest.approx(singles, rel=1e-12, abs=1e-15)
 
     def test_batches_count_distinct_inputs(self, monkeypatch):
-        from tweetslots.multitask import predict_probs
-
         # Scoring encodes distinct inputs in batches of the training default.
         assert TrainConfig().batch_size == 32
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=7)
@@ -477,9 +504,11 @@ class TestMicroF1:
 
     def test_validation_micro_f1_missing_head(self):
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
-        stray = make_instance([], "x", SubtaskId(EventType.TESTED_POSITIVE, "who"), 1)
-        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): tested_positive/who$"):
-            validation_micro_f1(model, [stray], TrainConfig())
+        who = make_instance([], "x", SubtaskId(EventType.TESTED_POSITIVE, "who"), 1)
+        age = make_instance([], "x", SubtaskId(EventType.TESTED_POSITIVE, "age"), 0)
+        insts = [who, make_instance([], "x", AGE, 1), who, age]
+        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): tested_positive/age, tested_positive/who$"):
+            validation_micro_f1(model, insts, TrainConfig())
 
     def test_validation_micro_f1_matches_counting_oracle(self):
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=1)

@@ -1,16 +1,21 @@
 """The README matches the code: the package root exports exactly the names of
 its Library section, and its config paragraph lists exactly the known keys
-with the defaults that the parser applies."""
+with the defaults that the parser applies. The package modules import nothing
+they do not use."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import tweetslots
 from tweetslots import pipeline
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(tweetslots.__file__).resolve().parent
 
 
 def _library_block() -> str:
@@ -50,3 +55,32 @@ def test_readme_defaults_match_the_parser(ws, tmp_path):
     (tmp_path / "minimal.ini").write_text(corpus, encoding="utf-8")
     (tmp_path / "defaults.ini").write_text(corpus + "".join(lines), encoding="utf-8")
     assert pipeline.load_config(tmp_path / "defaults.ini") == pipeline.load_config(tmp_path / "minimal.ini")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that no expression reads and
+    ``__all__`` does not export."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_unused_import_check_sees_one():
+    assert _unused_imports("import os\nfrom typing import Iterable, Sequence\nx: Sequence = os.sep\n") == [
+        "line 2: Iterable"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_module_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

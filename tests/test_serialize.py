@@ -57,11 +57,15 @@ class TestModelBinary:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_round_trip_bitwise(self, kind, tmp_path):
         model = small_model(kind)
+        model.head_b[:] = np.random.default_rng(1).standard_normal(model.head_b.shape)  # init biases are zero
         p = tmp_path / "m.bin"
         save_model(model, p)
         loaded = load_model(p)
         assert loaded.encoder.config == model.encoder.config
         assert loaded.strategy.kind is model.strategy.kind
+        assert loaded.subtasks == model.subtasks == tuple(sorted(REG.all_subtasks()))
+        assert loaded.head_w.tobytes() == model.head_w.tobytes()
+        assert loaded.head_b.tobytes() == model.head_b.tobytes()
         pairs = list(zip(model.named_arrays(), loaded.named_arrays()))
         assert pairs
         for (n1, a1), (n2, a2) in pairs:
@@ -338,6 +342,31 @@ class TestInstancesJsonl:
         with pytest.raises(FormatError, match=re.escape(f"{p}: {message}")):
             save_instances(insts, p)
         assert not p.exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda inst: replace(inst, token_ids=np.where(np.arange(10) == 2, -1, inst.token_ids)), "token_ids"),
+        (lambda inst: replace(inst, token_ids=inst.token_ids.astype(np.float64)), "token_ids"),
+        (lambda inst: replace(inst, marker_pos=5), "marker_pos"),
+        (lambda inst: replace(inst, marker_pos=-1), "marker_pos"),
+        (lambda inst: replace(inst, length=0), "length"),
+        (lambda inst: replace(inst, length=11), "length"),
+        (lambda inst: replace(inst, candidate_index=-1), "candidate_index"),
+        (lambda inst: replace(inst, subtask=SubtaskId(EventType.DEATH, "Age")), "labels"),
+    ], ids=["negative id", "float ids", "marker at length", "negative marker", "length 0", "length over max_len",
+            "negative candidate", "name Age"])
+    def test_writer_refuses_rows_the_loader_refuses(self, tmp_path, edit, field):
+        inst = edit(make_instance(candidate_index=0))
+        p = tmp_path / "i.jsonl"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: tweet 'tw1': ") + f".*field '{field}'"):
+            save_instances([inst], p)
+        assert not p.exists()
+        # The row the writer would have written, built by hand: the loader refuses it too.
+        row = {"tweet_id": "tw1", "candidate_index": inst.candidate_index, "event": "death",
+               "chunk_text": inst.chunk_text, "marker_pos": inst.marker_pos, "length": inst.length,
+               "max_len": 10, "token_ids": inst.token_ids[:inst.length].tolist(), "labels": {inst.subtask.name: 1}}
+        write_lines(p, [row])
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1: ") + f".*field '{field}'"):
+            load_instances(p)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0], rows[0]], r":2: repeated unit \(tweet 'tw1', candidate 0; first on line 1\)"),
