@@ -91,7 +91,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"
             out_path = Path(args.out) if args.out else out_dir / "predictions.jsonl"
             params = serialize.load_model(args.model)
-            instances = serialize.load_instances(instances_path)
+            instances = serialize.load_instances(instances_path, params.encoder.config)
             records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))
             serialize.save_predictions(records, out_path)
             log.info("predict: %d records -> %s", len(records), out_path)

@@ -251,13 +251,22 @@ class AdamW:
     for it arrives; parameters without a gradient in a step are untouched
     (no decay either), so unused heads keep their initial weights exactly.
 
-    A step works in place: the clipped gradient, the bias-corrected moments
-    and the update go through two scratch rows sized to the largest
-    gradient, allocated once per step. Each element sees the operations of
-    ``v += (1 - beta2) * (g * g)`` and
+    Each element sees the operations of ``v += (1 - beta2) * (g * g)`` and
     ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)`` in that order, so
-    trained model bytes match the plain formula exactly. The caller's
-    gradient arrays are only read.
+    trained model bytes match the plain formula exactly. The clipped
+    gradient, the bias-corrected moments and the update go through two
+    scratch rows sized to the largest gradient, allocated once per step. The
+    caller's gradient arrays are only read.
+
+    A 2-D parameter (the embeddings, proj4's bias) runs the formula only on
+    its live rows: a row turns live at its first gradient with a nonzero
+    entry and stays live. A row that has never been live has ``m = v = 0``
+    and ``g = 0``, so the formula's Adam term is ``0 / (sqrt(0) + eps) = 0``
+    and ``0 + p * wd`` is ``p * wd``: its update is exactly the decay-only
+    step ``p -= (p * wd) * lr``, which the whole array gets before the live
+    rows are written back. The one exception is a weight of exactly -0.0,
+    which keeps its sign under the formula but turns +0.0 here; neither
+    init nor any update can make one.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -265,6 +274,7 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
+        self._live: dict[str, np.ndarray] = {}  # per-row mask of each 2-D parameter
 
     def step(self, named_params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         cfg = self.cfg
@@ -283,26 +293,43 @@ class AdamW:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
                 self._t[name] = 0
+                if p.ndim == 2:
+                    self._live[name] = np.zeros(len(p), dtype=bool)
             self._t[name] += 1
-            t = self._t[name]
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
             s0, s1 = scratch[name]
-            if scale is not None:
-                g = np.multiply(g, scale, s0)
-            m *= cfg.beta1
-            m += np.multiply(g, 1.0 - cfg.beta1, s1)
-            v *= cfg.beta2
-            gg = np.multiply(g, g, s1)
-            gg *= 1.0 - cfg.beta2
-            v += gg
-            m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, s0)
-            denom = np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, s1), s1)
-            denom += cfg.epsilon
-            update = np.divide(m_hat, denom, s0)
-            update += np.multiply(p, cfg.weight_decay, s1)
-            update *= cfg.learning_rate
-            p -= update
+            live = self._live.get(name)
+            if live is None:
+                self._update(p, g, m, v, self._t[name], scale, s0, s1)
+                continue
+            # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
+            live |= np.abs(g, out=s1) @ np.ones(g.shape[1]) != 0
+            rows = np.flatnonzero(live)
+            p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+            self._update(p_rows, g[rows], m_rows, v_rows, self._t[name], scale, s0[:rows.size], s1[:rows.size])
+            decay = np.multiply(p, cfg.weight_decay, s0)
+            decay *= cfg.learning_rate
+            p -= decay
+            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+
+    def _update(self, p, g, m, v, t, scale, s0, s1) -> None:
+        """One AdamW step in place on ``p``, ``m`` and ``v``; ``s0`` and ``s1`` are scratch of g's shape."""
+        cfg = self.cfg
+        if scale is not None:
+            g = np.multiply(g, scale, s0)
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, s1)
+        v *= cfg.beta2
+        gg = np.multiply(g, g, s1)
+        gg *= 1.0 - cfg.beta2
+        v += gg
+        m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, s0)
+        denom = np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, s1), s1)
+        denom += cfg.epsilon
+        update = np.divide(m_hat, denom, s0)
+        update += np.multiply(p, cfg.weight_decay, s1)
+        update *= cfg.learning_rate
+        p -= update
 
 
 def micro_f1_counts(tp: int, fp: int, fn: int) -> float:

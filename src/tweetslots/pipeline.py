@@ -307,8 +307,8 @@ def member_tag(kind: StrategyKind, seed: int) -> str:
 def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     """Train every (strategy, seed) pool member; write its model and training log."""
     registry = make_registry(cfg)
-    train_instances = serialize.load_instances(out_dir / "train_instances.jsonl")
-    val_instances = serialize.load_instances(out_dir / "val_instances.jsonl")
+    train_instances = serialize.load_instances(out_dir / "train_instances.jsonl", cfg.encoder)
+    val_instances = serialize.load_instances(out_dir / "val_instances.jsonl", cfg.encoder)
     models_dir = out_dir / "models"
     logs_dir = out_dir / "logs"
     models_dir.mkdir(exist_ok=True)
@@ -347,7 +347,7 @@ def ensemble_from_manifest(
 def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     """Rank the config's pool by the best validation micro-F1 in each
     member's training log and vote its top ``ensemble.k``."""
-    instances = serialize.load_instances(out_dir / "val_instances.jsonl")
+    instances = serialize.load_instances(out_dir / "val_instances.jsonl", cfg.encoder)
     members = []
     for kind, seed in cfg.pool:
         tag = member_tag(kind, seed)

@@ -229,9 +229,11 @@ def _unit_row(unit: MaskedInstance, event: EventType, labels: dict[str, int], wh
     }
 
 
-def load_instances(path: str | Path) -> list[MaskedInstance]:
+def load_instances(path: str | Path, cfg: EncoderConfig) -> list[MaskedInstance]:
     """Read unit rows and expand each tweet in ``explode_instances`` order;
-    the instances of one unit share one token array."""
+    the instances of one unit share one token array. ``cfg`` is the config
+    of the encoder that will read them: a row with another ``max_len`` or a
+    token id outside its vocabulary is refused before its token array is allocated."""
     path = Path(path)
     out: list[MaskedInstance] = []
     first_line: dict[str, int] = {}
@@ -241,7 +243,7 @@ def load_instances(path: str | Path) -> list[MaskedInstance]:
     prev_line = 0
     for lineno, obj in read_jsonl(path, FormatError):
         where = f"{path}:{lineno}"
-        fields, event, labels = _unit_from_obj(obj, where)
+        fields, event, labels = _unit_from_obj(obj, where, cfg)
         tweet_id, index = fields["tweet_id"], fields["candidate_index"]
         if rows and tweet_id == rows[0][0]["tweet_id"]:
             first, prev = first_line[tweet_id], rows[-1][0]["candidate_index"]
@@ -297,7 +299,7 @@ _UNIT_FIELDS = frozenset(
 )
 
 
-def _unit_from_obj(obj: dict, where: str) -> tuple[dict, str, dict[str, int]]:
+def _unit_from_obj(obj: dict, where: str, cfg: EncoderConfig) -> tuple[dict, str, dict[str, int]]:
     """The ``MaskedInstance`` fields a unit row shares, its event and its labels."""
     json_known_fields(obj, _UNIT_FIELDS, where, FormatError)
     length = json_field(obj, "length", int, where, FormatError)
@@ -306,6 +308,8 @@ def _unit_from_obj(obj: dict, where: str) -> tuple[dict, str, dict[str, int]]:
     ids = json_field(obj, "token_ids", list, where, FormatError)
     event = json_field(obj, "event", str, where, FormatError)
     labels = json_field(obj, "labels", dict, where, FormatError)
+    if max_len != cfg.max_len:
+        raise FormatError(f"{where}: field 'max_len' is {max_len}, the encoder's max_len is {cfg.max_len}")
     if not 0 < length <= max_len:
         raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
     if len(ids) != length:
@@ -314,6 +318,9 @@ def _unit_from_obj(obj: dict, where: str) -> tuple[dict, str, dict[str, int]]:
         raise FormatError(f"{where}: field 'marker_pos' outside the token range")
     if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
         raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+    if max(ids) >= cfg.vocab_size:
+        raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
+                          f"the encoder's vocab_size is {cfg.vocab_size}")
     if not labels:
         raise FormatError(f"{where}: field 'labels' names no subtask")
     labels_where = f"{where}, labels"

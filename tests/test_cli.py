@@ -8,12 +8,15 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tweetslots import pipeline, serialize
 from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _build_parser, main
+from tweetslots.features import StrategyKind
+from tweetslots.multitask import init_model
 
 from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, tree_bytes
 
@@ -136,9 +139,23 @@ class TestPredict:
         ])
         assert code == EXIT_OK
         records = serialize.load_predictions(out_file)
-        n_val = len(serialize.load_instances(cli_run / "val_instances.jsonl"))
+        model = serialize.load_model(cli_run / "models" / "last-s0.bin")
+        n_val = len(serialize.load_instances(cli_run / "val_instances.jsonl", model.encoder.config))
         assert len(records) == n_val
         assert all(r.decision in (0, 1) for r in records)
+
+    def test_instances_of_another_max_len_are_data_error(self, ws, cli_run, tmp_path, caplog):
+        cfg = pipeline.load_config(ws / "config.ini")
+        wider = replace(cfg.encoder, max_len=cfg.encoder.max_len + 1)
+        serialize.save_model(init_model(wider, StrategyKind.LAST, pipeline.make_registry(cfg)), tmp_path / "m.bin")
+        out_file = tmp_path / "single.jsonl"
+        code = main([
+            "predict", "--config", str(ws / "config.ini"), "--output", str(cli_run),
+            "--model", str(tmp_path / "m.bin"), "--out", str(out_file),
+        ])
+        assert code == EXIT_DATA
+        assert f"field 'max_len' is {cfg.encoder.max_len}, the encoder's max_len is {wider.max_len}" in caplog.text
+        assert not out_file.exists()
 
     def test_missing_model_is_data_error(self, ws, tmp_path):
         code = main([

@@ -20,11 +20,11 @@ from tweetslots.corpus import CorpusError, EventType, SubtaskRegistry, load_corp
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
 from tweetslots.metrics import MetricsError, load_report
+from tweetslots import serialize
 from tweetslots.multitask import init_model
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
-    load_instances,
     load_model,
     load_predictions,
     load_train_log,
@@ -36,6 +36,7 @@ INSTANCE = {"tweet_id": "t1", "candidate_index": 0, "event": "death", "chunk_tex
             "length": 3, "max_len": 8, "token_ids": [1, 9, 2], "labels": {"name": 1}}
 PREDICTION = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
               "probability": 0.75, "decision": 1, "filtered": False}
+INSTANCE_ENCODER = EncoderConfig(vocab_size=32, max_len=8)
 LOG_ROW = {"epoch": 1, "train_loss": 0.5, "val_micro_f1": 0.25}
 REPORT = {"model_id": "m", "corpus_id": "c", "filtered": False, "micro_f1": 0.4,
           "subtasks": {"death/name": {"tp": 1, "fp": 0, "fn": 3, "f1": 0.4, "zero_denominator": False}}}
@@ -50,6 +51,11 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
 )
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def load_instances(path):
+    """``serialize.load_instances`` for the encoder the ``INSTANCE`` rows fit."""
+    return serialize.load_instances(path, INSTANCE_ENCODER)
 
 
 def json_kind(value) -> str:

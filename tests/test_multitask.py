@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
@@ -189,6 +191,60 @@ class TestHeadMatrix:
         assert list(model.head_b) == [-1.0, -2.0, -3.0]
 
 
+class DenseAdamW:
+    """The AdamW step as it was before the live-row path: every parameter
+    runs the full formula on every element. The oracle for ``AdamW``."""
+
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        self._t: dict[str, int] = {}
+
+    def step(self, named_params, grads) -> None:
+        cfg = self.cfg
+        buf = np.empty((2, max((g.size for g in grads.values()), default=0)))
+        scratch = {name: (buf[0, :g.size].reshape(g.shape), buf[1, :g.size].reshape(g.shape))
+                   for name, g in grads.items()}
+        scale = None
+        if cfg.clip_norm > 0:
+            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in grads.items())
+            total = math.sqrt(sum(squares))
+            if total > cfg.clip_norm:
+                scale = cfg.clip_norm / total
+        for name, g in grads.items():
+            p = named_params[name]
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+                self._t[name] = 0
+            self._t[name] += 1
+            t = self._t[name]
+            m = self._m[name]
+            v = self._v[name]
+            s0, s1 = scratch[name]
+            if scale is not None:
+                g = np.multiply(g, scale, s0)
+            m *= cfg.beta1
+            m += np.multiply(g, 1.0 - cfg.beta1, s1)
+            v *= cfg.beta2
+            gg = np.multiply(g, g, s1)
+            gg *= 1.0 - cfg.beta2
+            v += gg
+            m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, s0)
+            denom = np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, s1), s1)
+            denom += cfg.epsilon
+            update = np.divide(m_hat, denom, s0)
+            update += np.multiply(p, cfg.weight_decay, s1)
+            update *= cfg.learning_rate
+            p -= update
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality; unlike ``array_equal`` it tells -0.0 from +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAdamW:
     def reference_step(self, p, g, m, v, t, cfg):
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
@@ -243,6 +299,62 @@ class TestAdamW:
             assert np.array_equal(p[k], ref[k]), k
             assert np.array_equal(opt._m[k], state[k][0]), k
             assert np.array_equal(opt._v[k], state[k][1]), k
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_live_rows_match_dense_oracle(self, data):
+        # A 2-D parameter whose rows get gradients on random subsets of steps,
+        # next to a 1-D one that shares the clip norm. Row 0's first gradient
+        # arrives at step `late`; row 1 is live from step 1 and has a zero
+        # gradient at step 2. Zero rows hold signed zeros, and some nonzero
+        # rows are so small that their squares underflow to 0. Weights start
+        # from standard normals, so none is exactly -0.0: the decay-only step
+        # turns -0.0 into +0.0, and neither init nor any update makes one.
+        steps = data.draw(st.integers(4, 8), label="steps")
+        late = data.draw(st.integers(2, steps), label="late")
+        wd = data.draw(st.sampled_from([0.0, 0.1]), label="weight_decay")
+        clip = data.draw(st.sampled_from([0.0, 0.5, 1e6]), label="clip_norm")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=wd, clip_norm=clip)
+        rows, cols = 6, 3
+        fast = {"emb": rng.standard_normal((rows, cols)), "bias": rng.standard_normal(cols)}
+        dense = {k: v.copy() for k, v in fast.items()}
+        opt, oracle = AdamW(cfg), DenseAdamW(cfg)
+        fired = []
+        for step in range(1, steps + 1):
+            nonzero = set(data.draw(st.sets(st.integers(2, rows - 1)), label=f"rows at step {step}"))
+            if step == late:
+                nonzero.add(0)
+            if step != 2:
+                nonzero.add(1)
+            g = np.copysign(0.0, rng.standard_normal((rows, cols)))
+            for r in sorted(nonzero):
+                g[r] = rng.standard_normal(cols) * (1e-170 if rng.random() < 0.2 else 1.0)
+            grads = {"emb": g, "bias": rng.standard_normal(cols)}
+            opt.step(fast, grads)
+            oracle.step(dense, grads)
+            total = math.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
+            fired.append(clip > 0 and total > clip)
+        assert any(fired) or clip != 0.5
+        assert not any(fired) or clip == 0.5
+        assert opt._t == oracle._t
+        for k in fast:
+            assert same_bits(fast[k], dense[k]), k
+            assert same_bits(opt._m[k], oracle._m[k]), k
+            assert same_bits(opt._v[k], oracle._v[k]), k
+
+    def test_live_rows_are_the_rows_with_a_gradient(self):
+        cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, clip_norm=0.0)
+        p = {"emb": np.ones((4, 2))}
+        opt = AdamW(cfg)
+        opt.step(p, {"emb": np.array([[0.0, 0.0], [0.0, 1e-300], [-0.0, 0.0], [2.0, 0.0]])})
+        opt.step(p, {"emb": np.zeros((4, 2))})
+        assert list(opt._live["emb"]) == [False, True, False, True]
+        # A row that never had a gradient gets the decay-only step, twice.
+        decayed = 1.0
+        for _ in range(2):
+            decayed -= (decayed * 0.5) * 0.1
+        assert p["emb"][0, 0] == p["emb"][2, 1] == decayed
 
     def test_step_leaves_grads_unchanged(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.1, clip_norm=0.5)

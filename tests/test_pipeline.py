@@ -297,8 +297,8 @@ class TestRunPipeline:
         text = (run_dir / "ablation.txt").read_text()
         assert "unfiltered" in text and "filtered" in text
 
-    def test_predictions_cover_val_instances(self, run_dir):
-        n_val = len(serialize.load_instances(run_dir / "val_instances.jsonl"))
+    def test_predictions_cover_val_instances(self, ws, run_dir):
+        n_val = len(serialize.load_instances(run_dir / "val_instances.jsonl", load_config(ws / "config.ini").encoder))
         records = serialize.load_predictions(run_dir / "predictions.jsonl")
         assert len(records) == n_val > 0
 

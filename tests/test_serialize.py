@@ -47,10 +47,11 @@ REG = SubtaskRegistry(
 NAME = SubtaskId(EventType.DEATH, "name")
 
 
+ENC = EncoderConfig(num_layers=4, hidden_size=8, vocab_size=32, max_len=10, context_window=1, seed=0)
+
+
 def small_model(kind=StrategyKind.SUM4, seed=0):
-    cfg = EncoderConfig(num_layers=4, hidden_size=8, vocab_size=32, max_len=10,
-                        context_window=1, seed=0)
-    return init_model(cfg, kind, REG, seed=seed)
+    return init_model(ENC, kind, REG, seed=seed)
 
 
 class TestModelBinary:
@@ -213,7 +214,7 @@ class TestInstancesJsonl:
         p = tmp_path / "i.jsonl"
         save_instances(insts, p)
         assert len(p.read_text().splitlines()) == 2
-        loaded = load_instances(p)
+        loaded = load_instances(p, ENC)
         assert_same_instances(loaded, insts)
         assert loaded[0].token_ids is loaded[1].token_ids
 
@@ -234,7 +235,7 @@ class TestInstancesJsonl:
         row["labels"]["name"] = True
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(FormatError):
-            load_instances(p)
+            load_instances(p, ENC)
 
     def test_rejects_missing_field(self, tmp_path):
         p = tmp_path / "i.jsonl"
@@ -243,27 +244,32 @@ class TestInstancesJsonl:
         del row["marker_pos"]
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(FormatError):
-            load_instances(p)
+            load_instances(p, ENC)
 
     def test_rejects_malformed_json(self, tmp_path):
         p = tmp_path / "i.jsonl"
         p.write_text("{nope\n")
         with pytest.raises(FormatError):
-            load_instances(p)
+            load_instances(p, ENC)
 
     @given(st.lists(st.one_of(
-        st.integers(-2**40, 2**40), st.booleans(), st.floats(), st.text(max_size=3),
+        st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64), st.booleans(), st.floats(), st.text(max_size=3),
     ), min_size=1, max_size=10))
     def test_token_id_check_matches_per_token_predicate(self, ids):
-        # Oracle: the same rule checked token by token.
+        # Oracle: the same rules checked token by token.
+        cfg = replace(ENC, vocab_size=2**20)
         bad = any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids)
         obj = {"event": "death", "labels": {"name": 0}, "length": len(ids), "max_len": 10, "marker_pos": 0,
                "token_ids": ids, "chunk_text": "c", "tweet_id": "t", "candidate_index": 0}
         if bad:
             with pytest.raises(FormatError, match=r"^i\.jsonl:7: field 'token_ids' must hold nonnegative integers$"):
-                _unit_from_obj(obj, "i.jsonl:7")
+                _unit_from_obj(obj, "i.jsonl:7", cfg)
+        elif any(t >= cfg.vocab_size for t in ids):
+            with pytest.raises(FormatError, match=rf"^i\.jsonl:7: field 'token_ids' holds id {max(ids)}, "
+                                                  rf"the encoder's vocab_size is {2**20}$"):
+                _unit_from_obj(obj, "i.jsonl:7", cfg)
         else:
-            fields, _, _ = _unit_from_obj(obj, "i.jsonl:7")
+            fields, _, _ = _unit_from_obj(obj, "i.jsonl:7", cfg)
             assert fields["token_ids"][:len(ids)].tolist() == ids
 
     @given(data=st.data())
@@ -289,13 +295,14 @@ class TestInstancesJsonl:
                     for n in registry.names_for(event)}
             tweets.append(AnnotatedTweet(id=f"t{i}", text=" ".join(toks), event=event,
                                          candidates=tuple(spans), gold=gold))
+        cfg = EncoderConfig(vocab_size=512, max_len=data.draw(st.integers(8, 40)))
         try:
-            insts = mask_corpus(tweets, Vocab(512), CleanConfig(), data.draw(st.integers(8, 40)), registry)
+            insts = mask_corpus(tweets, Vocab(cfg.vocab_size), CleanConfig(), cfg.max_len, registry)
         except MaskingError:
             return
         p = tmp_path / "i.jsonl"
         save_instances(insts, p)
-        loaded = load_instances(p)
+        loaded = load_instances(p, cfg)
         assert_same_instances(loaded, insts)
         arrays = {}
         for inst in loaded:
@@ -366,7 +373,7 @@ class TestInstancesJsonl:
                "max_len": 10, "token_ids": inst.token_ids[:inst.length].tolist(), "labels": {inst.subtask.name: 1}}
         write_lines(p, [row])
         with pytest.raises(FormatError, match=re.escape(f"{p}:1: ") + f".*field '{field}'"):
-            load_instances(p)
+            load_instances(p, ENC)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0], rows[0]], r":2: repeated unit \(tweet 'tw1', candidate 0; first on line 1\)"),
@@ -388,7 +395,28 @@ class TestInstancesJsonl:
         p = tmp_path / "i.jsonl"
         write_lines(p, edit(rows))
         with pytest.raises(FormatError, match=re.escape(str(p)) + message):
-            load_instances(p)
+            load_instances(p, ENC)
+
+    @pytest.mark.parametrize("max_len", [10**15, 9, 11])
+    def test_loader_refuses_a_max_len_other_than_the_encoders(self, tmp_path, max_len):
+        # 10**15 would allocate 7 PiB of token ids.
+        p = tmp_path / "i.jsonl"
+        save_instances([make_instance()], p)
+        write_lines(p, [{**json.loads(p.read_text()), "max_len": max_len}])
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1: field 'max_len' is {max_len}, "
+                                                        f"the encoder's max_len is 10")):
+            load_instances(p, ENC)
+
+    @pytest.mark.parametrize("token_id", [32, 2**63, 2**70])
+    def test_loader_refuses_a_token_id_outside_the_vocabulary(self, tmp_path, token_id):
+        # 2**63 does not fit an int64 token array.
+        p = tmp_path / "i.jsonl"
+        save_instances([make_instance()], p)
+        row = json.loads(p.read_text())
+        write_lines(p, [{**row, "token_ids": [*row["token_ids"][:-1], token_id]}])
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1: field 'token_ids' holds id {token_id}, "
+                                                        f"the encoder's vocab_size is 32")):
+            load_instances(p, ENC)
 
 
 def make_record(decision=1, filtered=False, chunk="c"):
