@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -221,6 +222,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def json_document(obj) -> str:
+    """The one text of a whole-file JSON artifact (reports, manifests):
+    sorted keys, two-space indent, non-ASCII escaped, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
     """The JSON object in ``text``; raises ``error`` prefixed with ``where``
     for malformed JSON or a value that is not an object."""
@@ -245,6 +252,22 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]
         for lineno, raw in enumerate(fh, 1):
             if raw.strip():
                 yield lineno, parse_json_object(raw, f"{path}:{lineno}", error)
+
+
+def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:
+    """Replace ``path`` whole with ``chunks``, text as UTF-8 and bytes as
+    they are, with no newline translation. Every artifact writer uses this.
+    The chunks go to ``<path>.tmp`` and ``os.replace`` moves it onto
+    ``path``, so an exception, even one the chunks raise, leaves the old
+    file or none, never a shortened one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueError]):
@@ -344,9 +367,7 @@ def dumps_tweet(tweet: AnnotatedTweet) -> str:
 
 def save_corpus(tweets: Iterable[AnnotatedTweet], path: str | Path) -> None:
     """Write tweets as canonical JSONL (UTF-8, LF, sorted keys)."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for tweet in tweets:
-            fh.write(dumps_tweet(tweet) + "\n")
+    write_file(path, (dumps_tweet(tweet) + "\n" for tweet in tweets))
 
 
 def corpus_digest(tweets: Sequence[AnnotatedTweet]) -> str:

@@ -10,7 +10,6 @@ denominators score 0 and are flagged rather than hidden.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,9 +20,11 @@ from .corpus import (
     CorpusError,
     SubtaskId,
     SubtaskRegistry,
+    json_document,
     json_field,
     json_nonnegative_int,
     parse_json_object,
+    write_file,
 )
 from .multitask import PredictionRecord, micro_f1_counts
 
@@ -218,8 +219,7 @@ def comparison_to_obj(cmp: Comparison) -> dict:
 
 
 def save_comparison(cmp: Comparison, path: str | Path) -> None:
-    text = json.dumps(comparison_to_obj(cmp), sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_file(path, [json_document(comparison_to_obj(cmp))])
 
 
 def report_to_obj(report: MetricsReport) -> dict:
@@ -242,8 +242,7 @@ def report_to_obj(report: MetricsReport) -> dict:
 
 
 def save_report(report: MetricsReport, path: str | Path) -> None:
-    text = json.dumps(report_to_obj(report), sort_keys=True, indent=2, ensure_ascii=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_file(path, [json_document(report_to_obj(report))])
 
 
 def load_report(path: str | Path) -> MetricsReport:

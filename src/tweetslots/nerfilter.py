@@ -20,6 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from .corpus import write_file
 from .multitask import PredictionRecord
 from .preprocess import _PUNCT_TABLE
 
@@ -170,11 +171,8 @@ def save_gazetteer(gaz: Gazetteer, directory: str | Path) -> None:
     for etype, name in _PHRASE_FILES.items():
         entries = sorted(gaz.phrases.get(etype, frozenset()))
         if entries or name.split(".")[0] in ("person", "location", "organization"):
-            (directory / name).write_text("".join(e + "\n" for e in entries), encoding="utf-8")
-    lines = sorted(
-        f"{etype.name}\t{pattern.pattern}\n" for etype, pattern in gaz.rules
-    )
-    (directory / "rules.txt").write_text("".join(lines), encoding="utf-8")
+            write_file(directory / name, (e + "\n" for e in entries))
+    write_file(directory / "rules.txt", sorted(f"{etype.name}\t{pattern.pattern}\n" for etype, pattern in gaz.rules))
 
 
 def default_gazetteer() -> Gazetteer:

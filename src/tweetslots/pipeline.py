@@ -10,7 +10,6 @@ A lock file guards the output directory against concurrent runs.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 from dataclasses import Field, dataclass, fields, replace
@@ -284,7 +283,7 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
         "val_ids": [t.id for t in split.val_tweets],
     }
     path = out_dir / "split_manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    corpus_mod.write_file(path, [corpus_mod.json_document(manifest)])
     artifacts["split_manifest"] = path
     for name, tweets in (("train", split.train_tweets), ("val", split.val_tweets)):
         instances = mask_corpus(tweets, vocab, clean_cfg, cfg.encoder.max_len, registry)
@@ -369,12 +368,11 @@ def stage_postprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     return {"predictions_filtered": path}
 
 
-def _evaluate(
-    cfg: PipelineConfig, out_dir: Path, predictions_name: str, label: str, filtered: bool
-) -> dict[str, Path]:
+def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, Path]:
+    label = "filtered" if filtered else "unfiltered"
     registry = make_registry(cfg)
     split = load_and_split(cfg, registry)
-    records = serialize.load_predictions(out_dir / predictions_name)
+    records = serialize.load_predictions(out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl"))
     report = metrics_mod.score(
         records,
         split.val_tweets,
@@ -386,17 +384,17 @@ def _evaluate(
     report_path = out_dir / f"report_{label}.json"
     metrics_mod.save_report(report, report_path)
     table_path = out_dir / f"table_{label}.txt"
-    table_path.write_text(metrics_mod.render_table(report), encoding="utf-8")
+    corpus_mod.write_file(table_path, [metrics_mod.render_table(report)])
     log.info("evaluate(%s): micro-F1 %.4f", label, report.micro_f1)
     return {f"report_{label}": report_path, f"table_{label}": table_path}
 
 
 def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    return _evaluate(cfg, out_dir, "predictions.jsonl", "unfiltered", False)
+    return _evaluate(cfg, out_dir, False)
 
 
 def stage_evaluate_filtered(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    return _evaluate(cfg, out_dir, "predictions_filtered.jsonl", "filtered", True)
+    return _evaluate(cfg, out_dir, True)
 
 
 def stage_ablate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
@@ -404,7 +402,7 @@ def stage_ablate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     report_b = metrics_mod.load_report(out_dir / "report_filtered.json")
     cmp = metrics_mod.compare(report_a, report_b, label_a="unfiltered", label_b="filtered")
     text_path = out_dir / "ablation.txt"
-    text_path.write_text(metrics_mod.render_comparison(cmp), encoding="utf-8")
+    corpus_mod.write_file(text_path, [metrics_mod.render_comparison(cmp)])
     json_path = out_dir / "ablation.json"
     metrics_mod.save_comparison(cmp, json_path)
     log.info("ablate: micro-F1 %.4f -> %.4f (delta %+.4f)", cmp.micro_a, cmp.micro_b, cmp.micro_delta)
@@ -500,8 +498,7 @@ def _write_run_manifest(
     if failed_stage is not None:
         obj["failed_stage"] = failed_stage
         obj["partial"] = True
-    path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    corpus_mod.write_file(out_dir / "run_manifest.json", [corpus_mod.json_document(obj)])
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> Path:

@@ -33,6 +33,7 @@ from .corpus import (
     json_nonnegative_int,
     parse_json_object,
     read_jsonl,
+    write_file,
 )
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
@@ -64,8 +65,8 @@ def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:
-    """Write the model container; refuses, before opening ``path``, a model
-    with a non-finite weight."""
+    """Write the model container, one array at a time; refuses a model with
+    a non-finite weight."""
     cfg = params.encoder.config
     arrays = list(params.named_arrays())
     for name, arr in arrays:
@@ -77,12 +78,10 @@ def save_model(params: ModelParams, path: str | Path) -> None:
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
     header_bytes = canonical_json(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_file(path, itertools.chain(
+        (MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header_bytes)), header_bytes),
+        (np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays),
+    ))
 
 
 def load_model(path: str | Path) -> ModelParams:
@@ -159,8 +158,8 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[Subtask
 
 
 def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> None:
-    """Write one row per unit; refuses, before opening ``path``, instances
-    that unit rows cannot reproduce exactly (see ``_tweet_unit_rows``)."""
+    """Write one row per unit; refuses instances that unit rows cannot
+    reproduce exactly (see ``_tweet_unit_rows``)."""
     lines = []
     done: set[str] = set()
     parsed: dict[tuple[str, ...], list[SubtaskId]] = {}
@@ -170,8 +169,7 @@ def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> Non
         done.add(tweet_id)
         rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}", parsed)
         lines.extend(canonical_json(row) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    write_file(path, lines)
 
 
 def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str, parsed: dict) -> list[dict]:
@@ -345,19 +343,16 @@ def _unit_from_obj(obj: dict, where: str, cfg: EncoderConfig) -> tuple[dict, str
 
 def save_predictions(records: Iterable[PredictionRecord], path: str | Path, include_filtered: bool = False) -> None:
     """Write prediction JSONL; postprocessed files add the 'filtered' flag."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            row = {
-                "tweet_id": rec.tweet_id,
-                "subtask": str(rec.subtask),
-                "candidate_index": rec.candidate_index,
-                "chunk_text": rec.chunk_text,
-                "probability": rec.probability,
-                "decision": rec.decision,
-            }
-            if include_filtered:
-                row["filtered"] = rec.filtered
-            fh.write(canonical_json(row) + "\n")
+    rows = ({
+        "tweet_id": rec.tweet_id,
+        "subtask": str(rec.subtask),
+        "candidate_index": rec.candidate_index,
+        "chunk_text": rec.chunk_text,
+        "probability": rec.probability,
+        "decision": rec.decision,
+        **({"filtered": rec.filtered} if include_filtered else {}),
+    } for rec in records)
+    write_file(path, (canonical_json(row) + "\n" for row in rows))
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
@@ -401,10 +396,8 @@ _LOG_FIELDS = frozenset(("epoch", "train_loss", "val_micro_f1"))
 def save_train_log(entries: Sequence[TrainLogEntry], path: str | Path) -> None:
     """One row per epoch: {epoch, train_loss, val_micro_f1}. The ensemble
     stage ranks pool members by the best ``val_micro_f1`` of their log."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in entries:
-            row = {"epoch": e.epoch, "train_loss": e.train_loss, "val_micro_f1": e.val_micro_f1}
-            fh.write(canonical_json(row) + "\n")
+    rows = ({"epoch": e.epoch, "train_loss": e.train_loss, "val_micro_f1": e.val_micro_f1} for e in entries)
+    write_file(path, (canonical_json(row) + "\n" for row in rows))
 
 
 def load_train_log(path: str | Path) -> list[TrainLogEntry]:

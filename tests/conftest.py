@@ -58,6 +58,13 @@ def ws(tmp_path_factory) -> Path:
     return root
 
 
+def cut_short(items, n: int):
+    """Yield the first ``n`` of ``items``, then raise, as a writer's input
+    does when the process fails half-way through a save."""
+    yield from items[:n]
+    raise RuntimeError("cut short")
+
+
 def tree_bytes(out_dir: Path, skip: frozenset[str] = frozenset({".lock"})) -> dict[str, bytes]:
     """Map of relative path -> file bytes for every artifact under out_dir."""
     out = {}

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import cut_short
 from tweetslots.corpus import (
     DEFAULT_SUBTASKS,
     EVENT_ORDER,
@@ -25,6 +27,7 @@ from tweetslots.corpus import (
     load_corpus,
     save_corpus,
     split,
+    write_file,
 )
 
 
@@ -152,6 +155,16 @@ class TestCorpusIo:
         loaded = load_corpus(p)
         assert loaded == tweets
 
+    def test_save_cut_short_keeps_the_old_file(self, tmp_path):
+        tweets = [make_tweet(i) for i in range(4)]
+        p = tmp_path / "c.jsonl"
+        save_corpus(tweets, p)
+        before = p.read_bytes()
+        with pytest.raises(RuntimeError, match="cut short"):
+            save_corpus(cut_short(tweets[::-1], 2), p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_digest_stable_across_round_trip(self, tmp_path):
         tweets = [make_tweet(i) for i in range(4)]
         p = tmp_path / "c.jsonl"
@@ -212,6 +225,33 @@ class TestCorpusIo:
         p.write_text(dumps_tweet(make_tweet(0)) + "\n" + json.dumps(row) + "\n")
         with pytest.raises(CorpusError, match=re.escape(f"{p}:2: ") + ".*integer"):
             load_corpus(p)
+
+
+class TestWriteFile:
+    def test_text_is_utf8_and_bytes_pass_through(self, tmp_path):
+        p = tmp_path / "f"
+        write_file(p, ["caf\u00e9\r\n", b"\x00\xff", "\n"])
+        assert p.read_bytes() == b"caf\xc3\xa9\r\n\x00\xff\n"
+
+    def test_failing_chunks_leave_the_old_bytes_and_no_temp_file(self, tmp_path):
+        p = tmp_path / "f.jsonl"
+        p.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError, match="cut short"):
+            write_file(p, cut_short(["new 1\n", "new 2\n", "new 3\n"], 2))
+        assert p.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_failing_chunks_leave_no_file_where_there_was_none(self, tmp_path):
+        with pytest.raises(RuntimeError, match="cut short"):
+            write_file(tmp_path / "f", cut_short([b"x"], 1))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_leftover_temp_file_is_overwritten(self, tmp_path):
+        p = tmp_path / "f.jsonl"
+        Path(f"{p}.tmp").write_text("half a row from a killed run", encoding="utf-8")
+        write_file(p, ["row\n"])
+        assert p.read_text(encoding="utf-8") == "row\n"
+        assert list(tmp_path.iterdir()) == [p]
 
 
 class TestSplit:

@@ -1,7 +1,8 @@
 """The README matches the code: the package root exports exactly the names of
 its Library section, and its config paragraph lists exactly the known keys
 with the defaults that the parser applies. The package modules import nothing
-they do not use."""
+they do not use, and open no file for writing except through
+``corpus.write_file``."""
 
 from __future__ import annotations
 
@@ -84,3 +85,54 @@ def test_unused_import_check_sees_one():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_module_imports(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _write_sites(source: str) -> list[str]:
+    """Calls that open a file for writing, other than those inside
+    ``write_file`` and the ``os.open`` of the output lock."""
+    tree = ast.parse(source)
+
+    def inside(kind, name):
+        return {id(n) for top in ast.walk(tree) if isinstance(top, kind) and top.name == name for n in ast.walk(top)}
+
+    writer, lock = inside(ast.FunctionDef, "write_file"), inside(ast.ClassDef, "_OutputLock")
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in writer:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open" and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            if id(node) not in lock:
+                found.append((node.lineno, "os.open"))
+        elif name == "open":
+            # open(path, mode) or Path(path).open(mode); an absent mode reads,
+            # a mode that is not a literal counts as a write.
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at:at + 1]
+            mode = getattr(modes[0], "value", None) if modes else "r"
+            if not isinstance(mode, str) or set(mode) & set("wax+"):
+                found.append((node.lineno, "open"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_write_site_check_sees_each_form():
+    source = (
+        "import os\n"
+        "def write_file(p):\n    open(p, 'wb')\n"
+        "class _OutputLock:\n    def take(self):\n        os.open(self.p, os.O_CREAT)\n"
+        "def reads(p, mode):\n    open(p)\n    open(p, 'rb')\n    p.open(encoding='utf-8')\n    p.read_text()\n"
+        "def writes(p, mode):\n    open(p, 'w')\n    open(p, mode=mode)\n    p.open('a')\n"
+        "    p.write_text('x')\n    p.write_bytes(b'x')\n    os.open(p, os.O_WRONLY)\n"
+    )
+    assert _write_sites(source) == [
+        f"line {n}: {name}" for n, name in
+        [(13, "open"), (14, "open"), (15, "open"), (16, "write_text"), (17, "write_bytes"), (18, "os.open")]
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_file_write_goes_through_write_file(module):
+    assert _write_sites((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import cut_short
 from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
@@ -446,6 +447,16 @@ class TestPredictionsJsonl:
         [rec] = load_predictions(p)
         assert rec.filtered is True
 
+    def test_save_cut_short_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "p.jsonl"
+        records = [make_record(1), make_record(0), make_record(1)]
+        save_predictions(records, p)
+        before = p.read_bytes()
+        with pytest.raises(RuntimeError, match="cut short"):
+            save_predictions(cut_short(records[::-1], 2), p, include_filtered=True)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_rejects_bad_probability(self, tmp_path):
         p = tmp_path / "p.jsonl"
         save_predictions([make_record()], p)
@@ -483,6 +494,16 @@ class TestTrainLog:
             '{"epoch":1,"train_loss":0.5,"val_micro_f1":0.25}\n'
             '{"epoch":2,"train_loss":3.0,"val_micro_f1":1.0}\n'
         )
+
+    def test_save_cut_short_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        entries = [TrainLogEntry(1, 0.5, 0.25), TrainLogEntry(2, 0.4, 0.5), TrainLogEntry(3, 0.3, 0.75)]
+        save_train_log(entries, p)
+        before = p.read_bytes()
+        with pytest.raises(RuntimeError, match="cut short"):
+            save_train_log(cut_short(entries[:2], 1), p)
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "log.jsonl"
