@@ -222,12 +222,13 @@ def loss_and_grads(
 
     dlogit = weights * (probs - labels) / len(batch)
     grads: dict[str, np.ndarray] = {}
-    dfeats = np.zeros_like(feats)
+    head_of = np.empty(len(batch), dtype=np.int64)
     for row, ks in groups:
         subtask = params.subtasks[row]
         grads[f"head.{subtask}.w"] = feats[ks].T @ dlogit[ks]
         grads[f"head.{subtask}.b"] = np.asarray([dlogit[ks].sum()])
-        dfeats[ks] = np.outer(dlogit[ks], params.head_w[row])
+        head_of[ks] = row
+    dfeats = dlogit[:, None] * params.head_w[head_of]  # elementwise the per-group np.outer(dlogit[ks], w)
     row_grads, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
     num_layers = params.encoder.config.num_layers
     b, t = cache.ids.shape
@@ -258,6 +259,18 @@ class AdamW:
     scratch rows sized to the largest gradient, allocated once per step. The
     caller's gradient arrays are only read.
 
+    After ``stack_heads``, the head rows are one state instead of two named
+    arrays each: the moments of ``head_w`` and ``head_b`` are the first
+    ``dim`` columns and the last column of one ``(S, dim + 1)`` pair, and
+    each row has its own step count. A step gathers the rows whose gradients
+    it holds, in the order of their names in ``grads``, runs the formula once
+    on the gathered block with the bias corrections ``1 - beta**t`` as a
+    column, and scatters the rows back; rows without a gradient keep their
+    bits. The clip norm adds the squares of the heads first, ``w`` then
+    ``b`` per row in that order, then the other arrays in dict order, which
+    is ``grads``' own order when its head names come first, as
+    ``loss_and_grads`` returns them.
+
     A 2-D parameter (the embeddings, proj4's bias) runs the formula only on
     its live rows: a row turns live at its first gradient with a nonzero
     entry and stays live. A row that has never been live has ``m = v = 0``
@@ -275,19 +288,51 @@ class AdamW:
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
         self._live: dict[str, np.ndarray] = {}  # per-row mask of each 2-D parameter
+        self._head_slot: dict[str, tuple[int, int]] = {}  # gradient name -> (0 for w or 1 for b, row)
+        self._head_w = self._head_b = self._head_m = self._head_v = self._head_t = np.empty(0)  # see stack_heads
+
+    def stack_heads(self, subtasks: Sequence[object], head_w: np.ndarray, head_b: np.ndarray) -> None:
+        """Step the gradients ``head.<subtasks[i]>.w`` and ``.b`` as row i of ``head_w`` and ``head_b``.
+
+        Call it before the first step; the arrays are updated in place.
+        """
+        self._head_slot = {f"head.{s}.{part}": (k, i) for i, s in enumerate(subtasks) for k, part in enumerate("wb")}
+        self._head_w, self._head_b = head_w, head_b
+        self._head_m = np.zeros((len(head_w), head_w.shape[1] + 1))
+        self._head_v = np.zeros_like(self._head_m)
+        self._head_t = np.zeros(len(head_w), dtype=np.int64)
 
     def step(self, named_params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         cfg = self.cfg
-        buf = np.empty((2, max((g.size for g in grads.values()), default=0)))
+        rows: tuple[list[int], list[int]] = ([], [])
+        head_grads: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+        trunk = {}
+        for name, g in grads.items():
+            slot = self._head_slot.get(name)
+            if slot is None:
+                trunk[name] = g
+            else:
+                rows[slot[0]].append(slot[1])
+                head_grads[slot[0]].append(g)
+        if rows[0] != rows[1]:
+            raise ValueError("head gradients must come as .w and .b of the same rows, in the same order")
+        # Row k of head_g is [grad of w | grad of b] of head row rows[0][k].
+        head_g = np.hstack([np.stack(gs) for gs in head_grads]) if rows[0] else np.empty((0, 1))
+        buf = np.empty((2, max([head_g.size, *(g.size for g in trunk.values())])))
         scratch = {name: (buf[0, :g.size].reshape(g.shape), buf[1, :g.size].reshape(g.shape))
-                   for name, g in grads.items()}
+                   for name, g in trunk.items()}
+        head_s0, head_s1 = (buf[i, :head_g.size].reshape(head_g.shape) for i in range(2))
         scale = None
         if cfg.clip_norm > 0:
-            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in grads.items())
+            sq = np.multiply(head_g, head_g, head_s0)
+            squares = np.stack((sq[:, :-1].sum(axis=1), sq[:, -1]), axis=1).ravel().tolist()
+            squares += [float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in trunk.items()]
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
-        for name, g in grads.items():
+        if rows[0]:
+            self._step_heads(np.asarray(rows[0]), head_g, scale, head_s0, head_s1)
+        for name, g in trunk.items():
             p = named_params[name]
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
@@ -296,24 +341,41 @@ class AdamW:
                 if p.ndim == 2:
                     self._live[name] = np.zeros(len(p), dtype=bool)
             self._t[name] += 1
+            t = self._t[name]
+            corrections = (1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t)
             m, v = self._m[name], self._v[name]
             s0, s1 = scratch[name]
             live = self._live.get(name)
             if live is None:
-                self._update(p, g, m, v, self._t[name], scale, s0, s1)
+                self._update(p, g, m, v, corrections, scale, s0, s1)
                 continue
             # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
             live |= np.abs(g, out=s1) @ np.ones(g.shape[1]) != 0
-            rows = np.flatnonzero(live)
-            p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
-            self._update(p_rows, g[rows], m_rows, v_rows, self._t[name], scale, s0[:rows.size], s1[:rows.size])
+            live_rows = np.flatnonzero(live)
+            p_rows, m_rows, v_rows = p[live_rows], m[live_rows], v[live_rows]
+            n = live_rows.size
+            self._update(p_rows, g[live_rows], m_rows, v_rows, corrections, scale, s0[:n], s1[:n])
             decay = np.multiply(p, cfg.weight_decay, s0)
             decay *= cfg.learning_rate
             p -= decay
-            p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+            p[live_rows], m[live_rows], v[live_rows] = p_rows, m_rows, v_rows
 
-    def _update(self, p, g, m, v, t, scale, s0, s1) -> None:
-        """One AdamW step in place on ``p``, ``m`` and ``v``; ``s0`` and ``s1`` are scratch of g's shape."""
+    def _step_heads(self, rows: np.ndarray, g: np.ndarray, scale, s0, s1) -> None:
+        """One step of the head rows ``rows``; row k of ``g`` is ``[grad of w | grad of b]`` of ``rows[k]``.
+        Rows absent from ``rows`` get no step and no decay."""
+        cfg = self.cfg
+        t = self._head_t[rows] + 1
+        self._head_t[rows] = t
+        corrections = tuple(np.array([[1.0 - beta ** k] for k in t.tolist()]) for beta in (cfg.beta1, cfg.beta2))
+        p = np.hstack((self._head_w[rows], self._head_b[rows, None]))
+        m, v = self._head_m[rows], self._head_v[rows]
+        self._update(p, g, m, v, corrections, scale, s0, s1)
+        self._head_w[rows], self._head_b[rows] = p[:, :-1], p[:, -1]
+        self._head_m[rows], self._head_v[rows] = m, v
+
+    def _update(self, p, g, m, v, corrections, scale, s0, s1) -> None:
+        """One AdamW step in place on ``p``, ``m`` and ``v``, given the bias corrections
+        ``1 - beta1**t`` and ``1 - beta2**t``; ``s0`` and ``s1`` are scratch of g's shape."""
         cfg = self.cfg
         if scale is not None:
             g = np.multiply(g, scale, s0)
@@ -323,8 +385,8 @@ class AdamW:
         gg = np.multiply(g, g, s1)
         gg *= 1.0 - cfg.beta2
         v += gg
-        m_hat = np.divide(m, 1.0 - cfg.beta1 ** t, s0)
-        denom = np.sqrt(np.divide(v, 1.0 - cfg.beta2 ** t, s1), s1)
+        m_hat = np.divide(m, corrections[0], s0)
+        denom = np.sqrt(np.divide(v, corrections[1], s1), s1)
         denom += cfg.epsilon
         update = np.divide(m_hat, denom, s0)
         update += np.multiply(p, cfg.weight_decay, s1)
@@ -391,6 +453,7 @@ def train(
     _head_groups(params, {i.subtask for i in val_set})
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
+    optimizer.stack_heads(params.subtasks, params.head_w, params.head_b)
     named = dict(params.named_arrays())
     n = len(train_set)
     best_score = -1.0

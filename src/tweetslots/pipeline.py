@@ -157,7 +157,8 @@ def load_config(
             p = base / p
         if not p.exists():
             raise ConfigError(f"config key {key!r}: path does not exist: {p}")
-        return p
+        # One file reached by any spelling of the config path gives one path, so one fingerprint.
+        return p.resolve()
 
     seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
     if seed < 0:

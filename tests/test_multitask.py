@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetslots import multitask
 from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
@@ -343,6 +344,77 @@ class TestAdamW:
             assert same_bits(opt._m[k], oracle._m[k]), k
             assert same_bits(opt._v[k], oracle._v[k]), k
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_heads_match_dense_oracle(self, data):
+        # S head rows stepped as one state against the oracle stepping each
+        # row's w and b as named arrays, next to two trunk arrays that share
+        # the clip norm. The dims straddle NumPy's pairwise-sum blocks (8-wide
+        # unrolled, 128-element blocks), so a per-row square sum that took
+        # another path would change the norm's last bits. Each step holds a
+        # random subset of rows in random first-appearance order; row `never`
+        # gets no gradient at all.
+        S = data.draw(st.integers(1, 8), label="S")
+        dim = data.draw(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 256]), label="dim")
+        never = data.draw(st.integers(0, S - 1), label="never") if S > 1 else None
+        steps = data.draw(st.integers(2, 5), label="steps")
+        wd = data.draw(st.sampled_from([0.0, 0.1]), label="weight_decay")
+        clip = data.draw(st.sampled_from([0.0, 0.5, 1e6]), label="clip_norm")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=wd, clip_norm=clip)
+        names = [f"s{i}" for i in range(S)]
+        head_w, head_b = rng.standard_normal((S, dim)), rng.standard_normal(S)
+        w0, b0 = head_w.copy(), head_b.copy()
+        trunk = {"emb": rng.standard_normal((3, 4)), "bias": rng.standard_normal(5)}
+        fast = {k: v.copy() for k, v in trunk.items()}
+        dense = {k: v.copy() for k, v in trunk.items()}
+        ref_w, ref_b = head_w.copy(), head_b.copy()
+        for i, s in enumerate(names):
+            dense[f"head.{s}.w"], dense[f"head.{s}.b"] = ref_w[i], ref_b[i:i + 1]
+        opt, oracle = AdamW(cfg), DenseAdamW(cfg)
+        opt.stack_heads(names, head_w, head_b)
+        fired = []
+        for step in range(1, steps + 1):
+            order = data.draw(st.permutations([i for i in range(S) if i != never]), label=f"order at step {step}")
+            present = order[:data.draw(st.integers(0, len(order)), label=f"rows at step {step}")]
+            grads = {}
+            for i in present:
+                grads[f"head.{names[i]}.w"] = rng.standard_normal(dim)
+                grads[f"head.{names[i]}.b"] = rng.standard_normal(1)
+            grads.update({k: rng.standard_normal(v.shape) for k, v in trunk.items()})
+            opt.step(fast, grads)
+            oracle.step(dense, grads)
+            total = math.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
+            fired.append(clip > 0 and total > clip)
+        assert any(fired) or clip != 0.5
+        assert not any(fired) or clip == 0.5
+        assert same_bits(head_w, ref_w) and same_bits(head_b, ref_b)
+        for i, s in enumerate(names):
+            w, b = f"head.{s}.w", f"head.{s}.b"
+            assert opt._head_t[i] == oracle._t.get(w, 0) == oracle._t.get(b, 0), s
+            m_w, m_b = oracle._m.get(w, np.zeros(dim)), oracle._m.get(b, np.zeros(1))
+            v_w, v_b = oracle._v.get(w, np.zeros(dim)), oracle._v.get(b, np.zeros(1))
+            assert same_bits(opt._head_m[i], np.concatenate((m_w, m_b))), s
+            assert same_bits(opt._head_v[i], np.concatenate((v_w, v_b))), s
+        if never is not None:
+            assert opt._head_t[never] == 0
+            assert same_bits(head_w[never], w0[never]) and same_bits(head_b[never:never + 1], b0[never:never + 1])
+        assert opt._t == {k: oracle._t[k] for k in trunk}
+        for k in trunk:
+            assert same_bits(fast[k], dense[k]), k
+            assert same_bits(opt._m[k], oracle._m[k]), k
+            assert same_bits(opt._v[k], oracle._v[k]), k
+
+    def test_stacked_heads_refuse_unpaired_rows(self):
+        cfg = TrainConfig(clip_norm=0.0)
+        head_w, head_b = np.zeros((2, 3)), np.zeros(2)
+        opt = AdamW(cfg)
+        opt.stack_heads(["a", "b"], head_w, head_b)
+        for grads in ({"head.a.w": np.ones(3)},
+                      {"head.a.w": np.ones(3), "head.b.w": np.ones(3), "head.b.b": np.ones(1), "head.a.b": np.ones(1)}):
+            with pytest.raises(ValueError, match="head gradients"):
+                opt.step({}, grads)
+
     def test_live_rows_are_the_rows_with_a_gradient(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, clip_norm=0.0)
         p = {"emb": np.ones((4, 2))}
@@ -470,6 +542,36 @@ class TestTraining:
         best, _ = train(model, train_set, val_set, cfg)
         for m in (best, model):
             assert np.array_equal(m.head_w[row], w_before) and m.head_b[row] == b_before
+
+    def test_one_loss_and_grads_and_one_step_per_batch_through_their_bindings(self, monkeypatch):
+        # The benchmark traces `multitask.loss_and_grads` and `AdamW.step` by
+        # rebinding the module function and the class method; a train loop
+        # that bypassed either binding would read 0 calls there.
+        cfg = TrainConfig(batch_size=4, epochs=2, seed=0)
+        train_set, val_set = self.small_sets()
+        model = init_model(enc_cfg(), StrategyKind.PROJ4, REG, seed=0)
+        calls = {"loss_and_grads": [], "step": 0}
+        real_loss_and_grads, real_step = multitask.loss_and_grads, AdamW.step
+
+        def counted_loss_and_grads(params, batch, cfg, *args, **kwargs):
+            value, grads = real_loss_and_grads(params, batch, cfg, *args, **kwargs)
+            calls["loss_and_grads"].append(([i.subtask for i in batch], list(grads)))
+            return value, grads
+
+        def counted_step(self, named_params, grads):
+            calls["step"] += 1
+            real_step(self, named_params, grads)
+
+        monkeypatch.setattr(multitask, "loss_and_grads", counted_loss_and_grads)
+        monkeypatch.setattr(AdamW, "step", counted_step)
+        train(model, train_set, val_set, cfg)
+        batches = cfg.epochs * math.ceil(len(train_set) / cfg.batch_size)
+        assert len(calls["loss_and_grads"]) == calls["step"] == batches
+        trunk = [name for name, _ in model.named_arrays() if not name.startswith("head.")]
+        for subtasks, names in calls["loss_and_grads"]:
+            heads = [f"head.{s}.{part}" for s in dict.fromkeys(subtasks) for part in "wb"]
+            assert names == heads + trunk
+        assert trunk[0] == "enc.token_emb" and trunk[-2:] == ["proj.w", "proj.b"]
 
     def test_divergence_detected(self):
         cfg = TrainConfig(batch_size=6, epochs=5, seed=0, learning_rate=1e200)

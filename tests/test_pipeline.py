@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,13 @@ class TestLoadConfig:
         c = config_fingerprint(load_config(ws / "config.ini", seed_override=9))
         assert a == b
         assert a != c
+
+    def test_fingerprint_ignores_how_the_config_path_is_spelled(self, ws, monkeypatch):
+        monkeypatch.chdir(ws.parent)
+        spellings = [ws / "config.ini", Path(ws.name) / "config.ini", Path(ws.name) / ".." / ws.name / "config.ini"]
+        cfgs = [load_config(p) for p in spellings]
+        assert {config_fingerprint(cfg) for cfg in cfgs} == {config_fingerprint(cfgs[0])}
+        assert {cfg.corpus_path for cfg in cfgs} == {(ws / "corpus.jsonl").resolve()}
 
 
 @pytest.fixture(scope="module")
