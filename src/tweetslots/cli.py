@@ -3,7 +3,8 @@
 ``run`` executes the whole pipeline. Every stage of ``pipeline._STAGES`` is
 also a subcommand of the same name (``evaluate --filtered`` selects
 ``evaluate_filtered``) that calls the stage function directly, under the
-same output-directory lock as ``run``. Running the stages in sequence over
+same output-directory lock as ``run``, an ``flock`` that dies with its
+holder (a held lock gives exit 3). Running the stages in sequence over
 one output directory reproduces the ``run`` tree byte for byte, except for
 ``run_manifest.json``, which only ``run`` writes. ``predict`` is not a
 stage: it scores instances with one trained model. Logs go to stderr;
@@ -85,7 +86,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         log.info("run complete; manifest at %s", manifest)
         return EXIT_OK
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     with pipeline._OutputLock(out_dir):
         if command == "predict":
             instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"

@@ -120,20 +120,24 @@ class SubtaskRegistry:
     @classmethod
     def load(cls, path: str | Path) -> "SubtaskRegistry":
         table: dict[EventType, tuple[str, ...]] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_utf8(path, CorpusError).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            event_s, sep, names_s = (part.strip() for part in line.partition("="))
+            if not sep or not names_s:  # `death =` is refused, never read as no event
                 raise CorpusError(f"{path}:{lineno}: expected 'event = sub1,sub2,...'")
-            event_s, names_s = (part.strip() for part in line.split("=", 1))
             try:
                 event = EventType(event_s)
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: unknown event {event_s!r}") from None
-            names = tuple(n.strip() for n in names_s.split(",") if n.strip())
             if event in table:
                 raise CorpusError(f"{path}:{lineno}: event {event_s!r} listed twice")
+            names = tuple(n.strip() for n in names_s.split(","))
+            try:
+                cls({event: names})  # the name rules, reported with this line
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
             table[event] = names
         if not table:
             raise CorpusError(f"{path}: registry file defines no events")
@@ -248,10 +252,24 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]
     one JSON type, never coerced. Problems raise the loader's ``error``
     naming the file, the line and the field.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if raw.strip():
-                yield lineno, parse_json_object(raw, f"{path}:{lineno}", error)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.strip():
+                    yield lineno, parse_json_object(raw, f"{path}:{lineno}", error)
+    except UnicodeDecodeError:
+        read_utf8(path, error)  # raises, naming the line
+        raise
+
+
+def read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of ``path`` as UTF-8; a byte that is not raises ``error`` naming file and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + data.count(b"\n", 0, exc.start)
+        raise error(f"{path}:{line}: not UTF-8 (byte {data[exc.start]:#04x})") from None
 
 
 def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:

@@ -24,6 +24,7 @@ from .corpus import (
     json_field,
     json_nonnegative_int,
     parse_json_object,
+    read_utf8,
     write_file,
 )
 from .multitask import PredictionRecord, micro_f1_counts
@@ -247,7 +248,7 @@ def save_report(report: MetricsReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> MetricsReport:
     where = str(path)
-    obj = parse_json_object(Path(path).read_text(encoding="utf-8"), where, MetricsError)
+    obj = parse_json_object(read_utf8(path, MetricsError), where, MetricsError)
     subtasks = json_field(obj, "subtasks", dict, where, MetricsError)
     counts = {}
     for key in subtasks:

@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .corpus import write_file
+from .corpus import read_utf8, write_file
 from .multitask import PredictionRecord
 from .preprocess import _PUNCT_TABLE
 
@@ -113,7 +113,7 @@ class TypeMap:
 
 def _read_phrase_file(path: Path) -> frozenset[str]:
     phrases = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path, NerFilterError).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -123,7 +123,7 @@ def _read_phrase_file(path: Path) -> frozenset[str]:
 
 def _read_rules_file(path: Path) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
     rules = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
         line = raw.strip("\n")
         if not line.strip() or line.startswith("#"):
             continue
@@ -183,7 +183,8 @@ def default_gazetteer() -> Gazetteer:
 def load_type_map(path: str | Path) -> TypeMap:
     """Read subtask<TAB>TYPE[,TYPE...] lines; the literal type 'exempt' opts out."""
     allowed: dict[str, frozenset[EntityType]] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -191,6 +192,8 @@ def load_type_map(path: str | Path) -> TypeMap:
         if len(parts) != 2:
             raise NerFilterError(f"{path}:{lineno}: expected 'subtask<TAB>TYPE[,TYPE...]'")
         name, spec_part = parts[0].strip(), parts[1].strip()
+        if first_line.setdefault(name, lineno) != lineno:
+            raise NerFilterError(f"{path}:{lineno}: subtask {name!r} listed twice (first on line {first_line[name]})")
         if spec_part.lower() == "exempt":
             continue
         types = set()

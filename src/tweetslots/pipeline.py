@@ -4,7 +4,7 @@ The config is a flat key-value text file with dotted section prefixes
 (``train.batch_size = 32``). Every stage writes its artifacts under one
 output directory; a run manifest records the resolved config hash, the seed,
 and a SHA-256 per artifact, so identical configs reproduce identical trees.
-A lock file guards the output directory against concurrent runs.
+An ``flock`` on ``<output>/.lock`` keeps concurrent commands apart.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ def _typed(raw: dict[str, str], key: str, parse: Callable, default):
         return default
     try:
         return parse(raw[key])
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -140,7 +138,7 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    raw = parse_config_text(path.read_text(encoding="utf-8"), str(path))
+    raw = parse_config_text(corpus_mod.read_utf8(path, ConfigError), str(path))
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
@@ -422,63 +420,41 @@ _STAGES: tuple[tuple[str, Callable], ...] = (
 
 
 class _OutputLock:
-    """Exclusive ownership of an output directory via an O_EXCL lock file.
-
-    The file records ``<pid> <host>``. A lock that this host recorded for a
-    pid that no longer runs is stale: it is removed with a warning and taken.
-    A lock naming another host, or no host, is never judged stale, because
-    its pid cannot be checked here. Removing a stale lock and creating the
-    new one are two steps, so two commands that find the same stale lock at
-    the same moment can both proceed.
-    """
+    """Exclusive ownership of an output directory, created if absent: an
+    exclusive ``flock`` on ``<output>/.lock``, which the kernel drops when
+    its holder exits, however it exits. The file's content is never read, so
+    a file a crashed command left is free. Release unlinks the file while
+    still holding it; a taker that locked a file the path no longer names
+    reopens, so one release never seats two holders. Without ``flock``
+    support it raises ``OSError``."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
         self._fd = None
 
     def __enter__(self):
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pid = self._dead_owner()
-            if pid is None:
-                raise self._locked() from None
-            log.warning("removing stale lock %s: its pid %d no longer runs on this host", self.path, pid)
-            self.path.unlink(missing_ok=True)
+        import fcntl  # POSIX only; imported here so the package imports wherever it did
+
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        while self._fd is None:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
             try:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                raise self._locked() from None
-        os.write(self._fd, f"{os.getpid()} {os.uname().nodename}\n".encode())
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd = fd
+            except BlockingIOError:
+                raise PipelineError(f"output directory is locked by {self.path}: another command holds it") from None
+            except FileNotFoundError:
+                pass  # released and unlinked after our open: lock the file now at the path
+            finally:
+                if self._fd != fd:
+                    os.close(fd)
         return self
 
-    def _locked(self) -> PipelineError:
-        return PipelineError(
-            f"output directory is locked by {self.path}; another run may be active (remove the file if not)"
-        )
-
-    def _dead_owner(self) -> int | None:
-        """The recorded pid if the lock is from this host and that pid no longer runs."""
-        try:
-            pid_text, host = self.path.read_text(encoding="utf-8").split()
-            pid = int(pid_text)
-        except (OSError, UnicodeDecodeError, ValueError):
-            return None
-        if host != os.uname().nodename or pid <= 0:
-            return None
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except PermissionError:  # it runs under another user
-            pass
-        return None
-
     def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)
-            self.path.unlink(missing_ok=True)
-        return False
+        self.path.unlink(missing_ok=True)
+        os.close(self._fd)
+        self._fd = None
 
 
 def _write_run_manifest(
@@ -509,7 +485,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> Path:
     re-raises as PipelineError naming the stage.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
     with _OutputLock(out_dir):
         for name, stage in _STAGES:

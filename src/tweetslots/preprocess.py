@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedTweet, SubtaskId, explode_instances
+from .corpus import AnnotatedTweet, SubtaskId, explode_instances, read_utf8
 
 PAD_ID = 0
 UNK_ID = 1
@@ -63,13 +63,15 @@ def _data_path(name: str):
 def load_emoji_map(path: str | Path) -> dict[str, str]:
     """Read a TSV of ``codepoint-sequence<TAB>alias`` rows."""
     table: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(read_utf8(path, PreprocessError).splitlines(), 1):
         if not raw.strip() or raw.startswith("#"):
             continue
         parts = raw.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise PreprocessError(f"{path}:{lineno}: expected 'emoji<TAB>alias'")
+        if first_line.setdefault(parts[0], lineno) != lineno:
+            raise PreprocessError(f"{path}:{lineno}: emoji {parts[0]!r} listed twice (first on line {first_line[parts[0]]})")
         table[parts[0]] = parts[1]
     return table
 
@@ -77,7 +79,7 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
 def load_covid_tags(path: str | Path) -> frozenset[str]:
     """Read a hashtag list, one tag per line; entries must start with '#'."""
     tags = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path, PreprocessError).splitlines(), 1):
         tag = raw.strip()
         if not tag or tag.startswith("//"):
             continue

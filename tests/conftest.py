@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+import tweetslots
 from tweetslots.corpus import EventType, SubtaskRegistry, save_corpus
 from tweetslots.preprocess import Vocab
 from tweetslots.synthetic import CueCorpusSpec, make_cue_corpus
@@ -72,3 +77,30 @@ def tree_bytes(out_dir: Path, skip: frozenset[str] = frozenset({".lock"})) -> di
         if p.is_file() and p.name not in skip:
             out[str(p.relative_to(out_dir))] = p.read_bytes()
     return out
+
+
+_HOLD_LOCK = """\
+import sys, time
+from pathlib import Path
+from tweetslots import pipeline
+with pipeline._OutputLock(Path(sys.argv[1])):
+    print("held", flush=True)
+    time.sleep(600)
+"""
+
+
+@contextmanager
+def lock_holder(out_dir: Path):
+    """A second process that holds ``out_dir``'s output lock until it is
+    killed with SIGKILL, at the latest when the block ends."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tweetslots.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(out_dir)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    try:
+        assert child.stdout.readline() == "held\n"
+        yield child
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+        child.stdout.close()

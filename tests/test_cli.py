@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -18,7 +20,7 @@ from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _bu
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import init_model
 
-from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, tree_bytes
+from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, lock_holder, tree_bytes
 
 
 @pytest.fixture(scope="module")
@@ -84,49 +86,74 @@ class TestStageTable:
         stages = {label for label, _ in pipeline._STAGES} - {"evaluate_filtered"}
         assert set(sub.choices) == stages | {"run", "predict"}
 
+    @staticmethod
+    def _reports(cli_run, out):
+        out.mkdir()
+        for name in ("report_unfiltered.json", "report_filtered.json"):
+            (out / name).write_bytes((cli_run / name).read_bytes())
+
+    @staticmethod
+    def _ablate(ws, out):
+        return main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
+
     def test_stage_refuses_a_locked_output(self, ws, cli_run, tmp_path):
         out = tmp_path / "locked"
-        out.mkdir()
-        for name in ("report_unfiltered.json", "report_filtered.json"):
-            (out / name).write_bytes((cli_run / name).read_bytes())
+        self._reports(cli_run, out)
         lock = out / ".lock"
-        lock.write_text("99999\n")
-        code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
-        assert code == EXIT_DATA
-        assert lock.read_text() == "99999\n"
+        with pipeline._OutputLock(out):
+            held = lock.stat()
+            assert self._ablate(ws, out) == EXIT_DATA
+            assert os.path.samestat(lock.stat(), held)
         assert not (out / "ablation.json").exists()
-
-    def test_stage_takes_the_lock_of_an_exited_pid(self, ws, cli_run, tmp_path, caplog):
-        out = tmp_path / "stale"
-        out.mkdir()
-        for name in ("report_unfiltered.json", "report_filtered.json"):
-            (out / name).write_bytes((cli_run / name).read_bytes())
-        child = subprocess.Popen([sys.executable, "-c", ""])
-        assert child.wait(timeout=60) == 0  # exited and reaped: its pid runs no more
-        lock = out / ".lock"
-        lock.write_text(f"{child.pid} {os.uname().nodename}\n")
-        code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
-        assert code == EXIT_OK
-        assert f"removing stale lock {lock}: its pid {child.pid} no longer runs" in caplog.text
-        assert (out / "ablation.json").is_file()
-        assert not lock.exists()
 
     def test_stage_refuses_the_lock_of_a_live_pid(self, ws, cli_run, tmp_path):
         out = tmp_path / "held"
-        out.mkdir()
-        for name in ("report_unfiltered.json", "report_filtered.json"):
-            (out / name).write_bytes((cli_run / name).read_bytes())
-        child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-        try:
-            lock = out / ".lock"
-            lock.write_text(f"{child.pid} {os.uname().nodename}\n")
-            code = main(["ablate", "--config", str(ws / "config.ini"), "--output", str(out)])
-            assert code == EXIT_DATA
-            assert lock.read_text() == f"{child.pid} {os.uname().nodename}\n"
+        self._reports(cli_run, out)
+        lock = out / ".lock"
+        with lock_holder(out):
+            held = lock.stat()
+            assert self._ablate(ws, out) == EXIT_DATA
+            after = lock.stat()
+            assert os.path.samestat(after, held)
+            assert (after.st_size, after.st_mtime_ns) == (held.st_size, held.st_mtime_ns)
             assert not (out / "ablation.json").exists()
-        finally:
-            child.kill()
-            child.wait(timeout=60)
+
+    def test_stage_refuses_a_held_lock_whatever_its_file_says(self, ws, cli_run, tmp_path):
+        out = tmp_path / "held"
+        self._reports(cli_run, out)
+        dead = subprocess.Popen([sys.executable, "-c", ""])
+        assert dead.wait(timeout=60) == 0  # exited and reaped: its pid runs no more
+        lock = out / ".lock"
+        with lock_holder(out):
+            lock.write_text(f"{dead.pid} {os.uname().nodename}\n")
+            assert self._ablate(ws, out) == EXIT_DATA
+            assert lock.read_text() == f"{dead.pid} {os.uname().nodename}\n"
+            assert not (out / "ablation.json").exists()
+
+    def test_stage_takes_the_lock_of_a_killed_holder(self, ws, cli_run, tmp_path, caplog):
+        out = tmp_path / "crashed"
+        self._reports(cli_run, out)
+        with lock_holder(out) as holder:
+            holder.kill()
+            holder.wait(timeout=60)
+            assert (out / ".lock").exists()  # SIGKILL gives no chance to clean up
+            assert self._ablate(ws, out) == EXIT_OK
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert (out / "ablation.json").is_file()
+        assert not (out / ".lock").exists()
+
+    def test_stage_fails_where_flock_is_not_supported(self, ws, cli_run, tmp_path, monkeypatch, caplog):
+        import fcntl
+
+        def unsupported(fd, operation):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        out = tmp_path / "nfs"
+        self._reports(cli_run, out)
+        monkeypatch.setattr(fcntl, "flock", unsupported)
+        assert self._ablate(ws, out) == EXIT_DATA
+        assert "No locks available" in caplog.text
+        assert not (out / "ablation.json").exists()
 
 
 class TestPredict:
@@ -228,6 +255,24 @@ class TestDataErrors:
         code = main(["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)])
         assert code == EXIT_DATA
         assert f"{out / 'val_instances.jsonl'}:2: expected an object, got 5" in caplog.text
+
+    @pytest.mark.parametrize("command", ["preprocess", "run"])
+    def test_corpus_that_is_not_utf8(self, ws, tmp_path, caplog, command):
+        corpus = tmp_path / "corpus.jsonl"
+        first = (ws / "corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
+        corpus.write_bytes(first + first.replace(b'"text":"', b'"text":"\xff', 1))
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {corpus}\ndata.subtasks = {ws / 'subtasks.txt'}\n")
+        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"{corpus}:2: not UTF-8 (byte 0xff)" in caplog.text
+
+    @pytest.mark.parametrize("command", ["preprocess", "run"])
+    def test_config_that_is_not_utf8(self, ws, tmp_path, caplog, command):
+        p = tmp_path / "c.ini"
+        p.write_bytes(f"data.corpus = {ws / 'corpus.jsonl'}\n# caf\xe9 latin-1\n".encode("latin-1"))
+        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{p}:2: not UTF-8 (byte 0xe9)" in caplog.text
+        assert not (tmp_path / "o").exists()
 
     def test_evaluate_without_predictions(self, ws, tmp_path):
         code = main([

@@ -29,6 +29,9 @@ from tweetslots.corpus import (
     split,
     write_file,
 )
+from tweetslots.metrics import load_report
+from tweetslots.nerfilter import load_gazetteer, load_type_map
+from tweetslots.preprocess import load_covid_tags, load_emoji_map
 
 
 def make_tweet(i: int, event=EventType.DEATH, n_cands: int = 2, gold=None) -> AnnotatedTweet:
@@ -82,6 +85,19 @@ class TestRegistry:
         p = tmp_path / "reg.txt"
         p.write_text("no_such_event = age\n")
         with pytest.raises(CorpusError):
+            SubtaskRegistry.load(p)
+
+    def test_load_refuses_an_event_with_no_subtasks(self, tmp_path):
+        p = tmp_path / "reg.txt"
+        p.write_text("cure_and_prevention = opinion\ndeath =\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:2: expected 'event = sub1,sub2,...'")):
+            SubtaskRegistry.load(p)
+
+    @pytest.mark.parametrize("names", ["age, Name", "age,,name", "age, age"])
+    def test_load_names_the_line_of_a_bad_subtask_name(self, tmp_path, names):
+        p = tmp_path / "reg.txt"
+        p.write_text(f"cure_and_prevention = opinion\ndeath = {names}\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:2: ")):
             SubtaskRegistry.load(p)
 
     def test_events_property_follows_event_order(self):
@@ -339,3 +355,33 @@ class TestExplodeInstances:
         reg = SubtaskRegistry({EventType.DEATH: ("age",)})
         tw = make_tweet(0, n_cands=2)
         assert len(explode_instances([tw], reg)) == 2
+
+
+def _gazetteer_dir(tmp_path: Path, bad_file: str) -> Path:
+    for name in ("person.txt", "location.txt", "organization.txt", "rules.txt"):
+        (tmp_path / name).write_bytes(b"# caf\xe9\n" if name == bad_file else b"")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "name, data, load",
+    [
+        ("subtasks.txt", b"death = age\n# caf\xe9\n", SubtaskRegistry.load),
+        ("tags.txt", b"#covid19\n#caf\xe9\n", load_covid_tags),
+        ("emoji.tsv", b"x\t:x:\n# caf\xe9\n", load_emoji_map),
+        ("type_map.txt", b"name\tPERSON\n# caf\xe9\n", load_type_map),
+        ("report.json", b'{"model_id": "m",\n "corpus_id": "caf\xe9"}\n', load_report),
+        ("corpus.jsonl", b"\n# caf\xe9\n", load_corpus),
+        ("gazetteer/location.txt", None, lambda path: load_gazetteer(_gazetteer_dir(path.parent, path.name))),
+        ("gazetteer/rules.txt", None, lambda path: load_gazetteer(_gazetteer_dir(path.parent, path.name))),
+    ],
+    ids=["registry", "covid-tags", "emoji-map", "type-map", "report", "corpus", "gazetteer-phrases", "gazetteer-rules"],
+)
+def test_a_data_file_that_is_not_utf8_names_file_and_line(tmp_path, name, data, load):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    if data is not None:
+        path.write_bytes(data)
+    line = 1 if data is None else 2
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not UTF-8 (byte 0xe9)")):
+        load(path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from tweetslots.corpus import EventType, SubtaskId
 from tweetslots.multitask import PredictionRecord
 from tweetslots.nerfilter import (
+    _PERSON_CUES,
     NOT_SPECIFIED,
     EntityType,
     Gazetteer,
@@ -144,6 +147,95 @@ class TestGazetteerIo:
         assert g.phrases[EntityType.LOCATION] == frozenset()
 
 
+# Words of the drawn gazetteers and chunks; "my" and "wife" are person cues.
+_WORDS = ("ab", "cd", "ef", "my", "wife")
+_TYPED = tuple(e for e in EntityType if e is not EntityType.OTHER)
+_words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_endings = st.sampled_from([".", "!", "'s", "-"])
+_phrase = st.tuples(_words, st.sampled_from(["", ".", "'s"])).map("".join)
+
+
+@st.composite
+def _gazetteers(draw):
+    """Phrases: a prefix and its extension, one ending in punctuation, one
+    shared by two types, and a few more; rules: literal words."""
+    base = draw(_words)
+    required = [base, f"{base} {draw(_words)}", draw(_words) + draw(_endings)]
+    phrases = {etype: set() for etype in _TYPED}
+    for phrase in required + draw(st.lists(_phrase, max_size=3)):
+        for etype in draw(st.lists(st.sampled_from(_TYPED), min_size=1, max_size=2, unique=True)):
+            phrases[etype].add(phrase)
+    shared = draw(_phrase)
+    for etype in draw(st.lists(st.sampled_from(_TYPED), min_size=2, max_size=2, unique=True)):
+        phrases[etype].add(shared)
+    rules = draw(st.lists(st.tuples(st.sampled_from(_TYPED), st.sampled_from(_WORDS)), max_size=3))
+    return phrases, rules
+
+
+@st.composite
+def _chunk_texts(draw, phrases):
+    """Gazetteer phrases and loose words, joined by a space or nothing, so
+    punctuation sometimes touches the next word; some pieces upper-cased."""
+    pieces = sorted(set().union(*phrases.values())) + list(_WORDS) + [".", "!", "'s", "-"]
+    out = ""
+    for piece in draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=5)):
+        out += draw(st.sampled_from(["", " ", "  "])) + (piece.upper() if draw(st.booleans()) else piece)
+    return out
+
+
+def _is_word(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+def _boundary(text: str, i: int) -> bool:
+    return (i > 0 and _is_word(text[i - 1])) != (i < len(text) and _is_word(text[i]))
+
+
+def _spans(text: str, phrase: str) -> list[tuple[int, int]]:
+    """Where ``phrase`` occurs starting a word, with a word boundary after it."""
+    return [
+        (s, s + len(phrase))
+        for s in range(len(text))
+        if text.startswith(phrase, s) and _is_word(text[s]) and _boundary(text, s) and _boundary(text, s + len(phrase))
+    ]
+
+
+def _oracle_tag(chunk: str, phrases, rules) -> EntityType:
+    """``tag``'s documented priority by brute force: gazetteer phrases, then
+    rules, then person cues; within a stage the longest match, then the
+    earlier type in ``EntityType`` order, then the earlier start."""
+    text = " ".join(chunk.lower().split())
+    order = list(EntityType)
+    for stage in (
+        [(etype, phrase) for etype in _TYPED for phrase in phrases[etype]],
+        [(etype, word) for etype, word in rules],
+    ):
+        found = [(s - e, order.index(etype), s, etype) for etype, needle in stage for s, e in _spans(text, needle)]
+        if found:
+            return min(found)[3]
+    words = "".join(c if _is_word(c) else " " for c in text).split()
+    return EntityType.PERSON if _PERSON_CUES & set(words) else EntityType.OTHER
+
+
+class TestTagOracle:
+    @given(data=st.data(), drawn=_gazetteers())
+    @settings(max_examples=300, deadline=None)
+    def test_tag_follows_the_documented_priority(self, data, drawn):
+        phrases, rules = drawn
+        gz = Gazetteer(phrases=phrases, rules=tuple((etype, re.compile(rf"\b{word}\b")) for etype, word in rules))
+        chunk = data.draw(_chunk_texts(phrases))
+        assert tag(chunk, gz) is _oracle_tag(chunk, phrases, rules), chunk
+
+    def test_oracle_sees_boundaries_after_punctuation(self):
+        phrases = {etype: set() for etype in _TYPED}
+        phrases[EntityType.LOCATION] = {"ab."}
+        phrases[EntityType.PERSON] = {"ab"}
+        gz = Gazetteer(phrases=phrases, rules=())
+        # "ab." needs a word character after its final '.', for the boundary
+        for chunk, expected in (("ab.cd", EntityType.LOCATION), ("ab. cd", EntityType.PERSON)):
+            assert tag(chunk, gz) is _oracle_tag(chunk, phrases, []) is expected
+
+
 class TestTypeMap:
     def test_default_expectations(self, tmap):
         assert tmap.allowed["name"] == {EntityType.PERSON}
@@ -161,6 +253,13 @@ class TestTypeMap:
         p = tmp_path / "tm.txt"
         p.write_text("name\tPERSONISH\n")
         with pytest.raises(NerFilterError):
+            load_type_map(p)
+
+    @pytest.mark.parametrize("second", ["name\tLOCATION", "name\texempt", "name\tPERSON"])
+    def test_load_refuses_a_repeated_subtask(self, tmp_path, second):
+        p = tmp_path / "tm.txt"
+        p.write_text(f"name\tPERSON\nwhere\tLOCATION\n{second}\n")
+        with pytest.raises(NerFilterError, match=f"{p}:3: subtask 'name' listed twice \\(first on line 1\\)"):
             load_type_map(p)
 
     def test_load_multi_type(self, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -340,16 +341,72 @@ class TestStageComposition:
             assert a[rel] == b[rel], rel
 
 
+class TestOutputLock:
+    def test_two_locks_in_one_process_exclude_each_other(self, tmp_path):
+        first, second = pipeline._OutputLock(tmp_path), pipeline._OutputLock(tmp_path)
+        with first:
+            assert (tmp_path / ".lock").stat().st_mode & 0o111 == 0  # a lock file, not a program
+            with pytest.raises(PipelineError, match=re.escape(f"locked by {tmp_path / '.lock'}")):
+                second.__enter__()
+        with second:
+            with pytest.raises(PipelineError, match="locked"):
+                first.__enter__()
+        assert not (tmp_path / ".lock").exists()
+
+    @pytest.mark.parametrize("retaken", [True, False], ids=["retaken", "left-free"])
+    def test_a_release_between_open_and_flock_cannot_seat_two_holders(self, tmp_path, monkeypatch, retaken):
+        import fcntl
+
+        lock = tmp_path / ".lock"
+        first, taker, third = (pipeline._OutputLock(tmp_path) for _ in range(3))
+        real_flock, raced = fcntl.flock, []
+
+        def flock(fd, operation):
+            # The taker has opened the first holder's file. Before its flock,
+            # that holder releases, and perhaps a third command takes the new file.
+            monkeypatch.setattr(fcntl, "flock", real_flock)
+            raced.append(fd)
+            first.__exit__(None, None, None)
+            if retaken:
+                third.__enter__()
+            return real_flock(fd, operation)
+
+        first.__enter__()
+        monkeypatch.setattr(fcntl, "flock", flock)
+        if retaken:
+            with pytest.raises(PipelineError, match="locked"):
+                taker.__enter__()
+            holder = third
+        else:
+            taker.__enter__()
+            holder = taker
+            with pytest.raises(PipelineError, match="locked"):
+                third.__enter__()
+        assert len(raced) == 1
+        assert os.path.samestat(os.fstat(holder._fd), lock.stat())
+        holder.__exit__(None, None, None)
+        assert not lock.exists()
+
+    def test_a_left_file_is_taken_unread(self, tmp_path, caplog):
+        (tmp_path / ".lock").write_bytes(b"\xff not a pid\n")
+        with pipeline._OutputLock(tmp_path):
+            pass
+        assert caplog.records == []
+        assert not (tmp_path / ".lock").exists()
+
+
 class TestFailureHandling:
     def test_locked_output_rejected(self, ws, tmp_path):
         cfg = load_config(ws / "config.ini")
         out = tmp_path / "busy"
         out.mkdir()
-        (out / ".lock").write_text("12345\n")
-        with pytest.raises(PipelineError, match="locked"):
-            run_pipeline(cfg, out)
-        # a lock we did not take stays in place
-        assert (out / ".lock").read_text() == "12345\n"
+        with pipeline._OutputLock(out):
+            held = (out / ".lock").stat()
+            with pytest.raises(PipelineError, match="locked"):
+                run_pipeline(cfg, out)
+            # a lock we did not take stays in place
+            assert os.path.samestat((out / ".lock").stat(), held)
+        assert [p.name for p in out.iterdir()] == []
 
     def test_failed_stage_writes_partial_manifest(self, ws, tmp_path):
         corpus = tmp_path / "bad.jsonl"

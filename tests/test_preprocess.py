@@ -176,6 +176,12 @@ class TestDataFiles:
         with pytest.raises(PreprocessError):
             load_emoji_map(p)
 
+    def test_emoji_loader_refuses_a_repeated_emoji(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("\U0001f637\t:mask:\n\U0001f912\t:ill:\n\U0001f637\t:face_with_mask:\n", encoding="utf-8")
+        with pytest.raises(PreprocessError, match=f"{p}:3: emoji '\U0001f637' listed twice \\(first on line 1\\)"):
+            load_emoji_map(p)
+
     def test_tag_loader_rejects_missing_hash(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("covid19\n")
