@@ -220,16 +220,24 @@ def _shown(value) -> str:
     return _JSON_KINDS[type(value)] if type(value) in (list, dict) else json.dumps(value, ensure_ascii=False)
 
 
+# ``json.dumps`` with non-default arguments builds an encoder per call; one
+# shared encoder writes the same text. It holds no state between calls.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
     """The one text of ``obj`` every artifact writer emits: sorted keys,
     compact separators, non-ASCII kept as is."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def json_document(obj) -> str:
     """The one text of a whole-file JSON artifact (reports, manifests):
     sorted keys, two-space indent, non-ASCII escaped, a final newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_decode = json.JSONDecoder().decode  # json.loads without its per-call argument checks
 
 
 def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
@@ -254,9 +262,17 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]
     """
     try:
         with open(path, encoding="utf-8") as fh:
+            # File iteration ends lines at "\n", "\r" and "\r\n" only; str.splitlines
+            # would also split at U+2028 and its kin, which canonical JSON writes raw.
             for lineno, raw in enumerate(fh, 1):
                 if raw.strip():
-                    yield lineno, parse_json_object(raw, f"{path}:{lineno}", error)
+                    try:
+                        obj = _decode(raw)
+                    except json.JSONDecodeError:
+                        obj = None
+                    if type(obj) is not dict:
+                        parse_json_object(raw, f"{path}:{lineno}", error)  # raises, naming file, line and problem
+                    yield lineno, obj
     except UnicodeDecodeError:
         read_utf8(path, error)  # raises, naming the line
         raise

@@ -48,9 +48,10 @@ def ensemble_predict(
     """Majority-vote the members' probabilities over one instance list.
 
     ``member_probs[m][i]`` is member m's probability for ``instances[i]``;
-    member m votes 1 iff it is >= ``threshold``. The reported probability
-    is the members' sum, taken in member order, divided by their count.
-    Output follows instance order.
+    member m votes 1 iff it is >= ``threshold``, and an instance's decision
+    is ``majority_vote`` of its members' votes, counted for all instances at
+    once. The reported probability is the members' sum, taken in member
+    order, divided by their count. Output follows instance order.
     """
     if len(member_probs) % 2 == 0:
         raise EnsembleError(f"vote needs an odd member count, got {len(member_probs)}")
@@ -58,5 +59,5 @@ def ensemble_predict(
     for mi, p in enumerate(probs, 1):
         if p.shape != (len(instances),):
             raise EnsembleError(f"member {mi} gives {p.shape} probabilities for {len(instances)} instances")
-    votes = np.stack([p >= threshold for p in probs], axis=1).tolist()
-    return prediction_records(instances, sum(probs) / len(probs), map(majority_vote, votes))
+    yes = np.count_nonzero(np.stack(probs) >= threshold, axis=0)
+    return prediction_records(instances, (sum(probs) / len(probs)).tolist(), (yes > len(probs) // 2).tolist())

@@ -12,7 +12,7 @@ never invent them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -112,13 +112,17 @@ class TypeMap:
 
 
 def _read_phrase_file(path: Path) -> frozenset[str]:
-    phrases = set()
-    for raw in read_utf8(path, NerFilterError).splitlines():
+    """The phrases of ``path``, lower-cased; refuses a phrase that repeats
+    after lower-casing, so no line is silently merged into another."""
+    first_line: dict[str, int] = {}
+    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        phrases.add(line.lower())
-    return frozenset(phrases)
+        phrase = line.lower()
+        if first_line.setdefault(phrase, lineno) != lineno:
+            raise NerFilterError(f"{path}:{lineno}: phrase {phrase!r} listed twice (first on line {first_line[phrase]})")
+    return frozenset(first_line)
 
 
 def _read_rules_file(path: Path) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
@@ -269,14 +273,27 @@ def filter_predictions(
 
     Only decision-1 records of mapped subtasks are examined; a type conflict
     sets decision 0, filtered True, and replaces the slot text with
-    "Not Specified". Everything else passes through unchanged, so the filter
-    is idempotent and can never increase the positive count.
+    "Not Specified". Everything else passes through as a copy, so the filter
+    is idempotent and can never increase the positive count. The call tags
+    each distinct chunk text once, however many records hold it.
     """
+    types: dict[str, EntityType] = {}
     out = []
     for rec in records:
         allowed = type_map.allowed.get(rec.subtask.name)
-        if rec.decision == 1 and allowed is not None and tag(rec.chunk_text, gaz) not in allowed:
-            out.append(replace(rec, decision=0, filtered=True, chunk_text=NOT_SPECIFIED))
-        else:
-            out.append(replace(rec))
+        nullify = False
+        if rec.decision == 1 and allowed is not None:
+            etype = types.get(rec.chunk_text)
+            if etype is None:
+                etype = types[rec.chunk_text] = tag(rec.chunk_text, gaz)
+            nullify = etype not in allowed
+        out.append(PredictionRecord(
+            tweet_id=rec.tweet_id,
+            subtask=rec.subtask,
+            candidate_index=rec.candidate_index,
+            chunk_text=NOT_SPECIFIED if nullify else rec.chunk_text,
+            probability=rec.probability,
+            decision=0 if nullify else rec.decision,
+            filtered=nullify or rec.filtered,
+        ))
     return out

@@ -426,7 +426,7 @@ class _OutputLock:
     a file a crashed command left is free. Release unlinks the file while
     still holding it; a taker that locked a file the path no longer names
     reopens, so one release never seats two holders. Without ``flock``
-    support it raises ``OSError``."""
+    support it raises ``OSError`` naming the lock file."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -446,6 +446,8 @@ class _OutputLock:
                 raise PipelineError(f"output directory is locked by {self.path}: another command holds it") from None
             except FileNotFoundError:
                 pass  # released and unlinked after our open: lock the file now at the path
+            except OSError as exc:  # no flock on this filesystem: say which file
+                raise OSError(exc.errno, exc.strerror, str(self.path)) from None
             finally:
                 if self._fd != fd:
                     os.close(fd)

@@ -357,7 +357,8 @@ def save_predictions(records: Iterable[PredictionRecord], path: str | Path, incl
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
     path = Path(path)
-    return [_prediction_from_obj(obj, path, lineno) for lineno, obj in read_jsonl(path, FormatError)]
+    subtasks: dict[str, SubtaskId] = {}  # each subtask string of the file, once it has parsed
+    return [_prediction_from_obj(obj, path, lineno, subtasks) for lineno, obj in read_jsonl(path, FormatError)]
 
 
 _PREDICTION_FIELDS = frozenset(
@@ -365,10 +366,39 @@ _PREDICTION_FIELDS = frozenset(
 )
 
 
-def _prediction_from_obj(obj: dict, path: Path, lineno: int) -> PredictionRecord:
-    where = f"{path}:{lineno}"
+def _prediction_from_obj(obj: dict, path: Path, lineno: int, subtasks: dict[str, SubtaskId]) -> PredictionRecord:
+    """The record of one row. A row whose fields all pass and whose subtask
+    string already parsed in this file is built here, with no per-field
+    calls and no ``where`` text; any other row goes to ``_checked_prediction``."""
+    key, index, probability = obj.get("subtask"), obj.get("candidate_index"), obj.get("probability")
+    tweet_id, chunk_text, decision = obj.get("tweet_id"), obj.get("chunk_text"), obj.get("decision")
+    filtered = obj.get("filtered", False)
+    subtask = subtasks.get(key) if type(key) is str else None
+    if (
+        subtask is None
+        or not obj.keys() <= _PREDICTION_FIELDS
+        or type(index) is not int or index < 0
+        or type(probability) not in (float, int) or not 0.0 <= probability <= 1.0
+        or type(decision) is not int or decision not in (0, 1)
+        or type(tweet_id) is not str or type(chunk_text) is not str or type(filtered) is not bool
+    ):
+        return _checked_prediction(obj, f"{path}:{lineno}", subtasks)
+    return PredictionRecord(
+        tweet_id=tweet_id,
+        subtask=subtask,
+        candidate_index=index,
+        chunk_text=chunk_text,
+        probability=float(probability),
+        decision=decision,
+        filtered=filtered,
+    )
+
+
+def _checked_prediction(obj: dict, where: str, subtasks: dict[str, SubtaskId]) -> PredictionRecord:
+    """The record of one row, checked field by field; raises naming ``where``
+    and the field of the first problem, and caches a subtask string once it parses."""
     json_known_fields(obj, _PREDICTION_FIELDS, where, FormatError)
-    subtask = _subtask_field(obj, where)
+    subtask = subtasks[obj["subtask"]] = _subtask_field(obj, where)
     candidate_index = json_nonnegative_int(obj, "candidate_index", where, FormatError)
     probability = json_field(obj, "probability", float, where, FormatError)
     decision = json_field(obj, "decision", int, where, FormatError)

@@ -152,7 +152,7 @@ class TestStageTable:
         self._reports(cli_run, out)
         monkeypatch.setattr(fcntl, "flock", unsupported)
         assert self._ablate(ws, out) == EXIT_DATA
-        assert "No locks available" in caplog.text
+        assert f"No locks available: '{out / '.lock'}'" in caplog.text
         assert not (out / "ablation.json").exists()
 
 

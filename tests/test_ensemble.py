@@ -180,3 +180,5 @@ class TestEnsemblePredict:
         assert triples(got) == triples(want)
         assert [r.decision for r in got] == [r.decision for r in want]
         assert [r.probability.hex() for r in got] == [r.probability.hex() for r in want]
+        # Written rows must read 1 and 0.5, never true or a NumPy scalar.
+        assert all(type(r.decision) is int and type(r.probability) is float for r in got)

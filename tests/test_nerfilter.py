@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetslots.corpus import EventType, SubtaskId
+from tweetslots import nerfilter
 from tweetslots.multitask import PredictionRecord
 from tweetslots.nerfilter import (
     _PERSON_CUES,
@@ -129,6 +131,14 @@ class TestGazetteerIo:
         save_gazetteer(gaz, tmp_path)
         (tmp_path / "rules.txt").write_text("AGE only-one-column\n".replace("-", " "))
         with pytest.raises(NerFilterError):
+            load_gazetteer(tmp_path)
+
+    @pytest.mark.parametrize("second", ["Seattle", "seattle", "  SEATTLE  "])
+    def test_load_refuses_a_phrase_repeated_after_lower_casing(self, gaz, tmp_path, second):
+        save_gazetteer(gaz, tmp_path)
+        p = tmp_path / "location.txt"
+        p.write_text(f"seattle\n# {second}\nportland\n{second}\n")
+        with pytest.raises(NerFilterError, match=f"{p}:4: phrase 'seattle' listed twice \\(first on line 1\\)"):
             load_gazetteer(tmp_path)
 
     def test_uppercase_phrase_rejected(self):
@@ -325,6 +335,50 @@ class TestFilterPredictions:
         assert [(r.tweet_id, r.candidate_index) for r in out] == [
             (r.tweet_id, r.candidate_index) for r in records
         ]
+
+    @given(drawn=st.lists(st.tuples(
+        st.sampled_from([NAME, WHERE, WHEN, AGE, OPINION]),
+        st.sampled_from(["my uncle", "nursing home", "new york", "34 years old", "last tuesday", "he", "Nursing  Home!"]),
+        st.integers(0, 1),
+        st.booleans(),
+    ), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_per_record_oracle(self, gaz, tmap, drawn):
+        # Chunk texts repeat across records, subtasks, decisions and flags.
+        records = [
+            PredictionRecord(tweet_id=f"t{i}", subtask=subtask, candidate_index=i % 3, chunk_text=chunk,
+                             probability=0.25 + i / 100, decision=decision, filtered=flag)
+            for i, (subtask, chunk, decision, flag) in enumerate(drawn)
+        ]
+        want = []
+        for r in records:  # tags every positive mapped record on its own
+            allowed = tmap.allowed.get(r.subtask.name)
+            if r.decision == 1 and allowed is not None and tag(r.chunk_text, gaz) not in allowed:
+                want.append(replace(r, decision=0, filtered=True, chunk_text=NOT_SPECIFIED))
+            else:
+                want.append(replace(r))
+        got = filter_predictions(records, tmap, gaz)
+        assert got == want
+        assert all(type(g) is PredictionRecord and g is not r for g, r in zip(got, records))
+
+    def test_tags_each_distinct_positive_mapped_chunk_once(self, gaz, tmap, monkeypatch):
+        calls = []
+
+        def counting_tag(chunk_text, gz):
+            calls.append(chunk_text)
+            return tag(chunk_text, gz)
+
+        monkeypatch.setattr(nerfilter, "tag", counting_tag)
+        records = [
+            rec(NAME, "nursing home"), rec(WHERE, "nursing home"), rec(NAME, "my uncle"),
+            rec(NAME, "nursing home", tweet="t1"), rec(AGE, "my uncle"),
+            rec(NAME, "new york", decision=0), rec(OPINION, "the cdc"), rec(WHEN, "last tuesday", decision=0),
+        ]
+        filter_predictions(records, tmap, gaz)
+        assert sorted(calls) == ["my uncle", "nursing home"]
+        calls.clear()
+        filter_predictions(records, tmap, gaz)  # nothing is kept between calls
+        assert sorted(calls) == ["my uncle", "nursing home"]
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)

@@ -6,6 +6,7 @@ import json
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from tweetslots.preprocess import (
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
+    _checked_prediction,
+    _prediction_from_obj,
     _unit_from_obj,
     file_sha256,
     load_instances,
@@ -474,6 +477,93 @@ class TestPredictionsJsonl:
         p.write_text(json.dumps(row) + "\n")
         with pytest.raises(FormatError):
             load_predictions(p)
+
+    @pytest.mark.parametrize("subtask, message", [
+        ("sick/name", "unknown event 'sick' in subtask key 'sick/name'"),
+        ("death/Name", "subtask name 'Name' must be lowercase ASCII with underscores"),
+        (7, "field 'subtask' must be a string, got 7"),
+        (["death/name"], "field 'subtask' must be a string, got a list"),
+    ])
+    def test_a_bad_subtask_after_a_parsed_one_names_its_own_line(self, tmp_path, subtask, message):
+        # Line 2 repeats line 1, whose subtask string has parsed, but for its subtask.
+        p = tmp_path / "p.jsonl"
+        save_predictions([make_record(1), make_record(0)], p)
+        good, other = p.read_text().splitlines()
+        p.write_text(f"{good}\n{json.dumps({**json.loads(good), 'subtask': subtask})}\n{other}\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
+            load_predictions(p)
+
+    def test_rows_split_only_at_newlines(self, tmp_path):
+        # Canonical JSON writes U+2028, U+2029 and U+0085 raw; str.splitlines would split there.
+        p = tmp_path / "p.jsonl"
+        chunks = ["a\u2028b", "c\u2029d\x85e", "f\rg\x1ch"]
+        save_predictions([make_record(chunk=c) for c in chunks], p)
+        assert p.read_bytes().count(b"\n") == len(chunks)
+        assert [r.chunk_text for r in load_predictions(p)] == chunks
+
+    @pytest.mark.parametrize("row", ['\ufeff{"decision": 1}', '{"decision": 1', '{"decision": 1}}', "[1]"])
+    def test_a_line_that_is_no_object_names_file_line_and_problem(self, tmp_path, row):
+        p = tmp_path / "p.jsonl"
+        save_predictions([make_record()], p)
+        p.write_text(p.read_text() + row + "\n", encoding="utf-8")
+        try:
+            json.loads(row + "\n")  # the line as read, so positions in the message agree
+        except json.JSONDecodeError as exc:
+            problem = f"malformed JSON ({exc})"
+        else:
+            problem = "expected an object, got a list"
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {problem}')}$"):
+            load_predictions(p)
+
+
+_ROW = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
+        "probability": 0.75, "decision": 1, "filtered": False}
+_VALUES = st.sampled_from([
+    True, False, 0, 1, -1, 2, 0.5, 1.5, float("nan"), None, [1], {},
+    "death/name", "death/age", "sick/name", "death/Name", "", "t1",
+])
+
+
+@st.composite
+def _prediction_rows(draw, field):
+    """``_ROW`` with ``field``, and maybe one more field, replaced by a JSON
+    value or dropped; sometimes joined by an unknown field."""
+    row = dict(_ROW)
+    for name in [field, *draw(st.lists(st.sampled_from(sorted(_ROW)), max_size=1))]:
+        if draw(st.booleans()):
+            row[name] = draw(_VALUES)
+        else:
+            row.pop(name, None)
+    if draw(st.booleans()):
+        row[draw(st.sampled_from(["spare", "Decision"]))] = 1
+    return row
+
+
+class TestPredictionRowReader:
+    """Rows naming a parsed subtask string are read without the per-field
+    checks; the checked reader is the oracle for every row."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            rec = read()
+        except FormatError as exc:
+            return str(exc)
+        return rec, type(rec.probability), type(rec.decision), type(rec.filtered)
+
+    @pytest.mark.parametrize("field", sorted(_ROW))
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_direct_read_matches_the_checked_reader(self, field, data):
+        row = data.draw(_prediction_rows(field))
+        path = Path("p.jsonl")
+        cache = {"death/name": NAME}
+        got = self.outcome(lambda: _prediction_from_obj(row, path, 5, cache))
+        assert got == self.outcome(lambda: _checked_prediction(row, f"{path}:5", {}))
+        # A subtask string is cached only once it has parsed.
+        assert all(SubtaskId.parse(key) == subtask for key, subtask in cache.items())
+        if not isinstance(got, str):
+            assert cache[row["subtask"]] is got[0].subtask
 
 
 class TestTrainLog:
