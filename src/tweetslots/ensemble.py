@@ -2,11 +2,11 @@
 
 A pool of trained models (different feature strategies and seeds) is ranked
 by validation micro-F1; the top k (odd, default 5) become ensemble members.
-Every member scores the same instance list, so the vote runs on the k
+Every member scores the same instance table, so the vote runs on the k
 members' probability arrays: each member's decision is its probability
-thresholded, the instance's decision is the majority of those, and the
-mean member probability is carried along for reporting only. One record
-per (tweet, subtask, candidate) is built, after the vote.
+thresholded, a triple's decision is the majority of those, and the mean
+member probability is carried along for reporting only. One record per
+(tweet, subtask, candidate) triple is built, after the vote.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ def majority_vote(decisions: Sequence[int]) -> int:
 def ensemble_predict(
     member_probs: Sequence[Sequence[float]], instances: Sequence[MaskedInstance], threshold: float
 ) -> list[PredictionRecord]:
-    """Majority-vote the members' probabilities over one instance list.
+    """Majority-vote the members' probabilities over the triples of ``instances`` (see ``as_table``).
 
-    ``member_probs[m][i]`` is member m's probability for ``instances[i]``;
-    member m votes 1 iff it is >= ``threshold``, and an instance's decision
-    is ``majority_vote`` of its members' votes, counted for all instances at
-    once. The reported probability is the members' sum, taken in member
-    order, divided by their count. Output follows instance order.
+    ``member_probs[m][i]`` is member m's probability for triple i; member m
+    votes 1 iff it is >= ``threshold``, and a triple's decision is
+    ``majority_vote`` of its members' votes, counted for all triples at once.
+    The reported probability is the members' sum, taken in member order,
+    divided by their count. Output follows triple order.
     """
     if len(member_probs) % 2 == 0:
         raise EnsembleError(f"vote needs an odd member count, got {len(member_probs)}")

@@ -92,23 +92,19 @@ def score(
         tweet = by_id.get(rec.tweet_id)
         if tweet is None:
             raise MetricsError(f"prediction references unknown tweet {rec.tweet_id!r}")
-        if rec.subtask not in counts:
+        cell = counts.get(rec.subtask)
+        if cell is None:
             raise MetricsError(f"prediction references unregistered subtask {rec.subtask}")
         if rec.subtask.event is not tweet.event:
-            raise MetricsError(
-                f"tweet {rec.tweet_id!r} is a {tweet.event.value} tweet; "
-                f"prediction for {rec.subtask} cannot join it"
-            )
+            raise MetricsError(f"tweet {rec.tweet_id!r} is a {tweet.event.value} tweet; "
+                               f"prediction for {rec.subtask} cannot join it")
         if not 0 <= rec.candidate_index < len(tweet.candidates):
-            raise MetricsError(
-                f"tweet {rec.tweet_id!r}: candidate index {rec.candidate_index} out of range"
-            )
+            raise MetricsError(f"tweet {rec.tweet_id!r}: candidate index {rec.candidate_index} out of range")
         key = (rec.tweet_id, rec.subtask.key, rec.candidate_index)
         if key in seen:
             raise MetricsError(f"duplicate prediction for {key}")
         seen.add(key)
         positive = rec.candidate_index in tweet.gold.get(rec.subtask.name, frozenset())
-        cell = counts[rec.subtask]
         if rec.decision == 1 and positive:
             cell.tp += 1
         elif rec.decision == 1:

@@ -5,10 +5,11 @@ extractor. The heads are the rows of one matrix, one per subtask in sorted
 order, and only the row of the instance's own subtask reads its feature
 vector. Training and scoring build every batch the same way: one function
 encodes it and extracts its feature rows, another applies each instance's
-head row. Forward-only scoring (validation and prediction) runs the encoder
-once per candidate: the subtask fan-out of one candidate shares one feature
-row that each of its head rows reads. Training encodes every instance on its
-own and shuffles instances of all events together, so each batch's gradient
+head row. Each entry point reads an ``InstanceTable`` (``as_table`` groups
+a list). Forward-only scoring (validation and prediction) encodes each unit
+once: the subtask fan-out of one (tweet, candidate) shares one feature row
+that each of its head rows reads. Training encodes every triple on its own
+and shuffles triples of all events together, so each batch's gradient
 updates the shared trunk plus exactly the head rows present in the batch.
 The loss is class-weighted binary cross-entropy (positives up-weighted for
 the heavy negative skew of exploded candidates), optimized with AdamW under a
@@ -21,14 +22,14 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import encoder as enc
 from . import features as feat
 from .corpus import SubtaskId, SubtaskRegistry
-from .preprocess import MaskedInstance
+from .preprocess import InstanceTable, MaskedInstance, as_table
 
 
 class TrainError(ValueError):
@@ -151,29 +152,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_groups(params: ModelParams, subtasks: Iterable[SubtaskId]) -> list[tuple[int, np.ndarray]]:
-    """(head row, positions) per subtask, in order of first appearance; refuses missing heads."""
-    positions: dict[SubtaskId, list[int]] = {}
-    for k, subtask in enumerate(subtasks):
-        positions.setdefault(subtask, []).append(k)
+def _head_groups(params: ModelParams, table: InstanceTable) -> list[tuple[int, np.ndarray]]:
+    """(head row, triple positions) per subtask of ``table``, in first-appearance order; refuses missing heads."""
+    codes = table.subtask[np.sort(np.unique(table.subtask, return_index=True)[1])]
+    subtasks = [table.subtask_ids[c] for c in codes.tolist()]
     row_of = {subtask: row for row, subtask in enumerate(params.subtasks)}
-    missing = sorted(str(s) for s in positions if s not in row_of)
+    missing = sorted(str(s) for s in subtasks if s not in row_of)
     if missing:
         raise TrainError(f"no head for subtask(s): {', '.join(missing)}")
-    return [(row_of[s], np.asarray(ks, dtype=np.int64)) for s, ks in positions.items()]
+    return [(row_of[s], np.flatnonzero(table.subtask == c)) for c, s in zip(codes, subtasks)]
 
 
-def _batch_features(params: ModelParams, batch: Sequence[MaskedInstance]):
-    """Encoder cache, marker positions and feature rows of one batch.
+def _batch_features(params: ModelParams, table: InstanceTable, units: np.ndarray):
+    """Encoder cache, marker positions and feature rows of the batch of units ``units``.
 
     The ids are cropped to the batch's longest input. Cropping is exact: PAD
     states are zeroed at every layer, so dropping all-PAD columns changes no
     real position's value or gradient.
     """
-    t = max(i.length for i in batch)
-    ids = np.stack([i.token_ids[:t] for i in batch])
-    marker = np.asarray([i.marker_pos for i in batch], dtype=np.int64)
-    cache = enc.forward_batch(params.encoder, ids)
+    marker = table.marker_pos[units]
+    cache = enc.forward_batch(params.encoder, table.token_ids[units, :table.lengths[units].max()])
     return cache, marker, feat.extract_batch(params.strategy, cache.hidden, marker)
 
 
@@ -208,11 +206,12 @@ def loss_and_grads(
     """
     if not batch:
         raise TrainError("batch must be nonempty")
-    groups = _head_groups(params, [i.subtask for i in batch])
-    cache, marker, feats = _batch_features(params, batch)
+    batch = as_table(batch)
+    groups = _head_groups(params, batch)
+    cache, marker, feats = _batch_features(params, batch, batch.unit)
     rows = np.arange(len(batch))
     probs = _sigmoid(_head_logits(params, groups, feats, rows))
-    labels = np.asarray([i.label for i in batch], dtype=np.float64)
+    labels = batch.label.astype(np.float64)
     clamped = np.clip(probs, 1e-12, 1.0 - 1e-12)
     weights = np.where(labels == 1.0, cfg.pos_weight, cfg.neg_weight)
     bce = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
@@ -237,8 +236,7 @@ def loss_and_grads(
     for j in range(4):
         upstream[num_layers - 4 + j][rows, marker] = row_grads[j]
     enc_grads = enc.backward_batch(params.encoder, cache, upstream)
-    for name, arr in enc_grads.named_arrays():
-        grads[name] = arr
+    grads.update(enc_grads.named_arrays())
     if proj_grads is not None:
         grads["proj.w"] = proj_grads.w
         grads["proj.b"] = proj_grads.b
@@ -400,35 +398,22 @@ def micro_f1_counts(tp: int, fp: int, fn: int) -> float:
 
 
 def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance]) -> np.ndarray:
-    """Probabilities in input order, from one forward pass per distinct encoder input.
-
-    The subtask fan-out of a candidate repeats one encoder input; instances
-    are grouped by that input's content (not by tweet id and candidate
-    index), encoded through the training batch path in batches of the
-    default ``TrainConfig.batch_size`` distinct inputs, and each instance's
-    own head reads its group's feature row.
-    """
+    """Probabilities in triple order. The table's units are encoded in order, in batches of the
+    default ``TrainConfig.batch_size``, and each triple's own head reads its unit's feature row."""
     if not instances:
         return np.empty(0)
-    groups = _head_groups(params, [i.subtask for i in instances])
-    unit_of: dict[tuple[int, int, bytes], int] = {}
-    units: list[MaskedInstance] = []
-    rows = np.empty(len(instances), dtype=np.int64)
-    for k, inst in enumerate(instances):
-        row = unit_of.setdefault((inst.length, inst.marker_pos, inst.token_ids.tobytes()), len(units))
-        if row == len(units):
-            units.append(inst)
-        rows[k] = row
-    size = TrainConfig.batch_size
+    table = as_table(instances)
+    groups = _head_groups(params, table)
+    units, size = np.arange(len(table.lengths)), TrainConfig.batch_size
     feats = np.concatenate([
-        _batch_features(params, units[start:start + size])[2] for start in range(0, len(units), size)
+        _batch_features(params, table, units[start:start + size])[2] for start in range(0, len(units), size)
     ])
-    return _sigmoid(_head_logits(params, groups, feats, rows))
+    return _sigmoid(_head_logits(params, groups, feats, table.unit))
 
 
 def validation_micro_f1(params: ModelParams, instances: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
-    labels = np.asarray([i.label for i in instances], dtype=np.int64)
-    decisions = (predict_probs(params, instances) >= cfg.threshold).astype(np.int64)
+    table = as_table(instances)
+    labels, decisions = table.label, (predict_probs(params, table) >= cfg.threshold).astype(np.int64)
     tp = int(np.sum((decisions == 1) & (labels == 1)))
     fp = int(np.sum((decisions == 1) & (labels == 0)))
     fn = int(np.sum((decisions == 0) & (labels == 1)))
@@ -443,14 +428,15 @@ def train(
 ) -> tuple[ModelParams, list[TrainLogEntry]]:
     """Joint training loop; returns the best-validation-epoch snapshot.
 
-    All events' instances are shuffled together each epoch (seeded), so
+    All events' triples are shuffled together each epoch (seeded), so
     batches mix subtasks and the shared trunk sees every event. Best epoch
     is chosen by validation micro-F1, ties broken by the earlier epoch.
     """
     if not train_set or not val_set:
         raise TrainError("train and validation sets must both be nonempty")
-    _head_groups(params, {i.subtask for i in train_set})
-    _head_groups(params, {i.subtask for i in val_set})
+    train_set, val_set = as_table(train_set), as_table(val_set)
+    _head_groups(params, train_set)
+    _head_groups(params, val_set)
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
     optimizer.stack_heads(params.subtasks, params.head_w, params.head_b)
@@ -463,7 +449,7 @@ def train(
         order = rng.permutation(n)
         batch_losses = []
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
+            batch = train_set.take(order[start:start + cfg.batch_size])
             value, grads = loss_and_grads(params, batch, cfg)
             if not math.isfinite(value):
                 raise DivergenceError(epoch, bi)
@@ -480,18 +466,13 @@ def train(
 def prediction_records(
     instances: Sequence[MaskedInstance], probs: Sequence[float], decisions: Sequence[int]
 ) -> list[PredictionRecord]:
-    """One record per instance, in input order, from its probability and decision."""
+    """One record per triple, in triple order, from its probability and decision."""
+    table = as_table(instances)
     return [
-        PredictionRecord(
-            tweet_id=inst.tweet_id,
-            subtask=inst.subtask,
-            candidate_index=inst.candidate_index,
-            chunk_text=inst.chunk_text,
-            probability=float(p),
-            decision=int(d),
-            filtered=False,
-        )
-        for inst, p, d in zip(instances, probs, decisions)
+        PredictionRecord(tweet_id=table.tweet_ids[u], subtask=table.subtask_ids[s],
+                         candidate_index=table.candidate_indexes[u], chunk_text=table.chunk_texts[u],
+                         probability=float(p), decision=int(d))
+        for u, s, p, d in zip(table.unit.tolist(), table.subtask.tolist(), probs, decisions)
     ]
 
 
@@ -502,5 +483,6 @@ def predict(
 ) -> list[PredictionRecord]:
     """One record per instance; decision = [probability >= threshold]."""
     cfg = cfg or TrainConfig()
-    probs = predict_probs(params, instances)
-    return prediction_records(instances, probs, probs >= cfg.threshold)
+    table = as_table(instances)
+    probs = predict_probs(params, table)
+    return prediction_records(table, probs, probs >= cfg.threshold)

@@ -8,6 +8,9 @@ everything else into the non-reserved id range with FNV-1a, so ids are stable
 across processes. Masking wraps one candidate chunk in ``<E>``/``</E>``
 markers and truncates context symmetrically so both markers (and the whole
 chunk) always survive.
+
+A corpus is masked into an ``InstanceTable``: one input per (tweet, candidate) unit, one (unit,
+subtask, label) row per triple. ``as_table`` is the one place a list of triples is grouped into units.
 """
 
 from __future__ import annotations
@@ -304,30 +307,93 @@ def mask_candidate(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class InstanceTable(Sequence):
+    """Triples over units. Unit u, the masked input of one (tweet, candidate), is row u of the
+    unit arrays; triple k reads unit ``unit[k]``, subtask ``subtask_ids[subtask[k]]`` and label
+    ``label[k]``. Item k is a ``MaskedInstance`` view; the views of one unit share one token array."""
+
+    token_ids: np.ndarray  # (U, max_len), PAD fill
+    lengths: np.ndarray
+    marker_pos: np.ndarray
+    tweet_ids: list[str]
+    candidate_indexes: list[int]
+    chunk_texts: list[str]
+    unit: np.ndarray  # (N,)
+    subtask: np.ndarray
+    label: np.ndarray
+    subtask_ids: tuple[SubtaskId, ...]
+
+    @classmethod
+    def build(cls, units: Mapping[object, MaskedInstance], triples: Sequence[tuple]) -> InstanceTable:
+        """The table of ``units`` (key -> one instance of the unit) and (unit key, subtask, label) triples."""
+        index = {key: u for u, key in enumerate(units)}
+        code_of: dict[SubtaskId, int] = {}
+        first = list(units.values())
+        return cls(
+            token_ids=np.stack([i.token_ids for i in first]) if first else np.zeros((0, 0), dtype=np.int64),
+            lengths=np.asarray([i.length for i in first], dtype=np.int64),
+            marker_pos=np.asarray([i.marker_pos for i in first], dtype=np.int64),
+            tweet_ids=[i.tweet_id for i in first],
+            candidate_indexes=[i.candidate_index for i in first],
+            chunk_texts=[i.chunk_text for i in first],
+            unit=np.asarray([index[key] for key, _, _ in triples], dtype=np.int64),
+            subtask=np.asarray([code_of.setdefault(s, len(code_of)) for _, s, _ in triples], dtype=np.int64),
+            label=np.asarray([y for _, _, y in triples]),  # as given, so the writer sees a label outside 0/1
+            subtask_ids=tuple(code_of),
+        )
+
+    def __len__(self) -> int:
+        return len(self.unit)
+
+    def __getitem__(self, k: int) -> MaskedInstance:
+        u = int(self.unit[k])
+        return MaskedInstance(
+            self._rows[u], int(self.lengths[u]), int(self.marker_pos[u]), self.subtask_ids[self.subtask[k]],
+            self.label[k].item(), self.chunk_texts[u], self.tweet_ids[u], self.candidate_indexes[u],
+        )
+
+    @cached_property
+    def _rows(self) -> list[np.ndarray]:
+        return list(self.token_ids)
+
+    def take(self, index: np.ndarray) -> InstanceTable:
+        """The triples ``index`` names, in that order, over the same units."""
+        return replace(self, unit=self.unit[index], subtask=self.subtask[index], label=self.label[index])
+
+
+def as_table(instances: Sequence[MaskedInstance]) -> InstanceTable:
+    """``instances`` itself when it is a table; otherwise its triples over one unit per distinct (tweet
+    id, candidate index, chunk text, length, marker position, token bytes), in order of first appearance."""
+    if isinstance(instances, InstanceTable):
+        return instances
+    units: dict[tuple, MaskedInstance] = {}
+    triples = []
+    for i in instances:
+        key = (i.tweet_id, i.candidate_index, i.chunk_text, i.length, i.marker_pos, i.token_ids.tobytes())
+        units.setdefault(key, i)
+        triples.append((key, i.subtask, i.label))
+    return InstanceTable.build(units, triples)
+
+
 def mask_corpus(
     tweets: Sequence[AnnotatedTweet],
     vocab: Vocab,
     cfg: CleanConfig,
     max_len: int = 96,
     registry=None,
-) -> list[MaskedInstance]:
-    """Explode a corpus into masked instances (one per exploded triple).
-
-    The masked sequence depends only on (tweet, candidate), so each candidate
-    is cleaned, tokenized and masked once; its instances for the event's
-    subtasks differ only in ``subtask`` and ``label`` and share one
-    ``token_ids`` array.
-    """
+) -> InstanceTable:
+    """The table of a corpus: each (tweet, candidate) unit is cleaned,
+    tokenized and masked once; the triples follow in explode order."""
     by_id: dict[str, AnnotatedTweet] = {}
     for tweet in tweets:
         if tweet.id in by_id:
             raise PreprocessError(f"repeated tweet id {tweet.id!r}")
         by_id[tweet.id] = tweet
     units: dict[tuple[str, int], MaskedInstance] = {}
-    out = []
+    triples = []
     for tweet_id, subtask, cand_idx, label in explode_instances(tweets, registry):
-        key = (tweet_id, cand_idx)
-        if key not in units:
-            units[key] = mask_candidate(by_id[tweet_id], cand_idx, subtask, label, vocab, cfg, max_len)
-        out.append(replace(units[key], subtask=subtask, label=int(label)))
-    return out
+        if (tweet_id, cand_idx) not in units:
+            units[tweet_id, cand_idx] = mask_candidate(by_id[tweet_id], cand_idx, subtask, label, vocab, cfg, max_len)
+        triples.append(((tweet_id, cand_idx), subtask, label))
+    return InstanceTable.build(units, triples)

@@ -8,7 +8,8 @@ produce identical bytes.
 
 JSONL rows are canonical JSON (sorted keys, compact separators) so files are
 reproducible byte-for-byte; loaders validate schemas, refuse fields they do
-not read, and report the file, line, and field of the first problem.
+not read, and report the file, line, and field of the first problem. An
+instance file holds the units of an ``InstanceTable``, one row each.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import hashlib
 import itertools
 import math
 import struct
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,7 +38,7 @@ from .corpus import (
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import ModelParams, PredictionRecord, TrainLogEntry
-from .preprocess import PAD_ID, MaskedInstance
+from .preprocess import PAD_ID, InstanceTable, MaskedInstance, as_table
 
 MODEL_MAGIC = b"TWSLMODL"
 MODEL_VERSION = 1
@@ -151,121 +151,131 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[Subtask
 
 # -- masked instances --------------------------------------------------------
 #
-# One JSONL row per unit, a (tweet, candidate) pair. The masked input is
-# stored once, with ``labels`` mapping each subtask name of the tweet's event
-# to 0 or 1. Rows go in tweet order, then candidate order; the loader expands
-# each tweet in ``explode_instances`` order (subtask name, then candidate).
+# One JSONL row per unit of an instance table, a (tweet, candidate) pair, with ``labels`` mapping
+# each subtask name of the tweet's event to 0 or 1. Rows go in tweet order, then candidate order;
+# a tweet's triples follow its rows in ``explode_instances`` order (subtask name, then candidate).
 
 
-def save_instances(instances: Iterable[MaskedInstance], path: str | Path) -> None:
-    """Write one row per unit; refuses instances that unit rows cannot
-    reproduce exactly (see ``_tweet_unit_rows``)."""
-    lines = []
-    done: set[str] = set()
-    parsed: dict[tuple[str, ...], list[SubtaskId]] = {}
-    for tweet_id, block in itertools.groupby(instances, key=attrgetter("tweet_id")):
+def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> None:
+    """Write one row per unit of ``as_table(instances)``; refuses a table whose
+    rows would not load back as exactly its triples, or hold a field the loader refuses."""
+    table = as_table(instances)
+    cands, lengths, markers = table.candidate_indexes, table.lengths.tolist(), table.marker_pos.tolist()
+    pairs = zip(table.unit.tolist(), table.subtask.tolist(), table.label.tolist())
+    lines, done, parsed = [], set(), {}
+    for tweet_id, block in itertools.groupby(pairs, key=lambda pair: table.tweet_ids[pair[0]]):
         if tweet_id in done:
             raise FormatError(f"{path}: instances of tweet {tweet_id!r} are not adjacent")
         done.add(tweet_id)
-        rows = _tweet_unit_rows(list(block), f"{path}: tweet {tweet_id!r}", parsed)
-        lines.extend(canonical_json(row) + "\n" for row in rows)
+        where = f"{path}: tweet {tweet_id!r}"
+        triples = [(u, table.subtask_ids[s], label) for u, s, label in block]
+        event = triples[0][1].event
+        unit_of, labels = {}, {}  # candidate index -> unit, unit -> its row's labels
+        for u, subtask, label in triples:
+            if subtask.event is not event:
+                raise FormatError(f"{where}: instances span events {event.value} and {subtask.event.value}")
+            if unit_of.setdefault(cands[u], u) != u:
+                raise FormatError(f"{where}: candidate {cands[u]} has two different masked inputs")
+            if label not in (0, 1):
+                raise FormatError(f"{where}: label {label!r} of {subtask} is not 0 or 1")
+            labels.setdefault(u, {})[subtask.name] = int(label)
+        rows = [unit_of[c] for c in sorted(unit_of)]
+        names = [s.name for s in _label_subtasks(event.value, labels[rows[0]], where, parsed)]
+        if [(s.name, u) for u, s, _ in triples] != [(n, u) for n in names for u in rows]:
+            raise FormatError(f"{where}: instances are not one per (subtask, candidate) in explode order")
+        for u in rows:  # each row's fields, refused as the loader would refuse them; ids checked as a whole
+            ids, length, marker_pos = table.token_ids[u], lengths[u], markers[u]
+            unit_where = f"{where}: candidate {cands[u]}"
+            if cands[u] < 0:
+                raise FormatError(f"{unit_where}: field 'candidate_index' must be >= 0")
+            if not 0 < length <= len(ids):
+                raise FormatError(f"{unit_where}: field 'length' must lie in [1, max_len {len(ids)}], got {length}")
+            if not 0 <= marker_pos < length:
+                raise FormatError(f"{unit_where}: field 'marker_pos' must lie in [0, length), got {marker_pos}")
+            if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
+                raise FormatError(f"{unit_where}: field 'token_ids' must hold nonnegative integers")
+            if np.count_nonzero(ids[length:] != PAD_ID):
+                raise FormatError(f"{unit_where} has non-PAD token ids past its length")
+            lines.append(canonical_json({
+                "tweet_id": tweet_id, "candidate_index": cands[u], "event": event.value,
+                "chunk_text": table.chunk_texts[u], "marker_pos": marker_pos, "length": length,
+                "max_len": len(ids), "token_ids": ids[:length].tolist(), "labels": labels[u],
+            }) + "\n")
     write_file(path, lines)
 
 
-def _tweet_unit_rows(block: Sequence[MaskedInstance], where: str, parsed: dict) -> list[dict]:
-    """Unit rows of one tweet's instances, which must be exactly what the
-    rows load back as: one instance per (subtask of one event, candidate) in
-    explode order, with one masked input (tokens, marker, chunk text) per
-    candidate; ``parsed`` caches the subtask names as in the loader."""
-    event = block[0].subtask.event
-    units: dict[int, MaskedInstance] = {}
-    labels: dict[int, dict[str, int]] = {}
-    for inst in block:
-        unit = units.setdefault(inst.candidate_index, inst)
-        if inst.subtask.event is not event:
-            raise FormatError(f"{where}: instances span events {event.value} and {inst.subtask.event.value}")
-        if not (
-            inst.length == unit.length
-            and inst.marker_pos == unit.marker_pos
-            and inst.chunk_text == unit.chunk_text
-            and (inst.token_ids is unit.token_ids or np.array_equal(inst.token_ids, unit.token_ids))
-        ):
-            raise FormatError(f"{where}: candidate {unit.candidate_index} has two different masked inputs")
-        if inst.label not in (0, 1):
-            raise FormatError(f"{where}: label {inst.label!r} of {inst.subtask} is not 0 or 1")
-        labels.setdefault(inst.candidate_index, {})[inst.subtask.name] = int(inst.label)
-    candidates = sorted(units)
-    names = [s.name for s in _label_subtasks(event.value, labels[candidates[0]], where, parsed)]
-    if [(inst.subtask.name, inst.candidate_index) for inst in block] != [(n, c) for n in names for c in candidates]:
-        raise FormatError(f"{where}: instances are not one per (subtask, candidate) in explode order")
-    return [_unit_row(units[c], event, labels[c], where) for c in candidates]
-
-
-def _unit_row(unit: MaskedInstance, event: EventType, labels: dict[str, int], where: str) -> dict:
-    """One unit's row; refuses the fields the loader would refuse, each token array checked once, as a whole."""
-    ids, length, where = unit.token_ids, unit.length, f"{where}: candidate {unit.candidate_index}"
-    if unit.candidate_index < 0:
-        raise FormatError(f"{where}: field 'candidate_index' must be >= 0")
-    if not 0 < length <= len(ids):
-        raise FormatError(f"{where}: field 'length' must lie in [1, max_len {len(ids)}], got {length}")
-    if not 0 <= unit.marker_pos < length:
-        raise FormatError(f"{where}: field 'marker_pos' must lie in [0, length), got {unit.marker_pos}")
-    if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
-        raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
-    if np.count_nonzero(ids[length:] != PAD_ID):
-        raise FormatError(f"{where} has non-PAD token ids past its length")
-    return {
-        "tweet_id": unit.tweet_id,
-        "candidate_index": unit.candidate_index,
-        "event": event.value,
-        "chunk_text": unit.chunk_text,
-        "marker_pos": unit.marker_pos,
-        "length": length,
-        "max_len": len(ids),
-        "token_ids": ids[:length].tolist(),
-        "labels": labels,
-    }
-
-
-def load_instances(path: str | Path, cfg: EncoderConfig) -> list[MaskedInstance]:
-    """Read unit rows and expand each tweet in ``explode_instances`` order;
-    the instances of one unit share one token array. ``cfg`` is the config
-    of the encoder that will read them: a row with another ``max_len`` or a
-    token id outside its vocabulary is refused before its token array is allocated."""
+def load_instances(path: str | Path, cfg: EncoderConfig) -> InstanceTable:
+    """Read unit rows into a table, each tweet's triples in ``explode_instances`` order. ``cfg`` is
+    the config of the encoder that will read them: a row with another ``max_len`` or a token id
+    outside its vocabulary is refused before its token array is allocated."""
     path = Path(path)
-    out: list[MaskedInstance] = []
+    units: dict[tuple[str, int], MaskedInstance] = {}  # each row, as its first triple
+    triples: list[tuple[tuple[str, int], SubtaskId, int]] = []
     first_line: dict[str, int] = {}
     parsed: dict[tuple[str, ...], list[SubtaskId]] = {}
-    rows: list[tuple[dict, str, dict]] = []  # (fields, event, labels) of the current tweet
-    subtasks: list[SubtaskId] = []
-    prev_line = 0
+    tweet, event, subtasks = [], "", []  # the current tweet's (unit key, labels, line) rows, event and subtasks
     for lineno, obj in read_jsonl(path, FormatError):
         where = f"{path}:{lineno}"
-        fields, event, labels = _unit_from_obj(obj, where, cfg)
-        tweet_id, index = fields["tweet_id"], fields["candidate_index"]
-        if rows and tweet_id == rows[0][0]["tweet_id"]:
-            first, prev = first_line[tweet_id], rows[-1][0]["candidate_index"]
+        json_known_fields(obj, _UNIT_FIELDS, where, FormatError)
+        length = json_field(obj, "length", int, where, FormatError)
+        max_len = json_field(obj, "max_len", int, where, FormatError)
+        marker_pos = json_nonnegative_int(obj, "marker_pos", where, FormatError)
+        ids = json_field(obj, "token_ids", list, where, FormatError)
+        row_event = json_field(obj, "event", str, where, FormatError)
+        labels = json_field(obj, "labels", dict, where, FormatError)
+        if max_len != cfg.max_len:
+            raise FormatError(f"{where}: field 'max_len' is {max_len}, the encoder's max_len is {cfg.max_len}")
+        if not 0 < length <= max_len:
+            raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
+        if len(ids) != length:
+            raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
+        if marker_pos >= length:
+            raise FormatError(f"{where}: field 'marker_pos' outside the token range")
+        if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
+            raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+        if max(ids) >= cfg.vocab_size:
+            raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
+                              f"the encoder's vocab_size is {cfg.vocab_size}")
+        if not labels:
+            raise FormatError(f"{where}: field 'labels' names no subtask")
+        for name in labels:
+            if json_field(labels, name, int, f"{where}, labels", FormatError) not in (0, 1):
+                raise FormatError(f"{where}, labels: field {name!r} must be 0 or 1, got {labels[name]}")
+        chunk_text = json_field(obj, "chunk_text", str, where, FormatError)
+        key = tweet_id, index = (json_field(obj, "tweet_id", str, where, FormatError),
+                                 json_nonnegative_int(obj, "candidate_index", where, FormatError))
+        if tweet and tweet_id == tweet[0][0][0]:
+            (_, prev), _, prev_line = tweet[-1]
+            first = first_line[tweet_id]
             if index == prev:
                 raise FormatError(f"{where}: repeated unit (tweet {tweet_id!r}, candidate {index}; "
                                   f"first on line {prev_line})")
             if index < prev:
                 raise FormatError(f"{where}: field 'candidate_index' must exceed {prev} (line {prev_line}); "
                                   "a tweet's rows go in candidate order")
-            if event != rows[0][1]:
+            if row_event != event:
                 raise FormatError(f"{where}: field 'event' differs from line {first} of the same tweet")
-            if labels.keys() != rows[0][2].keys():
+            if labels.keys() != tweet[0][1].keys():
                 raise FormatError(f"{where}: field 'labels' names other subtasks than line {first} of the same tweet")
         else:
             if tweet_id in first_line:
                 raise FormatError(f"{where}: rows of tweet {tweet_id!r} are not adjacent "
                                   f"(first on line {first_line[tweet_id]})")
             first_line[tweet_id] = lineno
-            out.extend(_expand(subtasks, rows))
-            rows, subtasks = [], _label_subtasks(event, labels, where, parsed)
-        rows.append((fields, event, labels))
-        prev_line = lineno
-    out.extend(_expand(subtasks, rows))
-    return out
+            triples.extend((k, s, row_labels[s.name]) for s in subtasks for k, row_labels, _ in tweet)
+            tweet, event, subtasks = [], row_event, _label_subtasks(row_event, labels, where, parsed)
+        tweet.append((key, labels, lineno))
+        token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
+        token_ids[:length] = ids
+        units[key] = MaskedInstance(token_ids, length, marker_pos, subtasks[0], labels[subtasks[0].name],
+                                    chunk_text, tweet_id, index)
+    triples.extend((k, s, row_labels[s.name]) for s in subtasks for k, row_labels, _ in tweet)
+    return InstanceTable.build(units, triples)
+
+
+_UNIT_FIELDS = frozenset(
+    ("tweet_id", "candidate_index", "event", "chunk_text", "marker_pos", "length", "max_len", "token_ids", "labels")
+)
 
 
 def _label_subtasks(event: str, labels: dict, where: str, parsed: dict) -> list[SubtaskId]:
@@ -281,61 +291,6 @@ def _label_subtasks(event: str, labels: dict, where: str, parsed: dict) -> list[
         except CorpusError as exc:
             raise FormatError(f"{where}: field 'labels': {exc}") from None
     return parsed[key]
-
-
-def _expand(subtasks: Sequence[SubtaskId], rows: Sequence[tuple[dict, str, dict]]) -> list[MaskedInstance]:
-    """One tweet's instances: subtask names ascending, then candidates."""
-    return [
-        MaskedInstance(subtask=subtask, label=labels[subtask.name], **fields)
-        for subtask in subtasks
-        for fields, _, labels in rows
-    ]
-
-
-_UNIT_FIELDS = frozenset(
-    ("tweet_id", "candidate_index", "event", "chunk_text", "marker_pos", "length", "max_len", "token_ids", "labels")
-)
-
-
-def _unit_from_obj(obj: dict, where: str, cfg: EncoderConfig) -> tuple[dict, str, dict[str, int]]:
-    """The ``MaskedInstance`` fields a unit row shares, its event and its labels."""
-    json_known_fields(obj, _UNIT_FIELDS, where, FormatError)
-    length = json_field(obj, "length", int, where, FormatError)
-    max_len = json_field(obj, "max_len", int, where, FormatError)
-    marker_pos = json_nonnegative_int(obj, "marker_pos", where, FormatError)
-    ids = json_field(obj, "token_ids", list, where, FormatError)
-    event = json_field(obj, "event", str, where, FormatError)
-    labels = json_field(obj, "labels", dict, where, FormatError)
-    if max_len != cfg.max_len:
-        raise FormatError(f"{where}: field 'max_len' is {max_len}, the encoder's max_len is {cfg.max_len}")
-    if not 0 < length <= max_len:
-        raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
-    if len(ids) != length:
-        raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
-    if marker_pos >= length:
-        raise FormatError(f"{where}: field 'marker_pos' outside the token range")
-    if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
-        raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
-    if max(ids) >= cfg.vocab_size:
-        raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
-                          f"the encoder's vocab_size is {cfg.vocab_size}")
-    if not labels:
-        raise FormatError(f"{where}: field 'labels' names no subtask")
-    labels_where = f"{where}, labels"
-    for name in labels:
-        if json_field(labels, name, int, labels_where, FormatError) not in (0, 1):
-            raise FormatError(f"{labels_where}: field {name!r} must be 0 or 1, got {labels[name]}")
-    token_ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    token_ids[:length] = ids
-    fields = {
-        "token_ids": token_ids,
-        "length": length,
-        "marker_pos": marker_pos,
-        "chunk_text": json_field(obj, "chunk_text", str, where, FormatError),
-        "tweet_id": json_field(obj, "tweet_id", str, where, FormatError),
-        "candidate_index": json_nonnegative_int(obj, "candidate_index", where, FormatError),
-    }
-    return fields, event, labels
 
 
 # -- predictions -------------------------------------------------------------

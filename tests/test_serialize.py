@@ -17,7 +17,15 @@ from conftest import cut_short
 from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
-from tweetslots.multitask import PredictionRecord, TrainLogEntry, init_model
+from tweetslots.multitask import (
+    PredictionRecord,
+    TrainConfig,
+    TrainLogEntry,
+    init_model,
+    loss_and_grads,
+    predict_probs,
+    train,
+)
 from tweetslots.preprocess import (
     E_CLOSE_ID,
     E_OPEN_ID,
@@ -33,7 +41,6 @@ from tweetslots.serialize import (
     FormatError,
     _checked_prediction,
     _prediction_from_obj,
-    _unit_from_obj,
     file_sha256,
     load_instances,
     load_model,
@@ -208,6 +215,31 @@ def write_lines(path, rows) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
 
+def draw_corpus(data, **encoder) -> tuple[list[AnnotatedTweet], SubtaskRegistry, EncoderConfig]:
+    """A random corpus of 1-4 tweets over a random registry, and an encoder config to mask it for."""
+    names = ["age", "name", "opinion", "relation", "symptoms", "when", "where"]
+    registry = SubtaskRegistry({
+        event: tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7, unique=True)))
+        for event in EventType
+    })
+    words = ["alpha", "Beta", "@user", "#covid19", "\U0001f637", "“q”", "62", "https://t.co/x"]
+    tweets = []
+    for i in range(data.draw(st.integers(1, 4))):
+        toks = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8))
+        starts = [sum(len(t) + 1 for t in toks[:k]) for k in range(len(toks))]
+        spans = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            a = data.draw(st.integers(0, len(toks) - 1))
+            b = data.draw(st.integers(a, len(toks) - 1))
+            spans.append((starts[a], starts[b] + len(toks[b])))
+        event = data.draw(st.sampled_from(list(EventType)))
+        gold = {n: frozenset(data.draw(st.sets(st.integers(0, len(spans) - 1))))
+                for n in registry.names_for(event)}
+        tweets.append(AnnotatedTweet(id=f"t{i}", text=" ".join(toks), event=event,
+                                     candidates=tuple(spans), gold=gold))
+    return tweets, registry, EncoderConfig(vocab_size=512, max_len=data.draw(st.integers(8, 40)), **encoder)
+
+
 class TestInstancesJsonl:
     def test_round_trip(self, tmp_path):
         shared = make_instance().token_ids
@@ -259,47 +291,30 @@ class TestInstancesJsonl:
     @given(st.lists(st.one_of(
         st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64), st.booleans(), st.floats(), st.text(max_size=3),
     ), min_size=1, max_size=10))
-    def test_token_id_check_matches_per_token_predicate(self, ids):
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_token_id_check_matches_per_token_predicate(self, tmp_path, ids):
         # Oracle: the same rules checked token by token.
         cfg = replace(ENC, vocab_size=2**20)
         bad = any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids)
         obj = {"event": "death", "labels": {"name": 0}, "length": len(ids), "max_len": 10, "marker_pos": 0,
                "token_ids": ids, "chunk_text": "c", "tweet_id": "t", "candidate_index": 0}
+        p = tmp_path / "i.jsonl"
+        write_lines(p, [obj])
+        where = re.escape(f"{p}:1")
         if bad:
-            with pytest.raises(FormatError, match=r"^i\.jsonl:7: field 'token_ids' must hold nonnegative integers$"):
-                _unit_from_obj(obj, "i.jsonl:7", cfg)
+            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' must hold nonnegative integers$"):
+                load_instances(p, cfg)
         elif any(t >= cfg.vocab_size for t in ids):
-            with pytest.raises(FormatError, match=rf"^i\.jsonl:7: field 'token_ids' holds id {max(ids)}, "
+            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds id {max(ids)}, "
                                                   rf"the encoder's vocab_size is {2**20}$"):
-                _unit_from_obj(obj, "i.jsonl:7", cfg)
+                load_instances(p, cfg)
         else:
-            fields, _, _ = _unit_from_obj(obj, "i.jsonl:7", cfg)
-            assert fields["token_ids"][:len(ids)].tolist() == ids
+            assert load_instances(p, cfg)[0].token_ids[:len(ids)].tolist() == ids
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mask_corpus_output_round_trips(self, tmp_path, data):
-        names = ["age", "name", "opinion", "relation", "symptoms", "when", "where"]
-        registry = SubtaskRegistry({
-            event: tuple(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=7, unique=True)))
-            for event in EventType
-        })
-        words = ["alpha", "Beta", "@user", "#covid19", "\U0001f637", "“q”", "62", "https://t.co/x"]
-        tweets = []
-        for i in range(data.draw(st.integers(1, 4))):
-            toks = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8))
-            starts = [sum(len(t) + 1 for t in toks[:k]) for k in range(len(toks))]
-            spans = []
-            for _ in range(data.draw(st.integers(1, 3))):
-                a = data.draw(st.integers(0, len(toks) - 1))
-                b = data.draw(st.integers(a, len(toks) - 1))
-                spans.append((starts[a], starts[b] + len(toks[b])))
-            event = data.draw(st.sampled_from(list(EventType)))
-            gold = {n: frozenset(data.draw(st.sets(st.integers(0, len(spans) - 1))))
-                    for n in registry.names_for(event)}
-            tweets.append(AnnotatedTweet(id=f"t{i}", text=" ".join(toks), event=event,
-                                         candidates=tuple(spans), gold=gold))
-        cfg = EncoderConfig(vocab_size=512, max_len=data.draw(st.integers(8, 40)))
+        tweets, registry, cfg = draw_corpus(data)
         try:
             insts = mask_corpus(tweets, Vocab(cfg.vocab_size), CleanConfig(), cfg.max_len, registry)
         except MaskingError:
@@ -421,6 +436,40 @@ class TestInstancesJsonl:
         with pytest.raises(FormatError, match=re.escape(f"{p}:1: field 'token_ids' holds id {token_id}, "
                                                         f"the encoder's vocab_size is 32")):
             load_instances(p, ENC)
+
+
+class TestInstanceTable:
+    @given(data=st.data(), kind=st.sampled_from(list(StrategyKind)), seed=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_and_its_instance_list_give_the_same_bytes(self, tmp_path, data, kind, seed):
+        # Every entry point gives the same bits for a table and for the list of
+        # its instance views, which it groups into a table of its own.
+        tweets, registry, enc = draw_corpus(data, num_layers=4, hidden_size=8, context_window=1)
+        try:
+            table = mask_corpus(tweets, Vocab(enc.vocab_size), CleanConfig(), enc.max_len, registry)
+        except MaskingError:
+            return
+        insts = list(table)
+        assert len(insts) == len(table) and insts[0].token_ids is table[0].token_ids
+        model = init_model(enc, kind, registry, seed=seed)
+        cfg = TrainConfig(epochs=2, batch_size=data.draw(st.integers(1, 8)), seed=seed)
+
+        (value_a, grads_a), (value_b, grads_b) = (loss_and_grads(model, batch, cfg) for batch in (table, insts))
+        assert value_a.hex() == value_b.hex()
+        assert list(grads_a) == list(grads_b)
+        assert all(grads_a[name].tobytes() == grads_b[name].tobytes() for name in grads_a)
+
+        assert predict_probs(model, table).tobytes() == predict_probs(model, insts).tobytes()
+
+        runs = [train(init_model(enc, kind, registry, seed=seed), tr, tr, cfg) for tr in (table, insts)]
+        for name, (params, _) in zip("ab", runs):
+            save_model(params, tmp_path / f"{name}.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+        assert runs[0][1] == runs[1][1]
+
+        save_instances(table, tmp_path / "a.jsonl")
+        save_instances(insts, tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def make_record(decision=1, filtered=False, chunk="c"):
