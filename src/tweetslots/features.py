@@ -9,6 +9,10 @@ row at the ``<E>`` marker position:
 - PROJ4: each of the four rows through its own affine projection to H/4,
   concatenated oldest-to-newest (dim H). The projections are trainable and
   live alongside the encoder parameters.
+
+``_marker_rows`` is the one place that knows which layers and rows a
+strategy reads; ``extract_backward_batch`` returns the gradient of every
+layer state, so the encoder's backward pass takes it as it is.
 """
 
 from __future__ import annotations
@@ -121,36 +125,37 @@ def extract_backward_batch(
     hidden: Sequence[np.ndarray],
     marker_pos: np.ndarray,
     upstream: np.ndarray,
-) -> tuple[np.ndarray, Proj4Params | None]:
-    """Adjoint of extract_batch.
+) -> tuple[list[np.ndarray], Proj4Params | None]:
+    """Adjoint of extract_batch with respect to ``hidden``.
 
-    Returns (row_grads, proj_grads) where row_grads is (4, B, H) — the
-    gradient w.r.t. the last four layers' marker rows, oldest first — and
-    proj_grads carries PROJ4 parameter gradients (None otherwise).
+    Returns (dhidden, proj_grads): dhidden holds one gradient per array of
+    ``hidden``, zero everywhere except the marker rows of the last four
+    layers, and proj_grads carries PROJ4 parameter gradients (None otherwise).
     """
     marker_pos = np.asarray(marker_pos, dtype=np.int64)
-    b = marker_pos.shape[0]
-    h = hidden[-1].shape[2]
+    rows = _marker_rows(hidden, marker_pos)  # (4, B, H)
+    b, h = rows.shape[1:]
     kind = strategy.kind
     if upstream.shape != (b, feature_dim(kind, h)):
         raise FeatureError(f"upstream shape {upstream.shape} != {(b, feature_dim(kind, h))}")
     row_grads = np.zeros((4, b, h))
+    proj_grads = None
     if kind is StrategyKind.LAST:
         row_grads[3] = upstream
-        return row_grads, None
-    if kind is StrategyKind.SUM4:
+    elif kind is StrategyKind.SUM4:
         row_grads[:] = upstream
-        return row_grads, None
-    if kind is StrategyKind.CONCAT4:
+    elif kind is StrategyKind.CONCAT4:
         for j in range(4):
             row_grads[j] = upstream[:, j * h:(j + 1) * h]
-        return row_grads, None
-    rows = _marker_rows(hidden, marker_pos)
-    q = h // 4
-    proj_grads = Proj4Params(w=np.zeros_like(strategy.proj.w), b=np.zeros_like(strategy.proj.b))
-    for j in range(4):
-        g = upstream[:, j * q:(j + 1) * q]  # (B, q)
-        row_grads[j] = g @ strategy.proj.w[j].T
-        proj_grads.w[j] = rows[j].T @ g
-        proj_grads.b[j] = g.sum(axis=0)
-    return row_grads, proj_grads
+    else:
+        q = h // 4
+        proj_grads = Proj4Params(w=np.zeros_like(strategy.proj.w), b=np.zeros_like(strategy.proj.b))
+        for j in range(4):
+            g = upstream[:, j * q:(j + 1) * q]  # (B, q)
+            row_grads[j] = g @ strategy.proj.w[j].T
+            proj_grads.w[j] = rows[j].T @ g
+            proj_grads.b[j] = g.sum(axis=0)
+    dhidden = [np.zeros_like(layer) for layer in hidden]
+    for layer_grad, g in zip(dhidden[-4:], row_grads):
+        layer_grad[np.arange(b), marker_pos] = g
+    return dhidden, proj_grads

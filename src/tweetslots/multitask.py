@@ -228,14 +228,8 @@ def loss_and_grads(
         grads[f"head.{subtask}.b"] = np.asarray([dlogit[ks].sum()])
         head_of[ks] = row
     dfeats = dlogit[:, None] * params.head_w[head_of]  # elementwise the per-group np.outer(dlogit[ks], w)
-    row_grads, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
-    num_layers = params.encoder.config.num_layers
-    b, t = cache.ids.shape
-    h = params.encoder.config.hidden_size
-    upstream = [np.zeros((b, t, h)) for _ in range(num_layers)]
-    for j in range(4):
-        upstream[num_layers - 4 + j][rows, marker] = row_grads[j]
-    enc_grads = enc.backward_batch(params.encoder, cache, upstream)
+    dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
+    enc_grads = enc.backward_batch(params.encoder, cache, dhidden)
     grads.update(enc_grads.named_arrays())
     if proj_grads is not None:
         grads["proj.w"] = proj_grads.w
@@ -249,13 +243,7 @@ class AdamW:
     Each parameter keeps its own step count, advanced only when a gradient
     for it arrives; parameters without a gradient in a step are untouched
     (no decay either), so unused heads keep their initial weights exactly.
-
-    Each element sees the operations of ``v += (1 - beta2) * (g * g)`` and
-    ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)`` in that order, so
-    trained model bytes match the plain formula exactly. The clipped
-    gradient, the bias-corrected moments and the update go through two
-    scratch rows sized to the largest gradient, allocated once per step. The
-    caller's gradient arrays are only read.
+    The caller's gradient arrays are only read.
 
     After ``stack_heads``, the head rows are one state instead of two named
     arrays each: the moments of ``head_w`` and ``head_b`` are the first
@@ -316,20 +304,16 @@ class AdamW:
             raise ValueError("head gradients must come as .w and .b of the same rows, in the same order")
         # Row k of head_g is [grad of w | grad of b] of head row rows[0][k].
         head_g = np.hstack([np.stack(gs) for gs in head_grads]) if rows[0] else np.empty((0, 1))
-        buf = np.empty((2, max([head_g.size, *(g.size for g in trunk.values())])))
-        scratch = {name: (buf[0, :g.size].reshape(g.shape), buf[1, :g.size].reshape(g.shape))
-                   for name, g in trunk.items()}
-        head_s0, head_s1 = (buf[i, :head_g.size].reshape(head_g.shape) for i in range(2))
         scale = None
         if cfg.clip_norm > 0:
-            sq = np.multiply(head_g, head_g, head_s0)
+            sq = head_g * head_g
             squares = np.stack((sq[:, :-1].sum(axis=1), sq[:, -1]), axis=1).ravel().tolist()
-            squares += [float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in trunk.items()]
+            squares += [float((g * g).sum()) for g in trunk.values()]
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
         if rows[0]:
-            self._step_heads(np.asarray(rows[0]), head_g, scale, head_s0, head_s1)
+            self._step_heads(np.asarray(rows[0]), head_g, scale)
         for name, g in trunk.items():
             p = named_params[name]
             if name not in self._m:
@@ -342,23 +326,19 @@ class AdamW:
             t = self._t[name]
             corrections = (1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t)
             m, v = self._m[name], self._v[name]
-            s0, s1 = scratch[name]
             live = self._live.get(name)
             if live is None:
-                self._update(p, g, m, v, corrections, scale, s0, s1)
+                self._update(p, g, m, v, corrections, scale)
                 continue
             # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
-            live |= np.abs(g, out=s1) @ np.ones(g.shape[1]) != 0
+            live |= np.abs(g) @ np.ones(g.shape[1]) != 0
             live_rows = np.flatnonzero(live)
             p_rows, m_rows, v_rows = p[live_rows], m[live_rows], v[live_rows]
-            n = live_rows.size
-            self._update(p_rows, g[live_rows], m_rows, v_rows, corrections, scale, s0[:n], s1[:n])
-            decay = np.multiply(p, cfg.weight_decay, s0)
-            decay *= cfg.learning_rate
-            p -= decay
+            self._update(p_rows, g[live_rows], m_rows, v_rows, corrections, scale)
+            p -= (p * cfg.weight_decay) * cfg.learning_rate
             p[live_rows], m[live_rows], v[live_rows] = p_rows, m_rows, v_rows
 
-    def _step_heads(self, rows: np.ndarray, g: np.ndarray, scale, s0, s1) -> None:
+    def _step_heads(self, rows: np.ndarray, g: np.ndarray, scale) -> None:
         """One step of the head rows ``rows``; row k of ``g`` is ``[grad of w | grad of b]`` of ``rows[k]``.
         Rows absent from ``rows`` get no step and no decay."""
         cfg = self.cfg
@@ -367,27 +347,22 @@ class AdamW:
         corrections = tuple(np.array([[1.0 - beta ** k] for k in t.tolist()]) for beta in (cfg.beta1, cfg.beta2))
         p = np.hstack((self._head_w[rows], self._head_b[rows, None]))
         m, v = self._head_m[rows], self._head_v[rows]
-        self._update(p, g, m, v, corrections, scale, s0, s1)
+        self._update(p, g, m, v, corrections, scale)
         self._head_w[rows], self._head_b[rows] = p[:, :-1], p[:, -1]
         self._head_m[rows], self._head_v[rows] = m, v
 
-    def _update(self, p, g, m, v, corrections, scale, s0, s1) -> None:
+    def _update(self, p, g, m, v, corrections, scale) -> None:
         """One AdamW step in place on ``p``, ``m`` and ``v``, given the bias corrections
-        ``1 - beta1**t`` and ``1 - beta2**t``; ``s0`` and ``s1`` are scratch of g's shape."""
+        ``1 - beta1**t`` and ``1 - beta2**t``."""
         cfg = self.cfg
         if scale is not None:
-            g = np.multiply(g, scale, s0)
+            g = g * scale
         m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, s1)
+        m += g * (1.0 - cfg.beta1)
         v *= cfg.beta2
-        gg = np.multiply(g, g, s1)
-        gg *= 1.0 - cfg.beta2
-        v += gg
-        m_hat = np.divide(m, corrections[0], s0)
-        denom = np.sqrt(np.divide(v, corrections[1], s1), s1)
-        denom += cfg.epsilon
-        update = np.divide(m_hat, denom, s0)
-        update += np.multiply(p, cfg.weight_decay, s1)
+        v += (g * g) * (1.0 - cfg.beta2)
+        update = (m / corrections[0]) / (np.sqrt(v / corrections[1]) + cfg.epsilon)
+        update += p * cfg.weight_decay
         update *= cfg.learning_rate
         p -= update
 

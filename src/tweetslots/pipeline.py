@@ -37,9 +37,22 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
-def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
+class ConfigText(dict):
+    """``key -> value`` of one config file, plus the line of each key."""
+
+    def __init__(self, path: str):
+        super().__init__()
+        self.path = path
+        self.lines: dict[str, int] = {}
+
+    def where(self, key: str) -> str:
+        """``<file>:<line>`` of ``key``, or ``<file>`` when the file does not set it."""
+        return f"{self.path}:{self.lines[key]}" if key in self.lines else self.path
+
+
+def parse_config_text(text: str, path: str = "<config>") -> ConfigText:
     """Flat ``key = value`` lines; '#' lines are comments; keys are unique."""
-    out: dict[str, str] = {}
+    out = ConfigText(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -52,6 +65,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict[str, str]:
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
+        out.lines[key] = lineno
     return out
 
 
@@ -100,16 +114,16 @@ class PipelineConfig:
         return tuple((kind, seed) for kind in self.ensemble_strategies for seed in self.ensemble_seeds)
 
 
-def _typed(raw: dict[str, str], key: str, parse: Callable, default):
+def _typed(raw: ConfigText, key: str, parse: Callable, default):
     if key not in raw:
         return default
     try:
         return parse(raw[key])
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+        raise ConfigError(f"{raw.where(key)}: config key {key!r}: {exc}") from None
 
 
-def _section(raw: dict[str, str], prefix: str, cls, **elsewhere):
+def _section(raw: ConfigText, prefix: str, cls, **elsewhere):
     """``cls`` from its ``prefix.<field>`` keys: each value is parsed with the
     type of the field's default, and an absent key keeps that default."""
     values = {f.name: _typed(raw, f"{prefix}.{f.name}", type(f.default), f.default) for f in _section_fields(cls)}
@@ -123,6 +137,11 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0"):
         return False
     raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _comma_list(parse: Callable) -> Callable:
+    """Parser of a comma-separated list, ``parse`` applied to each stripped entry."""
+    return lambda text: tuple(parse(part.strip()) for part in text.split(","))
 
 
 def load_config(
@@ -139,9 +158,9 @@ def load_config(
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     raw = parse_config_text(corpus_mod.read_utf8(path, ConfigError), str(path))
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = [key for key in raw if key not in _KNOWN_KEYS]
     if unknown:
-        raise ConfigError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"{raw.where(unknown[0])}: unknown config key {unknown[0]!r}")
     if "data.corpus" not in raw:
         raise ConfigError(f"{path}: missing required key 'data.corpus'")
 
@@ -154,22 +173,18 @@ def load_config(
         if not p.is_absolute():
             p = base / p
         if not p.exists():
-            raise ConfigError(f"config key {key!r}: path does not exist: {p}")
+            raise ConfigError(f"{raw.where(key)}: config key {key!r}: path does not exist: {p}")
         # One file reached by any spelling of the config path gives one path, so one fingerprint.
         return p.resolve()
 
     seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
     if seed < 0:
-        raise ConfigError(f"{path}: {'seed' if seed_override is None else '--seed'} must be >= 0, got {seed}")
+        where, name = (raw.where("seed"), "seed") if seed_override is None else (path, "--seed")
+        raise ConfigError(f"{where}: {name} must be >= 0, got {seed}")
     clean_enabled = False if no_clean else _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled)
     try:
         vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
         train_fraction = _typed(raw, "split.train_fraction", float, SplitConfig.train_fraction)
-        strategies = tuple(
-            StrategyKind.parse(part)
-            for part in raw.get("ensemble.strategies", "last,sum4,concat4,proj4").split(",")
-        )
-        seeds = tuple(int(part.strip()) for part in raw.get("ensemble.seeds", "0,1,2").split(","))
         cfg = PipelineConfig(
             corpus_path=resolve("data.corpus"),
             gazetteer_dir=resolve("data.gazetteer_dir"),
@@ -181,21 +196,21 @@ def load_config(
             split=SplitConfig(train_fraction=train_fraction, seed=seed),
             seed=seed,
             encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size, seed=seed),
-            feature_strategy=StrategyKind.parse(_typed(raw, "feature_strategy", str, "last")),
+            feature_strategy=_typed(raw, "feature_strategy", StrategyKind.parse, StrategyKind.LAST),
             train=_section(raw, "train", TrainConfig, seed=seed),
             ensemble_k=_typed(raw, "ensemble.k", int, 5),
-            ensemble_strategies=strategies,
-            ensemble_seeds=seeds,
+            ensemble_strategies=_typed(raw, "ensemble.strategies", _comma_list(StrategyKind.parse), tuple(StrategyKind)),
+            ensemble_seeds=_typed(raw, "ensemble.seeds", _comma_list(int), (0, 1, 2)),
         )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if cfg.ensemble_k < 1 or cfg.ensemble_k % 2 == 0:
-        raise ConfigError(f"ensemble.k must be odd and positive, got {cfg.ensemble_k}")
+        raise ConfigError(f"{raw.where('ensemble.k')}: ensemble.k must be odd and positive, got {cfg.ensemble_k}")
     negative = [s for s in cfg.ensemble_seeds if s < 0]
     if negative:
-        raise ConfigError(f"{path}: ensemble.seeds entries must be >= 0, got {negative[0]}")
+        raise ConfigError(f"{raw.where('ensemble.seeds')}: ensemble.seeds entries must be >= 0, got {negative[0]}")
     # A repeated entry would train one (strategy, seed) twice into one model
     # file, which the top-k vote could then count twice.
     for key, entries in (
@@ -204,11 +219,9 @@ def load_config(
     ):
         repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
         if repeated:
-            raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
+            raise ConfigError(f"{raw.where(key)}: {key} lists {repeated[0]!r} more than once")
     if len(cfg.pool) < cfg.ensemble_k:
-        raise ConfigError(
-            f"ensemble pool of {len(cfg.pool)} runs cannot fill k={cfg.ensemble_k} members"
-        )
+        raise ConfigError(f"{path}: ensemble pool of {len(cfg.pool)} runs cannot fill k={cfg.ensemble_k} members")
     return cfg
 
 
@@ -264,6 +277,12 @@ def load_and_split(cfg: PipelineConfig, registry: SubtaskRegistry) -> SplitArtif
         raise corpus_mod.CorpusError(f"{cfg.corpus_path}: need at least 2 tweets to split")
     digest = corpus_mod.corpus_digest(tweets)
     train_tweets, val_tweets = corpus_mod.split(tweets, cfg.split)
+    for side, part in (("train", train_tweets), ("validation", val_tweets)):
+        if not part:
+            raise corpus_mod.CorpusError(
+                f"{cfg.corpus_path}: split.train_fraction = {cfg.split.train_fraction} leaves the {side} side "
+                f"of {len(tweets)} tweets empty"
+            )
     return SplitArtifacts(train_tweets=train_tweets, val_tweets=val_tweets, digest=digest)
 
 

@@ -401,6 +401,9 @@ def load_train_log(path: str | Path) -> list[TrainLogEntry]:
             raise FormatError(f"{where}: field 'train_loss' must be finite and >= 0, got {train_loss}")
         if not 0.0 <= score <= 1.0:
             raise FormatError(f"{where}: field 'val_micro_f1' must lie in [0, 1], got {score}")
+        # Rows are epochs 1, 2, ... in order; the ensemble ranks members by them.
+        if epoch != len(out) + 1:
+            raise FormatError(f"{where}: field 'epoch' must be {len(out) + 1} (rows count up from 1), got {epoch}")
         out.append(TrainLogEntry(epoch=epoch, train_loss=train_loss, val_micro_f1=score))
     if not out:
         raise FormatError(f"{path}: empty training log")

@@ -217,19 +217,19 @@ class TestConfigErrors:
         assert "ensemble.strategies lists 'last' more than once" in caplog.text
 
     @pytest.mark.parametrize(
-        "line, flags, message",
+        "line, flags, where, message",
         [
-            ("seed = -1", [], "seed must be >= 0, got -1"),
-            ("seed = 1", ["--seed", "-1"], "--seed must be >= 0, got -1"),
-            ("ensemble.seeds = 0,-1\nensemble.k = 1", [], "ensemble.seeds entries must be >= 0, got -1"),
+            ("seed = -1", [], ":2", "seed must be >= 0, got -1"),
+            ("seed = 1", ["--seed", "-1"], "", "--seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", [], ":2", "ensemble.seeds entries must be >= 0, got -1"),
         ],
         ids=["seed", "seed-flag", "ensemble-seed"],
     )
-    def test_negative_seed(self, ws, tmp_path, caplog, line, flags, message):
+    def test_negative_seed(self, ws, tmp_path, caplog, line, flags, where, message):
         p = tmp_path / "c.ini"
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
         assert main(["run", "--config", str(p), "--output", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
-        assert f"{p}: {message}" in caplog.text
+        assert f"{p}{where}: {message}" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_path(self, tmp_path):
@@ -273,6 +273,20 @@ class TestDataErrors:
         assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
         assert f"{p}:2: not UTF-8 (byte 0xe9)" in caplog.text
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fraction, side", [(0.001, "train"), (0.99, "validation")])
+    def test_split_with_an_empty_side(self, ws, tmp_path, caplog, fraction, side):
+        # The workspace corpus holds 16 tweets: 0.001 puts none on the train
+        # side, 0.99 all of them.
+        p = tmp_path / "c.ini"
+        p.write_text(CONFIG_TEXT.replace("seed = 1", f"seed = 1\nsplit.train_fraction = {fraction}"))
+        for name in ("corpus.jsonl", "subtasks.txt"):
+            (tmp_path / name).write_bytes((ws / name).read_bytes())
+        out = tmp_path / "o"
+        assert main(["preprocess", "--config", str(p), "--output", str(out)]) == EXIT_DATA
+        corpus = (tmp_path / "corpus.jsonl").resolve()
+        assert f"{corpus}: split.train_fraction = {fraction} leaves the {side} side of 16 tweets empty" in caplog.text
+        assert not list(out.glob("*instances.jsonl"))
 
     def test_evaluate_without_predictions(self, ws, tmp_path):
         code = main([

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetslots.encoder import EncoderConfig, forward_batch, init_params
 from tweetslots.features import (
@@ -38,6 +40,11 @@ def hidden_batch(rows_per_layer):
 
 def strat(kind, h=H, seed=0):
     return init_strategy(kind, h, np.random.default_rng(seed))
+
+
+def marker_grads(dhidden, marker):
+    """The last four layers' gradient rows at the marker positions, oldest first: (4, B, H)."""
+    return np.stack([layer[np.arange(len(marker)), marker] for layer in dhidden[-4:]])
 
 
 class TestKinds:
@@ -181,9 +188,10 @@ class TestBackward:
         s = strat(StrategyKind.SUM4, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.array([[3.0, 5.0]])
-        rows, proj = extract_backward_batch(s, hidden, np.array([0]), g)
+        dhidden, proj = extract_backward_batch(s, hidden, np.array([0]), g)
         assert proj is None
-        assert rows.shape == (4, 1, 2)
+        assert [layer.shape for layer in dhidden] == [(1, 3, 2)] * 4
+        rows = marker_grads(dhidden, [0])
         for j in range(4):
             assert np.array_equal(rows[j, 0], [3.0, 5.0])
 
@@ -191,7 +199,7 @@ class TestBackward:
         s = strat(StrategyKind.CONCAT4, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.arange(8, dtype=float)[None, :]
-        rows, _ = extract_backward_batch(s, hidden, np.array([0]), g)
+        rows = marker_grads(extract_backward_batch(s, hidden, np.array([0]), g)[0], [0])
         for j in range(4):
             assert np.array_equal(rows[j, 0], g[0, 2 * j:2 * j + 2])
 
@@ -199,7 +207,7 @@ class TestBackward:
         s = strat(StrategyKind.LAST, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.array([[2.0, 7.0]])
-        rows, _ = extract_backward_batch(s, hidden, np.array([0]), g)
+        rows = marker_grads(extract_backward_batch(s, hidden, np.array([0]), g)[0], [0])
         assert np.array_equal(rows[3, 0], [2.0, 7.0])
         for j in range(3):
             assert np.array_equal(rows[j, 0], [0.0, 0.0])
@@ -211,7 +219,7 @@ class TestBackward:
         hidden = [rng.standard_normal((2, 3, H)) for _ in range(4)]
         marker = np.array([0, 2])
         u = rng.standard_normal((2, feature_dim(kind, H)))
-        rows, _ = extract_backward_batch(s, hidden, marker, u)
+        rows = marker_grads(extract_backward_batch(s, hidden, marker, u)[0], marker)
         eps = 1e-6
         for j in range(4):
             for bi in range(2):
@@ -224,6 +232,37 @@ class TestBackward:
                     hidden[j][bi, marker[bi], hi] = orig
                     fd = (up - down) / (2 * eps)
                     assert abs(rows[j, bi, hi] - fd) < 1e-6
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_adjoint_of_extract_batch(self, data):
+        # extract_batch is affine in the layer states, so its adjoint must give
+        # <f(h) - f(0), u> = sum over layers of <h_l, dh_l> (to 1e-12 of the
+        # summed term magnitudes), and a gradient that is exactly zero off the
+        # marker rows of the last four layers.
+        kind = data.draw(st.sampled_from(list(StrategyKind)), label="kind")
+        num_layers = data.draw(st.integers(4, 6), label="layers")
+        b = data.draw(st.integers(1, 4), label="B")
+        t = data.draw(st.integers(1, 6), label="T")
+        h = data.draw(st.sampled_from([4, 8]), label="H")
+        marker = np.array(data.draw(st.lists(st.integers(0, t - 1), min_size=b, max_size=b), label="marker"))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        s = strat(kind, h, seed=int(rng.integers(1 << 30)))
+        if s.proj is not None:
+            s.proj.b[:] = rng.standard_normal(s.proj.b.shape)
+        hidden = [rng.standard_normal((b, t, h)) for _ in range(num_layers)]
+        u = rng.standard_normal((b, feature_dim(kind, h)))
+        dhidden, _ = extract_backward_batch(s, hidden, marker, u)
+        assert [d.shape for d in dhidden] == [x.shape for x in hidden]
+        f0 = extract_batch(s, [np.zeros_like(x) for x in hidden], marker)
+        lhs = float(((extract_batch(s, hidden, marker) - f0) * u).sum())
+        terms = [x * d for x, d in zip(hidden, dhidden)]
+        rhs = sum(float(term.sum()) for term in terms)
+        assert abs(lhs - rhs) <= 1e-12 * sum(float(np.abs(term).sum()) for term in terms)
+        on_marker = np.zeros((num_layers, b, t), dtype=bool)
+        on_marker[num_layers - 4:, np.arange(b), marker] = True
+        for layer_grad, mask in zip(dhidden, on_marker):
+            assert not layer_grad[~mask].any()
 
     def test_finite_difference_proj_params(self):
         rng = np.random.default_rng(13)

@@ -207,20 +207,45 @@ class TestLoadConfig:
             load_config(p)
 
     @pytest.mark.parametrize(
-        "line, override, message",
+        "line, override, where, message",
         [
-            ("seed = -1", None, "seed must be >= 0, got -1"),
-            ("seed = 1", -1, "--seed must be >= 0, got -1"),
-            ("ensemble.seeds = 0,-1\nensemble.k = 1", None, "ensemble.seeds entries must be >= 0, got -1"),
+            ("seed = -1", None, ":2", "seed must be >= 0, got -1"),
+            ("seed = 1", -1, "", "--seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", None, ":2", "ensemble.seeds entries must be >= 0, got -1"),
         ],
         ids=["seed", "seed-override", "ensemble-seed"],
     )
-    def test_negative_seed_rejected(self, ws, tmp_path, line, override, message):
+    def test_negative_seed_rejected(self, ws, tmp_path, line, override, where, message):
         # numpy refuses a negative seed, so it must not get past loading.
         p = tmp_path / "c.ini"
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}{where}: {message}')}$"):
             load_config(p, seed_override=override)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("train.epochs = abc", "config key 'train.epochs': invalid literal for int() with base 10: 'abc'"),
+            ("clean.enabled = maybe", "config key 'clean.enabled': expected true/false, got 'maybe'"),
+            ("seed = x", "config key 'seed': invalid literal for int() with base 10: 'x'"),
+            ("vocab.size = big", "config key 'vocab.size': invalid literal for int() with base 10: 'big'"),
+            ("feature_strategy = mean4", "config key 'feature_strategy': unknown feature strategy 'mean4'"),
+            ("data.type_map = gone.txt", "config key 'data.type_map': path does not exist: "),
+            ("mystery = 1", "unknown config key 'mystery'"),
+            ("ensemble.k = 4", "ensemble.k must be odd and positive, got 4"),
+            ("ensemble.seeds = 0,x", "config key 'ensemble.seeds': invalid literal for int() with base 10: 'x'"),
+            ("ensemble.strategies = last,mean4", "config key 'ensemble.strategies': unknown feature strategy 'mean4'"),
+            ("ensemble.strategies = last,last\nensemble.k = 1", "ensemble.strategies lists 'last' more than once"),
+        ],
+        ids=["int", "bool", "seed", "vocab-size", "feature-strategy", "data-path", "unknown-key", "ensemble-k",
+             "ensemble-seeds", "ensemble-strategies", "ensemble-repeat"],
+    )
+    def test_single_key_refusal_names_file_and_line(self, ws, tmp_path, line, message):
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n# the key at fault is on line 3\n{line}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert str(info.value).startswith(f"{p}:3: {message}")
 
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))

@@ -676,6 +676,18 @@ class TestTrainLog:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}"):
             load_train_log(p)
 
+    @pytest.mark.parametrize(
+        "epochs, line, expected",
+        [([1, 1], 2, 2), ([3], 1, 1), ([1, 3], 2, 2), ([2, 3], 1, 1), ([1, 2, 2], 3, 3)],
+        ids=["repeated", "first-is-not-1", "gap", "starts-at-2", "repeated-last"],
+    )
+    def test_rejects_an_epoch_out_of_sequence(self, tmp_path, epochs, line, expected):
+        p = tmp_path / "log.jsonl"
+        p.write_text("".join(f'{{"epoch": {e}, "train_loss": 0.5, "val_micro_f1": 0.5}}\n' for e in epochs))
+        message = f"{p}:{line}: field 'epoch' must be {expected} (rows count up from 1), got {epochs[line - 1]}"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_train_log(p)
+
     def test_empty_log_rejected(self, tmp_path):
         p = tmp_path / "log.jsonl"
         p.write_text("\n")
