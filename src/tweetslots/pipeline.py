@@ -177,11 +177,15 @@ def load_config(
         # One file reached by any spelling of the config path gives one path, so one fingerprint.
         return p.resolve()
 
-    seed = seed_override if seed_override is not None else _typed(raw, "seed", int, 0)
+    # The file's values are checked even where a flag overrides them, so a bad file never loads.
+    seed = _typed(raw, "seed", int, 0)
     if seed < 0:
-        where, name = (raw.where("seed"), "seed") if seed_override is None else (path, "--seed")
-        raise ConfigError(f"{where}: {name} must be >= 0, got {seed}")
-    clean_enabled = False if no_clean else _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled)
+        raise ConfigError(f"{raw.where('seed')}: seed must be >= 0, got {seed}")
+    if seed_override is not None:
+        if seed_override < 0:
+            raise ConfigError(f"{path}: --seed must be >= 0, got {seed_override}")
+        seed = seed_override
+    clean_enabled = _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled) and not no_clean
     try:
         vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
         train_fraction = _typed(raw, "split.train_fraction", float, SplitConfig.train_fraction)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -114,6 +114,11 @@ class CleanConfig:
         for tag in self.covid_tags:
             if not tag.startswith("#"):
                 raise PreprocessError(f"covid tag {tag!r} must begin with '#'")
+        # What load_emoji_map refuses in a file: an empty key would match between every two
+        # characters, and the emoji matcher reads each key's first character.
+        for emoji, alias in self.emoji_map.items():
+            if not emoji or not alias:
+                raise PreprocessError(f"emoji {emoji!r}: {'alias' if emoji else 'emoji'} is empty")
         # Private read-only copies, so the compiled tables cannot go stale.
         object.__setattr__(self, "emoji_map", MappingProxyType(dict(self.emoji_map)))
         object.__setattr__(self, "covid_tags", frozenset(self.covid_tags))
@@ -124,7 +129,11 @@ class CleanConfig:
         emoji_re = None
         if self.emoji_map:
             alts = sorted(self.emoji_map, key=len, reverse=True)
-            emoji_re = re.compile("|".join(re.escape(e) for e in alts))
+            # sre tries the alternation's first characters one by one at every position; the
+            # lookahead lets it enter the alternation only where some key's first character can be.
+            lowest = min(ord(e[0]) for e in alts)
+            keys = "|".join(re.escape(e) for e in alts)
+            emoji_re = re.compile(f"(?=[\\U{lowest:08x}-\\U0010ffff])(?:{keys})")
         tag_re = None
         if self.covid_tags:
             alts = sorted(self.covid_tags, key=len, reverse=True)
@@ -135,9 +144,8 @@ class CleanConfig:
 # Single-pass-complete rules (no lookbehind) keep clean() idempotent.
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_WS_RE = re.compile(r"\s+")
 
-# Curly quotes, dashes, ellipsis, NBSP -> plain ASCII.
+# Curly quotes, dashes, ellipsis, NBSP -> plain ASCII. Every key is non-ASCII, which clean() relies on.
 _PUNCT_TABLE = {
     ord("“"): '"', ord("”"): '"', ord("„"): '"', ord("″"): '"',
     ord("‘"): "'", ord("’"): "'", ord("‚"): "'", ord("′"): "'",
@@ -154,20 +162,29 @@ def clean(text: str, cfg: CleanConfig) -> str:
     punctuation standardization (curly quotes -> ASCII quotes, dash variants
     -> '-', ellipsis -> '...', NBSP -> space) and whitespace collapsing.
     Idempotent: cleaning cleaned text changes nothing.
+
+    Each pass skips only text it cannot change. The hashtag pass runs only on
+    text holding a '#', since every configured tag begins with one. The emoji
+    matcher enters its alternation only at a character no lower than the
+    lowest first character of any key, so every key must be non-empty. The
+    punctuation pass skips ASCII text, since every ``_PUNCT_TABLE`` key is
+    non-ASCII. ``str.split()`` splits at exactly the characters the regex
+    class ``\\s`` matches (those ``str.isspace`` accepts), so joining its parts
+    collapses the same whitespace runs a ``\\s+`` substitution would.
     """
     if not cfg.enabled:
         return text
     emoji_re, tag_re = cfg._tables
     text = _URL_RE.sub(URL_TOKEN, text)
     text = _MENTION_RE.sub(USER_TOKEN, text)
-    if tag_re is not None:
+    if tag_re is not None and "#" in text:
         text = tag_re.sub(COVID_TAG_TOKEN, text)
     if emoji_re is not None:
         emoji_map = cfg.emoji_map
         text = emoji_re.sub(lambda m: emoji_map[m.group(0)], text)
-    text = text.translate(_PUNCT_TABLE)
-    text = _WS_RE.sub(" ", text).strip()
-    return text
+    if not text.isascii():
+        text = text.translate(_PUNCT_TABLE)
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)
@@ -192,6 +209,7 @@ class Vocab:
         return NUM_RESERVED + _fnv1a_64(token.encode("utf-8")) % (self.size - NUM_RESERVED)
 
 
+@lru_cache(maxsize=1 << 16)  # a corpus repeats few distinct tokens many times
 def _fnv1a_64(data: bytes) -> int:
     h = 0xCBF29CE484222325
     for b in data:

@@ -247,6 +247,23 @@ class TestLoadConfig:
             load_config(p)
         assert str(info.value).startswith(f"{p}:3: {message}")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("seed = abc\nclean.enabled = maybe", "config key 'seed': invalid literal for int() with base 10: 'abc'"),
+            ("clean.enabled = maybe\nseed = 1", "config key 'clean.enabled': expected true/false, got 'maybe'"),
+            ("seed = -3", "seed must be >= 0, got -3"),
+        ],
+        ids=["seed", "clean-enabled", "negative-seed"],
+    )
+    def test_overridden_file_values_are_still_checked(self, ws, tmp_path, lines, message):
+        # --seed and --no-clean replace the file's values; a bad file must not load because of them.
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{lines}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(p, seed_override=4, no_clean=True)
+        assert str(info.value).startswith(f"{p}:2: {message}")
+
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))
         b = config_fingerprint(load_config(ws / "config.ini"))

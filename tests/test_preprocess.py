@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +19,19 @@ from tweetslots.preprocess import (
     E_OPEN_ID,
     NUM_RESERVED,
     PAD_ID,
+    SPECIAL_TOKEN_IDS,
     URL_ID,
     URL_TOKEN,
     USER_ID,
     USER_TOKEN,
+    _PUNCT_TABLE,
     CleanConfig,
     MaskingError,
     PreprocessError,
     Vocab,
     clean,
+    default_covid_tags,
+    default_emoji_map,
     load_covid_tags,
     load_emoji_map,
     mask_candidate,
@@ -35,6 +41,52 @@ from tweetslots.preprocess import (
 )
 
 SID = SubtaskId(EventType.DEATH, "name")
+
+
+def reference_clean(text: str, cfg: CleanConfig) -> str:
+    """``clean`` as it was before any pass skipped text: every pass runs on every piece."""
+    if not cfg.enabled:
+        return text
+    text = re.sub(r"(?:https?://|www\.)\S+", URL_TOKEN, text)
+    text = re.sub(r"@\w+", USER_TOKEN, text)
+    if cfg.covid_tags:
+        alts = sorted(cfg.covid_tags, key=len, reverse=True)
+        tag_re = re.compile("(?:" + "|".join(re.escape(t) for t in alts) + r")(?!\w)", re.IGNORECASE)
+        text = tag_re.sub(COVID_TAG_TOKEN, text)
+    if cfg.emoji_map:
+        alts = sorted(cfg.emoji_map, key=len, reverse=True)
+        emoji_re = re.compile("|".join(re.escape(e) for e in alts))
+        text = emoji_re.sub(lambda m: cfg.emoji_map[m.group(0)], text)
+    text = text.translate(_PUNCT_TABLE)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def fnv1a_64_reference(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_EMOJI = sorted({e[:n] for e in default_emoji_map() for n in range(1, len(e) + 1)})
+_TAGS = sorted({v for t in default_covid_tags() for v in (t, t.upper(), t.title(), t + "s", t + "_")})
+# Every piece the cleaning passes act on, and pieces next to which they must not act.
+_PIECES = (
+    _SPACES + _EMOJI + _TAGS + [chr(c) for c in _PUNCT_TABLE]
+    + ["https://t.co/x", "www.a.b", "http:/", "@user", "@", "#", "a", "Z", "1", "_", ".", ":", "<", ">"]
+)
+
+
+def clean_texts(extra=()):
+    """Text drawn from ``_PIECES`` and ``extra``, glued together or mixed with arbitrary characters."""
+    return st.lists(st.sampled_from(_PIECES + list(extra)) | st.text(max_size=3), max_size=24).map("".join)
+
+
+# Keys from a small alphabet share prefixes; it holds ASCII, control, regex-special and astral characters.
+_KEY_CHARS = "\x00\t :)(-]^\\a#\u231b\U0001f637\U0001f3fb"
+emoji_maps = st.dictionaries(st.text(_KEY_CHARS, min_size=1, max_size=3), st.text(min_size=1, max_size=4), max_size=8)
+tag_sets = st.frozensets(st.text("aBc1_\u00e9", max_size=4).map(lambda t: "#" + t), max_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +152,34 @@ class TestClean:
             once = clean(s, cfg)
             assert clean(once, cfg) == once
 
+    @pytest.mark.parametrize("emoji, alias, named", [("", ":x:", "''"), ("\U0001f637", "", "'\U0001f637'")],
+                             ids=["empty-emoji", "empty-alias"])
+    def test_empty_emoji_or_alias_refused(self, emoji, alias, named):
+        # As in load_emoji_map. An empty key matched between every two characters: "ab" -> ":x:a:x:b:x:".
+        with pytest.raises(PreprocessError, match=f"^emoji {re.escape(named)}: "):
+            CleanConfig(emoji_map={"\U0001f912": ":ill:", emoji: alias})
+
+    @given(clean_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_with_default_tables(self, text):
+        assert clean(text, CleanConfig()) == reference_clean(text, CleanConfig())
+
+    @given(data=st.data(), emoji_map=emoji_maps, tags=tag_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_with_generated_tables(self, data, emoji_map, tags):
+        c = CleanConfig(emoji_map=emoji_map, covid_tags=tags)
+        text = data.draw(clean_texts(list(emoji_map) + [t.upper() for t in tags]))
+        assert clean(text, c) == reference_clean(text, c)
+
+    def test_punct_keys_are_non_ascii(self):
+        # clean() skips the punctuation pass on ASCII text.
+        assert min(_PUNCT_TABLE) > 0x7F
+
+    def test_split_and_regex_agree_on_whitespace(self):
+        # clean() collapses whitespace with str.split, which must remove exactly what \s matches.
+        every = "".join(map(chr, range(0x110000)))
+        assert "".join(every.split()) == re.sub(r"\s", "", every)
+
     @given(st.text(max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_idempotent_property(self, text):
@@ -140,12 +220,7 @@ class TestVocab:
     def test_fnv1a_reference_vectors(self):
         # Published FNV-1a 64-bit values: fnv("") = offset basis,
         # fnv("a") = 0xaf63dc4c8601ec8c.
-        def fnv(data: bytes) -> int:
-            h = 0xCBF29CE484222325
-            for b in data:
-                h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            return h
-
+        fnv = fnv1a_64_reference
         assert fnv(b"") == 0xCBF29CE484222325
         assert fnv(b"a") == 0xAF63DC4C8601EC8C
         size = 1 << 20
@@ -153,6 +228,16 @@ class TestVocab:
         for tok in ("a", "covid", "hospital"):
             want = NUM_RESERVED + fnv(tok.encode()) % (size - NUM_RESERVED)
             assert v.token_to_id(tok) == want
+
+    @given(st.lists(st.text(max_size=6), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_cached_ids_match_uncached_hash(self, tokens):
+        # Hashes are memoised; a repeated token must get the id the plain hash gives.
+        for size in (64, 1 << 20):
+            v = Vocab(size)
+            for tok in tokens + tokens:
+                want = NUM_RESERVED + fnv1a_64_reference(tok.encode("utf-8")) % (size - NUM_RESERVED)
+                assert v.token_to_id(tok) == SPECIAL_TOKEN_IDS.get(tok, want)
 
     def test_too_small_rejected(self):
         with pytest.raises(PreprocessError):
