@@ -7,8 +7,10 @@ same output-directory lock as ``run``, an ``flock`` that dies with its
 holder (a held lock gives exit 3). Running the stages in sequence over
 one output directory reproduces the ``run`` tree byte for byte, except for
 ``run_manifest.json``, which only ``run`` writes. ``predict`` is not a
-stage: it scores instances with one trained model. Logs go to stderr;
-artifacts only ever land in the output directory.
+stage: it scores instances with one trained model into its required
+``--out``, so it never overwrites a stage artifact by default. No option
+sets a config key: the config file is the whole record of a run. Logs go
+to stderr.
 
 Exit codes: 0 success, 2 configuration error, 3 data or environment error,
 4 numeric divergence during training.
@@ -52,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="pipeline config file")
         p.add_argument("--output", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--no-clean", action="store_true", help="disable text cleaning")
         return p
 
     add("preprocess", "split the corpus and write masked instance files")
@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="instance JSONL, one row per (tweet, candidate), expanded in explode order "
         "(default: <output>/val_instances.jsonl)",
     )
-    p.add_argument("--out", default=None, help="prediction JSONL (default: <output>/predictions.jsonl)")
+    p.add_argument("--out", type=Path, required=True, help="prediction JSONL to write")
     add("ensemble", "majority-vote the top-k pool members")
     add("postprocess", "filter predictions against expected entity types")
     p = add("evaluate", "score predictions against the gold corpus")
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    cfg = pipeline.load_config(args.config, seed_override=args.seed, no_clean=args.no_clean)
+    cfg = pipeline.load_config(args.config)
     out_dir = Path(args.output)
     command = args.command
 
@@ -89,12 +89,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     with pipeline._OutputLock(out_dir):
         if command == "predict":
             instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"
-            out_path = Path(args.out) if args.out else out_dir / "predictions.jsonl"
             params = serialize.load_model(args.model)
             instances = serialize.load_instances(instances_path, params.encoder.config)
             records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))
-            serialize.save_predictions(records, out_path)
-            log.info("predict: %d records -> %s", len(records), out_path)
+            serialize.save_predictions(records, args.out)
+            log.info("predict: %d records -> %s", len(records), args.out)
         else:
             name = "evaluate_filtered" if command == "evaluate" and args.filtered else command
             dict(pipeline._STAGES)[name](cfg, out_dir)

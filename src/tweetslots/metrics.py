@@ -22,6 +22,7 @@ from .corpus import (
     SubtaskRegistry,
     json_document,
     json_field,
+    json_known_fields,
     json_nonnegative_int,
     parse_json_object,
     read_utf8,
@@ -219,27 +220,32 @@ def save_comparison(cmp: Comparison, path: str | Path) -> None:
     write_file(path, [json_document(comparison_to_obj(cmp))])
 
 
+def _cell_to_obj(c: SubtaskCounts) -> dict:
+    return {"tp": c.tp, "fp": c.fp, "fn": c.fn, "f1": c.f1, "zero_denominator": c.zero_denominator}
+
+
 def report_to_obj(report: MetricsReport) -> dict:
     return {
         "model_id": report.model_id,
         "corpus_id": report.corpus_id,
         "filtered": report.filtered,
         "micro_f1": report.micro_f1,
-        "subtasks": {
-            str(s): {
-                "tp": c.tp,
-                "fp": c.fp,
-                "fn": c.fn,
-                "f1": c.f1,
-                "zero_denominator": c.zero_denominator,
-            }
-            for s, c in sorted(report.counts.items())
-        },
+        "subtasks": {str(s): _cell_to_obj(c) for s, c in sorted(report.counts.items())},
     }
 
 
 def save_report(report: MetricsReport, path: str | Path) -> None:
     write_file(path, [json_document(report_to_obj(report))])
+
+
+def _check_written(obj: dict, written: dict, where: str) -> None:
+    """Refuse a field of ``obj`` that ``written``, what ``save_report`` writes
+    for the counts read from ``obj``, lacks or holds another value for, so an
+    edited score never passes as the counted one."""
+    json_known_fields(obj, frozenset(written), where, MetricsError)
+    for name, value in written.items():
+        if json_field(obj, name, type(value), where, MetricsError) != value:
+            raise MetricsError(f"{where}: field {name!r} is {obj[name]!r}, but the counts give {value!r}")
 
 
 def load_report(path: str | Path) -> MetricsReport:
@@ -259,9 +265,12 @@ def load_report(path: str | Path) -> MetricsReport:
             fp=json_nonnegative_int(cell, "fp", cell_where, MetricsError),
             fn=json_nonnegative_int(cell, "fn", cell_where, MetricsError),
         )
-    return MetricsReport(
+        _check_written(cell, _cell_to_obj(counts[subtask]), cell_where)
+    report = MetricsReport(
         counts=counts,
         model_id=json_field(obj, "model_id", str, where, MetricsError),
         corpus_id=json_field(obj, "corpus_id", str, where, MetricsError),
         filtered=json_field(obj, "filtered", bool, where, MetricsError),
     )
+    _check_written(obj, report_to_obj(report), where)
+    return report

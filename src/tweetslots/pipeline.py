@@ -144,16 +144,9 @@ def _comma_list(parse: Callable) -> Callable:
     return lambda text: tuple(parse(part.strip()) for part in text.split(","))
 
 
-def load_config(
-    path: str | Path,
-    seed_override: int | None = None,
-    no_clean: bool = False,
-) -> PipelineConfig:
-    """Parse, validate, and resolve a config file.
-
-    ``seed_override`` and ``no_clean`` mirror the CLI flags; they take
-    precedence over the file's values.
-    """
+def load_config(path: str | Path) -> PipelineConfig:
+    """Parse, validate, and resolve a config file; the file is the whole
+    record of a run, so no setting enters from anywhere else."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -177,15 +170,9 @@ def load_config(
         # One file reached by any spelling of the config path gives one path, so one fingerprint.
         return p.resolve()
 
-    # The file's values are checked even where a flag overrides them, so a bad file never loads.
     seed = _typed(raw, "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"{raw.where('seed')}: seed must be >= 0, got {seed}")
-    if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigError(f"{path}: --seed must be >= 0, got {seed_override}")
-        seed = seed_override
-    clean_enabled = _typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled) and not no_clean
     try:
         vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
         train_fraction = _typed(raw, "split.train_fraction", float, SplitConfig.train_fraction)
@@ -196,7 +183,7 @@ def load_config(
             emoji_map_path=resolve("data.emoji_map"),
             covid_tags_path=resolve("data.covid_tags"),
             subtasks_path=resolve("data.subtasks"),
-            clean_enabled=clean_enabled,
+            clean_enabled=_typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled),
             split=SplitConfig(train_fraction=train_fraction, seed=seed),
             seed=seed,
             encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size, seed=seed),

@@ -63,6 +63,15 @@ def ws(tmp_path_factory) -> Path:
     return root
 
 
+def ws_config(ws: Path, name: str, old: str, new: str) -> Path:
+    """A config beside the workspace's data files: ``config.ini`` with
+    ``old`` replaced by ``new``, so the two differ in that text only."""
+    assert old in CONFIG_TEXT, old
+    path = ws / name
+    path.write_text(CONFIG_TEXT.replace(old, new), encoding="utf-8")
+    return path
+
+
 def cut_short(items, n: int):
     """Yield the first ``n`` of ``items``, then raise, as a writer's input
     does when the process fails half-way through a save."""

@@ -20,7 +20,7 @@ from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _bu
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import init_model
 
-from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, lock_holder, tree_bytes
+from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, lock_holder, tree_bytes, ws_config
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,26 @@ class TestStageTable:
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         stages = {label for label, _ in pipeline._STAGES} - {"evaluate_filtered"}
         assert set(sub.choices) == stages | {"run", "predict"}
+
+    @pytest.mark.parametrize(
+        "command", ["preprocess", "train", "predict", "ensemble", "postprocess", "evaluate", "ablate", "run"]
+    )
+    def test_options_are_the_config_the_output_and_inputs(self, ws, tmp_path, command):
+        # Every setting comes from the config file; no option overrides one of its keys.
+        extra = {"predict": {"--model", "--instances", "--out"}, "evaluate": {"--filtered"}}.get(command, set())
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {opt for action in sub.choices[command]._actions for opt in action.option_strings}
+        assert options - {"-h", "--help"} == {"--config", "--output"} | extra
+        out = tmp_path / "o"
+        base = [command, "--config", str(ws / "config.ini"), "--output", str(out)]
+        if command == "predict":
+            base += ["--model", str(tmp_path / "m.bin"), "--out", str(tmp_path / "p.jsonl")]
+        _build_parser().parse_args(base)  # so the exit below is the flag's
+        for flag in (["--seed", "1"], ["--no-clean"]):
+            with pytest.raises(SystemExit) as info:
+                main([*base, *flag])
+            assert info.value.code == EXIT_CONFIG
+            assert not out.exists()
 
     @staticmethod
     def _reports(cli_run, out):
@@ -185,11 +205,25 @@ class TestPredict:
         assert not out_file.exists()
 
     def test_missing_model_is_data_error(self, ws, tmp_path):
+        out_file = tmp_path / "single.jsonl"
         code = main([
             "predict", "--config", str(ws / "config.ini"), "--output", str(tmp_path),
-            "--model", str(tmp_path / "absent.bin"),
+            "--model", str(tmp_path / "absent.bin"), "--out", str(out_file),
         ])
         assert code == EXIT_DATA
+        assert not out_file.exists()
+
+    def test_out_is_required(self, ws, cli_run):
+        # With no default, predict cannot replace the ensemble's predictions.jsonl
+        # and leave run_manifest.json's sha256 for it stale.
+        before = (cli_run / "predictions.jsonl").read_bytes()
+        with pytest.raises(SystemExit) as info:
+            main([
+                "predict", "--config", str(ws / "config.ini"), "--output", str(cli_run),
+                "--model", str(cli_run / "models" / "last-s0.bin"),
+            ])
+        assert info.value.code == EXIT_CONFIG
+        assert (cli_run / "predictions.jsonl").read_bytes() == before
 
 
 class TestConfigErrors:
@@ -217,19 +251,18 @@ class TestConfigErrors:
         assert "ensemble.strategies lists 'last' more than once" in caplog.text
 
     @pytest.mark.parametrize(
-        "line, flags, where, message",
+        "line, message",
         [
-            ("seed = -1", [], ":2", "seed must be >= 0, got -1"),
-            ("seed = 1", ["--seed", "-1"], "", "--seed must be >= 0, got -1"),
-            ("ensemble.seeds = 0,-1\nensemble.k = 1", [], ":2", "ensemble.seeds entries must be >= 0, got -1"),
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", "ensemble.seeds entries must be >= 0, got -1"),
         ],
-        ids=["seed", "seed-flag", "ensemble-seed"],
+        ids=["seed", "ensemble-seed"],
     )
-    def test_negative_seed(self, ws, tmp_path, caplog, line, flags, where, message):
+    def test_negative_seed(self, ws, tmp_path, caplog, line, message):
         p = tmp_path / "c.ini"
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o"), *flags]) == EXIT_CONFIG
-        assert f"{p}{where}: {message}" in caplog.text
+        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{p}:2: {message}" in caplog.text
         assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_path(self, tmp_path):
@@ -288,6 +321,16 @@ class TestDataErrors:
         assert f"{corpus}: split.train_fraction = {fraction} leaves the {side} side of 16 tweets empty" in caplog.text
         assert not list(out.glob("*instances.jsonl"))
 
+    def test_ablate_refuses_a_report_its_counts_do_not_give(self, ws, cli_run, tmp_path, caplog):
+        out = tmp_path / "o"
+        TestStageTable._reports(cli_run, out)
+        report = json.loads((out / "report_filtered.json").read_text())
+        report["micro_f1"] = 0.99
+        (out / "report_filtered.json").write_text(json.dumps(report))
+        assert TestStageTable._ablate(ws, out) == EXIT_DATA
+        assert f"{out / 'report_filtered.json'}: field 'micro_f1' is 0.99, but the counts give " in caplog.text
+        assert not (out / "ablation.json").exists()
+
     def test_evaluate_without_predictions(self, ws, tmp_path):
         code = main([
             "evaluate", "--config", str(ws / "config.ini"), "--output", str(tmp_path / "empty"),
@@ -342,13 +385,13 @@ class TestDivergence:
 
 
 class TestFlags:
+    """What the deleted ``--seed`` and ``--no-clean`` flags did, now done by
+    the ``seed`` and ``clean.enabled`` keys of a second config file."""
+
     def test_seed_override_changes_split(self, ws, cli_run, tmp_path):
         out = tmp_path / "seeded"
-        code = main([
-            "preprocess", "--config", str(ws / "config.ini"),
-            "--output", str(out), "--seed", "9",
-        ])
-        assert code == EXIT_OK
+        p = ws_config(ws, "seed9.ini", "seed = 1", "seed = 9")
+        assert main(["preprocess", "--config", str(p), "--output", str(out)]) == EXIT_OK
         base = json.loads((cli_run / "split_manifest.json").read_text())
         seeded = json.loads((out / "split_manifest.json").read_text())
         assert seeded["seed"] == 9
@@ -356,9 +399,7 @@ class TestFlags:
 
     def test_no_clean_runs(self, ws, tmp_path):
         out = tmp_path / "noclean"
-        code = main([
-            "preprocess", "--config", str(ws / "config.ini"),
-            "--output", str(out), "--no-clean",
-        ])
-        assert code == EXIT_OK
+        p = ws_config(ws, "no-clean.ini", "seed = 1", "seed = 1\nclean.enabled = false")
+        assert pipeline.load_config(p).clean_enabled is False
+        assert main(["preprocess", "--config", str(p), "--output", str(out)]) == EXIT_OK
         assert (out / "train_instances.jsonl").is_file()

@@ -191,8 +191,10 @@ def test_model_header_fields(tmp_path, field, value):
     check_type_rule(lambda: load_model(p), FormatError, where, name, HEADER_FIELDS[field], value)
 
 
-REPORT_FIELDS = {"model_id": "string", "corpus_id": "string", "filtered": "boolean", "subtasks": "object",
-                 "tp": "integer", "fp": "integer", "fn": "integer"}
+REPORT_FIELDS = {"model_id": "string", "corpus_id": "string", "filtered": "boolean", "micro_f1": "number",
+                 "subtasks": "object", "tp": "integer", "fp": "integer", "fn": "integer", "f1": "number",
+                 "zero_denominator": "boolean"}
+CELL_FIELDS = ("tp", "fp", "fn", "f1", "zero_denominator")
 
 
 @PROPERTY
@@ -201,7 +203,7 @@ def test_report_fields(tmp_path, field, value):
     p = tmp_path / "r.json"
     obj = json.loads(json.dumps(REPORT))
     where = str(p)
-    if field in ("tp", "fp", "fn"):
+    if field in CELL_FIELDS:
         obj["subtasks"]["death/name"][field] = value
         where = f"{p}, subtask death/name"
     else:
@@ -242,6 +244,26 @@ def test_unknown_artifact_field_is_refused(tmp_path, row, load, field):
     p.write_text(json.dumps(row) + "\n")
     with pytest.raises(FormatError, match=re.escape(f"{p}:1: unknown field '{field}'")):
         load(p)
+
+
+def _report_with(cell: dict | None = None, **top) -> dict:
+    return {**REPORT, **top, "subtasks": {"death/name": {**REPORT["subtasks"]["death/name"], **(cell or {})}}}
+
+
+@pytest.mark.parametrize("report, message", [
+    (_report_with(extra=1), ": unknown field 'extra'"),
+    (_report_with({"spare": 0}), ", subtask death/name: unknown field 'spare'"),
+    (_report_with(micro_f1=0.99), ": field 'micro_f1' is 0.99, but the counts give 0.4"),
+    (_report_with({"f1": 0.42}), ", subtask death/name: field 'f1' is 0.42, but the counts give 0.4"),
+    (_report_with({"zero_denominator": True}),
+     ", subtask death/name: field 'zero_denominator' is True, but the counts give False"),
+], ids=["top-level-field", "cell-field", "micro-f1", "cell-f1", "zero-denominator"])
+def test_report_holds_only_what_its_counts_give(tmp_path, report, message):
+    # Read leniently, each of these loaded, and ablate compared the recomputed scores.
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(report))
+    with pytest.raises(MetricsError, match=f"^{re.escape(f'{p}{message}')}$"):
+        load_report(p)
 
 
 @pytest.mark.parametrize("name, row, load, message", [

@@ -22,7 +22,7 @@ from tweetslots.pipeline import (
     run_pipeline,
 )
 
-from conftest import FLOAT_TRAIN_KEYS, tree_bytes
+from conftest import FLOAT_TRAIN_KEYS, tree_bytes, ws_config
 
 
 class TestParseConfigText:
@@ -75,13 +75,6 @@ class TestLoadConfig:
     def test_seed_flows_to_encoder_and_train(self, ws):
         cfg = load_config(ws / "config.ini")
         assert cfg.seed == cfg.encoder.seed == cfg.train.seed == 1
-
-    def test_seed_override(self, ws):
-        cfg = load_config(ws / "config.ini", seed_override=9)
-        assert cfg.seed == cfg.encoder.seed == cfg.train.seed == 9
-
-    def test_no_clean_override(self, ws):
-        assert load_config(ws / "config.ini", no_clean=True).clean_enabled is False
 
     def test_relative_paths_resolve_against_config_dir(self, ws, tmp_path, monkeypatch):
         # cwd elsewhere must not affect resolution
@@ -207,20 +200,19 @@ class TestLoadConfig:
             load_config(p)
 
     @pytest.mark.parametrize(
-        "line, override, where, message",
+        "line, message",
         [
-            ("seed = -1", None, ":2", "seed must be >= 0, got -1"),
-            ("seed = 1", -1, "", "--seed must be >= 0, got -1"),
-            ("ensemble.seeds = 0,-1\nensemble.k = 1", None, ":2", "ensemble.seeds entries must be >= 0, got -1"),
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("ensemble.seeds = 0,-1\nensemble.k = 1", "ensemble.seeds entries must be >= 0, got -1"),
         ],
-        ids=["seed", "seed-override", "ensemble-seed"],
+        ids=["seed", "ensemble-seed"],
     )
-    def test_negative_seed_rejected(self, ws, tmp_path, line, override, where, message):
+    def test_negative_seed_rejected(self, ws, tmp_path, line, message):
         # numpy refuses a negative seed, so it must not get past loading.
         p = tmp_path / "c.ini"
         p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}{where}: {message}')}$"):
-            load_config(p, seed_override=override)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
+            load_config(p)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -247,27 +239,10 @@ class TestLoadConfig:
             load_config(p)
         assert str(info.value).startswith(f"{p}:3: {message}")
 
-    @pytest.mark.parametrize(
-        "lines, message",
-        [
-            ("seed = abc\nclean.enabled = maybe", "config key 'seed': invalid literal for int() with base 10: 'abc'"),
-            ("clean.enabled = maybe\nseed = 1", "config key 'clean.enabled': expected true/false, got 'maybe'"),
-            ("seed = -3", "seed must be >= 0, got -3"),
-        ],
-        ids=["seed", "clean-enabled", "negative-seed"],
-    )
-    def test_overridden_file_values_are_still_checked(self, ws, tmp_path, lines, message):
-        # --seed and --no-clean replace the file's values; a bad file must not load because of them.
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{lines}\n")
-        with pytest.raises(ConfigError) as info:
-            load_config(p, seed_override=4, no_clean=True)
-        assert str(info.value).startswith(f"{p}:2: {message}")
-
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))
         b = config_fingerprint(load_config(ws / "config.ini"))
-        c = config_fingerprint(load_config(ws / "config.ini", seed_override=9))
+        c = config_fingerprint(load_config(ws_config(ws, "seed9.ini", "seed = 1", "seed = 9")))
         assert a == b
         assert a != c
 
