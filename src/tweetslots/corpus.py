@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -59,10 +59,23 @@ DEFAULT_SUBTASKS: dict[EventType, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class SubtaskId:
-    """One slot question, identified by (event, name)."""
+    """One slot question, identified by (event, name).
+
+    Its hash and its text are computed once: a run hashes and writes ids per
+    triple. The hash is the one the dataclass would derive from (event, name).
+    """
 
     event: EventType
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.event, self.name)))
+        object.__setattr__(self, "_text", f"{self.event.value}/{self.name}")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def key(self) -> tuple[str, str]:
@@ -72,7 +85,7 @@ class SubtaskId:
         return self.key < other.key
 
     def __str__(self) -> str:
-        return f"{self.event.value}/{self.name}"
+        return self._text
 
     @classmethod
     def parse(cls, text: str) -> "SubtaskId":
@@ -451,10 +464,14 @@ def explode_instances(
     """
     registry = registry or SubtaskRegistry.default()
     rows: list[tuple[str, SubtaskId, int, int]] = []
+    by_event: dict[EventType, list[SubtaskId]] = {}  # one id object per subtask, shared by its rows
     for tweet in tweets:
-        for name in sorted(registry.names_for(tweet.event)):
-            positives = tweet.gold.get(name, frozenset())
-            subtask = SubtaskId(tweet.event, name)
+        subtasks = by_event.get(tweet.event)
+        if subtasks is None:
+            names = sorted(registry.names_for(tweet.event))
+            subtasks = by_event[tweet.event] = [SubtaskId(tweet.event, n) for n in names]
+        for subtask in subtasks:
+            positives = tweet.gold.get(subtask.name, frozenset())
             for idx in range(len(tweet.candidates)):
                 rows.append((tweet.id, subtask, idx, 1 if idx in positives else 0))
     return rows

@@ -1,4 +1,4 @@
-"""Layered token encoder with exact analytic gradients.
+"""Layered token encoder over a window around each unit's marker, with exact analytic gradients.
 
 The architecture is a residual tanh stack: layer 0 is token embedding +
 positional embedding, and each subsequent layer adds tanh of an affine
@@ -6,14 +6,28 @@ transform over a small window of neighboring positions (offsets
 -context_window..+context_window, one weight matrix per offset). Residual
 connections keep layer outputs comparable across depth so the last-four-layer
 feature extractors see compatible spaces. PAD positions are masked to zero at
-every layer: padding never influences real positions, and permuting or
-rewriting a PAD tail leaves all real hidden states bitwise unchanged.
+every layer: padding never influences real positions.
+
+The features read only each layer's row at the ``<E>`` marker, and a stack
+of L convolutions of half-width w gives that row a receptive field of L·w
+positions on each side. So the encoder computes only that field, plus one
+row on each side: layer 0 holds the ``2 * window_radius + 1`` positions
+centred on the marker (``window_radius`` is L·w + 1; ids outside the tweet
+are PAD), and layer l is a valid convolution of layer l - 1 over
+``2 * ((L - l) * w + 1) + 1`` rows, so every layer's centre row is the
+marker. At the default L = 4, w = 2 the layers hold 19, 15, 11, 7 and 3
+rows, whatever the tweet length; a large L·w against short tweets can make
+the window wider than the tweet. The extra row keeps the last layer at 3
+rows: a 1-row product goes through OpenBLAS's GEMV path and rounds
+differently from the same row of a larger product, so with it each row is
+bitwise the value a forward over the whole tweet gives that position.
 
 Everything runs in float64. ``backward_batch`` is the hand-derived adjoint of
-``forward_batch`` and is validated against central finite differences in the
-test suite. Its weight gradient is one GEMM per tap: the shifted layer input
-and the pre-activation gradient are flattened to (B*T, H), so BLAS reduces
-over batch and time in a single (H, B*T) @ (B*T, H) product.
+``forward_batch`` and is validated against central finite differences and
+against a full-length forward in the test suite. Its weight gradient is one
+GEMM per tap: the shifted layer input and the pre-activation gradient are
+flattened to (B * rows, H), so BLAS reduces over batch and window in a single
+(H, B * rows) @ (B * rows, H) product.
 """
 
 from __future__ import annotations
@@ -106,14 +120,24 @@ def zero_grads(cfg: EncoderConfig) -> EncoderParams:
     )
 
 
+def window_radius(cfg: EncoderConfig) -> int:
+    """Rows on each side of the marker that layer 0 holds: L·w + 1."""
+    return cfg.num_layers * cfg.context_window + 1
+
+
 @dataclass
 class EncoderCache:
-    """Forward intermediates needed by the backward pass."""
+    """Forward intermediates needed by the backward pass.
 
-    ids: np.ndarray  # (B, T)
-    mask: np.ndarray  # (B, T, 1) float64, 1.0 at real tokens
-    xs: list  # L+1 arrays (B, T, H); xs[0] is the embedding layer
-    hs: list  # L arrays (B, T, H); post-tanh activations
+    Layer l holds ``2 * (window_radius - l * w) + 1`` rows centred on each
+    unit's marker; row j of layer 0 is tweet position ``start + j``.
+    """
+
+    ids: np.ndarray  # (B, 2 * window_radius + 1)
+    start: np.ndarray  # (B,) tweet position of layer 0's first row
+    mask: np.ndarray  # (B, 2 * window_radius + 1, 1) float64, 1.0 at real tokens
+    xs: list  # L+1 arrays (B, rows of layer l, H); xs[0] is the embedding layer
+    hs: list  # L arrays, xs[l + 1]'s post-tanh activations
 
     @property
     def hidden(self) -> list:
@@ -121,42 +145,55 @@ class EncoderCache:
         return self.xs[1:]
 
 
-def forward_batch(params: EncoderParams, ids: np.ndarray) -> EncoderCache:
-    """Run the stack over a batch of id rows; returns all layer states.
+def centre(a: np.ndarray, rows: int) -> np.ndarray:
+    """The middle ``rows`` rows of each window of ``a`` (B, width, ...): every layer's window
+    shares its centre with layer 0's, so this maps a layer-0 array onto layer l's rows."""
+    offset = (a.shape[1] - rows) // 2
+    return a[:, offset:offset + rows]
 
-    ``ids`` is (B, T) int64 with T <= max_len; PAD rows are zeroed at every
-    layer so each real position depends only on real tokens within its
-    receptive field.
+
+def forward_batch(params: EncoderParams, ids: np.ndarray, start: np.ndarray) -> EncoderCache:
+    """Run the stack over a batch of marker windows; returns all layer states.
+
+    Row b of ``ids`` holds the ids of tweet positions ``start[b]`` onward,
+    ``2 * window_radius + 1`` of them, centred on the marker and PAD outside
+    the tweet (``features.marker_window`` gathers them). PAD rows are zeroed
+    at every layer, so each real position depends only on real tokens within
+    its receptive field.
     """
     cfg = params.config
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2:
-        raise EncoderError(f"ids must be 2-d (batch, time), got shape {ids.shape}")
-    b, t = ids.shape
-    if t > cfg.max_len:
-        raise EncoderError(f"sequence length {t} exceeds max_len {cfg.max_len}")
+    start = np.asarray(start, dtype=np.int64)
+    width = 2 * window_radius(cfg) + 1
+    if ids.ndim != 2 or ids.shape[1] != width:
+        raise EncoderError(f"ids must be (batch, {width}) marker windows, got shape {ids.shape}")
+    if start.shape != ids.shape[:1]:
+        raise EncoderError(f"start shape {start.shape} != {ids.shape[:1]}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise EncoderError(f"token id {bad} outside [0, {cfg.vocab_size})")
-    mask = (ids != PAD_ID).astype(np.float64)[:, :, None]
-    x = (params.token_emb[ids] + params.pos_emb[:t]) * mask
+    real = ids != PAD_ID
+    pos = start[:, None] + np.arange(width)
+    outside = real & ((pos < 0) | (pos >= cfg.max_len))
+    if outside.any():
+        raise EncoderError(f"token at position {int(pos[outside][0])} outside [0, max_len {cfg.max_len})")
+    mask = real.astype(np.float64)[:, :, None]
+    x = (params.token_emb[ids] + params.pos_emb[np.clip(pos, 0, cfg.max_len - 1)]) * mask
     xs = [x]
     hs = []
     w = cfg.context_window
-    # Tap k reads xp[:, k:k + t]: row t holds x[:, t + k - w], and zero
-    # where that falls outside the sequence. The padding rows stay zero.
-    xp = np.zeros((b, t + 2 * w, cfg.hidden_size))
     for layer in params.layers:
-        pre = np.broadcast_to(layer.b, x.shape).copy()
-        xp[:, w:w + t] = x
+        # Output row j reads input rows j..j + 2w, centred on input row j + w.
+        rows = x.shape[1] - 2 * w
+        pre = np.broadcast_to(layer.b, (len(ids), rows, cfg.hidden_size)).copy()
         for k in range(cfg.num_taps):
-            pre += xp[:, k:k + t] @ layer.w[k]
+            pre += x[:, k:k + rows] @ layer.w[k]
         h = np.tanh(pre, out=pre)
-        x = x + h
-        x *= mask
+        x = centre(x, rows) + h
+        x *= centre(mask, rows)
         xs.append(x)
         hs.append(h)
-    return EncoderCache(ids=ids, mask=mask, xs=xs, hs=hs)
+    return EncoderCache(ids=ids, start=start, mask=mask, xs=xs, hs=hs)
 
 
 def backward_batch(
@@ -164,40 +201,43 @@ def backward_batch(
 ) -> EncoderParams:
     """Exact adjoint of forward_batch.
 
-    ``upstream`` holds one (B, T, H) gradient per layer output (zeros where a
-    layer is unused). Returns gradients in an EncoderParams-shaped container.
+    ``upstream`` holds one gradient per layer output, shaped as that output
+    (zeros where a layer is unused). Returns gradients in an
+    EncoderParams-shaped container; the embedding rows are scattered by
+    tweet position, in (unit, row) order.
     """
     cfg = params.config
     l = cfg.num_layers
     if len(upstream) != l:
         raise EncoderError(f"expected {l} upstream gradients, got {len(upstream)}")
-    b, t = cache.ids.shape
-    h = cfg.hidden_size
-    for g in upstream:
-        if g.shape != (b, t, h):
-            raise EncoderError(f"upstream gradient shape {g.shape} != {(b, t, h)}")
+    for g, x in zip(upstream, cache.hidden):
+        if g.shape != x.shape:
+            raise EncoderError(f"upstream gradient shape {g.shape} != {x.shape}")
     grads = zero_grads(cfg)
-    mask = cache.mask
+    b, h = len(cache.ids), cfg.hidden_size
     w = cfg.context_window
-    # xp is the forward pass's padded layer input. Tap k read
-    # x_prev[:, t + k - w] for output row t, so its input gradient lands on
-    # that row: the window k:k + t of gp, whose centre g holds the gradient
-    # wrt (x_prev + h) before the output masking when the taps start, and
-    # whose padding rows are never read. Taps add in k order.
-    xp = np.zeros((b, t + 2 * w, h))
-    gp = np.zeros((b, t + 2 * w, h))
-    g = gp[:, w:w + t]
+    # At the top of the loop, g holds what the layers above pass down to
+    # layer li + 1's output. Tap k read input rows k..k + rows, so its input
+    # gradient lands there; the residual lands on the centre rows
+    # w..w + rows. Taps add in k order.
+    g = np.zeros_like(cache.xs[-1])
     for li in range(l - 1, -1, -1):
+        rows = g.shape[1]
         g += upstream[li]
-        g *= mask
+        g *= centre(cache.mask, rows)
         dpre = g * (1.0 - cache.hs[li] ** 2)
         grads.layers[li].b += dpre.sum(axis=(0, 1))
-        xp[:, w:w + t] = cache.xs[li]
+        x_prev = cache.xs[li]
         dpre_rows = dpre.reshape(-1, h)
+        gp = np.zeros((b, rows + 2 * w, h))
+        centre(gp, rows)[...] = g
         for k in range(cfg.num_taps):
-            grads.layers[li].w[k] += xp[:, k:k + t].reshape(-1, h).T @ dpre_rows
-            gp[:, k:k + t] += dpre @ params.layers[li].w[k].T
-    demb = g * mask
-    np.add.at(grads.token_emb, cache.ids, demb)
-    grads.pos_emb[:t] += demb.sum(axis=0)
+            grads.layers[li].w[k] += x_prev[:, k:k + rows].reshape(-1, h).T @ dpre_rows
+            gp[:, k:k + rows] += dpre @ params.layers[li].w[k].T
+        g = gp
+    demb = g * cache.mask
+    pos = cache.start[:, None] + np.arange(cache.ids.shape[1])
+    inside = (pos >= 0) & (pos < cfg.max_len)
+    np.add.at(grads.token_emb, cache.ids[inside], demb[inside])
+    np.add.at(grads.pos_emb, pos[inside], demb[inside])
     return grads

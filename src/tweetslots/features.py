@@ -10,9 +10,11 @@ row at the ``<E>`` marker position:
   concatenated oldest-to-newest (dim H). The projections are trainable and
   live alongside the encoder parameters.
 
-``_marker_rows`` is the one place that knows which layers and rows a
-strategy reads; ``extract_backward_batch`` returns the gradient of every
-layer state, so the encoder's backward pass takes it as it is.
+The encoder computes a window of rows centred on each unit's marker
+(``marker_window`` gathers its ids), so every layer's marker row is its
+centre row. ``_marker_rows`` is the one place that reads them;
+``extract_backward_batch`` returns the gradient of every layer state, so the
+encoder's backward pass takes it as it is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .preprocess import PAD_ID
 
 
 class FeatureError(ValueError):
@@ -87,22 +91,41 @@ def feature_dim(kind: StrategyKind, hidden_size: int) -> int:
     return hidden_size
 
 
-def _marker_rows(hidden: Sequence[np.ndarray], marker_pos: np.ndarray) -> np.ndarray:
-    """Stack the last four layers' marker rows, oldest first: (4, B, H)."""
+def marker_window(
+    token_ids: np.ndarray, lengths: np.ndarray, marker_pos: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the ``2 * radius + 1`` positions centred on each row's marker, PAD outside the
+    tweet, and the position of each window's first id: ``(ids, start)``.
+
+    Row b's tweet is ``token_ids[b, :lengths[b]]``; a marker outside it is refused.
+    """
+    marker_pos = np.asarray(marker_pos, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    bad = np.flatnonzero((marker_pos < 0) | (marker_pos >= lengths))
+    if bad.size:
+        b = int(bad[0])
+        raise FeatureError(f"batch row {b}: marker position {marker_pos[b]} outside [0, {lengths[b]})")
+    start = marker_pos - radius
+    pos = start[:, None] + np.arange(2 * radius + 1)
+    inside = (pos >= 0) & (pos < lengths[:, None])
+    ids = np.take_along_axis(token_ids, np.where(inside, pos, 0), axis=1)
+    ids[~inside] = PAD_ID
+    return ids, start
+
+
+def _marker_rows(hidden: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack the last four layers' centre rows, oldest first: (4, B, H)."""
     if len(hidden) < 4:
         raise FeatureError(f"need >= 4 encoder layers, got {len(hidden)}")
-    b = marker_pos.shape[0]
-    t = hidden[-1].shape[1]
-    if marker_pos.size and (marker_pos.min() < 0 or marker_pos.max() >= t):
-        raise FeatureError(f"marker position outside [0, {t})")
-    rows = np.arange(b)
-    return np.stack([layer[rows, marker_pos] for layer in hidden[-4:]])
+    widths = [layer.shape[1] for layer in hidden[-4:]]
+    if any(t % 2 == 0 for t in widths):
+        raise FeatureError(f"layer windows must have a centre row, got widths {widths}")
+    return np.stack([layer[:, layer.shape[1] // 2] for layer in hidden[-4:]])
 
 
-def extract_batch(strategy: FeatureStrategy, hidden: Sequence[np.ndarray], marker_pos: np.ndarray) -> np.ndarray:
-    """Feature matrix (B, dim) from batched layer states (each (B, T, H))."""
-    marker_pos = np.asarray(marker_pos, dtype=np.int64)
-    rows = _marker_rows(hidden, marker_pos)  # (4, B, H)
+def extract_batch(strategy: FeatureStrategy, hidden: Sequence[np.ndarray]) -> np.ndarray:
+    """Feature matrix (B, dim) from batched layer windows (each (B, rows, H), marker at the centre)."""
+    rows = _marker_rows(hidden)  # (4, B, H)
     kind = strategy.kind
     if kind is StrategyKind.LAST:
         return rows[3].copy()
@@ -114,26 +137,23 @@ def extract_batch(strategy: FeatureStrategy, hidden: Sequence[np.ndarray], marke
     return np.concatenate(pieces, axis=1)
 
 
-def extract(strategy: FeatureStrategy, hidden: Sequence[np.ndarray], marker_pos: int) -> np.ndarray:
-    """Single-instance convenience wrapper over (T, H) layer states."""
-    batched = [layer[None, :, :] for layer in hidden]
-    return extract_batch(strategy, batched, np.asarray([marker_pos]))[0]
+def extract(strategy: FeatureStrategy, hidden: Sequence[np.ndarray]) -> np.ndarray:
+    """Single-instance convenience wrapper over (rows, H) layer windows."""
+    return extract_batch(strategy, [layer[None, :, :] for layer in hidden])[0]
 
 
 def extract_backward_batch(
     strategy: FeatureStrategy,
     hidden: Sequence[np.ndarray],
-    marker_pos: np.ndarray,
     upstream: np.ndarray,
 ) -> tuple[list[np.ndarray], Proj4Params | None]:
     """Adjoint of extract_batch with respect to ``hidden``.
 
     Returns (dhidden, proj_grads): dhidden holds one gradient per array of
-    ``hidden``, zero everywhere except the marker rows of the last four
+    ``hidden``, zero everywhere except the centre rows of the last four
     layers, and proj_grads carries PROJ4 parameter gradients (None otherwise).
     """
-    marker_pos = np.asarray(marker_pos, dtype=np.int64)
-    rows = _marker_rows(hidden, marker_pos)  # (4, B, H)
+    rows = _marker_rows(hidden)  # (4, B, H)
     b, h = rows.shape[1:]
     kind = strategy.kind
     if upstream.shape != (b, feature_dim(kind, h)):
@@ -157,5 +177,5 @@ def extract_backward_batch(
             proj_grads.b[j] = g.sum(axis=0)
     dhidden = [np.zeros_like(layer) for layer in hidden]
     for layer_grad, g in zip(dhidden[-4:], row_grads):
-        layer_grad[np.arange(b), marker_pos] = g
+        layer_grad[:, layer_grad.shape[1] // 2] = g
     return dhidden, proj_grads

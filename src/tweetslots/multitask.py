@@ -4,13 +4,16 @@ Every instance from every event flows through the same encoder and feature
 extractor. The heads are the rows of one matrix, one per subtask in sorted
 order, and only the row of the instance's own subtask reads its feature
 vector. Training and scoring build every batch the same way: one function
-encodes it and extracts its feature rows, another applies each instance's
-head row. Each entry point reads an ``InstanceTable`` (``as_table`` groups
-a list). Forward-only scoring (validation and prediction) encodes each unit
-once: the subtask fan-out of one (tweet, candidate) shares one feature row
-that each of its head rows reads. Training encodes every triple on its own
-and shuffles triples of all events together, so each batch's gradient
-updates the shared trunk plus exactly the head rows present in the batch.
+gathers the window of ids centred on each unit's marker, encodes the
+windows and extracts the feature rows, another applies each instance's head
+row. The window's width depends only on the encoder config, so the rows the
+encoder computes per unit do not grow with tweet or batch length. Each
+entry point reads an ``InstanceTable`` (``as_table`` groups a list).
+Forward-only scoring (validation and prediction) encodes each unit once:
+the subtask fan-out of one (tweet, candidate) shares one feature row that
+each of its head rows reads. Training encodes every triple on its own and
+shuffles triples of all events together, so each batch's gradient updates
+the shared trunk plus exactly the head rows present in the batch.
 The loss is class-weighted binary cross-entropy (positives up-weighted for
 the heavy negative skew of exploded candidates), optimized with AdamW under a
 global gradient-norm clip, and the returned model is the epoch snapshot with
@@ -164,15 +167,18 @@ def _head_groups(params: ModelParams, table: InstanceTable) -> list[tuple[int, n
 
 
 def _batch_features(params: ModelParams, table: InstanceTable, units: np.ndarray):
-    """Encoder cache, marker positions and feature rows of the batch of units ``units``.
+    """Encoder cache and feature rows of the batch of units ``units``.
 
-    The ids are cropped to the batch's longest input. Cropping is exact: PAD
-    states are zeroed at every layer, so dropping all-PAD columns changes no
-    real position's value or gradient.
+    The encoder reads the window of ids centred on each unit's marker, so the
+    rows it computes per unit do not depend on the tweet's or the batch's
+    length, and the features read each layer's centre row.
     """
-    marker = table.marker_pos[units]
-    cache = enc.forward_batch(params.encoder, table.token_ids[units, :table.lengths[units].max()])
-    return cache, marker, feat.extract_batch(params.strategy, cache.hidden, marker)
+    ids, start = feat.marker_window(
+        table.token_ids[units], table.lengths[units], table.marker_pos[units],
+        enc.window_radius(params.encoder.config),
+    )
+    cache = enc.forward_batch(params.encoder, ids, start)
+    return cache, feat.extract_batch(params.strategy, cache.hidden)
 
 
 def _head_logits(
@@ -208,7 +214,7 @@ def loss_and_grads(
         raise TrainError("batch must be nonempty")
     batch = as_table(batch)
     groups = _head_groups(params, batch)
-    cache, marker, feats = _batch_features(params, batch, batch.unit)
+    cache, feats = _batch_features(params, batch, batch.unit)
     rows = np.arange(len(batch))
     probs = _sigmoid(_head_logits(params, groups, feats, rows))
     labels = batch.label.astype(np.float64)
@@ -228,7 +234,7 @@ def loss_and_grads(
         grads[f"head.{subtask}.b"] = np.asarray([dlogit[ks].sum()])
         head_of[ks] = row
     dfeats = dlogit[:, None] * params.head_w[head_of]  # elementwise the per-group np.outer(dlogit[ks], w)
-    dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, marker, dfeats)
+    dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, dfeats)
     enc_grads = enc.backward_batch(params.encoder, cache, dhidden)
     grads.update(enc_grads.named_arrays())
     if proj_grads is not None:
@@ -381,7 +387,7 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance]) -> n
     groups = _head_groups(params, table)
     units, size = np.arange(len(table.lengths)), TrainConfig.batch_size
     feats = np.concatenate([
-        _batch_features(params, table, units[start:start + size])[2] for start in range(0, len(units), size)
+        _batch_features(params, table, units[start:start + size])[1] for start in range(0, len(units), size)
     ])
     return _sigmoid(_head_logits(params, groups, feats, table.unit))
 

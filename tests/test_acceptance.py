@@ -237,7 +237,8 @@ def test_criterion_3_oracle_equivalence():
                     b=rng.integers(-3, 4, size=(4, h // 4)).astype(float),
                 )
             strategy = FeatureStrategy(kind, proj)
-            got = extract(strategy, layers, pos)
+            r = min(pos, t - 1 - pos)  # the widest window of the layers centred on pos
+            got = extract(strategy, [x[pos - r:pos + r + 1] for x in layers])
             want = _oracle_extract(kind, layers, pos, proj)
             assert np.array_equal(got, want), kind
     parts.append("extractors 100/100 draws")

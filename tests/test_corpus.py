@@ -115,6 +115,17 @@ class TestSubtaskId:
             with pytest.raises(CorpusError):
                 SubtaskId.parse(bad)
 
+    def test_hash_and_text_are_the_derived_ones(self):
+        # Computed once at construction, with the values the plain dataclass gave:
+        # set and dict order, and so every written artifact, stay as they were.
+        for sid in SubtaskRegistry.default().all_subtasks():
+            twin = SubtaskId(sid.event, sid.name)
+            assert hash(sid) == hash((sid.event, sid.name)) == hash(twin)
+            assert sid == twin and str(sid) == f"{sid.event.value}/{sid.name}"
+            assert repr(sid) == f"SubtaskId(event={sid.event!r}, name={sid.name!r})"
+        with pytest.raises(AttributeError):
+            sid.name = "other"
+
     def test_ordering_is_by_key(self):
         a = SubtaskId(EventType.CAN_NOT_TEST, "where")
         b = SubtaskId(EventType.DEATH, "age")

@@ -1,11 +1,14 @@
 """Encoder forward/backward tests.
 
-Two independent oracles guard the encoder: a per-position loop
-re-implementation of the forward contract, and central finite differences
-for every gradient entry.
+Three independent oracles guard the marker-window encoder: a per-position
+loop re-implementation of the forward contract, a copy of the full-length
+forward and backward that computed every position of the tweet, and central
+finite differences for every gradient entry.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,10 +21,13 @@ from tweetslots.encoder import (
     EncoderError,
     EncoderParams,
     backward_batch,
+    centre,
     forward_batch,
     init_params,
+    window_radius,
     zero_grads,
 )
+from tweetslots.features import marker_window
 from tweetslots.preprocess import PAD_ID
 
 
@@ -40,8 +46,39 @@ def random_ids(cfg, b, t, rng, ragged=True) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+def lengths_of(token_ids: np.ndarray) -> np.ndarray:
+    """Real tokens per row; the rows hold no PAD before their tail."""
+    return (token_ids != PAD_ID).sum(axis=1)
+
+
+def random_markers(token_ids: np.ndarray, rng) -> np.ndarray:
+    return np.array([rng.integers(0, n) for n in lengths_of(token_ids)])
+
+
+def encode(params: EncoderParams, token_ids: np.ndarray, marker) -> EncoderCache:
+    """Forward over the windows centred on ``marker`` of PAD-tailed id rows."""
+    ids, start = marker_window(token_ids, lengths_of(token_ids), np.asarray(marker), window_radius(params.config))
+    return forward_batch(params, ids, start)
+
+
+def positions(cfg: EncoderConfig, cache: EncoderCache, layer: int) -> np.ndarray:
+    """(B, rows) tweet position of each row of ``cache.xs[layer]``."""
+    rows = cache.xs[layer].shape[1]
+    return cache.start[:, None] + layer * cfg.context_window + np.arange(rows)
+
+
+def at_window(cfg: EncoderConfig, cache: EncoderCache, layer: int, states: np.ndarray) -> np.ndarray:
+    """The rows of ``states`` (B, T, H), one per tweet position, at the positions of
+    ``cache.xs[layer]``'s rows; zero outside [0, T)."""
+    r = window_radius(cfg)
+    b, t, h = states.shape
+    padded = np.zeros((b, t + 2 * r, h))
+    padded[:, r:r + t] = states
+    return padded[np.arange(b)[:, None], positions(cfg, cache, layer) + r]
+
+
 def naive_forward(params: EncoderParams, ids: np.ndarray) -> list:
-    """Per-position loop re-statement of the forward contract."""
+    """Per-position loop re-statement of the forward contract over whole rows."""
     cfg = params.config
     b, t = ids.shape
     w = cfg.context_window
@@ -66,6 +103,64 @@ def naive_forward(params: EncoderParams, ids: np.ndarray) -> list:
         x = nx
         states.append(x.copy())
     return states
+
+
+@dataclass
+class FullCache:
+    ids: np.ndarray  # (B, T)
+    mask: np.ndarray  # (B, T, 1)
+    xs: list  # L+1 arrays (B, T, H)
+    hs: list  # L arrays (B, T, H)
+
+
+def full_forward(params: EncoderParams, ids: np.ndarray) -> FullCache:
+    """The encoder's earlier forward: every position of (B, T) id rows, T <= max_len."""
+    cfg = params.config
+    b, t = ids.shape
+    mask = (ids != PAD_ID).astype(np.float64)[:, :, None]
+    x = (params.token_emb[ids] + params.pos_emb[:t]) * mask
+    xs = [x]
+    hs = []
+    w = cfg.context_window
+    xp = np.zeros((b, t + 2 * w, cfg.hidden_size))
+    for layer in params.layers:
+        pre = np.broadcast_to(layer.b, x.shape).copy()
+        xp[:, w:w + t] = x
+        for k in range(cfg.num_taps):
+            pre += xp[:, k:k + t] @ layer.w[k]
+        h = np.tanh(pre, out=pre)
+        x = x + h
+        x *= mask
+        xs.append(x)
+        hs.append(h)
+    return FullCache(ids=ids, mask=mask, xs=xs, hs=hs)
+
+
+def full_backward(params: EncoderParams, cache: FullCache, upstream) -> EncoderParams:
+    """The encoder's earlier backward: the adjoint of ``full_forward``."""
+    cfg = params.config
+    b, t = cache.ids.shape
+    h = cfg.hidden_size
+    grads = zero_grads(cfg)
+    mask = cache.mask
+    w = cfg.context_window
+    xp = np.zeros((b, t + 2 * w, h))
+    gp = np.zeros((b, t + 2 * w, h))
+    g = gp[:, w:w + t]
+    for li in range(cfg.num_layers - 1, -1, -1):
+        g += upstream[li]
+        g *= mask
+        dpre = g * (1.0 - cache.hs[li] ** 2)
+        grads.layers[li].b += dpre.sum(axis=(0, 1))
+        xp[:, w:w + t] = cache.xs[li]
+        dpre_rows = dpre.reshape(-1, h)
+        for k in range(cfg.num_taps):
+            grads.layers[li].w[k] += xp[:, k:k + t].reshape(-1, h).T @ dpre_rows
+            gp[:, k:k + t] += dpre @ params.layers[li].w[k].T
+    demb = g * mask
+    np.add.at(grads.token_emb, cache.ids, demb)
+    grads.pos_emb[:t] += demb.sum(axis=0)
+    return grads
 
 
 class TestConfig:
@@ -140,19 +235,23 @@ class TestShift:
         ids = np.array([[1, 2, 3, 4]], dtype=np.int64)
         x = 0.05 * np.arange(4, 20, dtype=float).reshape(4, 4)  # rows of ids 1..4
         zero = np.zeros(4)
-        for k, want in ((2, [x[1], x[2], x[3], zero]), (0, [zero, x[0], x[1], x[2]]), (1, x)):
-            cache = forward_batch(self.one_tap(cfg, k), ids)
-            np.testing.assert_allclose(np.arctanh(cache.hs[0][0]), want, rtol=1e-12, atol=1e-15)
+        for marker in (0, 1, 3):
+            for k, want in ((2, [x[1], x[2], x[3], zero]), (0, [zero, x[0], x[1], x[2]]), (1, x)):
+                cache = encode(self.one_tap(cfg, k), ids, [marker])
+                rows = positions(cfg, cache, 1)[0]
+                got = cache.hs[0][0, (rows >= 0) & (rows < 4)]
+                np.testing.assert_allclose(np.arctanh(got), want, rtol=1e-12, atol=1e-15)
 
     def test_shift_past_length_is_zero(self):
         # Offsets -5 and +5 over 3 positions read only padding: the layer's
-        # pre-activation and those taps' weight gradients are exactly 0.
+        # pre-activation at every real position and those taps' weight
+        # gradients are exactly 0.
         cfg = small_cfg(context_window=5, max_len=8)
         ids = np.array([[3, 4, 5], [6, 7, PAD_ID]], dtype=np.int64)
         for k in (0, 10):
             params = self.one_tap(cfg, k)
-            cache = forward_batch(params, ids)
-            assert np.array_equal(cache.hs[0], np.zeros_like(cache.hs[0]))
+            cache = encode(params, ids, [2, 0])
+            assert np.array_equal(cache.hs[0] * centre(cache.mask, cache.hs[0].shape[1]), np.zeros_like(cache.hs[0]))
             upstream = [np.ones_like(x) for x in cache.hidden]
             grads = backward_batch(params, cache, upstream)
             assert np.array_equal(grads.layers[1].w[k], np.zeros((cfg.hidden_size, cfg.hidden_size)))
@@ -166,116 +265,186 @@ class TestForward:
             cfg = small_cfg(context_window=w)
             params = init_params(cfg)
             ids = random_ids(cfg, 3, 7, rng)
-            got = forward_batch(params, ids).hidden
+            cache = encode(params, ids, random_markers(ids, rng))
             want = naive_forward(params, ids)
-            for g, v in zip(got, want):
-                np.testing.assert_allclose(g, v, rtol=1e-12, atol=1e-14)
+            for layer, v in enumerate(want, start=1):
+                np.testing.assert_allclose(cache.xs[layer], at_window(cfg, cache, layer, v), rtol=1e-12, atol=1e-14)
 
     def test_zero_weights_keep_embeddings(self):
-        # tanh(0) = 0, so every layer output equals the embedding layer.
+        # tanh(0) = 0, so every layer output is the centre of the embedding layer.
         cfg = small_cfg()
         params = init_params(cfg)
         for layer in params.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
         ids = np.array([[4, 5, 6, PAD_ID]], dtype=np.int64)
-        cache = forward_batch(params, ids)
-        for x in cache.hidden:
-            assert np.array_equal(x, cache.xs[0])
+        cache = encode(params, ids, [1])
+        w = cfg.context_window
+        for layer, x in enumerate(cache.hidden, start=1):
+            assert np.array_equal(x, cache.xs[0][:, layer * w:layer * w + x.shape[1]])
 
     def test_pad_rows_are_zero_at_every_layer(self):
         cfg = small_cfg()
         params = init_params(cfg)
         ids = np.array([[3, 4, PAD_ID, PAD_ID], [5, 6, 7, PAD_ID]], dtype=np.int64)
-        cache = forward_batch(params, ids)
-        for x in [cache.xs[0]] + cache.hidden:
-            assert np.array_equal(x[0, 2:], np.zeros((2, cfg.hidden_size)))
-            assert np.array_equal(x[1, 3:], np.zeros((1, cfg.hidden_size)))
+        cache = encode(params, ids, [1, 2])
+        for layer, x in enumerate(cache.xs):
+            pos = positions(cfg, cache, layer)
+            outside = (pos < 0) | (pos >= np.array([[2], [3]]))
+            assert outside.any() and not outside.all()
+            assert np.array_equal(x[outside], np.zeros((int(outside.sum()), cfg.hidden_size)))
 
     def test_pad_tail_extension_is_exact(self):
-        # Appending PAD columns must leave real positions bitwise unchanged.
+        # The window reads only the tweet: a longer PAD tail, or ids past the
+        # tweet's length, leave every row bitwise unchanged.
         cfg = small_cfg()
         params = init_params(cfg)
+        radius = window_radius(cfg)
         ids = np.array([[3, 4, 5]], dtype=np.int64)
-        short = forward_batch(params, ids)
-        padded = forward_batch(params, np.hstack([ids, np.zeros((1, 4), dtype=np.int64)]))
-        for a, b in zip(short.hidden, padded.hidden):
-            assert np.array_equal(a[0], b[0, :3])
+        short = forward_batch(params, *marker_window(ids, np.array([3]), np.array([1]), radius))
+        for tail in ([0, 0, 0, 0], [9, 9, 9, 9]):
+            longer = np.hstack([ids, np.array([tail], dtype=np.int64)])
+            padded = forward_batch(params, *marker_window(longer, np.array([3]), np.array([1]), radius))
+            assert np.array_equal(short.ids, padded.ids)
+            for a, b in zip(short.xs, padded.xs):
+                assert np.array_equal(a, b)
 
     def test_batch_rows_independent(self):
         cfg = small_cfg()
         params = init_params(cfg)
         rng = np.random.default_rng(1)
         ids = random_ids(cfg, 4, 6, rng)
-        batch = forward_batch(params, ids)
+        marker = random_markers(ids, rng)
+        batch = encode(params, ids, marker)
         for i in range(4):
-            solo = forward_batch(params, ids[i:i + 1])
-            for a, b in zip(batch.hidden, solo.hidden):
+            solo = encode(params, ids[i:i + 1], marker[i:i + 1])
+            for a, b in zip(batch.xs, solo.xs):
                 assert np.array_equal(a[i], b[0])
 
     def test_single_sequence_batch(self):
         cfg = small_cfg()
         params = init_params(cfg)
-        states = forward_batch(params, np.array([[3, 4, 5]], dtype=np.int64)).hidden
+        states = encode(params, np.array([[3, 4, 5]], dtype=np.int64), [0]).hidden
         assert len(states) == cfg.num_layers
-        assert states[0][0].shape == (3, cfg.hidden_size)
+        # Layer 1 holds (L - 1) * w + 1 rows on each side of the marker.
+        assert states[0][0].shape == (2 * ((cfg.num_layers - 1) * cfg.context_window + 1) + 1, cfg.hidden_size)
 
     def test_receptive_field_respects_window(self):
-        # With window w and L layers, position j reaches at most j +- w*L.
+        # With window w and L layers, the marker row reaches at most w*L
+        # positions away.
         cfg = small_cfg(context_window=1, max_len=16)
         params = init_params(cfg)
         base = np.full((1, 12), 3, dtype=np.int64)
         edit = base.copy()
         edit[0, 0] = 9
-        a = forward_batch(params, base).hidden[-1]
-        b = forward_batch(params, edit).hidden[-1]
         reach = cfg.context_window * cfg.num_layers
-        changed = np.where(np.any(a[0] != b[0], axis=1))[0]
-        assert changed.max() <= reach
+        changed = [m for m in range(12)
+                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 1],
+                                         encode(params, edit, [m]).hidden[-1][0, 1])]
+        assert max(changed) <= reach
 
     def test_window_zero_is_per_position(self):
         cfg = small_cfg(context_window=0)
         params = init_params(cfg)
         base = np.array([[3, 4, 5, 6]], dtype=np.int64)
         edit = np.array([[3, 9, 5, 6]], dtype=np.int64)
-        a = forward_batch(params, base).hidden[-1]
-        b = forward_batch(params, edit).hidden[-1]
-        changed = np.where(np.any(a[0] != b[0], axis=1))[0]
-        assert list(changed) == [1]
+        changed = [m for m in range(4)
+                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 1],
+                                         encode(params, edit, [m]).hidden[-1][0, 1])]
+        assert changed == [1]
 
     def test_input_validation(self):
         cfg = small_cfg()
         params = init_params(cfg)
-        with pytest.raises(EncoderError, match="2-d"):
-            forward_batch(params, np.zeros(4, dtype=np.int64))
-        with pytest.raises(EncoderError, match="max_len"):
-            forward_batch(params, np.zeros((1, cfg.max_len + 1), dtype=np.int64))
+        width = 2 * window_radius(cfg) + 1
+        with pytest.raises(EncoderError, match="windows"):
+            forward_batch(params, np.zeros(width, dtype=np.int64), np.zeros(1, dtype=np.int64))
+        with pytest.raises(EncoderError, match="windows"):
+            forward_batch(params, np.zeros((1, width - 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
+        with pytest.raises(EncoderError, match="start"):
+            forward_batch(params, np.zeros((1, width), dtype=np.int64), np.zeros(2, dtype=np.int64))
+        for start in (cfg.max_len - width + 1, -1):
+            with pytest.raises(EncoderError, match="max_len"):
+                forward_batch(params, np.full((1, width), 3, dtype=np.int64), np.array([start]))
+        ok = np.full((1, width), 3, dtype=np.int64)
+        ok[0, cfg.max_len:] = PAD_ID
+        forward_batch(params, ok, np.array([0]))
         with pytest.raises(EncoderError, match="outside"):
-            forward_batch(params, np.array([[cfg.vocab_size]], dtype=np.int64))
+            forward_batch(params, np.full((1, width), cfg.vocab_size, dtype=np.int64), np.array([0]))
         with pytest.raises(EncoderError, match="outside"):
-            forward_batch(params, np.array([[-1]], dtype=np.int64))
+            forward_batch(params, np.full((1, width), -1, dtype=np.int64), np.array([0]))
 
 
-def scalar_loss(params: EncoderParams, ids: np.ndarray, upstream: list) -> float:
-    cache = forward_batch(params, ids)
+class TestFullLengthOracle:
+    """The window path against the earlier forward and backward over every position."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_window_matches_full_length(self, data):
+        window = data.draw(st.integers(0, 3), label="context_window")
+        num_layers = data.draw(st.integers(4, 6), label="num_layers")
+        max_len = data.draw(st.integers(3, 14), label="max_len")
+        b = data.draw(st.integers(1, 3), label="B")
+        cfg = small_cfg(context_window=window, num_layers=num_layers, max_len=max_len,
+                        hidden_size=data.draw(st.sampled_from([4, 8]), label="H"), vocab_size=16)
+        lengths = np.array(data.draw(st.lists(st.integers(1, max_len), min_size=b, max_size=b), label="lengths"))
+        marker = np.array([data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)), label="marker")
+                           for n in lengths])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_params(cfg)
+        for layer in params.layers:
+            layer.b[:] = rng.standard_normal(cfg.hidden_size) * 0.1
+        ids = rng.integers(1, cfg.vocab_size, size=(b, max_len))
+        ids[np.arange(max_len) >= lengths[:, None]] = PAD_ID
+
+        cache = encode(params, ids, marker)
+        full = full_forward(params, ids)
+        r = window_radius(cfg)
+        assert [x.shape[1] for x in cache.xs] == [2 * (r - li * window) + 1 for li in range(num_layers + 1)]
+        assert min(x.shape[1] for x in cache.xs) >= 2
+        rows = np.arange(b)
+        for li in range(num_layers + 1):
+            assert np.array_equal(cache.xs[li][:, cache.xs[li].shape[1] // 2], full.xs[li][rows, marker]), li
+            assert np.array_equal(cache.xs[li], at_window(cfg, cache, li, full.xs[li])), li
+
+        # Upstream on every window row; the full-length upstream holds the
+        # same values at the same positions.
+        upstream = [rng.standard_normal(x.shape) for x in cache.hidden]
+        full_up = [np.zeros_like(x) for x in full.xs[1:]]
+        for li, (u, fu) in enumerate(zip(upstream, full_up), start=1):
+            pos = positions(cfg, cache, li)
+            inside = (pos >= 0) & (pos < max_len)
+            fu[np.nonzero(inside)[0], pos[inside]] = u[inside]
+        got = backward_batch(params, cache, upstream)
+        want = full_backward(params, full, full_up)
+        for (name, g), (_, v) in zip(got.named_arrays(), want.named_arrays()):
+            assert np.all(np.abs(g - v) <= 1e-12 * max(np.abs(v).max(), 1e-300)), name
+
+
+def scalar_loss(params: EncoderParams, ids: np.ndarray, marker, upstream: list) -> float:
+    cache = encode(params, ids, marker)
     return float(sum((u * x).sum() for u, x in zip(upstream, cache.hidden)))
 
 
-def analytic_grads(params: EncoderParams, ids: np.ndarray, upstream: list) -> EncoderParams:
-    cache = forward_batch(params, ids)
-    return backward_batch(params, cache, upstream)
+def analytic_grads(params: EncoderParams, ids: np.ndarray, marker, upstream: list) -> EncoderParams:
+    return backward_batch(params, encode(params, ids, marker), upstream)
 
 
-def fd_grad(params: EncoderParams, arr: np.ndarray, ids, upstream, eps=1e-5) -> np.ndarray:
+def window_upstream(params: EncoderParams, ids: np.ndarray, marker, rng) -> list:
+    """A random gradient for every row of every layer window."""
+    return [rng.standard_normal(x.shape) for x in encode(params, ids, marker).hidden]
+
+
+def fd_grad(params: EncoderParams, arr: np.ndarray, ids, marker, upstream, eps=1e-5) -> np.ndarray:
     out = np.zeros_like(arr)
     flat = arr.reshape(-1)
     fout = out.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        up = scalar_loss(params, ids, upstream)
+        up = scalar_loss(params, ids, marker, upstream)
         flat[i] = orig - eps
-        down = scalar_loss(params, ids, upstream)
+        down = scalar_loss(params, ids, marker, upstream)
         flat[i] = orig
         fout[i] = (up - down) / (2 * eps)
     return out
@@ -287,17 +456,8 @@ def assert_close(analytic: np.ndarray, numeric: np.ndarray, name: str, tol=1e-6)
     assert rel.max() < tol, f"{name}: max rel err {rel.max():.3g}"
 
 
-def shifted(x: np.ndarray, d: int) -> np.ndarray:
-    """Row t holds x[:, t + d]; rows that fall outside the sequence are zero."""
-    out = np.zeros_like(x)
-    for t in range(x.shape[1]):
-        if 0 <= t + d < x.shape[1]:
-            out[:, t] = x[:, t + d]
-    return out
-
-
 def einsum_weight_grads(params: EncoderParams, cache: EncoderCache, upstream) -> tuple[list, list]:
-    """Layer weight gradients by an explicit per-tap einsum over (b, t).
+    """Layer weight gradients by an explicit per-tap einsum over (b, row).
 
     Restates the adjoint recursion of ``backward_batch``; returns, per layer,
     the (taps, H, H) gradient and the same sum over absolute terms, the
@@ -306,19 +466,21 @@ def einsum_weight_grads(params: EncoderParams, cache: EncoderCache, upstream) ->
     cfg = params.config
     w = cfg.context_window
     grads, scales = [None] * cfg.num_layers, [None] * cfg.num_layers
-    g = np.zeros_like(upstream[0])
+    g = np.zeros_like(upstream[-1])
     for li in range(cfg.num_layers - 1, -1, -1):
         g = g + upstream[li]
-        a = g * cache.mask
+        a = g * centre(cache.mask, g.shape[1])
         dpre = a * (1.0 - cache.hs[li] ** 2)
         x_prev = cache.xs[li]
-        g = a.copy()
-        grads[li] = np.stack([np.einsum("bti,btj->ij", shifted(x_prev, k - w), dpre)
+        rows = dpre.shape[1]
+        grads[li] = np.stack([np.einsum("bti,btj->ij", x_prev[:, k:k + rows], dpre)
                               for k in range(cfg.num_taps)])
-        scales[li] = np.stack([np.einsum("bti,btj->ij", np.abs(shifted(x_prev, k - w)), np.abs(dpre))
+        scales[li] = np.stack([np.einsum("bti,btj->ij", np.abs(x_prev[:, k:k + rows]), np.abs(dpre))
                                for k in range(cfg.num_taps)])
+        g = np.zeros_like(x_prev)
+        g[:, w:w + rows] = a
         for k in range(cfg.num_taps):
-            g += shifted(dpre @ params.layers[li].w[k].T, -(k - w))
+            g[:, k:k + rows] += dpre @ params.layers[li].w[k].T
     return grads, scales
 
 
@@ -329,28 +491,30 @@ class TestBackward:
         params = init_params(cfg)
         rng = np.random.default_rng(7)
         # Repeated ids and PAD tails on purpose: exercises the scatter-add
-        # and mask paths.
+        # and mask paths. Window rows past the tweet get upstream too.
         ids = np.array([[3, 4, 3, 5, PAD_ID, PAD_ID], [5, 5, 6, 7, 8, PAD_ID]], dtype=np.int64)
-        upstream = [rng.standard_normal((2, 6, cfg.hidden_size)) for _ in range(cfg.num_layers)]
-        grads = analytic_grads(params, ids, upstream)
-        assert_close(grads.token_emb, fd_grad(params, params.token_emb, ids, upstream), "token_emb")
-        assert_close(grads.pos_emb, fd_grad(params, params.pos_emb, ids, upstream), "pos_emb")
+        marker = [2, 1]
+        upstream = window_upstream(params, ids, marker, rng)
+        grads = analytic_grads(params, ids, marker, upstream)
+        assert_close(grads.token_emb, fd_grad(params, params.token_emb, ids, marker, upstream), "token_emb")
+        assert_close(grads.pos_emb, fd_grad(params, params.pos_emb, ids, marker, upstream), "pos_emb")
         for i, layer in enumerate(params.layers):
-            assert_close(grads.layers[i].w, fd_grad(params, layer.w, ids, upstream), f"layer{i}.w")
-            assert_close(grads.layers[i].b, fd_grad(params, layer.b, ids, upstream), f"layer{i}.b")
+            assert_close(grads.layers[i].w, fd_grad(params, layer.w, ids, marker, upstream), f"layer{i}.w")
+            assert_close(grads.layers[i].b, fd_grad(params, layer.b, ids, marker, upstream), f"layer{i}.b")
 
     def test_pad_and_unused_rows_get_zero_grads(self):
         cfg = small_cfg(vocab_size=16, max_len=8)
         params = init_params(cfg)
         rng = np.random.default_rng(3)
         ids = np.array([[3, 4, PAD_ID, PAD_ID]], dtype=np.int64)
-        upstream = [rng.standard_normal((1, 4, cfg.hidden_size)) for _ in range(cfg.num_layers)]
-        grads = analytic_grads(params, ids, upstream)
+        upstream = window_upstream(params, ids, [1], rng)
+        grads = analytic_grads(params, ids, [1], upstream)
         # PAD embedding row and untouched vocab rows get nothing.
         assert np.array_equal(grads.token_emb[PAD_ID], np.zeros(cfg.hidden_size))
         assert np.array_equal(grads.token_emb[9], np.zeros(cfg.hidden_size))
-        # Positions beyond t get nothing.
-        assert np.array_equal(grads.pos_emb[4:], np.zeros((4, cfg.hidden_size)))
+        # Positions past the tweet get nothing.
+        assert np.array_equal(grads.pos_emb[2:], np.zeros((6, cfg.hidden_size)))
+        assert np.all(grads.pos_emb[:2] != 0.0)
 
     def test_upstream_only_last_layer(self):
         # Zeros elsewhere: gradient must still match FD.
@@ -358,20 +522,20 @@ class TestBackward:
         params = init_params(cfg)
         rng = np.random.default_rng(5)
         ids = np.array([[3, 4, 5, PAD_ID]], dtype=np.int64)
-        upstream = [np.zeros((1, 4, cfg.hidden_size)) for _ in range(cfg.num_layers)]
-        upstream[-1] = rng.standard_normal((1, 4, cfg.hidden_size))
-        grads = analytic_grads(params, ids, upstream)
-        assert_close(grads.token_emb, fd_grad(params, params.token_emb, ids, upstream), "token_emb")
-        assert_close(grads.layers[0].w, fd_grad(params, params.layers[0].w, ids, upstream), "layer0.w")
+        upstream = [np.zeros_like(u) for u in window_upstream(params, ids, [2], rng)]
+        upstream[-1] = rng.standard_normal(upstream[-1].shape)
+        grads = analytic_grads(params, ids, [2], upstream)
+        assert_close(grads.token_emb, fd_grad(params, params.token_emb, ids, [2], upstream), "token_emb")
+        assert_close(grads.layers[0].w, fd_grad(params, params.layers[0].w, ids, [2], upstream), "layer0.w")
 
     def test_linearity_in_upstream(self):
         cfg = small_cfg(vocab_size=16, max_len=6)
         params = init_params(cfg)
         rng = np.random.default_rng(9)
         ids = np.array([[3, 4, 5, 6]], dtype=np.int64)
-        cache = forward_batch(params, ids)
-        u1 = [rng.standard_normal((1, 4, cfg.hidden_size)) for _ in range(cfg.num_layers)]
-        u2 = [rng.standard_normal((1, 4, cfg.hidden_size)) for _ in range(cfg.num_layers)]
+        cache = encode(params, ids, [1])
+        u1 = window_upstream(params, ids, [1], rng)
+        u2 = window_upstream(params, ids, [1], rng)
         g1 = backward_batch(params, cache, u1)
         g2 = backward_batch(params, cache, u2)
         g12 = backward_batch(params, cache, [a + b for a, b in zip(u1, u2)])
@@ -386,9 +550,9 @@ class TestBackward:
         cfg = small_cfg()
         params = init_params(cfg)
         ids = np.array([[3, 4]], dtype=np.int64)
-        cache = forward_batch(params, ids)
+        cache = encode(params, ids, [0])
         with pytest.raises(EncoderError, match="upstream"):
-            backward_batch(params, cache, [np.zeros((1, 2, cfg.hidden_size))])
+            backward_batch(params, cache, [np.zeros_like(cache.hidden[0])])
         bad = [np.zeros((1, 3, cfg.hidden_size)) for _ in range(cfg.num_layers)]
         with pytest.raises(EncoderError, match="shape"):
             backward_batch(params, cache, bad)
@@ -397,15 +561,16 @@ class TestBackward:
            hidden=st.sampled_from([4, 8]), seed=st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
     def test_weight_grads_match_einsum_oracle(self, b, t, window, hidden, seed):
-        # t <= window makes whole shifted copies fall off the sequence.
+        # t <= window makes whole shifted copies fall off the tweet.
         cfg = small_cfg(hidden_size=hidden, context_window=window, vocab_size=12, max_len=6, seed=seed)
         params = init_params(cfg)
         rng = np.random.default_rng(seed)
         for layer in params.layers:
             layer.b[:] = rng.standard_normal(hidden)
         ids = random_ids(cfg, b, t, rng)
-        cache = forward_batch(params, ids)
-        upstream = [rng.standard_normal((b, t, hidden)) for _ in range(cfg.num_layers)]
+        marker = random_markers(ids, rng)
+        cache = encode(params, ids, marker)
+        upstream = [rng.standard_normal(x.shape) for x in cache.hidden]
         got = backward_batch(params, cache, upstream)
         want, scale = einsum_weight_grads(params, cache, upstream)
         for li in range(cfg.num_layers):
@@ -421,8 +586,9 @@ class TestBackward:
         params = init_params(EncoderConfig(**{**cfg.__dict__, "seed": seed % 7}))
         rng = np.random.default_rng(seed)
         ids = random_ids(cfg, 2, 5, rng)
-        upstream = [rng.standard_normal((2, 5, cfg.hidden_size)) for _ in range(cfg.num_layers)]
-        grads = analytic_grads(params, ids, upstream)
+        marker = random_markers(ids, rng)
+        upstream = window_upstream(params, ids, marker, rng)
+        grads = analytic_grads(params, ids, marker, upstream)
         eps = 1e-5
         for arr, garr in ((params.layers[1].w, grads.layers[1].w),
                           (params.pos_emb, grads.pos_emb)):
@@ -430,9 +596,9 @@ class TestBackward:
             for i in rng.choice(flat.size, size=3, replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = scalar_loss(params, ids, upstream)
+                up = scalar_loss(params, ids, marker, upstream)
                 flat[i] = orig - eps
-                down = scalar_loss(params, ids, upstream)
+                down = scalar_loss(params, ids, marker, upstream)
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 assert abs(gflat[i] - fd) / max(abs(fd), 1.0) < 1e-6

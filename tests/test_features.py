@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetslots.encoder import EncoderConfig, forward_batch, init_params
+from tweetslots.encoder import EncoderConfig, forward_batch, init_params, window_radius
 from tweetslots.features import (
     FeatureError,
     FeatureStrategy,
@@ -18,17 +18,19 @@ from tweetslots.features import (
     extract_batch,
     feature_dim,
     init_strategy,
+    marker_window,
 )
+from tweetslots.preprocess import PAD_ID
 
 H = 4
 
 
 def hidden_stack(rows_per_layer):
-    """Build L single-sequence layer states (T, H) with marker row 0 set."""
+    """Build L single-sequence 3-row layer windows (3, H) with the centre (marker) row set."""
     layers = []
     for row in rows_per_layer:
         x = np.zeros((3, len(row)))
-        x[0] = row
+        x[1] = row
         layers.append(x)
     return layers
 
@@ -42,9 +44,9 @@ def strat(kind, h=H, seed=0):
     return init_strategy(kind, h, np.random.default_rng(seed))
 
 
-def marker_grads(dhidden, marker):
-    """The last four layers' gradient rows at the marker positions, oldest first: (4, B, H)."""
-    return np.stack([layer[np.arange(len(marker)), marker] for layer in dhidden[-4:]])
+def marker_grads(dhidden):
+    """The last four layers' gradient rows at the centre (marker) rows, oldest first: (4, B, H)."""
+    return np.stack([layer[:, layer.shape[1] // 2] for layer in dhidden[-4:]])
 
 
 class TestKinds:
@@ -80,17 +82,17 @@ class TestHandExamples:
 
     def test_sum4(self):
         hidden = hidden_stack(self.ROWS)
-        out = extract(strat(StrategyKind.SUM4, 2), hidden, 0)
+        out = extract(strat(StrategyKind.SUM4, 2), hidden)
         assert np.array_equal(out, [4.0, 4.0])
 
     def test_concat4_oldest_first(self):
         hidden = hidden_stack(self.ROWS)
-        out = extract(strat(StrategyKind.CONCAT4, 2), hidden, 0)
+        out = extract(strat(StrategyKind.CONCAT4, 2), hidden)
         assert np.array_equal(out, [1, 0, 0, 1, 1, 1, 2, 2])
 
     def test_last(self):
         hidden = hidden_stack(self.ROWS)
-        out = extract(strat(StrategyKind.LAST, 2), hidden, 0)
+        out = extract(strat(StrategyKind.LAST, 2), hidden)
         assert np.array_equal(out, [2.0, 2.0])
 
     def test_proj4_all_ones_dot(self):
@@ -101,36 +103,36 @@ class TestHandExamples:
         hidden = hidden_stack(
             ([0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0])
         )
-        out = extract(strategy, hidden, 0)
+        out = extract(strategy, hidden)
         assert np.array_equal(out, [0.0, 0.0, 0.0, 10.0])
 
     def test_uses_e_open_position_only(self):
         # Rewriting other time steps must not change the feature.
         hidden = hidden_stack(self.ROWS)
         for x in hidden:
-            x[1] = 99.0
+            x[0] = 99.0
             x[2] = -99.0
-        out = extract(strat(StrategyKind.SUM4, 2), hidden, 0)
+        out = extract(strat(StrategyKind.SUM4, 2), hidden)
         assert np.array_equal(out, [4.0, 4.0])
 
     def test_last_four_of_deeper_stack(self):
         rows = ([9.0, 9.0], [8.0, 8.0]) + self.ROWS
         hidden = hidden_stack(rows)
-        out = extract(strat(StrategyKind.SUM4, 2), hidden, 0)
+        out = extract(strat(StrategyKind.SUM4, 2), hidden)
         assert np.array_equal(out, [4.0, 4.0])
 
 
 class TestInvariants:
     def test_sum4_layer_permutation_invariant(self):
         rows = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0])
-        out_a = extract(strat(StrategyKind.SUM4, 2), hidden_stack(rows), 0)
-        out_b = extract(strat(StrategyKind.SUM4, 2), hidden_stack(rows[::-1]), 0)
+        out_a = extract(strat(StrategyKind.SUM4, 2), hidden_stack(rows))
+        out_b = extract(strat(StrategyKind.SUM4, 2), hidden_stack(rows[::-1]))
         assert np.array_equal(out_a, out_b)
 
     def test_concat4_layer_permutation_sensitive(self):
         rows = ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0])
-        out_a = extract(strat(StrategyKind.CONCAT4, 2), hidden_stack(rows), 0)
-        out_b = extract(strat(StrategyKind.CONCAT4, 2), hidden_stack(rows[::-1]), 0)
+        out_a = extract(strat(StrategyKind.CONCAT4, 2), hidden_stack(rows))
+        out_b = extract(strat(StrategyKind.CONCAT4, 2), hidden_stack(rows[::-1]))
         assert not np.array_equal(out_a, out_b)
 
     def test_linear_in_hidden(self):
@@ -139,8 +141,8 @@ class TestInvariants:
         h2 = [rng.standard_normal((3, H)) for _ in range(4)]
         for kind in (StrategyKind.LAST, StrategyKind.SUM4, StrategyKind.CONCAT4):
             s = strat(kind)
-            a = extract(s, h1, 1) + extract(s, h2, 1)
-            b = extract(s, [x + y for x, y in zip(h1, h2)], 1)
+            a = extract(s, h1) + extract(s, h2)
+            b = extract(s, [x + y for x, y in zip(h1, h2)])
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_proj4_affine_in_hidden(self):
@@ -149,9 +151,9 @@ class TestInvariants:
         h1 = [rng.standard_normal((3, H)) for _ in range(4)]
         h2 = [rng.standard_normal((3, H)) for _ in range(4)]
         zero = [np.zeros((3, H)) for _ in range(4)]
-        bias = extract(s, zero, 0)
-        a = extract(s, h1, 0) + extract(s, h2, 0) - bias
-        b = extract(s, [x + y for x, y in zip(h1, h2)], 0)
+        bias = extract(s, zero)
+        a = extract(s, h1) + extract(s, h2) - bias
+        b = extract(s, [x + y for x, y in zip(h1, h2)])
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -159,39 +161,55 @@ class TestBatch:
     def test_batch_matches_single(self):
         cfg = EncoderConfig(num_layers=5, hidden_size=8, vocab_size=32, max_len=8, seed=0)
         params = init_params(cfg)
-        ids = np.array([[3, 4, 5, 6], [7, 8, 9, 10]], dtype=np.int64)
-        cache = forward_batch(params, ids)
-        marker = np.array([1, 2])
+        token_ids = np.array([[3, 4, 5, 6], [7, 8, 9, 10]], dtype=np.int64)
+        ids, start = marker_window(token_ids, np.array([4, 4]), np.array([1, 2]), window_radius(cfg))
+        cache = forward_batch(params, ids, start)
         for kind in StrategyKind:
             s = strat(kind, 8)
-            batch = extract_batch(s, cache.hidden, marker)
+            batch = extract_batch(s, cache.hidden)
             for i in range(2):
-                single = extract(s, [x[i] for x in cache.hidden], int(marker[i]))
+                single = extract(s, [x[i] for x in cache.hidden])
                 np.testing.assert_allclose(batch[i], single, rtol=1e-14)
 
     def test_too_few_layers(self):
         hidden = [np.zeros((1, 3, H)) for _ in range(3)]
         with pytest.raises(FeatureError):
-            extract_batch(strat(StrategyKind.SUM4), hidden, np.array([0]))
+            extract_batch(strat(StrategyKind.SUM4), hidden)
 
     def test_marker_out_of_range(self):
-        hidden = [np.zeros((1, 3, H)) for _ in range(4)]
-        with pytest.raises(FeatureError):
-            extract_batch(strat(StrategyKind.LAST), hidden, np.array([3]))
+        # Each row is checked against its own length, not the widest row of the batch.
+        token_ids = np.array([[5, 6, 7, 8, 0, 0, 0, 0, 0, 0], [5] * 10], dtype=np.int64)
+        lengths = np.array([4, 10])
+        for marker in ([7, 0], [-1, 0], [4, 0]):
+            with pytest.raises(FeatureError, match=r"batch row 0: marker position -?\d+ outside \[0, 4\)"):
+                marker_window(token_ids, lengths, np.array(marker), 3)
+        with pytest.raises(FeatureError, match="batch row 1"):
+            marker_window(token_ids, lengths, np.array([3, 10]), 3)
+
+    def test_window_is_centred_and_pad_outside_the_tweet(self):
+        token_ids = np.array([[5, 6, 7, 8, 9, 9], [1, 2, 3, 0, 0, 0]], dtype=np.int64)
+        ids, start = marker_window(token_ids, np.array([5, 3]), np.array([0, 2]), 2)
+        assert start.tolist() == [-2, 0]
+        assert ids.tolist() == [[PAD_ID, PAD_ID, 5, 6, 7], [1, 2, 3, PAD_ID, PAD_ID]]
+
+    def test_even_window_has_no_centre_row(self):
+        hidden = [np.zeros((1, 4, H)) for _ in range(4)]
+        with pytest.raises(FeatureError, match="centre"):
+            extract_batch(strat(StrategyKind.LAST), hidden)
 
 
 class TestBackward:
-    def fd_feature_loss(self, s, hidden, marker, u):
-        return float((extract_batch(s, hidden, marker) * u).sum())
+    def fd_feature_loss(self, s, hidden, u):
+        return float((extract_batch(s, hidden) * u).sum())
 
     def test_sum4_adjoint_copies_gradient(self):
         s = strat(StrategyKind.SUM4, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.array([[3.0, 5.0]])
-        dhidden, proj = extract_backward_batch(s, hidden, np.array([0]), g)
+        dhidden, proj = extract_backward_batch(s, hidden, g)
         assert proj is None
         assert [layer.shape for layer in dhidden] == [(1, 3, 2)] * 4
-        rows = marker_grads(dhidden, [0])
+        rows = marker_grads(dhidden)
         for j in range(4):
             assert np.array_equal(rows[j, 0], [3.0, 5.0])
 
@@ -199,7 +217,7 @@ class TestBackward:
         s = strat(StrategyKind.CONCAT4, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.arange(8, dtype=float)[None, :]
-        rows = marker_grads(extract_backward_batch(s, hidden, np.array([0]), g)[0], [0])
+        rows = marker_grads(extract_backward_batch(s, hidden, g)[0])
         for j in range(4):
             assert np.array_equal(rows[j, 0], g[0, 2 * j:2 * j + 2])
 
@@ -207,7 +225,7 @@ class TestBackward:
         s = strat(StrategyKind.LAST, 2)
         hidden = hidden_batch(([1.0, 0], [0, 1.0], [1.0, 1.0], [2.0, 2.0]))
         g = np.array([[2.0, 7.0]])
-        rows = marker_grads(extract_backward_batch(s, hidden, np.array([0]), g)[0], [0])
+        rows = marker_grads(extract_backward_batch(s, hidden, g)[0])
         assert np.array_equal(rows[3, 0], [2.0, 7.0])
         for j in range(3):
             assert np.array_equal(rows[j, 0], [0.0, 0.0])
@@ -217,19 +235,18 @@ class TestBackward:
         rng = np.random.default_rng(11)
         s = strat(kind)
         hidden = [rng.standard_normal((2, 3, H)) for _ in range(4)]
-        marker = np.array([0, 2])
         u = rng.standard_normal((2, feature_dim(kind, H)))
-        rows = marker_grads(extract_backward_batch(s, hidden, marker, u)[0], marker)
+        rows = marker_grads(extract_backward_batch(s, hidden, u)[0])
         eps = 1e-6
         for j in range(4):
             for bi in range(2):
                 for hi in range(H):
-                    orig = hidden[j][bi, marker[bi], hi]
-                    hidden[j][bi, marker[bi], hi] = orig + eps
-                    up = self.fd_feature_loss(s, hidden, marker, u)
-                    hidden[j][bi, marker[bi], hi] = orig - eps
-                    down = self.fd_feature_loss(s, hidden, marker, u)
-                    hidden[j][bi, marker[bi], hi] = orig
+                    orig = hidden[j][bi, 1, hi]
+                    hidden[j][bi, 1, hi] = orig + eps
+                    up = self.fd_feature_loss(s, hidden, u)
+                    hidden[j][bi, 1, hi] = orig - eps
+                    down = self.fd_feature_loss(s, hidden, u)
+                    hidden[j][bi, 1, hi] = orig
                     fd = (up - down) / (2 * eps)
                     assert abs(rows[j, bi, hi] - fd) < 1e-6
 
@@ -239,47 +256,47 @@ class TestBackward:
         # extract_batch is affine in the layer states, so its adjoint must give
         # <f(h) - f(0), u> = sum over layers of <h_l, dh_l> (to 1e-12 of the
         # summed term magnitudes), and a gradient that is exactly zero off the
-        # marker rows of the last four layers.
+        # centre rows of the last four layers.
         kind = data.draw(st.sampled_from(list(StrategyKind)), label="kind")
         num_layers = data.draw(st.integers(4, 6), label="layers")
         b = data.draw(st.integers(1, 4), label="B")
-        t = data.draw(st.integers(1, 6), label="T")
+        widths = [2 * r + 1 for r in data.draw(
+            st.lists(st.integers(0, 3), min_size=num_layers, max_size=num_layers), label="radii")]
         h = data.draw(st.sampled_from([4, 8]), label="H")
-        marker = np.array(data.draw(st.lists(st.integers(0, t - 1), min_size=b, max_size=b), label="marker"))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         s = strat(kind, h, seed=int(rng.integers(1 << 30)))
         if s.proj is not None:
             s.proj.b[:] = rng.standard_normal(s.proj.b.shape)
-        hidden = [rng.standard_normal((b, t, h)) for _ in range(num_layers)]
+        hidden = [rng.standard_normal((b, t, h)) for t in widths]
         u = rng.standard_normal((b, feature_dim(kind, h)))
-        dhidden, _ = extract_backward_batch(s, hidden, marker, u)
+        dhidden, _ = extract_backward_batch(s, hidden, u)
         assert [d.shape for d in dhidden] == [x.shape for x in hidden]
-        f0 = extract_batch(s, [np.zeros_like(x) for x in hidden], marker)
-        lhs = float(((extract_batch(s, hidden, marker) - f0) * u).sum())
+        f0 = extract_batch(s, [np.zeros_like(x) for x in hidden])
+        lhs = float(((extract_batch(s, hidden) - f0) * u).sum())
         terms = [x * d for x, d in zip(hidden, dhidden)]
         rhs = sum(float(term.sum()) for term in terms)
         assert abs(lhs - rhs) <= 1e-12 * sum(float(np.abs(term).sum()) for term in terms)
-        on_marker = np.zeros((num_layers, b, t), dtype=bool)
-        on_marker[num_layers - 4:, np.arange(b), marker] = True
-        for layer_grad, mask in zip(dhidden, on_marker):
-            assert not layer_grad[~mask].any()
+        for li, (layer_grad, t) in enumerate(zip(dhidden, widths)):
+            off_centre = np.ones((b, t), dtype=bool)
+            if li >= num_layers - 4:
+                off_centre[:, t // 2] = False
+            assert not layer_grad[off_centre].any()
 
     def test_finite_difference_proj_params(self):
         rng = np.random.default_rng(13)
         s = strat(StrategyKind.PROJ4)
         hidden = [rng.standard_normal((2, 3, H)) for _ in range(4)]
-        marker = np.array([1, 0])
         u = rng.standard_normal((2, H))
-        _, proj_g = extract_backward_batch(s, hidden, marker, u)
+        _, proj_g = extract_backward_batch(s, hidden, u)
         eps = 1e-6
         for arr, garr in ((s.proj.w, proj_g.w), (s.proj.b, proj_g.b)):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = self.fd_feature_loss(s, hidden, marker, u)
+                up = self.fd_feature_loss(s, hidden, u)
                 flat[i] = orig - eps
-                down = self.fd_feature_loss(s, hidden, marker, u)
+                down = self.fd_feature_loss(s, hidden, u)
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 assert abs(gflat[i] - fd) < 1e-5
@@ -288,4 +305,4 @@ class TestBackward:
         s = strat(StrategyKind.LAST)
         hidden = [np.zeros((1, 3, H)) for _ in range(4)]
         with pytest.raises(FeatureError):
-            extract_backward_batch(s, hidden, np.array([0]), np.zeros((1, H + 1)))
+            extract_backward_batch(s, hidden, np.zeros((1, H + 1)))

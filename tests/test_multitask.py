@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tweetslots import multitask
 from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
 from tweetslots.encoder import EncoderConfig
-from tweetslots.features import StrategyKind
+from tweetslots.features import FeatureError, StrategyKind
 from tweetslots.multitask import (
     AdamW,
     DivergenceError,
@@ -630,6 +630,42 @@ class TestPredict:
             assert a.probability == pytest.approx(b.probability, rel=1e-12, abs=1e-15)
 
 
+class TestMarkerOutsideItsTweet:
+    """A marker past its own tweet is refused, whatever the other units of its batch."""
+
+    @staticmethod
+    def stray_marker():
+        inst = make_instance(["sad"], "uncle", NAME, 1, "short", 0)  # length 4
+        return MaskedInstance(
+            token_ids=inst.token_ids, length=inst.length, marker_pos=7, subtask=NAME, label=1,
+            chunk_text="uncle", tweet_id="short", candidate_index=0,
+        )
+
+    def test_refused_alone_and_beside_a_longer_tweet(self):
+        model = init_model(enc_cfg(), StrategyKind.LAST, REG, seed=0)
+        long = make_instance(["w%d" % i for i in range(7)], "uncle", NAME, 0, "long", 0)  # length 10
+        for batch, row in (([self.stray_marker()], 0), ([long, self.stray_marker()], 1)):
+            with pytest.raises(FeatureError, match=rf"batch row {row}: marker position 7 outside \[0, 4\)"):
+                predict_probs(model, batch)
+            with pytest.raises(FeatureError, match=rf"batch row {row}:"):
+                loss_and_grads(model, batch, TrainConfig())
+
+
+class TestWindowRows:
+    def test_rows_per_layer_do_not_depend_on_tweet_length(self):
+        # L = 4 layers of half-width 2: 19 rows of ids, then 15, 11, 7 and 3 rows.
+        from tweetslots import multitask as mt
+
+        model = init_model(enc_cfg(context_window=2), StrategyKind.SUM4, REG, seed=0)
+        for words in ([], ["a"] * 3, ["a"] * 7):
+            table = mt.as_table([make_instance(words, "uncle", NAME, 1), make_instance([], "x", AGE, 0, "t1")])
+            cache, feats = mt._batch_features(model, table, np.arange(2))
+            assert cache.ids.shape == (2, 19)
+            assert [x.shape for x in cache.xs] == [(2, n, 8) for n in (19, 15, 11, 7, 3)]
+            assert [h.shape for h in cache.hs] == [(2, n, 8) for n in (15, 11, 7, 3)]
+            assert feats.shape == (2, 8)
+
+
 class TestSharedEncoderInput:
     """Forward-only scoring encodes each distinct encoder input once."""
 
@@ -652,9 +688,9 @@ class TestSharedEncoderInput:
         rows = []
         original = encoder.forward_batch
 
-        def counting(params, ids):
+        def counting(params, ids, start):
             rows.append(len(ids))
-            return original(params, ids)
+            return original(params, ids, start)
 
         monkeypatch.setattr(encoder, "forward_batch", counting)
         return rows
