@@ -2,8 +2,8 @@
 Encoder forward pass and the four feature strategies
 ====================================================
 
-Gathers the window of ids around a masked instance's marker, runs the
-layered encoder over it, and shows how each feature strategy turns the
+Runs the layered encoder over the window of ids around a masked
+instance's marker, which the encoder gathers itself, and shows how each feature strategy turns the
 per-layer hidden states at the marker (each layer's centre row) into a
 classifier input. Ends with a finite-difference check of one encoder
 gradient entry.
@@ -12,7 +12,7 @@ gradient entry.
 import numpy as np
 
 from tweetslots.encoder import EncoderConfig, backward_batch, forward_batch, init_params, window_radius
-from tweetslots.features import FeatureStrategy, StrategyKind, extract_batch, feature_dim, init_proj4, marker_window
+from tweetslots.features import FeatureStrategy, StrategyKind, extract_batch, feature_dim, init_proj4
 
 cfg = EncoderConfig(
     num_layers=4, hidden_size=8, vocab_size=64, max_len=10, context_window=1, seed=0
@@ -25,11 +25,9 @@ lengths, marker = np.array([5]), np.array([2])
 
 # L layers of half-width w give the marker a reach of L*w positions; the
 # window holds one more on each side, so every layer keeps at least 3 rows.
-radius = window_radius(cfg)
-ids, start = marker_window(token_ids, lengths, marker, radius)
-print(f"window radius {radius}: ids {ids[0].tolist()} from position {start[0]}")
-
-cache = forward_batch(params, ids, start)
+cache = forward_batch(params, token_ids, lengths, marker)
+start = cache.start
+print(f"window radius {window_radius(cfg)}: ids {cache.ids[0].tolist()} from position {start[0]}")
 print("layer outputs:", len(cache.hidden))
 for i, h in enumerate(cache.hidden, start=1):
     # Rows past the tweet are PAD, zero at every layer, so padding never
@@ -57,9 +55,9 @@ eps = 1e-6
 arr = params.layers[0].w[0]
 orig = arr[0, 0]
 arr[0, 0] = orig + eps
-up = forward_batch(params, ids, start).hidden[-1].sum()
+up = forward_batch(params, token_ids, lengths, marker).hidden[-1].sum()
 arr[0, 0] = orig - eps
-down = forward_batch(params, ids, start).hidden[-1].sum()
+down = forward_batch(params, token_ids, lengths, marker).hidden[-1].sum()
 arr[0, 0] = orig
 fd = (up - down) / (2 * eps)
 print(f"\ngradient check on layer 1 tap 0 weight [0,0]: analytic {g:.8f} vs central FD {fd:.8f}")

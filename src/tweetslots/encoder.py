@@ -11,9 +11,10 @@ every layer: padding never influences real positions.
 The features read only each layer's row at the ``<E>`` marker, and a stack
 of L convolutions of half-width w gives that row a receptive field of L·w
 positions on each side. So the encoder computes only that field, plus one
-row on each side: layer 0 holds the ``2 * window_radius + 1`` positions
-centred on the marker (``window_radius`` is L·w + 1; ids outside the tweet
-are PAD), and layer l is a valid convolution of layer l - 1 over
+row on each side: ``forward_batch`` takes each unit's padded token row,
+length and marker, and gathers into layer 0 the ``2 * window_radius + 1``
+positions centred on the marker (``window_radius`` is L·w + 1; ids outside
+the tweet are PAD). Layer l is a valid convolution of layer l - 1 over
 ``2 * ((L - l) * w + 1) + 1`` rows, so every layer's centre row is the
 marker. At the default L = 4, w = 2 the layers hold 19, 15, 11, 7 and 3
 rows, whatever the tweet length; a large L·w against short tweets can make
@@ -133,7 +134,7 @@ class EncoderCache:
     unit's marker; row j of layer 0 is tweet position ``start + j``.
     """
 
-    ids: np.ndarray  # (B, 2 * window_radius + 1)
+    ids: np.ndarray  # (B, 2 * window_radius + 1) the gathered window, PAD outside the tweet
     start: np.ndarray  # (B,) tweet position of layer 0's first row
     mask: np.ndarray  # (B, 2 * window_radius + 1, 1) float64, 1.0 at real tokens
     xs: list  # L+1 arrays (B, rows of layer l, H); xs[0] is the embedding layer
@@ -152,31 +153,39 @@ def centre(a: np.ndarray, rows: int) -> np.ndarray:
     return a[:, offset:offset + rows]
 
 
-def forward_batch(params: EncoderParams, ids: np.ndarray, start: np.ndarray) -> EncoderCache:
-    """Run the stack over a batch of marker windows; returns all layer states.
+def forward_batch(
+    params: EncoderParams, token_ids: np.ndarray, lengths: np.ndarray, marker_pos: np.ndarray
+) -> EncoderCache:
+    """Run the stack over the marker window of each unit; returns all layer states.
 
-    Row b of ``ids`` holds the ids of tweet positions ``start[b]`` onward,
-    ``2 * window_radius + 1`` of them, centred on the marker and PAD outside
-    the tweet (``features.marker_window`` gathers them). PAD rows are zeroed
-    at every layer, so each real position depends only on real tokens within
-    its receptive field.
+    Row b's tweet is ``token_ids[b, :lengths[b]]`` with its marker at
+    ``marker_pos[b]``: the unit arrays of an ``InstanceTable``. Layer 0 reads
+    the ``2 * window_radius + 1`` positions centred on the marker, PAD outside
+    the tweet. A row whose length is outside ``[1, min(id width, max_len)]``
+    or whose marker is outside ``[0, length)`` is refused by batch row. PAD
+    rows are zeroed at every layer, so each real position depends only on
+    real tokens within its receptive field.
     """
     cfg = params.config
-    ids = np.asarray(ids, dtype=np.int64)
-    start = np.asarray(start, dtype=np.int64)
-    width = 2 * window_radius(cfg) + 1
-    if ids.ndim != 2 or ids.shape[1] != width:
-        raise EncoderError(f"ids must be (batch, {width}) marker windows, got shape {ids.shape}")
-    if start.shape != ids.shape[:1]:
-        raise EncoderError(f"start shape {start.shape} != {ids.shape[:1]}")
+    token_ids, lengths, marker_pos = (np.asarray(a, dtype=np.int64) for a in (token_ids, lengths, marker_pos))
+    limit = min(token_ids.shape[1], cfg.max_len)
+    # A length below 1 leaves no marker position in [0, length), so the marker test refuses it.
+    refused = np.flatnonzero((lengths > limit) | (marker_pos < 0) | (marker_pos >= lengths))
+    if refused.size:
+        b = int(refused[0])
+        if not 1 <= lengths[b] <= limit:
+            raise EncoderError(f"batch row {b}: length {lengths[b]} outside [1, {limit}]")
+        raise EncoderError(f"batch row {b}: marker position {marker_pos[b]} outside [0, {lengths[b]})")
+    radius = window_radius(cfg)
+    start = marker_pos - radius
+    pos = start[:, None] + np.arange(2 * radius + 1)
+    inside = (pos >= 0) & (pos < lengths[:, None])
+    ids = np.take_along_axis(token_ids, np.where(inside, pos, 0), axis=1)
+    ids[~inside] = PAD_ID
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise EncoderError(f"token id {bad} outside [0, {cfg.vocab_size})")
     real = ids != PAD_ID
-    pos = start[:, None] + np.arange(width)
-    outside = real & ((pos < 0) | (pos >= cfg.max_len))
-    if outside.any():
-        raise EncoderError(f"token at position {int(pos[outside][0])} outside [0, max_len {cfg.max_len})")
     mask = real.astype(np.float64)[:, :, None]
     x = (params.token_emb[ids] + params.pos_emb[np.clip(pos, 0, cfg.max_len - 1)]) * mask
     xs = [x]

@@ -10,11 +10,10 @@ row at the ``<E>`` marker position:
   concatenated oldest-to-newest (dim H). The projections are trainable and
   live alongside the encoder parameters.
 
-The encoder computes a window of rows centred on each unit's marker
-(``marker_window`` gathers its ids), so every layer's marker row is its
-centre row. ``_marker_rows`` is the one place that reads them;
-``extract_backward_batch`` returns the gradient of every layer state, so the
-encoder's backward pass takes it as it is.
+The encoder computes a window of rows centred on each unit's marker, so
+every layer's marker row is its centre row. ``_marker_rows`` is the one
+place that reads them; ``extract_backward_batch`` returns the gradient of
+every layer state, so the encoder's backward pass takes it as it is.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from .preprocess import PAD_ID
 
 
 class FeatureError(ValueError):
@@ -89,28 +86,6 @@ def feature_dim(kind: StrategyKind, hidden_size: int) -> int:
     if kind is StrategyKind.CONCAT4:
         return 4 * hidden_size
     return hidden_size
-
-
-def marker_window(
-    token_ids: np.ndarray, lengths: np.ndarray, marker_pos: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the ``2 * radius + 1`` positions centred on each row's marker, PAD outside the
-    tweet, and the position of each window's first id: ``(ids, start)``.
-
-    Row b's tweet is ``token_ids[b, :lengths[b]]``; a marker outside it is refused.
-    """
-    marker_pos = np.asarray(marker_pos, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    bad = np.flatnonzero((marker_pos < 0) | (marker_pos >= lengths))
-    if bad.size:
-        b = int(bad[0])
-        raise FeatureError(f"batch row {b}: marker position {marker_pos[b]} outside [0, {lengths[b]})")
-    start = marker_pos - radius
-    pos = start[:, None] + np.arange(2 * radius + 1)
-    inside = (pos >= 0) & (pos < lengths[:, None])
-    ids = np.take_along_axis(token_ids, np.where(inside, pos, 0), axis=1)
-    ids[~inside] = PAD_ID
-    return ids, start
 
 
 def _marker_rows(hidden: Sequence[np.ndarray]) -> np.ndarray:

@@ -76,6 +76,10 @@ def score(
 ) -> MetricsReport:
     """Count TP/FP/FN per subtask over the predicted triples.
 
+    Only the given triples count: a gold positive without a prediction is no
+    false negative here, so the pipeline's evaluate stage first requires a
+    row for every validation triple.
+
     Every registered subtask appears in the report (zero counts when it never
     occurs). A prediction that references an unknown tweet, a subtask foreign
     to that tweet's event, an out-of-range candidate, or a duplicate triple

@@ -4,11 +4,12 @@ Every instance from every event flows through the same encoder and feature
 extractor. The heads are the rows of one matrix, one per subtask in sorted
 order, and only the row of the instance's own subtask reads its feature
 vector. Training and scoring build every batch the same way: one function
-gathers the window of ids centred on each unit's marker, encodes the
-windows and extracts the feature rows, another applies each instance's head
-row. The window's width depends only on the encoder config, so the rows the
-encoder computes per unit do not grow with tweet or batch length. Each
-entry point reads an ``InstanceTable`` (``as_table`` groups a list).
+hands the encoder each unit's token row, length and marker, and extracts the
+feature rows from the window the encoder computes around the marker; another
+applies each instance's head row. The window's width depends only on the
+encoder config, so the rows the encoder computes per unit do not grow with
+tweet or batch length. Each entry point reads an ``InstanceTable``
+(``as_table`` groups a list).
 Forward-only scoring (validation and prediction) encodes each unit once:
 the subtask fan-out of one (tweet, candidate) shares one feature row that
 each of its head rows reads. Training encodes every triple on its own and
@@ -167,17 +168,9 @@ def _head_groups(params: ModelParams, table: InstanceTable) -> list[tuple[int, n
 
 
 def _batch_features(params: ModelParams, table: InstanceTable, units: np.ndarray):
-    """Encoder cache and feature rows of the batch of units ``units``.
-
-    The encoder reads the window of ids centred on each unit's marker, so the
-    rows it computes per unit do not depend on the tweet's or the batch's
-    length, and the features read each layer's centre row.
-    """
-    ids, start = feat.marker_window(
-        table.token_ids[units], table.lengths[units], table.marker_pos[units],
-        enc.window_radius(params.encoder.config),
-    )
-    cache = enc.forward_batch(params.encoder, ids, start)
+    """Encoder cache and feature rows of the batch of units ``units``: the encoder reads the
+    window centred on each unit's marker, and the features read each layer's centre row."""
+    cache = enc.forward_batch(params.encoder, table.token_ids[units], table.lengths[units], table.marker_pos[units])
     return cache, feat.extract_batch(params.strategy, cache.hidden)
 
 

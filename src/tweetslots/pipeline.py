@@ -167,6 +167,9 @@ def load_config(path: str | Path) -> PipelineConfig:
             p = base / p
         if not p.exists():
             raise ConfigError(f"{raw.where(key)}: config key {key!r}: path does not exist: {p}")
+        kind, ok = ("directory", p.is_dir()) if key == "data.gazetteer_dir" else ("file", p.is_file())
+        if not ok:
+            raise ConfigError(f"{raw.where(key)}: config key {key!r}: path is not a {kind}: {p}")
         # One file reached by any spelling of the config path gives one path, so one fingerprint.
         return p.resolve()
 
@@ -381,7 +384,8 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
     label = "filtered" if filtered else "unfiltered"
     registry = make_registry(cfg)
     split = load_and_split(cfg, registry)
-    records = serialize.load_predictions(out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl"))
+    path = out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl")
+    records = serialize.load_predictions(path)
     report = metrics_mod.score(
         records,
         split.val_tweets,
@@ -390,6 +394,15 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
         corpus_id=f"{split.digest}/val",
         filtered=filtered,
     )
+    # score refuses every row that is not one distinct validation triple, so fewer rows
+    # than triples means a triple without a row: a gold positive there counts as no FN.
+    expected = sum(len(registry.names_for(t.event)) * len(t.candidates) for t in split.val_tweets)
+    if len(records) < expected:
+        have = {(r.tweet_id, r.subtask, r.candidate_index) for r in records}
+        tweet_id, subtask, cand = next(row[:3] for row in corpus_mod.explode_instances(split.val_tweets, registry)
+                                       if row[:3] not in have)
+        raise PipelineError(f"{path}: {len(records)} predictions for {expected} validation triples; first missing: "
+                            f"tweet {tweet_id!r}, subtask {subtask}, candidate {cand}")
     report_path = out_dir / f"report_{label}.json"
     metrics_mod.save_report(report, report_path)
     table_path = out_dir / f"table_{label}.txt"

@@ -192,8 +192,11 @@ def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> Non
                 raise FormatError(f"{unit_where}: field 'length' must lie in [1, max_len {len(ids)}], got {length}")
             if not 0 <= marker_pos < length:
                 raise FormatError(f"{unit_where}: field 'marker_pos' must lie in [0, length), got {marker_pos}")
-            if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
-                raise FormatError(f"{unit_where}: field 'token_ids' must hold nonnegative integers")
+            if ids.dtype.kind not in "iu" or ids[:length].min() <= PAD_ID:  # PAD_ID is the lowest valid id
+                if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
+                    raise FormatError(f"{unit_where}: field 'token_ids' must hold nonnegative integers")
+                raise FormatError(f"{unit_where}: field 'token_ids' holds PAD id {PAD_ID} inside its length, "
+                                  f"at position {np.flatnonzero(ids[:length] == PAD_ID)[0]}")
             if np.count_nonzero(ids[length:] != PAD_ID):
                 raise FormatError(f"{unit_where} has non-PAD token ids past its length")
             lines.append(canonical_json({
@@ -233,6 +236,9 @@ def load_instances(path: str | Path, cfg: EncoderConfig) -> InstanceTable:
             raise FormatError(f"{where}: field 'marker_pos' outside the token range")
         if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
             raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+        if PAD_ID in ids:
+            raise FormatError(f"{where}: field 'token_ids' holds PAD id {PAD_ID} inside its length, "
+                              f"at position {ids.index(PAD_ID)}")
         if max(ids) >= cfg.vocab_size:
             raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
                               f"the encoder's vocab_size is {cfg.vocab_size}")

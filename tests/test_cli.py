@@ -337,6 +337,23 @@ class TestDataErrors:
         ])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
+    def test_evaluate_refuses_predictions_that_skip_triples(self, ws, cli_run, tmp_path, caplog, filtered):
+        # A gold positive without a row would count as no false negative. The rows go in
+        # triple order, so the first one dropped is the first triple missing.
+        name = "predictions_filtered.jsonl" if filtered else "predictions.jsonl"
+        out = tmp_path / "o"
+        out.mkdir()
+        lines = (cli_run / name).read_text().splitlines(keepends=True)
+        kept, first = lines[::2], json.loads(lines[1])
+        (out / name).write_text("".join(kept))
+        argv = ["evaluate", "--config", str(ws / "config.ini"), "--output", str(out)]
+        assert main(argv + ["--filtered"] * filtered) == EXIT_DATA
+        assert (f"{out / name}: {len(kept)} predictions for {len(lines)} validation triples; first missing: "
+                f"tweet {first['tweet_id']!r}, subtask {first['subtask']}, candidate {first['candidate_index']}"
+                ) in caplog.text
+        assert not list(out.glob("report_*.json"))
+
 
 class TestEnsemblePool:
     """``ensemble`` ranks the config's pool by the members' training logs."""

@@ -1,13 +1,15 @@
 """Encoder forward/backward tests.
 
-Three independent oracles guard the marker-window encoder: a per-position
+Four independent oracles guard the marker-window encoder: a per-position
 loop re-implementation of the forward contract, a copy of the full-length
-forward and backward that computed every position of the tweet, and central
-finite differences for every gradient entry.
+forward and backward that computed every position of the tweet, a copy of
+the forward that was handed its windows ready-gathered, and central finite
+differences for every gradient entry.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,6 @@ from tweetslots.encoder import (
     window_radius,
     zero_grads,
 )
-from tweetslots.features import marker_window
 from tweetslots.preprocess import PAD_ID
 
 
@@ -57,8 +58,7 @@ def random_markers(token_ids: np.ndarray, rng) -> np.ndarray:
 
 def encode(params: EncoderParams, token_ids: np.ndarray, marker) -> EncoderCache:
     """Forward over the windows centred on ``marker`` of PAD-tailed id rows."""
-    ids, start = marker_window(token_ids, lengths_of(token_ids), np.asarray(marker), window_radius(params.config))
-    return forward_batch(params, ids, start)
+    return forward_batch(params, token_ids, lengths_of(token_ids), np.asarray(marker))
 
 
 def positions(cfg: EncoderConfig, cache: EncoderCache, layer: int) -> np.ndarray:
@@ -299,12 +299,11 @@ class TestForward:
         # tweet's length, leave every row bitwise unchanged.
         cfg = small_cfg()
         params = init_params(cfg)
-        radius = window_radius(cfg)
         ids = np.array([[3, 4, 5]], dtype=np.int64)
-        short = forward_batch(params, *marker_window(ids, np.array([3]), np.array([1]), radius))
+        short = forward_batch(params, ids, [3], [1])
         for tail in ([0, 0, 0, 0], [9, 9, 9, 9]):
             longer = np.hstack([ids, np.array([tail], dtype=np.int64)])
-            padded = forward_batch(params, *marker_window(longer, np.array([3]), np.array([1]), radius))
+            padded = forward_batch(params, longer, [3], [1])
             assert np.array_equal(short.ids, padded.ids)
             for a, b in zip(short.xs, padded.xs):
                 assert np.array_equal(a, b)
@@ -354,25 +353,116 @@ class TestForward:
         assert changed == [1]
 
     def test_input_validation(self):
+        # A row's length must fit both its id row and max_len, and its marker must lie inside it.
         cfg = small_cfg()
         params = init_params(cfg)
-        width = 2 * window_radius(cfg) + 1
-        with pytest.raises(EncoderError, match="windows"):
-            forward_batch(params, np.zeros(width, dtype=np.int64), np.zeros(1, dtype=np.int64))
-        with pytest.raises(EncoderError, match="windows"):
-            forward_batch(params, np.zeros((1, width - 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
-        with pytest.raises(EncoderError, match="start"):
-            forward_batch(params, np.zeros((1, width), dtype=np.int64), np.zeros(2, dtype=np.int64))
-        for start in (cfg.max_len - width + 1, -1):
-            with pytest.raises(EncoderError, match="max_len"):
-                forward_batch(params, np.full((1, width), 3, dtype=np.int64), np.array([start]))
-        ok = np.full((1, width), 3, dtype=np.int64)
-        ok[0, cfg.max_len:] = PAD_ID
-        forward_batch(params, ok, np.array([0]))
-        with pytest.raises(EncoderError, match="outside"):
-            forward_batch(params, np.full((1, width), cfg.vocab_size, dtype=np.int64), np.array([0]))
-        with pytest.raises(EncoderError, match="outside"):
-            forward_batch(params, np.full((1, width), -1, dtype=np.int64), np.array([0]))
+        ids = np.full((2, cfg.max_len + 2), 3, dtype=np.int64)
+        forward_batch(params, ids, [cfg.max_len, 1], [cfg.max_len - 1, 0])
+        for lengths, marker, message in (
+            ([0, 4], [0, 0], r"batch row 0: length 0 outside \[1, 8\]"),
+            ([4, 9], [0, 0], r"batch row 1: length 9 outside \[1, 8\]"),
+            ([4, 4], [-1, 0], r"batch row 0: marker position -1 outside \[0, 4\)"),
+            ([4, 4], [0, 4], r"batch row 1: marker position 4 outside \[0, 4\)"),
+        ):
+            with pytest.raises(EncoderError, match=message):
+                forward_batch(params, ids, lengths, marker)
+        with pytest.raises(EncoderError, match=r"batch row 0: length 4 outside \[1, 3\]"):
+            forward_batch(params, ids[:, :3], [4, 3], [0, 0])
+        for bad in (cfg.vocab_size, -1):
+            with pytest.raises(EncoderError, match=rf"token id {bad} outside \[0, {cfg.vocab_size}\)"):
+                forward_batch(params, np.full((1, 4), bad), [4], [0])
+        # Ids past a row's length are never read, so they are not checked either.
+        forward_batch(params, np.array([[3, 4, cfg.vocab_size, -1]]), [2], [1])
+
+    def test_marker_out_of_range(self):
+        # Each row is checked against its own length, not the widest row of the batch.
+        params = init_params(small_cfg(max_len=10))
+        token_ids = np.array([[5, 6, 7, 8, 0, 0, 0, 0, 0, 0], [5] * 10], dtype=np.int64)
+        lengths = np.array([4, 10])
+        for marker in ([7, 0], [-1, 0], [4, 0]):
+            with pytest.raises(EncoderError, match=r"batch row 0: marker position -?\d+ outside \[0, 4\)"):
+                forward_batch(params, token_ids, lengths, marker)
+        with pytest.raises(EncoderError, match="batch row 1"):
+            forward_batch(params, token_ids, lengths, [3, 10])
+
+    def test_window_is_centred_and_pad_outside_the_tweet(self):
+        # Four layers of half-width 0: the window holds one row on each side of the marker.
+        params = init_params(small_cfg(context_window=0))
+        token_ids = np.array([[5, 6, 7, 8, 9, 9], [1, 2, 3, 0, 0, 0]], dtype=np.int64)
+        cache = forward_batch(params, token_ids, [5, 3], [0, 2])
+        assert cache.start.tolist() == [-1, 1]
+        assert cache.ids.tolist() == [[PAD_ID, 5, 6], [2, 3, PAD_ID]]
+
+
+def gathered_forward(params: EncoderParams, token_ids: np.ndarray, lengths, marker_pos) -> EncoderCache:
+    """The earlier two-step path, for rows the rules accept: gather each row's window of ids and
+    its start position, then run the forward that was handed the pair (its checks left out)."""
+    cfg = params.config
+    radius = window_radius(cfg)
+    lengths, marker_pos = np.asarray(lengths, dtype=np.int64), np.asarray(marker_pos, dtype=np.int64)
+    start = marker_pos - radius
+    pos = start[:, None] + np.arange(2 * radius + 1)
+    inside = (pos >= 0) & (pos < lengths[:, None])
+    ids = np.take_along_axis(token_ids, np.where(inside, pos, 0), axis=1)
+    ids[~inside] = PAD_ID
+
+    ids = np.asarray(ids, dtype=np.int64)
+    width = ids.shape[1]
+    pos = start[:, None] + np.arange(width)
+    mask = (ids != PAD_ID).astype(np.float64)[:, :, None]
+    x = (params.token_emb[ids] + params.pos_emb[np.clip(pos, 0, cfg.max_len - 1)]) * mask
+    xs = [x]
+    hs = []
+    w = cfg.context_window
+    for layer in params.layers:
+        rows = x.shape[1] - 2 * w
+        pre = np.broadcast_to(layer.b, (len(ids), rows, cfg.hidden_size)).copy()
+        for k in range(cfg.num_taps):
+            pre += x[:, k:k + rows] @ layer.w[k]
+        h = np.tanh(pre, out=pre)
+        x = centre(x, rows) + h
+        x *= centre(mask, rows)
+        xs.append(x)
+        hs.append(h)
+    return EncoderCache(ids=ids, start=start, mask=mask, xs=xs, hs=hs)
+
+
+class TestRowRules:
+    """forward_batch refuses exactly the rows whose length or marker breaks the rules, naming the
+    first; on every other batch its cache is bitwise the earlier gather-then-forward path's."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_refusals_and_cache_match_the_gathered_path(self, data):
+        max_len = data.draw(st.integers(3, 12), label="max_len")
+        width = data.draw(st.integers(1, 14), label="id width")
+        b = data.draw(st.integers(1, 4), label="B")
+        cfg = small_cfg(max_len=max_len, context_window=data.draw(st.integers(0, 2), label="context_window"),
+                        hidden_size=4, vocab_size=16)
+        limit = min(width, max_len)
+        lengths = data.draw(st.lists(st.integers(-1, width + 2), min_size=b, max_size=b), label="lengths")
+        marker = [data.draw(st.integers(-2, max(n, 0) + 1), label="marker") for n in lengths]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_params(cfg)
+        token_ids = rng.integers(0, cfg.vocab_size, size=(b, width))
+
+        bad = [not (1 <= n <= limit and 0 <= m < n) for n, m in zip(lengths, marker)]
+        if any(bad):
+            first = bad.index(True)
+            n, m = lengths[first], marker[first]
+            message = (f"batch row {first}: length {n} outside [1, {limit}]" if not 1 <= n <= limit
+                       else f"batch row {first}: marker position {m} outside [0, {n})")
+            with pytest.raises(EncoderError, match=f"^{re.escape(message)}$"):
+                forward_batch(params, token_ids, lengths, marker)
+        good = [k for k in range(b) if not bad[k]]
+        if not good:
+            return
+        args = (token_ids[good], np.asarray(lengths)[good], np.asarray(marker)[good])
+        got, want = forward_batch(params, *args), gathered_forward(params, *args)
+        for name in ("ids", "start", "mask"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for li, (g, v) in enumerate(zip(got.xs + got.hs, want.xs + want.hs)):
+            assert g.shape == v.shape and g.tobytes() == v.tobytes(), li
 
 
 class TestFullLengthOracle:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetslots.encoder import EncoderConfig, forward_batch, init_params, window_radius
+from tweetslots.encoder import EncoderConfig, forward_batch, init_params
 from tweetslots.features import (
     FeatureError,
     FeatureStrategy,
@@ -18,9 +18,7 @@ from tweetslots.features import (
     extract_batch,
     feature_dim,
     init_strategy,
-    marker_window,
 )
-from tweetslots.preprocess import PAD_ID
 
 H = 4
 
@@ -162,8 +160,7 @@ class TestBatch:
         cfg = EncoderConfig(num_layers=5, hidden_size=8, vocab_size=32, max_len=8, seed=0)
         params = init_params(cfg)
         token_ids = np.array([[3, 4, 5, 6], [7, 8, 9, 10]], dtype=np.int64)
-        ids, start = marker_window(token_ids, np.array([4, 4]), np.array([1, 2]), window_radius(cfg))
-        cache = forward_batch(params, ids, start)
+        cache = forward_batch(params, token_ids, np.array([4, 4]), np.array([1, 2]))
         for kind in StrategyKind:
             s = strat(kind, 8)
             batch = extract_batch(s, cache.hidden)
@@ -175,22 +172,6 @@ class TestBatch:
         hidden = [np.zeros((1, 3, H)) for _ in range(3)]
         with pytest.raises(FeatureError):
             extract_batch(strat(StrategyKind.SUM4), hidden)
-
-    def test_marker_out_of_range(self):
-        # Each row is checked against its own length, not the widest row of the batch.
-        token_ids = np.array([[5, 6, 7, 8, 0, 0, 0, 0, 0, 0], [5] * 10], dtype=np.int64)
-        lengths = np.array([4, 10])
-        for marker in ([7, 0], [-1, 0], [4, 0]):
-            with pytest.raises(FeatureError, match=r"batch row 0: marker position -?\d+ outside \[0, 4\)"):
-                marker_window(token_ids, lengths, np.array(marker), 3)
-        with pytest.raises(FeatureError, match="batch row 1"):
-            marker_window(token_ids, lengths, np.array([3, 10]), 3)
-
-    def test_window_is_centred_and_pad_outside_the_tweet(self):
-        token_ids = np.array([[5, 6, 7, 8, 9, 9], [1, 2, 3, 0, 0, 0]], dtype=np.int64)
-        ids, start = marker_window(token_ids, np.array([5, 3]), np.array([0, 2]), 2)
-        assert start.tolist() == [-2, 0]
-        assert ids.tolist() == [[PAD_ID, PAD_ID, 5, 6, 7], [1, 2, 3, PAD_ID, PAD_ID]]
 
     def test_even_window_has_no_centre_row(self):
         hidden = [np.zeros((1, 4, H)) for _ in range(4)]

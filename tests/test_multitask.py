@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from tweetslots import multitask
 from tweetslots.corpus import EventType, SubtaskId, SubtaskRegistry
-from tweetslots.encoder import EncoderConfig
-from tweetslots.features import FeatureError, StrategyKind
+from tweetslots.encoder import EncoderConfig, EncoderError
+from tweetslots.features import StrategyKind
 from tweetslots.multitask import (
     AdamW,
     DivergenceError,
@@ -645,9 +645,26 @@ class TestMarkerOutsideItsTweet:
         model = init_model(enc_cfg(), StrategyKind.LAST, REG, seed=0)
         long = make_instance(["w%d" % i for i in range(7)], "uncle", NAME, 0, "long", 0)  # length 10
         for batch, row in (([self.stray_marker()], 0), ([long, self.stray_marker()], 1)):
-            with pytest.raises(FeatureError, match=rf"batch row {row}: marker position 7 outside \[0, 4\)"):
+            with pytest.raises(EncoderError, match=rf"batch row {row}: marker position 7 outside \[0, 4\)"):
                 predict_probs(model, batch)
-            with pytest.raises(FeatureError, match=rf"batch row {row}:"):
+            with pytest.raises(EncoderError, match=rf"batch row {row}:"):
+                loss_and_grads(model, batch, TrainConfig())
+
+
+class TestLengthPastItsIds:
+    """A unit whose length exceeds its id row is refused by batch row, not read past its ids."""
+
+    def test_refused_by_batch_row(self):
+        model = init_model(enc_cfg(), StrategyKind.LAST, REG, seed=0)
+        ids = np.array([E_OPEN_ID, VOCAB.token_to_id("uncle"), E_CLOSE_ID], dtype=np.int64)
+        ok = MaskedInstance(token_ids=ids, length=3, marker_pos=0, subtask=NAME, label=1,
+                            chunk_text="uncle", tweet_id="ok", candidate_index=0)
+        long = MaskedInstance(token_ids=ids.copy(), length=4, marker_pos=0, subtask=NAME, label=1,
+                              chunk_text="uncle", tweet_id="long", candidate_index=0)
+        for batch, row in (([long], 0), ([ok, long], 1)):
+            with pytest.raises(EncoderError, match=rf"^batch row {row}: length 4 outside \[1, 3\]$"):
+                predict_probs(model, batch)
+            with pytest.raises(EncoderError, match=rf"^batch row {row}: length 4 outside \[1, 3\]$"):
                 loss_and_grads(model, batch, TrainConfig())
 
 
@@ -688,9 +705,9 @@ class TestSharedEncoderInput:
         rows = []
         original = encoder.forward_batch
 
-        def counting(params, ids, start):
-            rows.append(len(ids))
-            return original(params, ids, start)
+        def counting(params, token_ids, lengths, marker_pos):
+            rows.append(len(token_ids))
+            return original(params, token_ids, lengths, marker_pos)
 
         monkeypatch.setattr(encoder, "forward_batch", counting)
         return rows

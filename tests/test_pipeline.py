@@ -214,6 +214,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
             load_config(p)
 
+    @pytest.mark.parametrize("key", ["data.corpus", "data.gazetteer_dir", "data.type_map", "data.emoji_map",
+                                     "data.covid_tags", "data.subtasks"])
+    def test_data_path_of_the_wrong_kind(self, ws, tmp_path, key):
+        # The gazetteer is a directory and every other data path a file; the wrong kind is
+        # refused at load, not by the stage that opens it.
+        kind, wrong = ("directory", ws / "corpus.jsonl") if key == "data.gazetteer_dir" else ("file", ws)
+        lines = ["# the key at fault is on line 2", f"{key} = {wrong}"]
+        if key != "data.corpus":
+            lines.append(f"data.corpus = {ws / 'corpus.jsonl'}")
+        p = tmp_path / "c.ini"
+        p.write_text("\n".join(lines) + "\n")
+        message = f"{p}:2: config key {key!r}: path is not a {kind}: {wrong}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(p)
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -304,6 +304,11 @@ class TestInstancesJsonl:
         if bad:
             with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' must hold nonnegative integers$"):
                 load_instances(p, cfg)
+        elif any(t == PAD_ID for t in ids):
+            first = next(k for k, t in enumerate(ids) if t == PAD_ID)
+            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds PAD id {PAD_ID} "
+                                                  rf"inside its length, at position {first}$"):
+                load_instances(p, cfg)
         elif any(t >= cfg.vocab_size for t in ids):
             with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds id {max(ids)}, "
                                                   rf"the encoder's vocab_size is {2**20}$"):
@@ -372,14 +377,15 @@ class TestInstancesJsonl:
     @pytest.mark.parametrize("edit, field", [
         (lambda inst: replace(inst, token_ids=np.where(np.arange(10) == 2, -1, inst.token_ids)), "token_ids"),
         (lambda inst: replace(inst, token_ids=inst.token_ids.astype(np.float64)), "token_ids"),
+        (lambda inst: replace(inst, token_ids=np.where(np.arange(10) == 2, PAD_ID, inst.token_ids)), "token_ids"),
         (lambda inst: replace(inst, marker_pos=5), "marker_pos"),
         (lambda inst: replace(inst, marker_pos=-1), "marker_pos"),
         (lambda inst: replace(inst, length=0), "length"),
         (lambda inst: replace(inst, length=11), "length"),
         (lambda inst: replace(inst, candidate_index=-1), "candidate_index"),
         (lambda inst: replace(inst, subtask=SubtaskId(EventType.DEATH, "Age")), "labels"),
-    ], ids=["negative id", "float ids", "marker at length", "negative marker", "length 0", "length over max_len",
-            "negative candidate", "name Age"])
+    ], ids=["negative id", "float ids", "PAD inside length", "marker at length", "negative marker", "length 0",
+            "length over max_len", "negative candidate", "name Age"])
     def test_writer_refuses_rows_the_loader_refuses(self, tmp_path, edit, field):
         inst = edit(make_instance(candidate_index=0))
         p = tmp_path / "i.jsonl"
@@ -393,6 +399,15 @@ class TestInstancesJsonl:
         write_lines(p, [row])
         with pytest.raises(FormatError, match=re.escape(f"{p}:1: ") + f".*field '{field}'"):
             load_instances(p, ENC)
+
+    def test_writer_names_a_pad_inside_the_length(self, tmp_path):
+        # The encoder would read the token as padding, so the row is refused with its position.
+        inst = make_instance(candidate_index=0)
+        inst.token_ids[3] = PAD_ID
+        p = tmp_path / "i.jsonl"
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: tweet 'tw1': candidate 0: field 'token_ids' holds PAD id 0 inside its length, at position 3")):
+            save_instances([inst], p)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0], rows[0]], r":2: repeated unit \(tweet 'tw1', candidate 0; first on line 1\)"),
