@@ -60,3 +60,9 @@ from tweetslots.preprocess import tokenize
 
 assert interior.tolist() == tokenize(clean(inst.chunk_text, cfg), vocab)
 print("\nround-trip check: interior ids == tokenize(clean(chunk))  OK")
+
+# Only masking writes the marker ids. Marker text typed into a tweet is
+# ordinary punctuation and words, so it cannot forge a second marker.
+quoted = tokenize_words("my </E> uncle <E> tested positive")
+assert "<E>" not in quoted and "</E>" not in quoted
+print("marker text in a tweet:", quoted)

@@ -251,17 +251,26 @@ def json_document(obj) -> str:
 
 
 _decode = json.JSONDecoder().decode  # json.loads without its per-call argument checks
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
     """The JSON object in ``text``; raises ``error`` prefixed with ``where``
-    for malformed JSON or a value that is not an object."""
+    for malformed JSON, a value that is not an object, or a string holding an
+    unpaired surrogate, which is not text and cannot be written as UTF-8.
+    Only a ``\\u`` escape can make one, so text without one skips that check."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: malformed JSON ({exc})") from None
     if type(obj) is not dict:
         raise error(f"{where}: expected an object, got {_shown(obj)}")
+    if "\\u" in text:
+        for name, value in obj.items():
+            # Canonical JSON keeps a surrogate as it is; a decoded pair is one character, never a surrogate.
+            found = _SURROGATE_RE.search(canonical_json([name, value]))
+            if found:
+                raise error(f"{where}: field {name!r} holds a lone surrogate {found.group()!r}, not text")
     return obj
 
 
@@ -283,8 +292,10 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]
                         obj = _decode(raw)
                     except json.JSONDecodeError:
                         obj = None
-                    if type(obj) is not dict:
-                        parse_json_object(raw, f"{path}:{lineno}", error)  # raises, naming file, line and problem
+                    # The one path that refuses, naming file and line. A one-character search is
+                    # about ten times faster than the two-character one, and few lines hold a backslash.
+                    if type(obj) is not dict or ("\\" in raw and "\\u" in raw):
+                        obj = parse_json_object(raw, f"{path}:{lineno}", error)
                     yield lineno, obj
     except UnicodeDecodeError:
         read_utf8(path, error)  # raises, naming the line

@@ -69,8 +69,9 @@ def parse_config_text(text: str, path: str = "<config>") -> ConfigText:
     return out
 
 
-# Each `encoder.*` and `train.*` key is a field of its section's dataclass,
-# except the fields set from `vocab.size` and `seed`.
+# Each `encoder.*` and `train.*` key is a field of its section's dataclass, except
+# `vocab_size`, set from `vocab.size`, and `seed`, which each pool member takes from its
+# `ensemble.seeds` entry.
 _SECTIONS = (("encoder", EncoderConfig), ("train", TrainConfig))
 _SET_ELSEWHERE = ("vocab_size", "seed")
 
@@ -189,9 +190,9 @@ def load_config(path: str | Path) -> PipelineConfig:
             clean_enabled=_typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled),
             split=SplitConfig(train_fraction=train_fraction, seed=seed),
             seed=seed,
-            encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size, seed=seed),
+            encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size),
             feature_strategy=_typed(raw, "feature_strategy", StrategyKind.parse, StrategyKind.LAST),
-            train=_section(raw, "train", TrainConfig, seed=seed),
+            train=_section(raw, "train", TrainConfig),
             ensemble_k=_typed(raw, "ensemble.k", int, 5),
             ensemble_strategies=_typed(raw, "ensemble.strategies", _comma_list(StrategyKind.parse), tuple(StrategyKind)),
             ensemble_seeds=_typed(raw, "ensemble.seeds", _comma_list(int), (0, 1, 2)),

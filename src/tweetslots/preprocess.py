@@ -3,11 +3,13 @@
 Cleaning replaces @-mentions with ``<USER>``, URLs with ``<URL>``, configured
 hashtags with ``<COVID_TAG>``, expands emoji to ASCII aliases, and
 standardizes punctuation. The tokenizer lowercases, splits on whitespace and
-punctuation boundaries, maps the special tokens to reserved ids, and hashes
-everything else into the non-reserved id range with FNV-1a, so ids are stable
-across processes. Masking wraps one candidate chunk in ``<E>``/``</E>``
-markers and truncates context symmetrically so both markers (and the whole
-chunk) always survive.
+punctuation boundaries, maps those three placeholders to reserved ids, and
+hashes everything else into the non-reserved id range with FNV-1a, so ids are
+stable across processes. Masking wraps one candidate chunk in the ``<E>`` and
+``</E>`` marker ids and truncates context symmetrically so both markers (and
+the whole chunk) always survive. Masking is the only writer of marker ids:
+marker text in a tweet, such as ``</E>``, tokenizes as the punctuation and
+word it is made of.
 
 A corpus is masked into an ``InstanceTable``: one input per (tweet, candidate) unit, one (unit,
 subtask, label) row per triple. ``as_table`` is the one place a list of triples is grouped into units.
@@ -36,15 +38,12 @@ URL_ID = 5
 COVID_TAG_ID = 6
 NUM_RESERVED = 7
 
-E_OPEN = "<E>"
-E_CLOSE = "</E>"
 USER_TOKEN = "<USER>"
 URL_TOKEN = "<URL>"
 COVID_TAG_TOKEN = "<COVID_TAG>"
 
+# The placeholders cleaning writes; the marker ids come only from ``mask_candidate``.
 SPECIAL_TOKEN_IDS: dict[str, int] = {
-    E_OPEN: E_OPEN_ID,
-    E_CLOSE: E_CLOSE_ID,
     USER_TOKEN: USER_ID,
     URL_TOKEN: URL_ID,
     COVID_TAG_TOKEN: COVID_TAG_ID,
@@ -220,7 +219,7 @@ def _fnv1a_64(data: bytes) -> int:
 
 # Specials first so "<USER>," splits into [<USER>] [,]; then word runs, then
 # single punctuation characters.
-_TOKEN_RE = re.compile(r"(</E>|<E>|<USER>|<URL>|<COVID_TAG>)|(\w+)|([^\w\s])")
+_TOKEN_RE = re.compile("(" + "|".join(map(re.escape, SPECIAL_TOKEN_IDS)) + r")|(\w+)|([^\w\s])")
 
 
 def tokenize_words(text: str) -> list[str]:

@@ -38,7 +38,7 @@ from .corpus import (
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import ModelParams, PredictionRecord, TrainLogEntry
-from .preprocess import PAD_ID, InstanceTable, MaskedInstance, as_table
+from .preprocess import E_OPEN_ID, PAD_ID, InstanceTable, MaskedInstance, as_table
 
 MODEL_MAGIC = b"TWSLMODL"
 MODEL_VERSION = 1
@@ -154,6 +154,7 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[Subtask
 # One JSONL row per unit of an instance table, a (tweet, candidate) pair, with ``labels`` mapping
 # each subtask name of the tweet's event to 0 or 1. Rows go in tweet order, then candidate order;
 # a tweet's triples follow its rows in ``explode_instances`` order (subtask name, then candidate).
+# ``token_ids[marker_pos]`` is the ``<E>`` id, the token the features are read at.
 
 
 def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> None:
@@ -199,10 +200,14 @@ def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> Non
                                   f"at position {np.flatnonzero(ids[:length] == PAD_ID)[0]}")
             if np.count_nonzero(ids[length:] != PAD_ID):
                 raise FormatError(f"{unit_where} has non-PAD token ids past its length")
+            row = ids[:length].tolist()
+            if row[marker_pos] != E_OPEN_ID:
+                raise FormatError(f"{unit_where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
+                                  f"{row[marker_pos]}, not the <E> id {E_OPEN_ID}")
             lines.append(canonical_json({
                 "tweet_id": tweet_id, "candidate_index": cands[u], "event": event.value,
                 "chunk_text": table.chunk_texts[u], "marker_pos": marker_pos, "length": length,
-                "max_len": len(ids), "token_ids": ids[:length].tolist(), "labels": labels[u],
+                "max_len": len(ids), "token_ids": row, "labels": labels[u],
             }) + "\n")
     write_file(path, lines)
 
@@ -242,6 +247,9 @@ def load_instances(path: str | Path, cfg: EncoderConfig) -> InstanceTable:
         if max(ids) >= cfg.vocab_size:
             raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
                               f"the encoder's vocab_size is {cfg.vocab_size}")
+        if ids[marker_pos] != E_OPEN_ID:
+            raise FormatError(f"{where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
+                              f"{ids[marker_pos]}, not the <E> id {E_OPEN_ID}")
         if not labels:
             raise FormatError(f"{where}: field 'labels' names no subtask")
         for name in labels:

@@ -300,6 +300,17 @@ class TestDataErrors:
         assert f"{corpus}:2: not UTF-8 (byte 0xff)" in caplog.text
 
     @pytest.mark.parametrize("command", ["preprocess", "run"])
+    def test_corpus_with_a_lone_surrogate(self, ws, tmp_path, caplog, command):
+        # Read as text, the escape would reach the corpus digest, which cannot encode it as UTF-8.
+        corpus = tmp_path / "corpus.jsonl"
+        first = (ws / "corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
+        corpus.write_bytes(first + first.replace(b'"text":"', b'"text":"\\ud83d', 1))
+        p = tmp_path / "c.ini"
+        p.write_text(f"data.corpus = {corpus}\ndata.subtasks = {ws / 'subtasks.txt'}\n")
+        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"{corpus}:2: field 'text' holds a lone surrogate '\\ud83d', not text" in caplog.text
+
+    @pytest.mark.parametrize("command", ["preprocess", "run"])
     def test_config_that_is_not_utf8(self, ws, tmp_path, caplog, command):
         p = tmp_path / "c.ini"
         p.write_bytes(f"data.corpus = {ws / 'corpus.jsonl'}\n# caf\xe9 latin-1\n".encode("latin-1"))
@@ -330,6 +341,22 @@ class TestDataErrors:
         assert TestStageTable._ablate(ws, out) == EXIT_DATA
         assert f"{out / 'report_filtered.json'}: field 'micro_f1' is 0.99, but the counts give " in caplog.text
         assert not (out / "ablation.json").exists()
+
+    def test_ensemble_refuses_a_marker_off_its_open_marker(self, ws, cli_run, tmp_path, caplog):
+        # Read from the token after <E>, the row would be scored from context, and ensemble would exit 0.
+        out = tmp_path / "o"
+        shutil.copytree(cli_run, out)
+        lines = (out / "val_instances.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["marker_pos"] += 1
+        lines[1] = json.dumps(row) + "\n"
+        (out / "val_instances.jsonl").write_text("".join(lines))
+        before = (out / "predictions.jsonl").read_bytes()
+        assert main(["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)]) == EXIT_DATA
+        token_id = row["token_ids"][row["marker_pos"]]
+        assert (f"{out / 'val_instances.jsonl'}:2: field 'marker_pos' is {row['marker_pos']}, where token_ids holds "
+                f"{token_id}, not the <E> id 2") in caplog.text
+        assert (out / "predictions.jsonl").read_bytes() == before
 
     def test_evaluate_without_predictions(self, ws, tmp_path):
         code = main([

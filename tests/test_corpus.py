@@ -254,6 +254,64 @@ class TestCorpusIo:
             load_corpus(p)
 
 
+    @pytest.mark.parametrize("escape, lone", [
+        ("\\ud83d", "\\ud83d"), ("\\ude37", "\\ude37"), ("\\uDE37\\ud83d", "\\ude37"),
+        ("x\\ud83d\\ud83d\\ude37", "\\ud83d"), ("\\ud83d\\ude37\\ude37", "\\ude37"),
+    ], ids=["high", "low", "low then high", "high before a pair", "low after a pair"])
+    def test_lone_surrogate_names_file_line_and_field(self, tmp_path, escape, lone):
+        p = tmp_path / "c.jsonl"
+        line = dumps_tweet(make_tweet(1))
+        p.write_text(dumps_tweet(make_tweet(0)) + "\n" + line.replace('"text":"', f'"text":"{escape}', 1) + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:2: field 'text' holds a lone surrogate '{lone}', not text")):
+            load_corpus(p)
+
+    @pytest.mark.parametrize("row, field", [
+        ({"gold": {"\udc00": [0]}}, "gold"),
+        ({"note": ["a", {"b": "\ud800"}]}, "note"),
+        ({"\ud800": 1}, "\ud800"),
+    ], ids=["gold key", "nested value", "field name"])
+    def test_lone_surrogate_anywhere_in_a_row_names_its_field(self, tmp_path, row, field):
+        base = dumps_tweet(make_tweet(0))
+        p = tmp_path / "c.jsonl"
+        p.write_text(base[:-1] + "," + json.dumps(row)[1:] + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:1: field {field!r} holds a lone surrogate")):
+            load_corpus(p)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.text(max_size=8), at=st.integers(0, 8), lone=st.integers(0xD800, 0xDFFF))
+    def test_escaped_text_reads_back_and_an_inserted_surrogate_is_refused(self, tmp_path, text, at, lone):
+        # json.dumps escapes every non-ASCII character, so an astral one is written as a surrogate pair.
+        def write(t):
+            row = {"id": "a", "text": t, "event": "death", "candidates": [], "gold": {}}
+            p.write_text(json.dumps(row) + "\n", encoding="ascii")
+
+        p = tmp_path / "c.jsonl"
+        write(text)
+        (tweet,) = load_corpus(p)
+        assert tweet.text == text
+        save_corpus([tweet], p)
+        assert load_corpus(p) == [tweet]
+        write(text[:at] + chr(lone) + text[at:])
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:1: field 'text' holds a lone surrogate {chr(lone)!r}")):
+            load_corpus(p)
+
+    def test_surrogate_pair_escape_reads_as_its_character(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text(dumps_tweet(make_tweet(0)).replace('"text":"', '"text":"\\ud83d\\ude37 ', 1) + "\n")
+        (tweet,) = load_corpus(p)
+        assert tweet.text.startswith("\U0001f637 ")
+        save_corpus([tweet], p)
+        assert p.read_bytes().count("\U0001f637".encode("utf-8")) == 1 and b"\\u" not in p.read_bytes()
+        assert load_corpus(p) == [tweet]
+
+    def test_escaped_backslash_u_is_text(self, tmp_path):
+        # "\\ud83d" in JSON is a backslash and the letters ud83d, not an escape.
+        p = tmp_path / "c.jsonl"
+        line = dumps_tweet(make_tweet(0))
+        p.write_text(line.replace('"text":"', '"text":"C:\\\\ud83d ', 1) + "\n")
+        assert load_corpus(p)[0].text.startswith("C:\\ud83d ")
+
+
 class TestWriteFile:
     def test_text_is_utf8_and_bytes_pass_through(self, tmp_path):
         p = tmp_path / "f"

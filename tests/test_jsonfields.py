@@ -33,7 +33,7 @@ from tweetslots.serialize import (
 
 TWEET = {"id": "t1", "text": "my aunt died", "event": "death", "candidates": [[0, 7], [8, 12]], "gold": {"name": [0]}}
 INSTANCE = {"tweet_id": "t1", "candidate_index": 0, "event": "death", "chunk_text": "my aunt", "marker_pos": 0,
-            "length": 3, "max_len": 8, "token_ids": [1, 9, 2], "labels": {"name": 1}}
+            "length": 3, "max_len": 8, "token_ids": [2, 9, 3], "labels": {"name": 1}}
 PREDICTION = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
               "probability": 0.75, "decision": 1, "filtered": False}
 INSTANCE_ENCODER = EncoderConfig(vocab_size=32, max_len=8)
@@ -230,6 +230,21 @@ def test_values_once_coerced_are_rejected(tmp_path, name, row, load, message):
     p = tmp_path / name
     p.write_text(json.dumps(row) + "\n")
     with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{message}")):
+        load(p)
+
+
+@pytest.mark.parametrize("name, row, load, field, where", [
+    ("c.jsonl", TWEET, load_corpus, "text", ":1"),
+    ("i.jsonl", INSTANCE, load_instances, "chunk_text", ":1"),
+    ("p.jsonl", PREDICTION, load_predictions, "tweet_id", ":1"),
+    ("r.json", REPORT, load_report, "model_id", ""),
+])
+def test_lone_surrogate_is_refused(tmp_path, name, row, load, field, where):
+    # json.dumps writes the surrogate as the escape \ud83d. Read as text, it could not be written as UTF-8.
+    p = tmp_path / name
+    p.write_text(json.dumps({**row, field: row[field] + "\ud83d"}) + "\n")
+    with pytest.raises((CorpusError, FormatError, MetricsError), match=re.escape(
+            f"{p}{where}: field {field!r} holds a lone surrogate '\\ud83d', not text")):
         load(p)
 
 

@@ -72,10 +72,6 @@ class TestLoadConfig:
         assert cfg.ensemble_seeds == (0, 1, 2)
         assert len(cfg.pool) == 6
 
-    def test_seed_flows_to_encoder_and_train(self, ws):
-        cfg = load_config(ws / "config.ini")
-        assert cfg.seed == cfg.encoder.seed == cfg.train.seed == 1
-
     def test_relative_paths_resolve_against_config_dir(self, ws, tmp_path, monkeypatch):
         # cwd elsewhere must not affect resolution
         monkeypatch.chdir(tmp_path)
@@ -301,6 +297,13 @@ class TestRunPipeline:
             for seed in (0, 1, 2):
                 assert (run_dir / "models" / f"{kind}-s{seed}.bin").is_file()
                 assert (run_dir / "logs" / f"{kind}-s{seed}.jsonl").is_file()
+
+    def test_each_model_header_carries_its_member_seed(self, run_dir):
+        # `seed = 1` seeds the split; each member's init and shuffle come from its `ensemble.seeds` entry.
+        for kind in ("last", "sum4"):
+            for seed in (0, 1, 2):
+                model = serialize.load_model(run_dir / "models" / f"{kind}-s{seed}.bin")
+                assert model.encoder.config.seed == seed
 
     def test_lock_released(self, run_dir):
         assert not (run_dir / ".lock").exists()

@@ -13,9 +13,7 @@ from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId
 from tweetslots.preprocess import (
     COVID_TAG_ID,
     COVID_TAG_TOKEN,
-    E_CLOSE,
     E_CLOSE_ID,
-    E_OPEN,
     E_OPEN_ID,
     NUM_RESERVED,
     PAD_ID,
@@ -200,12 +198,17 @@ class TestTokenize:
         assert tokenize_words("sick,sad!") == ["sick", ",", "sad", "!"]
 
     def test_marker_tokens(self):
-        assert tokenize_words(f"{E_OPEN}x{E_CLOSE}") == [E_OPEN, "x", E_CLOSE]
+        # Only masking writes marker ids; marker text is the punctuation and word it is made of.
+        assert tokenize_words("<E>x</E>") == ["<", "e", ">", "x", "<", "/", "e", ">"]
+        assert tokenize_words("a <E> b </E> c") == ["a", "<", "e", ">", "b", "<", "/", "e", ">", "c"]
 
     def test_special_ids(self):
+        assert SPECIAL_TOKEN_IDS == {USER_TOKEN: USER_ID, URL_TOKEN: URL_ID, COVID_TAG_TOKEN: COVID_TAG_ID}
         v = Vocab(64)
-        ids = tokenize(f"{E_OPEN} {E_CLOSE} {USER_TOKEN} {URL_TOKEN} {COVID_TAG_TOKEN}", v)
-        assert ids == [E_OPEN_ID, E_CLOSE_ID, USER_ID, URL_ID, COVID_TAG_ID]
+        ids = tokenize(f"{USER_TOKEN} {URL_TOKEN} {COVID_TAG_TOKEN} <E> </E>", v)
+        assert ids[:3] == [USER_ID, URL_ID, COVID_TAG_ID]
+        assert ids[3:] == [v.token_to_id(t) for t in ("<", "e", ">", "<", "/", "e", ">")]
+        assert all(i >= NUM_RESERVED for i in ids[3:])
 
 
 class TestVocab:
@@ -327,7 +330,7 @@ class TestMasking:
         tw = make_tweet(text, [(8, 9)])
         inst = mask_candidate(tw, 0, SID, 0, v, cfg, max_len=7)
         got = [int(t) for t in inst.token_ids[:inst.length]]
-        want = tokenize(f"c d {E_OPEN} x {E_CLOSE} e f", v)
+        want = tokenize("c d", v) + [E_OPEN_ID] + tokenize("x", v) + [E_CLOSE_ID] + tokenize("e f", v)
         assert got == want
 
     def test_budget_flows_to_other_side(self, cfg):
@@ -337,9 +340,33 @@ class TestMasking:
         tw = make_tweet(text, [(0, 1)])
         inst = mask_candidate(tw, 0, SID, 0, v, cfg, max_len=7)
         got = [int(t) for t in inst.token_ids[:inst.length]]
-        want = tokenize(f"{E_OPEN} x {E_CLOSE} a b c d", v)
+        want = [E_OPEN_ID] + tokenize("x", v) + [E_CLOSE_ID] + tokenize("a b c d", v)
         assert got == want
         assert inst.marker_pos == 0
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_masking_is_the_only_marker_writer(self, cfg, data):
+        # Marker text in a tweet is ordinary text: the row holds one <E> id, at marker_pos, one
+        # </E> id after it, and between them exactly the cleaned, tokenized chunk.
+        pieces = ["<E>", "</E>", "<e>", "</e>", "<E", "/E>", "<USER>", "<URL>", "<COVID_TAG>", "@user",
+                  "#covid19", "https://t.co/x", "\U0001f637", "\u2615", "alpha", "B", ",", " ", "<", ">", "/"]
+        text = "".join(data.draw(st.lists(st.sampled_from(pieces) | st.text(min_size=1, max_size=2), min_size=1, max_size=12)))
+        start = data.draw(st.integers(0, len(text) - 1))
+        end = data.draw(st.integers(start + 1, len(text)))
+        max_len = data.draw(st.integers(2, 48))
+        v = Vocab(64)
+        chunk_ids = tokenize(clean(text[start:end], cfg), v)
+        try:
+            inst = mask_candidate(make_tweet(text, [(start, end)]), 0, SID, 1, v, cfg, max_len)
+        except MaskingError:
+            assert len(chunk_ids) + 2 > max_len
+            return
+        row = inst.token_ids[:inst.length].tolist()
+        assert row.count(E_OPEN_ID) == 1 and row[inst.marker_pos] == E_OPEN_ID
+        assert row.count(E_CLOSE_ID) == 1 and row.index(E_CLOSE_ID) > inst.marker_pos
+        assert row[inst.marker_pos + 1:row.index(E_CLOSE_ID)] == chunk_ids
+        assert inst.close_marker_pos() == row.index(E_CLOSE_ID)
 
     def test_oversized_chunk_rejected(self, cfg):
         v = Vocab(512)

@@ -289,7 +289,8 @@ class TestInstancesJsonl:
             load_instances(p, ENC)
 
     @given(st.lists(st.one_of(
-        st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64), st.booleans(), st.floats(), st.text(max_size=3),
+        st.just(E_OPEN_ID), st.integers(1, 40), st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64),
+        st.booleans(), st.floats(), st.text(max_size=3),
     ), min_size=1, max_size=10))
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_token_id_check_matches_per_token_predicate(self, tmp_path, ids):
@@ -312,6 +313,10 @@ class TestInstancesJsonl:
         elif any(t >= cfg.vocab_size for t in ids):
             with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds id {max(ids)}, "
                                                   rf"the encoder's vocab_size is {2**20}$"):
+                load_instances(p, cfg)
+        elif ids[0] != E_OPEN_ID:
+            with pytest.raises(FormatError, match=rf"^{where}: field 'marker_pos' is 0, where token_ids holds "
+                                                  rf"{ids[0]}, not the <E> id {E_OPEN_ID}$"):
                 load_instances(p, cfg)
         else:
             assert load_instances(p, cfg)[0].token_ids[:len(ids)].tolist() == ids
@@ -380,11 +385,13 @@ class TestInstancesJsonl:
         (lambda inst: replace(inst, token_ids=np.where(np.arange(10) == 2, PAD_ID, inst.token_ids)), "token_ids"),
         (lambda inst: replace(inst, marker_pos=5), "marker_pos"),
         (lambda inst: replace(inst, marker_pos=-1), "marker_pos"),
+        (lambda inst: replace(inst, marker_pos=2), "marker_pos"),
         (lambda inst: replace(inst, length=0), "length"),
         (lambda inst: replace(inst, length=11), "length"),
         (lambda inst: replace(inst, candidate_index=-1), "candidate_index"),
         (lambda inst: replace(inst, subtask=SubtaskId(EventType.DEATH, "Age")), "labels"),
-    ], ids=["negative id", "float ids", "PAD inside length", "marker at length", "negative marker", "length 0",
+    ], ids=["negative id", "float ids", "PAD inside length", "marker at length", "negative marker", "marker off <E>",
+            "length 0",
             "length over max_len", "negative candidate", "name Age"])
     def test_writer_refuses_rows_the_loader_refuses(self, tmp_path, edit, field):
         inst = edit(make_instance(candidate_index=0))
@@ -408,6 +415,24 @@ class TestInstancesJsonl:
         with pytest.raises(FormatError, match=re.escape(
                 f"{p}: tweet 'tw1': candidate 0: field 'token_ids' holds PAD id 0 inside its length, at position 3")):
             save_instances([inst], p)
+
+    @pytest.mark.parametrize("marker_pos", [0, 2, 3, 4])
+    def test_marker_off_its_open_marker_is_refused(self, tmp_path, marker_pos):
+        # The features are read at marker_pos; masking always puts the <E> id there.
+        inst = replace(make_instance(candidate_index=0), marker_pos=marker_pos)
+        token_id = int(inst.token_ids[marker_pos])
+        p = tmp_path / "i.jsonl"
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: tweet 'tw1': candidate 0: field 'marker_pos' is {marker_pos}, where token_ids holds "
+                f"{token_id}, not the <E> id {E_OPEN_ID}")):
+            save_instances([inst], p)
+        assert not p.exists()
+        save_instances([make_instance(candidate_index=0)], p)
+        write_lines(p, [{**json.loads(p.read_text()), "marker_pos": marker_pos}])
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}:1: field 'marker_pos' is {marker_pos}, where token_ids holds {token_id}, "
+                f"not the <E> id {E_OPEN_ID}")):
+            load_instances(p, ENC)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: [rows[0], rows[0]], r":2: repeated unit \(tweet 'tw1', candidate 0; first on line 1\)"),

@@ -3,8 +3,13 @@
     python tools/compare_trees.py A B
 
 A change that only reorders float arithmetic may move the last bits of a
-run's numbers, but nothing a reader sees. The rule, file by file, outside
-`run_manifest.json` (it holds wall-clock data and the other files' hashes):
+run's numbers, but nothing a reader sees. The rule holds file by file for
+every file but `run_manifest.json`. That file holds the run's status, the
+split seed, the other files' SHA-256 and the config fingerprint. The hashes
+differ whenever a file the rule lets differ does, and the rule compares
+those files themselves. The fingerprint hashes the resolved config's repr,
+so it moves when a config dataclass changes, even if no other file does.
+The rule:
 
 - every file of one tree is in the other;
 - the split manifest, the instance files, `report_*`, `table_*`, `ablation.*`
