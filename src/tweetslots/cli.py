@@ -24,15 +24,9 @@ import sys
 from pathlib import Path
 
 from . import pipeline, serialize
-from .corpus import CorpusError
-from .encoder import EncoderError
-from .ensemble import EnsembleError
-from .features import FeatureError
-from .metrics import MetricsError
-from .multitask import DivergenceError, TrainConfig, TrainError, predict as predict_records
-from .nerfilter import NerFilterError
+from .corpus import DataError
+from .multitask import DivergenceError, TrainConfig, predict as predict_records
 from .pipeline import ConfigError, PipelineError
-from .preprocess import PreprocessError
 
 log = logging.getLogger("tweetslots")
 
@@ -112,19 +106,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         log.error("training diverged: %s", exc)
         return EXIT_DIVERGENCE
-    except (
-        CorpusError,
-        EncoderError,
-        EnsembleError,
-        FeatureError,
-        MetricsError,
-        NerFilterError,
-        PreprocessError,
-        TrainError,
-        serialize.FormatError,
-        PipelineError,
-        OSError,
-    ) as exc:
+    except (DataError, PipelineError, OSError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
 

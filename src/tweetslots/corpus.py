@@ -8,6 +8,11 @@ A corpus is a JSONL file, one tweet per line:
 Spans index Unicode scalar values of ``text`` (never bytes). ``gold`` maps a
 subtask name to the candidate indices that answer the slot; an absent or empty
 list means the slot is unanswered.
+
+Every hand-edited table (registry, config, emoji map, COVID tags, gazetteer,
+type map) is read by ``table_lines``: lines end at LF, CRLF or CR; blank and
+``#`` lines (``//`` in the tag list) are skipped. A repeated entry is refused,
+naming its first line; all bad input raises a ``DataError``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 
-class CorpusError(ValueError):
+class DataError(ValueError):
+    """Bad input, refused: the base of every error class for a bad file, record or argument."""
+
+
+class CorpusError(DataError):
     """A corpus file or record violates the schema."""
 
 
@@ -133,19 +142,17 @@ class SubtaskRegistry:
     @classmethod
     def load(cls, path: str | Path) -> "SubtaskRegistry":
         table: dict[EventType, tuple[str, ...]] = {}
-        for lineno, raw in enumerate(read_utf8(path, CorpusError).splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            event_s, sep, names_s = (part.strip() for part in line.partition("="))
+        first_line: dict[EventType, int] = {}
+        for lineno, line in table_lines(read_utf8(path, CorpusError)):
+            event_s, sep, names_s = (part.strip() for part in line.split("#", 1)[0].partition("="))
             if not sep or not names_s:  # `death =` is refused, never read as no event
                 raise CorpusError(f"{path}:{lineno}: expected 'event = sub1,sub2,...'")
             try:
                 event = EventType(event_s)
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: unknown event {event_s!r}") from None
-            if event in table:
-                raise CorpusError(f"{path}:{lineno}: event {event_s!r} listed twice")
+            if first_line.setdefault(event, lineno) != lineno:
+                raise CorpusError(f"{path}:{lineno}: event {event_s!r} listed twice (first on line {first_line[event]})")
             names = tuple(n.strip() for n in names_s.split(","))
             try:
                 cls({event: names})  # the name rules, reported with this line
@@ -308,8 +315,20 @@ def read_utf8(path: str | Path, error: type[ValueError]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = 1 + data.count(b"\n", 0, exc.start)
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise error(f"{path}:{line}: not UTF-8 (byte {data[exc.start]:#04x})") from None
+
+
+def table_lines(text: str, comment: str = "#") -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of ``text`` neither blank nor
+    a comment (begins with ``comment``). Lines end at LF, CRLF or CR, as in
+    ``read_jsonl``, so a number is the one an editor shows: ``str.splitlines``
+    also splits at a form feed, U+0085, U+2028 and their kin."""
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line
 
 
 def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:

@@ -38,10 +38,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import DataError
 from .preprocess import PAD_ID
 
 
-class EncoderError(ValueError):
+class EncoderError(DataError):
     """Invalid encoder configuration or input."""
 
 

@@ -15,13 +15,14 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from .corpus import DataError
 from .multitask import PredictionRecord, prediction_records
 from .preprocess import MaskedInstance
 
 T = TypeVar("T")
 
 
-class EnsembleError(ValueError):
+class EnsembleError(DataError):
     """Invalid ensemble configuration or member set."""
 
 

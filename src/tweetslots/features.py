@@ -24,8 +24,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .corpus import DataError
 
-class FeatureError(ValueError):
+
+class FeatureError(DataError):
     """Invalid strategy configuration or extraction input."""
 
 

@@ -18,6 +18,7 @@ from .corpus import (
     EVENT_ORDER,
     AnnotatedTweet,
     CorpusError,
+    DataError,
     SubtaskId,
     SubtaskRegistry,
     json_document,
@@ -31,7 +32,7 @@ from .corpus import (
 from .multitask import PredictionRecord, micro_f1_counts
 
 
-class MetricsError(ValueError):
+class MetricsError(DataError):
     """Predictions that do not join the gold corpus, or report misuse."""
 
 

@@ -32,11 +32,11 @@ import numpy as np
 
 from . import encoder as enc
 from . import features as feat
-from .corpus import SubtaskId, SubtaskRegistry
+from .corpus import DataError, SubtaskId, SubtaskRegistry
 from .preprocess import InstanceTable, MaskedInstance, as_table
 
 
-class TrainError(ValueError):
+class TrainError(DataError):
     """Invalid training configuration or data."""
 
 

@@ -20,12 +20,12 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .corpus import read_utf8, write_file
+from .corpus import DataError, read_utf8, table_lines, write_file
 from .multitask import PredictionRecord
 from .preprocess import _PUNCT_TABLE
 
 
-class NerFilterError(ValueError):
+class NerFilterError(DataError):
     """Bad gazetteer, rules, or type-map input."""
 
 
@@ -115,10 +115,7 @@ def _read_phrase_file(path: Path) -> frozenset[str]:
     """The phrases of ``path``, lower-cased; refuses a phrase that repeats
     after lower-casing, so no line is silently merged into another."""
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(read_utf8(path, NerFilterError)):
         phrase = line.lower()
         if first_line.setdefault(phrase, lineno) != lineno:
             raise NerFilterError(f"{path}:{lineno}: phrase {phrase!r} listed twice (first on line {first_line[phrase]})")
@@ -127,14 +124,11 @@ def _read_phrase_file(path: Path) -> frozenset[str]:
 
 def _read_rules_file(path: Path) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
     rules = []
-    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
-        line = raw.strip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) != 2 or not parts[1].strip():
+    for lineno, line in table_lines(read_utf8(path, NerFilterError)):
+        type_name, tab, pattern = line.partition("\t")
+        if not tab:
             raise NerFilterError(f"{path}:{lineno}: expected 'TYPE<TAB>pattern'")
-        type_name, pattern = parts[0].strip(), parts[1].strip()
+        type_name, pattern = type_name.strip(), pattern.strip()
         try:
             etype = EntityType[type_name]
         except KeyError:
@@ -188,10 +182,7 @@ def load_type_map(path: str | Path) -> TypeMap:
     """Read subtask<TAB>TYPE[,TYPE...] lines; the literal type 'exempt' opts out."""
     allowed: dict[str, frozenset[EntityType]] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path, NerFilterError).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in table_lines(read_utf8(path, NerFilterError)):
         parts = line.split("\t")
         if len(parts) != 2:
             raise NerFilterError(f"{path}:{lineno}: expected 'subtask<TAB>TYPE[,TYPE...]'")

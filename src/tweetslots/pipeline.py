@@ -20,7 +20,7 @@ from . import corpus as corpus_mod
 from . import ensemble as ensemble_mod
 from . import metrics as metrics_mod
 from . import multitask, nerfilter, serialize
-from .corpus import SplitConfig, SubtaskRegistry
+from .corpus import DataError, SplitConfig, SubtaskRegistry, table_lines
 from .encoder import EncoderConfig
 from .features import StrategyKind
 from .multitask import TrainConfig
@@ -29,7 +29,7 @@ from .preprocess import CleanConfig, Vocab, load_covid_tags, load_emoji_map, mas
 log = logging.getLogger("tweetslots")
 
 
-class ConfigError(ValueError):
+class ConfigError(DataError):
     """Invalid pipeline configuration."""
 
 
@@ -53,17 +53,12 @@ class ConfigText(dict):
 def parse_config_text(text: str, path: str = "<config>") -> ConfigText:
     """Flat ``key = value`` lines; '#' lines are comments; keys are unique."""
     out = ConfigText(path)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, line in table_lines(text):
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key or not value:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: key {key!r} listed twice (first on line {out.lines[key]})")
         out[key] = value
         out.lines[key] = lineno
     return out

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedTweet, SubtaskId, explode_instances, read_utf8
+from .corpus import AnnotatedTweet, DataError, SubtaskId, explode_instances, read_utf8, table_lines
 
 PAD_ID = 0
 UNK_ID = 1
@@ -50,7 +50,7 @@ SPECIAL_TOKEN_IDS: dict[str, int] = {
 }
 
 
-class PreprocessError(ValueError):
+class PreprocessError(DataError):
     """Bad preprocessing input or configuration."""
 
 
@@ -66,11 +66,9 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
     """Read a TSV of ``codepoint-sequence<TAB>alias`` rows."""
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(read_utf8(path, PreprocessError).splitlines(), 1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+    for lineno, line in table_lines(read_utf8(path, PreprocessError)):
+        parts = line.split("\t")
+        if len(parts) != 2:  # a stripped line neither begins nor ends with its tab
             raise PreprocessError(f"{path}:{lineno}: expected 'emoji<TAB>alias'")
         if first_line.setdefault(parts[0], lineno) != lineno:
             raise PreprocessError(f"{path}:{lineno}: emoji {parts[0]!r} listed twice (first on line {first_line[parts[0]]})")
@@ -79,16 +77,16 @@ def load_emoji_map(path: str | Path) -> dict[str, str]:
 
 
 def load_covid_tags(path: str | Path) -> frozenset[str]:
-    """Read a hashtag list, one tag per line; entries must start with '#'."""
-    tags = set()
-    for lineno, raw in enumerate(read_utf8(path, PreprocessError).splitlines(), 1):
-        tag = raw.strip()
-        if not tag or tag.startswith("//"):
-            continue
+    """Read a hashtag list, one tag per line; entries must start with '#', so
+    '//' begins a comment. A tag that repeats after lower-casing is refused."""
+    first_line: dict[str, int] = {}
+    for lineno, tag in table_lines(read_utf8(path, PreprocessError), comment="//"):
         if not tag.startswith("#"):
             raise PreprocessError(f"{path}:{lineno}: tag {tag!r} must begin with '#'")
-        tags.add(tag.lower())
-    return frozenset(tags)
+        tag = tag.lower()
+        if first_line.setdefault(tag, lineno) != lineno:
+            raise PreprocessError(f"{path}:{lineno}: tag {tag!r} listed twice (first on line {first_line[tag]})")
+    return frozenset(first_line)
 
 
 def default_emoji_map() -> dict[str, str]:
@@ -258,11 +256,8 @@ class MaskedInstance:
     candidate_index: int
 
     def close_marker_pos(self) -> int:
-        """Index of the matching ``</E>`` token."""
-        for i in range(self.marker_pos + 1, self.length):
-            if self.token_ids[i] == E_CLOSE_ID:
-                return i
-        raise PreprocessError(f"instance {self.tweet_id}/{self.candidate_index}: no </E> marker")
+        """Index of the ``</E>`` token, which masking writes after ``marker_pos``."""
+        return self.token_ids[:self.length].tolist().index(E_CLOSE_ID, self.marker_pos + 1)
 
 
 def mask_candidate(

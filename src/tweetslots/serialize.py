@@ -9,7 +9,9 @@ produce identical bytes.
 JSONL rows are canonical JSON (sorted keys, compact separators) so files are
 reproducible byte-for-byte; loaders validate schemas, refuse fields they do
 not read, and report the file, line, and field of the first problem. An
-instance file holds the units of an ``InstanceTable``, one row each.
+instance file holds the units of an ``InstanceTable``, one row each. A row's
+``token_ids`` hold one ``<E>`` id, at ``marker_pos``, and one ``</E>`` id
+after it, as masking writes them; the writer and the loader refuse any other.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .corpus import (
     CorpusError,
+    DataError,
     EventType,
     SubtaskId,
     canonical_json,
@@ -38,14 +41,14 @@ from .corpus import (
 from .encoder import EncoderConfig, zero_grads
 from .features import FeatureStrategy, Proj4Params, StrategyKind, feature_dim
 from .multitask import ModelParams, PredictionRecord, TrainLogEntry
-from .preprocess import E_OPEN_ID, PAD_ID, InstanceTable, MaskedInstance, as_table
+from .preprocess import E_CLOSE_ID, E_OPEN_ID, PAD_ID, InstanceTable, MaskedInstance, as_table
 
 MODEL_MAGIC = b"TWSLMODL"
 MODEL_VERSION = 1
 _ENCODER_FIELDS = ("num_layers", "hidden_size", "vocab_size", "max_len", "context_window", "seed")
 
 
-class FormatError(ValueError):
+class FormatError(DataError):
     """Malformed or inconsistent artifact file."""
 
 
@@ -154,7 +157,16 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[Subtask
 # One JSONL row per unit of an instance table, a (tweet, candidate) pair, with ``labels`` mapping
 # each subtask name of the tweet's event to 0 or 1. Rows go in tweet order, then candidate order;
 # a tweet's triples follow its rows in ``explode_instances`` order (subtask name, then candidate).
-# ``token_ids[marker_pos]`` is the ``<E>`` id, the token the features are read at.
+# The features are read at ``marker_pos``, the one ``<E>`` of ``token_ids``.
+
+
+def _check_marker_pair(ids: list, marker_pos: int, where: str) -> None:
+    if ids[marker_pos] != E_OPEN_ID:
+        raise FormatError(f"{where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
+                          f"{ids[marker_pos]}, not the <E> id {E_OPEN_ID}")
+    if ids.count(E_OPEN_ID) != 1 or ids.count(E_CLOSE_ID) != 1 or ids.index(E_CLOSE_ID) < marker_pos:
+        raise FormatError(f"{where}: field 'token_ids' must hold one <E> id {E_OPEN_ID}, at marker_pos, "
+                          f"and one </E> id {E_CLOSE_ID} after it")
 
 
 def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> None:
@@ -201,9 +213,7 @@ def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> Non
             if np.count_nonzero(ids[length:] != PAD_ID):
                 raise FormatError(f"{unit_where} has non-PAD token ids past its length")
             row = ids[:length].tolist()
-            if row[marker_pos] != E_OPEN_ID:
-                raise FormatError(f"{unit_where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
-                                  f"{row[marker_pos]}, not the <E> id {E_OPEN_ID}")
+            _check_marker_pair(row, marker_pos, unit_where)
             lines.append(canonical_json({
                 "tweet_id": tweet_id, "candidate_index": cands[u], "event": event.value,
                 "chunk_text": table.chunk_texts[u], "marker_pos": marker_pos, "length": length,
@@ -247,9 +257,7 @@ def load_instances(path: str | Path, cfg: EncoderConfig) -> InstanceTable:
         if max(ids) >= cfg.vocab_size:
             raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
                               f"the encoder's vocab_size is {cfg.vocab_size}")
-        if ids[marker_pos] != E_OPEN_ID:
-            raise FormatError(f"{where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
-                              f"{ids[marker_pos]}, not the <E> id {E_OPEN_ID}")
+        _check_marker_pair(ids, marker_pos, where)
         if not labels:
             raise FormatError(f"{where}: field 'labels' names no subtask")
         for name in labels:

@@ -25,12 +25,15 @@ from tweetslots.corpus import (
     dumps_tweet,
     explode_instances,
     load_corpus,
+    read_utf8,
     save_corpus,
     split,
+    table_lines,
     write_file,
 )
 from tweetslots.metrics import load_report
-from tweetslots.nerfilter import load_gazetteer, load_type_map
+from tweetslots.nerfilter import EntityType, load_gazetteer, load_type_map
+from tweetslots.pipeline import load_config
 from tweetslots.preprocess import load_covid_tags, load_emoji_map
 
 
@@ -99,6 +102,17 @@ class TestRegistry:
         p.write_text(f"cure_and_prevention = opinion\ndeath = {names}\n")
         with pytest.raises(CorpusError, match=re.escape(f"{p}:2: ")):
             SubtaskRegistry.load(p)
+
+    def test_load_refuses_a_repeated_event_naming_its_first_line(self, tmp_path):
+        p = tmp_path / "reg.txt"
+        p.write_text("death = age\n# death = name\ncure_and_prevention = opinion\ndeath = name  # again\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{p}:4: event 'death' listed twice (first on line 1)")):
+            SubtaskRegistry.load(p)
+
+    def test_load_cuts_a_trailing_comment(self, tmp_path):
+        p = tmp_path / "reg.txt"
+        p.write_text("  # header\ndeath = age, name  # two slots\n")
+        assert SubtaskRegistry.load(p).names_for(EventType.DEATH) == ("age", "name")
 
     def test_events_property_follows_event_order(self):
         reg = SubtaskRegistry({EventType.DEATH: ("age",), EventType.TESTED_POSITIVE: ("name",)})
@@ -454,3 +468,72 @@ def test_a_data_file_that_is_not_utf8_names_file_and_line(tmp_path, name, data, 
     line = 1 if data is None else 2
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not UTF-8 (byte 0xe9)")):
         load(path)
+
+
+def test_read_utf8_counts_lines_ended_by_cr_and_crlf(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\rb\r\nc\rd \xe9\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:4: not UTF-8 (byte 0xe9)")):
+        read_utf8(path, CorpusError)
+
+
+# Characters that str.splitlines ends a line at, though an editor shows them inside one.
+_INNER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def _table_texts(draw):
+    pieces = st.one_of(
+        st.sampled_from(_INNER_BREAKS), st.sampled_from(_LINE_ENDS), st.sampled_from(["", " ", "\t", "  "]),
+        st.sampled_from(["#", "# note", "//", "// tag", "#covid19", "a = 1", "x\ty"]), st.text(max_size=3),
+    )
+    return "".join(draw(st.lists(pieces, max_size=20)))
+
+
+@given(text=_table_texts(), comment=st.sampled_from(["#", "//"]))
+def test_table_lines_match_a_line_end_oracle(text, comment):
+    lines = [(n, raw.strip()) for n, raw in enumerate(re.split(r"\r\n|\r|\n", text), 1)]
+    assert list(table_lines(text, comment)) == [(n, line) for n, line in lines if line and not line.startswith(comment)]
+
+
+def _complete_gazetteer(path: Path) -> Path:
+    """The directory of ``path``, with each required gazetteer file it lacks written empty."""
+    for name in ("person.txt", "location.txt", "organization.txt", "rules.txt"):
+        if not (path.parent / name).exists():
+            (path.parent / name).write_text("")
+    return path.parent
+
+
+# Per reader: a table whose first lines hold {0} inside a comment, the line of a later fault, its
+# message, and the call that loads the table. str.splitlines would split the comment in two and
+# name the line after the fault's.
+_FAULT_AFTER_A_BREAK = {
+    "config": ("# a{0}# b\nbad\n", "c.ini", 2, "expected 'key = value'", load_config),
+    "emoji-map": ("# a{0}# b\njustone\n", "e.tsv", 2, "expected 'emoji<TAB>alias'", load_emoji_map),
+    "covid-tags": ("// a{0}// b\ncovid\n", "t.txt", 2, "tag 'covid' must begin with '#'", load_covid_tags),
+    "gazetteer-phrases": ("seattle\n# a{0}# b\nseattle\n", "location.txt", 3,
+                          "phrase 'seattle' listed twice (first on line 1)",
+                          lambda path: load_gazetteer(_complete_gazetteer(path))),
+    "gazetteer-rules": ("# a{0}# b\nPERSON\n", "rules.txt", 2, "expected 'TYPE<TAB>pattern'",
+                        lambda path: load_gazetteer(_complete_gazetteer(path))),
+    "type-map": ("# a{0}# b\nname\n", "type_map.txt", 2, "expected 'subtask<TAB>TYPE[,TYPE...]'", load_type_map),
+    "registry": ("# a{0}# b\nbogus = age\n", "subtasks.txt", 2, "unknown event 'bogus'", SubtaskRegistry.load),
+}
+
+
+@pytest.mark.parametrize("inner", _INNER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("reader", sorted(_FAULT_AFTER_A_BREAK))
+def test_a_fault_after_a_line_holding_a_break_names_the_line_an_editor_shows(tmp_path, reader, inner):
+    template, name, line, message, load = _FAULT_AFTER_A_BREAK[reader]
+    path = tmp_path / name
+    for end in _LINE_ENDS:
+        path.write_text(template.format(inner).replace("\n", end), encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            load(path)
+
+
+def test_a_phrase_holding_a_break_stays_one_phrase(tmp_path):
+    path = tmp_path / "person.txt"
+    path.write_text("dr\x85who\n  # indented comment\r\n nurse \r", encoding="utf-8", newline="")
+    assert load_gazetteer(_complete_gazetteer(path)).phrases[EntityType.PERSON] == {"dr\x85who", "nurse"}

@@ -133,6 +133,12 @@ class TestGazetteerIo:
         with pytest.raises(NerFilterError):
             load_gazetteer(tmp_path)
 
+    def test_rules_file_drops_outer_blanks_and_indented_comments(self, tmp_path):
+        save_gazetteer(Gazetteer(phrases={}, rules=()), tmp_path)
+        (tmp_path / "rules.txt").write_text("  # note\n AGE\t\\d+ years? old \n")
+        [(etype, pattern)] = load_gazetteer(tmp_path).rules
+        assert (etype, pattern.pattern) == (EntityType.AGE, r"\d+ years? old")
+
     @pytest.mark.parametrize("second", ["Seattle", "seattle", "  SEATTLE  "])
     def test_load_refuses_a_phrase_repeated_after_lower_casing(self, gaz, tmp_path, second):
         save_gazetteer(gaz, tmp_path)

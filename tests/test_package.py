@@ -2,11 +2,15 @@
 its Library section, and its config paragraph lists exactly the known keys
 with the defaults that the parser applies. The package modules import nothing
 they do not use, and open no file for writing except through
-``corpus.write_file``."""
+``corpus.write_file``. Every error class for bad input is a ``DataError``, so
+the command line's one handler maps each to its exit code."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -14,6 +18,7 @@ import pytest
 
 import tweetslots
 from tweetslots import pipeline
+from tweetslots.corpus import DataError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(tweetslots.__file__).resolve().parent
@@ -136,3 +141,14 @@ def test_write_site_check_sees_each_form():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_file_write_goes_through_write_file(module):
     assert _write_sites((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_every_value_error_of_the_package_is_a_data_error():
+    found = {}
+    for info in pkgutil.iter_modules(tweetslots.__path__):
+        module = importlib.import_module(f"tweetslots.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, ValueError) and obj.__module__ == module.__name__:
+                found[name] = obj
+    assert len(found) >= 11  # DataError and the ten classes derived from it, at least
+    assert [name for name, cls in found.items() if not issubclass(cls, DataError)] == []

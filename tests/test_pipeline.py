@@ -35,8 +35,8 @@ class TestParseConfigText:
         assert raw == {"seed": "4"}
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_config_text("a = 1\na = 2\n")
+        with pytest.raises(ConfigError, match=re.escape("<config>:3: key 'a' listed twice (first on line 1)")):
+            parse_config_text("a = 1\nb = 2\na = 2\n")
 
     def test_missing_separator(self):
         with pytest.raises(ConfigError, match="expected"):

@@ -270,6 +270,18 @@ class TestDataFiles:
         with pytest.raises(PreprocessError, match=f"{p}:3: emoji '\U0001f637' listed twice \\(first on line 1\\)"):
             load_emoji_map(p)
 
+    def test_emoji_loader_drops_outer_blanks_and_indented_comments(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("  # note\n \U0001f637\t:mask: \n", encoding="utf-8")
+        assert load_emoji_map(p) == {"\U0001f637": ":mask:"}
+
+    @pytest.mark.parametrize("second", ["#covid19", "#COVID19", "  #Covid19 "])
+    def test_tag_loader_refuses_a_tag_repeated_after_lower_casing(self, tmp_path, second):
+        p = tmp_path / "t.txt"
+        p.write_text(f"#COVID19\n// {second}\n#staysafe\n{second}\n")
+        with pytest.raises(PreprocessError, match=re.escape(f"{p}:4: tag '#covid19' listed twice (first on line 1)")):
+            load_covid_tags(p)
+
     def test_tag_loader_rejects_missing_hash(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("covid19\n")

@@ -197,6 +197,10 @@ def make_instance(label=1, length=5, subtask=NAME, tweet_id="tw1", candidate_ind
     )
 
 
+def padded(row) -> np.ndarray:
+    return np.concatenate([row, np.full(10 - len(row), PAD_ID)]).astype(np.int64)
+
+
 def assert_same_instances(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -289,7 +293,7 @@ class TestInstancesJsonl:
             load_instances(p, ENC)
 
     @given(st.lists(st.one_of(
-        st.just(E_OPEN_ID), st.integers(1, 40), st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64),
+        st.just(E_OPEN_ID), st.just(E_CLOSE_ID), st.integers(1, 40), st.integers(-2**40, 2**40), st.integers(2**63 - 2, 2**64),
         st.booleans(), st.floats(), st.text(max_size=3),
     ), min_size=1, max_size=10))
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -317,6 +321,10 @@ class TestInstancesJsonl:
         elif ids[0] != E_OPEN_ID:
             with pytest.raises(FormatError, match=rf"^{where}: field 'marker_pos' is 0, where token_ids holds "
                                                   rf"{ids[0]}, not the <E> id {E_OPEN_ID}$"):
+                load_instances(p, cfg)
+        elif ids.count(E_OPEN_ID) != 1 or ids.count(E_CLOSE_ID) != 1 or E_CLOSE_ID not in ids[1:]:
+            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' must hold one <E> id {E_OPEN_ID}, "
+                                                  rf"at marker_pos, and one </E> id {E_CLOSE_ID} after it$"):
                 load_instances(p, cfg)
         else:
             assert load_instances(p, cfg)[0].token_ids[:len(ids)].tolist() == ids
@@ -390,9 +398,14 @@ class TestInstancesJsonl:
         (lambda inst: replace(inst, length=11), "length"),
         (lambda inst: replace(inst, candidate_index=-1), "candidate_index"),
         (lambda inst: replace(inst, subtask=SubtaskId(EventType.DEATH, "Age")), "labels"),
+        (lambda inst: replace(inst, token_ids=padded([9, E_OPEN_ID, 12, 7, 15])), "token_ids"),
+        (lambda inst: replace(inst, token_ids=padded([9, E_OPEN_ID, 12, E_OPEN_ID, 15])), "token_ids"),
+        (lambda inst: replace(inst, token_ids=padded([9, E_OPEN_ID, E_CLOSE_ID, E_CLOSE_ID, 15])), "token_ids"),
+        (lambda inst: replace(inst, token_ids=padded([E_CLOSE_ID, E_OPEN_ID, 12, 14, 15])), "token_ids"),
     ], ids=["negative id", "float ids", "PAD inside length", "marker at length", "negative marker", "marker off <E>",
             "length 0",
-            "length over max_len", "negative candidate", "name Age"])
+            "length over max_len", "negative candidate", "name Age", "no </E>", "two <E>", "two </E>",
+            "</E> before <E>"])
     def test_writer_refuses_rows_the_loader_refuses(self, tmp_path, edit, field):
         inst = edit(make_instance(candidate_index=0))
         p = tmp_path / "i.jsonl"
