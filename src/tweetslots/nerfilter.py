@@ -7,6 +7,11 @@ nullified: decision drops to 0, the slot value becomes "Not Specified", and
 the record is marked filtered. Negative decisions and exempt subtasks pass
 through untouched, so the filter can only remove false (or true) positives,
 never invent them.
+
+Gazetteer phrases are compared in the form ``tag`` puts the chunk text in
+(punctuation standardised, lower-cased, blank runs collapsed); the loaded
+phrases keep the file's text. Type-map subtask names follow the registry's
+subtask-name rule, and a file's bad name is refused on its line.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .corpus import DataError, read_utf8, table_lines, write_file
+from .corpus import CorpusError, DataError, _check_name, read_utf8, table_lines, write_file
 from .multitask import PredictionRecord
 from .preprocess import _PUNCT_TABLE
 
@@ -91,9 +96,9 @@ class Gazetteer:
             phrases = self.phrases.get(etype) if etype is not EntityType.OTHER else None
             if not phrases:
                 continue
-            # Longest alternative first, so an anchored match returns the
-            # longest phrase starting at that position.
-            alts = sorted(phrases, key=len, reverse=True)
+            # Longest alternative first, so an anchored match returns the longest phrase
+            # starting at that position; phrases are matched in the form tag() compares.
+            alts = sorted({_normalize(p) for p in phrases}, key=len, reverse=True)
             pattern = "(?:" + "|".join(re.escape(p) for p in alts) + r")\b"
             matchers.append((etype, re.compile(pattern)))
         return tuple(matchers)
@@ -107,8 +112,17 @@ class TypeMap:
 
     def __post_init__(self):
         for name, types in self.allowed.items():
+            _check_subtask_name(name, "type map")
             if not types:
                 raise NerFilterError(f"type map entry {name!r} has an empty allowed set")
+
+
+def _check_subtask_name(name: str, where: str) -> None:
+    """``corpus._check_name``'s rule, refused as a ``NerFilterError`` at ``where``."""
+    try:
+        _check_name(name)
+    except CorpusError as exc:
+        raise NerFilterError(f"{where}: {exc}") from None
 
 
 def _read_phrase_file(path: Path) -> frozenset[str]:
@@ -179,7 +193,8 @@ def default_gazetteer() -> Gazetteer:
 
 
 def load_type_map(path: str | Path) -> TypeMap:
-    """Read subtask<TAB>TYPE[,TYPE...] lines; the literal type 'exempt' opts out."""
+    """Read subtask<TAB>TYPE[,TYPE...] lines; the literal type 'exempt' opts out.
+    Each name follows the subtask-name rule, refused on its line."""
     allowed: dict[str, frozenset[EntityType]] = {}
     first_line: dict[str, int] = {}
     for lineno, line in table_lines(read_utf8(path, NerFilterError)):
@@ -187,6 +202,7 @@ def load_type_map(path: str | Path) -> TypeMap:
         if len(parts) != 2:
             raise NerFilterError(f"{path}:{lineno}: expected 'subtask<TAB>TYPE[,TYPE...]'")
         name, spec_part = parts[0].strip(), parts[1].strip()
+        _check_subtask_name(name, f"{path}:{lineno}")
         if first_line.setdefault(name, lineno) != lineno:
             raise NerFilterError(f"{path}:{lineno}: subtask {name!r} listed twice (first on line {first_line[name]})")
         if spec_part.lower() == "exempt":

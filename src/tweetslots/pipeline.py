@@ -1,10 +1,13 @@
 """Config parsing and end-to-end pipeline orchestration.
 
 The config is a flat key-value text file with dotted section prefixes
-(``train.batch_size = 32``). Every stage writes its artifacts under one
-output directory; a run manifest records the resolved config hash, the seed,
-and a SHA-256 per artifact, so identical configs reproduce identical trees.
-An ``flock`` on ``<output>/.lock`` keeps concurrent commands apart.
+(``train.batch_size = 32``). Each ``encoder.*``, ``train.*`` and ``split.*``
+key is a field of its section's dataclass, and a value that class refuses is
+reported as ``<file>:<line>: config key '<key>': <rule>``. Every stage writes
+its artifacts under one output directory; a run manifest records the resolved
+config hash, the seed, and a SHA-256 per artifact, so identical configs
+reproduce identical trees. An ``flock`` on ``<output>/.lock`` keeps
+concurrent commands apart.
 """
 
 from __future__ import annotations
@@ -64,10 +67,10 @@ def parse_config_text(text: str, path: str = "<config>") -> ConfigText:
     return out
 
 
-# Each `encoder.*` and `train.*` key is a field of its section's dataclass, except
-# `vocab_size`, set from `vocab.size`, and `seed`, which each pool member takes from its
-# `ensemble.seeds` entry.
-_SECTIONS = (("encoder", EncoderConfig), ("train", TrainConfig))
+# Each `encoder.*`, `train.*` and `split.*` key is a field of its section's dataclass,
+# except `vocab_size`, set from `vocab.size`, and `seed`, which the split takes from the
+# top-level `seed` and each pool member from its `ensemble.seeds` entry.
+_SECTIONS = (("encoder", EncoderConfig), ("train", TrainConfig), ("split", SplitConfig))
 _SET_ELSEWHERE = ("vocab_size", "seed")
 
 
@@ -78,11 +81,7 @@ def _section_fields(cls) -> list[Field]:
 _KNOWN_KEYS = {
     "data.corpus", "data.gazetteer_dir", "data.type_map", "data.emoji_map",
     "data.covid_tags", "data.subtasks",
-    "clean.enabled",
-    "vocab.size",
-    "split.train_fraction",
-    "seed",
-    "feature_strategy",
+    "clean.enabled", "vocab.size", "seed", "feature_strategy",
     "ensemble.k", "ensemble.strategies", "ensemble.seeds",
 } | {f"{prefix}.{f.name}" for prefix, cls in _SECTIONS for f in _section_fields(cls)}
 
@@ -119,10 +118,15 @@ def _typed(raw: ConfigText, key: str, parse: Callable, default):
         raise ConfigError(f"{raw.where(key)}: config key {key!r}: {exc}") from None
 
 
+def _field(raw: ConfigText, key: str, cls, name: str):
+    """Field ``name`` of ``cls`` from ``key``, typed as its default and checked by ``cls`` built with it alone."""
+    default = getattr(cls, name)
+    return _typed(raw, key, lambda text: getattr(cls(**{name: type(default)(text)}), name), default)
+
+
 def _section(raw: ConfigText, prefix: str, cls, **elsewhere):
-    """``cls`` from its ``prefix.<field>`` keys: each value is parsed with the
-    type of the field's default, and an absent key keeps that default."""
-    values = {f.name: _typed(raw, f"{prefix}.{f.name}", type(f.default), f.default) for f in _section_fields(cls)}
+    """``cls`` from its ``prefix.<field>`` keys, each checked alone: no rule of a section class spans two fields."""
+    values = {f.name: _field(raw, f"{prefix}.{f.name}", cls, f.name) for f in _section_fields(cls)}
     return cls(**values, **elsewhere)
 
 
@@ -172,30 +176,24 @@ def load_config(path: str | Path) -> PipelineConfig:
     seed = _typed(raw, "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"{raw.where('seed')}: seed must be >= 0, got {seed}")
-    try:
-        vocab_size = _typed(raw, "vocab.size", int, EncoderConfig.vocab_size)
-        train_fraction = _typed(raw, "split.train_fraction", float, SplitConfig.train_fraction)
-        cfg = PipelineConfig(
-            corpus_path=resolve("data.corpus"),
-            gazetteer_dir=resolve("data.gazetteer_dir"),
-            type_map_path=resolve("data.type_map"),
-            emoji_map_path=resolve("data.emoji_map"),
-            covid_tags_path=resolve("data.covid_tags"),
-            subtasks_path=resolve("data.subtasks"),
-            clean_enabled=_typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled),
-            split=SplitConfig(train_fraction=train_fraction, seed=seed),
-            seed=seed,
-            encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size),
-            feature_strategy=_typed(raw, "feature_strategy", StrategyKind.parse, StrategyKind.LAST),
-            train=_section(raw, "train", TrainConfig),
-            ensemble_k=_typed(raw, "ensemble.k", int, 5),
-            ensemble_strategies=_typed(raw, "ensemble.strategies", _comma_list(StrategyKind.parse), tuple(StrategyKind)),
-            ensemble_seeds=_typed(raw, "ensemble.seeds", _comma_list(int), (0, 1, 2)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    vocab_size = _field(raw, "vocab.size", EncoderConfig, "vocab_size")
+    cfg = PipelineConfig(
+        corpus_path=resolve("data.corpus"),
+        gazetteer_dir=resolve("data.gazetteer_dir"),
+        type_map_path=resolve("data.type_map"),
+        emoji_map_path=resolve("data.emoji_map"),
+        covid_tags_path=resolve("data.covid_tags"),
+        subtasks_path=resolve("data.subtasks"),
+        clean_enabled=_typed(raw, "clean.enabled", _parse_bool, CleanConfig.enabled),
+        split=_section(raw, "split", SplitConfig, seed=seed),
+        seed=seed,
+        encoder=_section(raw, "encoder", EncoderConfig, vocab_size=vocab_size),
+        feature_strategy=_typed(raw, "feature_strategy", StrategyKind.parse, StrategyKind.LAST),
+        train=_section(raw, "train", TrainConfig),
+        ensemble_k=_typed(raw, "ensemble.k", int, 5),
+        ensemble_strategies=_typed(raw, "ensemble.strategies", _comma_list(StrategyKind.parse), tuple(StrategyKind)),
+        ensemble_seeds=_typed(raw, "ensemble.seeds", _comma_list(int), (0, 1, 2)),
+    )
     if cfg.ensemble_k < 1 or cfg.ensemble_k % 2 == 0:
         raise ConfigError(f"{raw.where('ensemble.k')}: ensemble.k must be odd and positive, got {cfg.ensemble_k}")
     negative = [s for s in cfg.ensemble_seeds if s < 0]
@@ -211,7 +209,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         if repeated:
             raise ConfigError(f"{raw.where(key)}: {key} lists {repeated[0]!r} more than once")
     if len(cfg.pool) < cfg.ensemble_k:
-        raise ConfigError(f"{path}: ensemble pool of {len(cfg.pool)} runs cannot fill k={cfg.ensemble_k} members")
+        raise ConfigError(f"{raw.where('ensemble.k')}: ensemble pool of {len(cfg.pool)} runs "
+                          f"cannot fill k={cfg.ensemble_k} members")
     return cfg
 
 

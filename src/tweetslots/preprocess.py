@@ -63,12 +63,12 @@ def _data_path(name: str):
 
 
 def load_emoji_map(path: str | Path) -> dict[str, str]:
-    """Read a TSV of ``codepoint-sequence<TAB>alias`` rows."""
+    """Read a TSV of ``codepoint-sequence<TAB>alias`` rows; each field is stripped."""
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, line in table_lines(read_utf8(path, PreprocessError)):
-        parts = line.split("\t")
-        if len(parts) != 2:  # a stripped line neither begins nor ends with its tab
+        parts = [part.strip() for part in line.split("\t")]
+        if len(parts) != 2:  # a stripped line neither begins nor ends with its tab, so no field is empty
             raise PreprocessError(f"{path}:{lineno}: expected 'emoji<TAB>alias'")
         if first_line.setdefault(parts[0], lineno) != lineno:
             raise PreprocessError(f"{path}:{lineno}: emoji {parts[0]!r} listed twice (first on line {first_line[parts[0]]})")
@@ -111,11 +111,13 @@ class CleanConfig:
         for tag in self.covid_tags:
             if not tag.startswith("#"):
                 raise PreprocessError(f"covid tag {tag!r} must begin with '#'")
-        # What load_emoji_map refuses in a file: an empty key would match between every two
-        # characters, and the emoji matcher reads each key's first character.
+        # What load_emoji_map never yields from a file: an empty key would match between every
+        # two characters, the emoji matcher reads each key's first character, and a key or
+        # alias with outer blanks would eat or add the blanks around the emoji.
         for emoji, alias in self.emoji_map.items():
-            if not emoji or not alias:
-                raise PreprocessError(f"emoji {emoji!r}: {'alias' if emoji else 'emoji'} is empty")
+            for what, text in (("emoji", emoji), ("alias", alias)):
+                if not text or text != text.strip():
+                    raise PreprocessError(f"emoji {emoji!r}: {what} is {'not trimmed' if text else 'empty'}")
         # Private read-only copies, so the compiled tables cannot go stale.
         object.__setattr__(self, "emoji_map", MappingProxyType(dict(self.emoji_map)))
         object.__setattr__(self, "covid_tags", frozenset(self.covid_tags))

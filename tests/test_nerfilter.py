@@ -155,6 +155,20 @@ class TestGazetteerIo:
             )
 
 
+    def test_phrases_match_in_the_normal_form_of_tag(self, tmp_path):
+        # tag() standardises punctuation and collapses blanks in the chunk; a phrase
+        # written with a curly quote or two blanks used to match nothing.
+        save_gazetteer(Gazetteer(phrases={}, rules=()), tmp_path)
+        (tmp_path / "person.txt").write_text("o\u2019brien\n", encoding="utf-8")
+        (tmp_path / "location.txt").write_text("north  pole\n", encoding="utf-8")
+        g = load_gazetteer(tmp_path)
+        assert g.phrases[EntityType.PERSON] == {"o\u2019brien"}  # the file's text is kept
+        assert g.phrases[EntityType.LOCATION] == {"north  pole"}
+        for chunk in ("o\u2019brien", "O'Brien", "o\u2018brien"):
+            assert tag(chunk, g) is EntityType.PERSON, chunk
+        for chunk in ("north pole", "North  Pole", "north\tpole"):
+            assert tag(chunk, g) is EntityType.LOCATION, chunk
+
     def test_later_edits_to_the_caller_mapping_do_not_leak(self):
         phrases = {EntityType.LOCATION: frozenset()}
         g = Gazetteer(phrases=phrases, rules=())
@@ -277,6 +291,21 @@ class TestTypeMap:
         p.write_text(f"name\tPERSON\nwhere\tLOCATION\n{second}\n")
         with pytest.raises(NerFilterError, match=f"{p}:3: subtask 'name' listed twice \\(first on line 1\\)"):
             load_type_map(p)
+
+    @pytest.mark.parametrize("line", ["Name\tPERSON", "how-long\tDURATION", "2nd\texempt"])
+    def test_load_refuses_a_name_off_the_subtask_name_rule(self, tmp_path, line):
+        # Subtask names are lowercase ASCII with underscores, so "Name" matched no slot:
+        # the name slot silently stayed unfiltered.
+        p = tmp_path / "tm.txt"
+        p.write_text(f"where\tLOCATION\n{line}\n")
+        name = line.split("\t")[0]
+        message = f"{p}:2: subtask name {name!r} must be lowercase ASCII with underscores"
+        with pytest.raises(NerFilterError, match=f"^{re.escape(message)}$"):
+            load_type_map(p)
+
+    def test_type_map_built_in_code_follows_the_subtask_name_rule(self):
+        with pytest.raises(NerFilterError, match="subtask name 'Name' must be lowercase ASCII"):
+            TypeMap({"Name": frozenset({EntityType.PERSON})})
 
     def test_load_multi_type(self, tmp_path):
         p = tmp_path / "tm.txt"

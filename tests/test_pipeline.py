@@ -5,14 +5,18 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetslots import metrics, pipeline, serialize
-from tweetslots.corpus import CorpusError
+from tweetslots.corpus import CorpusError, SplitConfig
+from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
+from tweetslots.multitask import TrainConfig
 from tweetslots.pipeline import (
     ConfigError,
     PipelineError,
@@ -53,6 +57,23 @@ class TestParseConfigText:
     def test_reports_line_number(self):
         with pytest.raises(ConfigError, match="cfg:3"):
             parse_config_text("a = 1\n# two\nbad\n", path="cfg")
+
+
+# (key, class, field) of every section field a config key reaches; the class's own rule checks it.
+CLASS_CHECKED_KEYS = [("vocab.size", EncoderConfig, "vocab_size")] + [
+    (f"{prefix}.{f.name}", cls, f.name)
+    for prefix, cls in (("encoder", EncoderConfig), ("train", TrainConfig), ("split", SplitConfig))
+    for f in fields(cls) if f.name not in ("vocab_size", "seed")
+]
+
+
+def _refusal(cls, name: str, value) -> str | None:
+    """The message with which ``cls`` refuses ``value`` for field ``name``, or None."""
+    try:
+        cls(**{name: value})
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestLoadConfig:
@@ -114,7 +135,7 @@ class TestLoadConfig:
     ]
 
     def test_section_keys_cover_the_dataclass_fields(self):
-        derived = {k for k in pipeline._KNOWN_KEYS if k.startswith(("encoder.", "train."))}
+        derived = {k for k in pipeline._KNOWN_KEYS if k.startswith(("encoder.", "train.", "split."))}
         assert derived <= {key for key, _, _ in self.SECTION_KEYS}
 
     @pytest.mark.parametrize("key, target, value", SECTION_KEYS, ids=[key for key, _, _ in SECTION_KEYS])
@@ -239,9 +260,22 @@ class TestLoadConfig:
             ("ensemble.seeds = 0,x", "config key 'ensemble.seeds': invalid literal for int() with base 10: 'x'"),
             ("ensemble.strategies = last,mean4", "config key 'ensemble.strategies': unknown feature strategy 'mean4'"),
             ("ensemble.strategies = last,last\nensemble.k = 1", "ensemble.strategies lists 'last' more than once"),
+            ("ensemble.k = 3\nensemble.strategies = last\nensemble.seeds = 0",
+             "ensemble pool of 1 runs cannot fill k=3 members"),
+            # A value the section's own class refuses is named at its key and line too.
+            ("train.batch_size = 0", "config key 'train.batch_size': batch_size must be >= 1, got 0"),
+            ("encoder.hidden_size = 6",
+             "config key 'encoder.hidden_size': hidden_size must be a positive multiple of 4, got 6"),
+            ("encoder.num_layers = 3", "config key 'encoder.num_layers': num_layers must be >= 4, got 3"),
+            ("train.threshold = 1.5", "config key 'train.threshold': threshold must lie in (0, 1), got 1.5"),
+            ("train.learning_rate = nan", "config key 'train.learning_rate': learning_rate must be finite, got nan"),
+            ("split.train_fraction = 1.5",
+             "config key 'split.train_fraction': train_fraction must be in (0, 1), got 1.5"),
+            ("vocab.size = 4", "config key 'vocab.size': vocab_size must be >= 8, got 4"),
         ],
         ids=["int", "bool", "seed", "vocab-size", "feature-strategy", "data-path", "unknown-key", "ensemble-k",
-             "ensemble-seeds", "ensemble-strategies", "ensemble-repeat"],
+             "ensemble-seeds", "ensemble-strategies", "ensemble-repeat", "pool-size", "batch-size", "hidden-size",
+             "num-layers", "threshold", "learning-rate", "train-fraction", "vocab-size-rule"],
     )
     def test_single_key_refusal_names_file_and_line(self, ws, tmp_path, line, message):
         p = tmp_path / "c.ini"
@@ -249,6 +283,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(p)
         assert str(info.value).startswith(f"{p}:3: {message}")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refused_section_value_names_its_key_and_line(self, ws, tmp_path_factory, data):
+        # Every section field a key reaches, a value its class refuses, a few comment
+        # lines before the key: the refusal is the class's own message at that key and line.
+        key, cls, name = data.draw(st.sampled_from(CLASS_CHECKED_KEYS))
+        default = getattr(cls, name)
+        values = st.integers(-10**6, 10**6) if isinstance(default, int) else st.floats()
+        value = data.draw(values.filter(lambda v: _refusal(cls, name, v) is not None))
+        comments = data.draw(st.integers(0, 3))
+        p = tmp_path_factory.mktemp("refused") / "c.ini"
+        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n" + "# note\n" * comments + f"{key} = {value!r}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(p)
+        assert str(info.value) == f"{p}:{comments + 2}: config key {key!r}: {_refusal(cls, name, value)}"
 
     def test_fingerprint_stability(self, ws):
         a = config_fingerprint(load_config(ws / "config.ini"))

@@ -82,8 +82,16 @@ def clean_texts(extra=()):
 
 
 # Keys from a small alphabet share prefixes; it holds ASCII, control, regex-special and astral characters.
+# CleanConfig refuses a key or alias with outer blanks, so blanks are drawn only inside one.
 _KEY_CHARS = "\x00\t :)(-]^\\a#\u231b\U0001f637\U0001f3fb"
-emoji_maps = st.dictionaries(st.text(_KEY_CHARS, min_size=1, max_size=3), st.text(min_size=1, max_size=4), max_size=8)
+
+
+def _trimmed(text: str) -> bool:
+    return text == text.strip()
+
+
+emoji_maps = st.dictionaries(st.text(_KEY_CHARS, min_size=1, max_size=3).filter(_trimmed),
+                             st.text(min_size=1, max_size=4).filter(_trimmed), max_size=8)
 tag_sets = st.frozensets(st.text("aBc1_\u00e9", max_size=4).map(lambda t: "#" + t), max_size=4)
 
 
@@ -155,6 +163,20 @@ class TestClean:
     def test_empty_emoji_or_alias_refused(self, emoji, alias, named):
         # As in load_emoji_map. An empty key matched between every two characters: "ab" -> ":x:a:x:b:x:".
         with pytest.raises(PreprocessError, match=f"^emoji {re.escape(named)}: "):
+            CleanConfig(emoji_map={"\U0001f912": ":ill:", emoji: alias})
+
+    @pytest.mark.parametrize(
+        "emoji, alias, message",
+        [
+            ("\U0001f637 ", ":mask:", "emoji '\U0001f637 ': emoji is not trimmed"),
+            ("\t\U0001f637", ":mask:", "emoji '\\t\U0001f637': emoji is not trimmed"),
+            ("\U0001f637", ":mask: ", "emoji '\U0001f637': alias is not trimmed"),
+        ],
+        ids=["emoji-trailing-blank", "emoji-leading-tab", "alias-trailing-blank"],
+    )
+    def test_untrimmed_emoji_or_alias_refused(self, emoji, alias, message):
+        # As load_emoji_map strips each field: a key "\U0001f637 " ate the blank after the emoji.
+        with pytest.raises(PreprocessError, match=f"^{re.escape(message)}$"):
             CleanConfig(emoji_map={"\U0001f912": ":ill:", emoji: alias})
 
     @given(clean_texts())
@@ -274,6 +296,16 @@ class TestDataFiles:
         p = tmp_path / "e.tsv"
         p.write_text("  # note\n \U0001f637\t:mask: \n", encoding="utf-8")
         assert load_emoji_map(p) == {"\U0001f637": ":mask:"}
+
+    def test_emoji_loader_strips_each_field(self, tmp_path):
+        # A blank before the tab made the key "\U0001f637 ", which ate the blank after the emoji.
+        p = tmp_path / "e.tsv"
+        p.write_text("\U0001f637 \t:mask:\n\U0001f912\t  :ill:\n", encoding="utf-8")
+        emoji_map = load_emoji_map(p)
+        assert emoji_map == {"\U0001f637": ":mask:", "\U0001f912": ":ill:"}
+        cfg = CleanConfig(emoji_map=emoji_map)
+        assert clean("sick \U0001f637 now", cfg) == "sick :mask: now"
+        assert clean("sick \U0001f637!", cfg) == "sick :mask:!"
 
     @pytest.mark.parametrize("second", ["#covid19", "#COVID19", "  #Covid19 "])
     def test_tag_loader_refuses_a_tag_repeated_after_lower_casing(self, tmp_path, second):
