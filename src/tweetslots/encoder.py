@@ -28,7 +28,11 @@ Everything runs in float64. ``backward_batch`` is the hand-derived adjoint of
 against a full-length forward in the test suite. Its weight gradient is one
 GEMM per tap: the shifted layer input and the pre-activation gradient are
 flattened to (B * rows, H), so BLAS reduces over batch and window in a single
-(H, B * rows) @ (B * rows, H) product.
+(H, B * rows) @ (B * rows, H) product. Its embedding gradients are row-sparse:
+a batch touches few of the vocabulary's rows, so it sums only the rows that
+the window's real tokens read and returns their sorted ids with the dense
+arrays. The sums add in (unit, row) order, the order of ``np.add.at`` into
+dense zeros, and give its bits.
 """
 
 from __future__ import annotations
@@ -206,15 +210,46 @@ def forward_batch(
     return EncoderCache(ids=ids, start=start, mask=mask, xs=xs, hs=hs)
 
 
+@dataclass
+class EncoderGrads(EncoderParams):
+    """Gradients of ``backward_batch``, with dense embedding arrays. A batch touches few
+    embedding rows: ``token_ids`` and ``pos_ids`` are the sorted ids of the only rows of
+    ``token_emb`` and ``pos_emb`` that can be nonzero."""
+
+    token_ids: np.ndarray  # (n,) int64
+    pos_ids: np.ndarray  # (m,) int64
+
+    def touched_rows(self) -> dict[str, np.ndarray]:
+        """The ids of each embedding array, keyed by its name in ``named_arrays``."""
+        return {"enc.token_emb": self.token_ids, "enc.pos_emb": self.pos_ids}
+
+
+def _row_sums(ids: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``ids`` (each in [0, n)) and, per id, the sum of the rows of ``values`` at
+    that id. ``np.bincount`` adds each (id, column) cell's terms in row order, as ``np.add.at``
+    does, starting from 0.0, so each sum has the bits of a scatter into dense zeros."""
+    present = np.zeros(n, dtype=bool)
+    present[ids] = True
+    unique = np.flatnonzero(present)
+    slot = (np.cumsum(present) - 1)[ids]
+    h = values.shape[1]
+    cells = (slot[:, None] * h + np.arange(h)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=len(unique) * h)
+    return unique, sums.reshape(len(unique), h)
+
+
 def backward_batch(
     params: EncoderParams, cache: EncoderCache, upstream: Sequence[np.ndarray]
-) -> EncoderParams:
+) -> EncoderGrads:
     """Exact adjoint of forward_batch.
 
     ``upstream`` holds one gradient per layer output, shaped as that output
-    (zeros where a layer is unused). Returns gradients in an
-    EncoderParams-shaped container; the embedding rows are scattered by
-    tweet position, in (unit, row) order.
+    (zeros where a layer is unused). Each embedding row's gradient is the sum
+    of the embedding layer's gradient over the window's real tokens that read
+    it, in (unit, row) order. The masked positions are left out: for a finite
+    upstream their gradient is ±0.0, and adding ±0.0 to a sum that starts at
+    +0.0 changes no bit. So the result equals a dense scatter of the whole
+    window bitwise.
     """
     cfg = params.config
     l = cfg.num_layers
@@ -245,9 +280,12 @@ def backward_batch(
             grads.layers[li].w[k] += x_prev[:, k:k + rows].reshape(-1, h).T @ dpre_rows
             gp[:, k:k + rows] += dpre @ params.layers[li].w[k].T
         g = gp
-    demb = g * cache.mask
+    # Real tokens lie inside the tweet, so their positions lie in [0, max_len); the mask is 1.0 there.
+    real = cache.ids != PAD_ID
+    demb = g[real]
     pos = cache.start[:, None] + np.arange(cache.ids.shape[1])
-    inside = (pos >= 0) & (pos < cfg.max_len)
-    np.add.at(grads.token_emb, cache.ids[inside], demb[inside])
-    np.add.at(grads.pos_emb, pos[inside], demb[inside])
-    return grads
+    token_ids, token_rows = _row_sums(cache.ids[real], demb, cfg.vocab_size)
+    pos_ids, pos_rows = _row_sums(pos[real], demb, cfg.max_len)
+    grads.token_emb[token_ids] = token_rows
+    grads.pos_emb[pos_ids] = pos_rows
+    return EncoderGrads(cfg, grads.token_emb, grads.pos_emb, grads.layers, token_ids, pos_ids)

@@ -185,6 +185,15 @@ def _head_logits(
     return logits
 
 
+class Gradients(dict):
+    """Gradients keyed by parameter name. ``rows`` maps the name of a 2-D parameter to the sorted
+    unique ids of the rows its gradient may be nonzero in; every other row of it is zero."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows: dict[str, np.ndarray] = {}
+
+
 def loss(params: ModelParams, batch: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
     """Mean class-weighted BCE over the batch."""
     value, _ = loss_and_grads(params, batch, cfg, want_grads=False)
@@ -196,12 +205,14 @@ def loss_and_grads(
     batch: Sequence[MaskedInstance],
     cfg: TrainConfig,
     want_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, Gradients]:
     """Loss plus gradients for every parameter touched by the batch.
 
     The gradient dict is keyed by parameter name; heads of subtasks absent
     from the batch are absent from the dict (and therefore untouched by the
-    optimizer, weight decay included).
+    optimizer, weight decay included). The embedding gradients are dense
+    arrays, and the dict's ``rows`` holds the ids of the rows the batch
+    touched, for ``AdamW.step``.
     """
     if not batch:
         raise TrainError("batch must be nonempty")
@@ -215,11 +226,11 @@ def loss_and_grads(
     weights = np.where(labels == 1.0, cfg.pos_weight, cfg.neg_weight)
     bce = -(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))
     value = float(np.mean(weights * bce))
+    grads = Gradients()
     if not want_grads:
-        return value, {}
+        return value, grads
 
     dlogit = weights * (probs - labels) / len(batch)
-    grads: dict[str, np.ndarray] = {}
     head_of = np.empty(len(batch), dtype=np.int64)
     for row, ks in groups:
         subtask = params.subtasks[row]
@@ -230,6 +241,7 @@ def loss_and_grads(
     dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, dfeats)
     enc_grads = enc.backward_batch(params.encoder, cache, dhidden)
     grads.update(enc_grads.named_arrays())
+    grads.rows = enc_grads.touched_rows()
     if proj_grads is not None:
         grads["proj.w"] = proj_grads.w
         grads["proj.b"] = proj_grads.b
@@ -254,17 +266,24 @@ class AdamW:
     bits. The clip norm adds the squares of the heads first, ``w`` then
     ``b`` per row in that order, then the other arrays in dict order, which
     is ``grads``' own order when its head names come first, as
-    ``loss_and_grads`` returns them.
+    ``loss_and_grads`` returns them. A 2-D array's squares are summed over
+    the block of its rows that hold a nonzero entry, in row order: the zero
+    rows add nothing, so only the order of the sum differs from a sum over
+    the whole array.
 
     A 2-D parameter (the embeddings, proj4's bias) runs the formula only on
     its live rows: a row turns live at its first gradient with a nonzero
-    entry and stays live. A row that has never been live has ``m = v = 0``
-    and ``g = 0``, so the formula's Adam term is ``0 / (sqrt(0) + eps) = 0``
-    and ``0 + p * wd`` is ``p * wd``: its update is exactly the decay-only
-    step ``p -= (p * wd) * lr``, which the whole array gets before the live
-    rows are written back. The one exception is a weight of exactly -0.0,
-    which keeps its sign under the formula but turns +0.0 here; neither
-    init nor any update can make one.
+    entry and stays live. Where ``row_ids`` gives a gradient's touched rows
+    (the embeddings, from ``loss_and_grads``), only those rows are tested
+    for a nonzero entry; otherwise the whole array is scanned. Either way
+    the live rows and the clip squares come out the same, so the ids save
+    reading the (V, H) gradient twice and change no bit. A row that has
+    never been live has ``m = v = 0`` and ``g = 0``, so the formula's Adam
+    term is ``0 / (sqrt(0) + eps) = 0`` and ``0 + p * wd`` is ``p * wd``:
+    its update is exactly the decay-only step ``p -= (p * wd) * lr``, which
+    the whole array gets before the live rows are written back. The one
+    exception is a weight of exactly -0.0, which keeps its sign under the
+    formula but turns +0.0 here; neither init nor any update can make one.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -287,7 +306,15 @@ class AdamW:
         self._head_v = np.zeros_like(self._head_m)
         self._head_t = np.zeros(len(head_w), dtype=np.int64)
 
-    def step(self, named_params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+    def step(
+        self,
+        named_params: Mapping[str, np.ndarray],
+        grads: Mapping[str, np.ndarray],
+        row_ids: Mapping[str, np.ndarray] | None = None,
+    ) -> None:
+        """One step over the parameters in ``grads``. ``row_ids`` (``Gradients.rows``) maps the name
+        of a 2-D gradient to sorted unique ids of the only rows it may be nonzero in; the rows of a
+        2-D gradient without ids come from a scan of the whole array."""
         cfg = self.cfg
         rows: tuple[list[int], list[int]] = ([], [])
         head_grads: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
@@ -303,11 +330,15 @@ class AdamW:
             raise ValueError("head gradients must come as .w and .b of the same rows, in the same order")
         # Row k of head_g is [grad of w | grad of b] of head row rows[0][k].
         head_g = np.hstack([np.stack(gs) for gs in head_grads]) if rows[0] else np.empty((0, 1))
+        row_ids = row_ids or {}
+        touched = {name: _nonzero_rows(g, row_ids.get(name)) for name, g in trunk.items() if g.ndim == 2}
         scale = None
         if cfg.clip_norm > 0:
             sq = head_g * head_g
             squares = np.stack((sq[:, :-1].sum(axis=1), sq[:, -1]), axis=1).ravel().tolist()
-            squares += [float((g * g).sum()) for g in trunk.values()]
+            # A 2-D gradient adds the squares of its block of rows that hold a nonzero entry.
+            blocks = [touched[name][1] if name in touched else g for name, g in trunk.items()]
+            squares += [float((x * x).sum()) for x in blocks]
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
@@ -319,7 +350,7 @@ class AdamW:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
                 self._t[name] = 0
-                if p.ndim == 2:
+                if name in touched:
                     self._live[name] = np.zeros(len(p), dtype=bool)
             self._t[name] += 1
             t = self._t[name]
@@ -329,8 +360,7 @@ class AdamW:
             if live is None:
                 self._update(p, g, m, v, corrections, scale)
                 continue
-            # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
-            live |= np.abs(g) @ np.ones(g.shape[1]) != 0
+            live[touched[name][0]] = True
             live_rows = np.flatnonzero(live)
             p_rows, m_rows, v_rows = p[live_rows], m[live_rows], v[live_rows]
             self._update(p_rows, g[live_rows], m_rows, v_rows, corrections, scale)
@@ -364,6 +394,15 @@ class AdamW:
         update += p * cfg.weight_decay
         update *= cfg.learning_rate
         p -= update
+
+
+def _nonzero_rows(g: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted rows of 2-D ``g`` that hold a nonzero (or NaN) entry, and ``g``'s block of those
+    rows. ``candidates``, sorted ids that hold every such row, spares a scan of the whole array."""
+    ids, block = (np.arange(len(g)), g) if candidates is None else (candidates, g[candidates])
+    # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
+    keep = np.abs(block) @ np.ones(g.shape[1]) != 0
+    return ids[keep], block[keep]
 
 
 def micro_f1_counts(tp: int, fp: int, fn: int) -> float:
@@ -427,7 +466,7 @@ def train(
             value, grads = loss_and_grads(params, batch, cfg)
             if not math.isfinite(value):
                 raise DivergenceError(epoch, bi)
-            optimizer.step(named, grads)
+            optimizer.step(named, grads, grads.rows)
             batch_losses.append(value)
         score = validation_micro_f1(params, val_set, cfg)
         logs.append(TrainLogEntry(epoch=epoch, train_loss=float(np.mean(batch_losses)), val_micro_f1=score))

@@ -126,14 +126,18 @@ def _check_subtask_name(name: str, where: str) -> None:
 
 
 def _read_phrase_file(path: Path) -> frozenset[str]:
-    """The phrases of ``path``, lower-cased; refuses a phrase that repeats
-    after lower-casing, so no line is silently merged into another."""
+    """The phrases of ``path``, lower-cased; refuses a phrase whose normal form
+    (the form ``tag`` matches) repeats an earlier line's, so no line is
+    silently merged into another."""
+    phrases: list[str] = []
     first_line: dict[str, int] = {}
     for lineno, line in table_lines(read_utf8(path, NerFilterError)):
         phrase = line.lower()
-        if first_line.setdefault(phrase, lineno) != lineno:
-            raise NerFilterError(f"{path}:{lineno}: phrase {phrase!r} listed twice (first on line {first_line[phrase]})")
-    return frozenset(first_line)
+        key = _normalize(phrase)
+        if first_line.setdefault(key, lineno) != lineno:
+            raise NerFilterError(f"{path}:{lineno}: phrase {phrase!r} listed twice (first on line {first_line[key]})")
+        phrases.append(phrase)
+    return frozenset(phrases)
 
 
 def _read_rules_file(path: Path) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:

@@ -358,6 +358,7 @@ def _prediction_from_obj(obj: dict, path: Path, lineno: int, subtasks: dict[str,
         or type(probability) not in (float, int) or not 0.0 <= probability <= 1.0
         or type(decision) is not int or decision not in (0, 1)
         or type(tweet_id) is not str or type(chunk_text) is not str or type(filtered) is not bool
+        or (filtered and decision)
     ):
         return _checked_prediction(obj, f"{path}:{lineno}", subtasks)
     return PredictionRecord(
@@ -383,14 +384,21 @@ def _checked_prediction(obj: dict, where: str, subtasks: dict[str, SubtaskId]) -
         raise FormatError(f"{where}: field 'decision' must be 0 or 1")
     if not 0.0 <= probability <= 1.0:
         raise FormatError(f"{where}: field 'probability' must lie in [0, 1]")
+    tweet_id = json_field(obj, "tweet_id", str, where, FormatError)
+    chunk_text = json_field(obj, "chunk_text", str, where, FormatError)
+    filtered = json_field(obj, "filtered", bool, where, FormatError) if "filtered" in obj else False
+    if filtered and decision:
+        raise FormatError(
+            f"{where}: field 'filtered' is true but field 'decision' is 1 (a nullified row has decision 0)"
+        )
     return PredictionRecord(
-        tweet_id=json_field(obj, "tweet_id", str, where, FormatError),
+        tweet_id=tweet_id,
         subtask=subtask,
         candidate_index=candidate_index,
-        chunk_text=json_field(obj, "chunk_text", str, where, FormatError),
+        chunk_text=chunk_text,
         probability=probability,
         decision=decision,
-        filtered=json_field(obj, "filtered", bool, where, FormatError) if "filtered" in obj else False,
+        filtered=filtered,
     )
 
 

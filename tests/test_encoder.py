@@ -692,3 +692,66 @@ class TestBackward:
                 flat[i] = orig
                 fd = (up - down) / (2 * eps)
                 assert abs(gflat[i] - fd) / max(abs(fd), 1.0) < 1e-6
+
+
+def embedding_layer_grad(params: EncoderParams, cache: EncoderCache, upstream) -> np.ndarray:
+    """The gradient that reaches the embedding layer's window: the adjoint recursion of
+    ``backward_batch`` with the same operations in the same order, so it has the same bits."""
+    cfg = params.config
+    w = cfg.context_window
+    g = np.zeros_like(upstream[-1])
+    for li in range(cfg.num_layers - 1, -1, -1):
+        rows = g.shape[1]
+        g = (g + upstream[li]) * centre(cache.mask, rows)
+        dpre = g * (1.0 - cache.hs[li] ** 2)
+        gp = np.zeros((len(g), rows + 2 * w, cfg.hidden_size))
+        centre(gp, rows)[...] = g
+        for k in range(cfg.num_taps):
+            gp[:, k:k + rows] += dpre @ params.layers[li].w[k].T
+        g = gp
+    return g
+
+
+class TestEmbeddingScatter:
+    """The row-sparse embedding gradients against ``np.add.at`` of the whole window into dense zeros."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_a_dense_scatter_bitwise(self, data):
+        # A small vocabulary repeats ids, and PAD (id 0) may sit inside a tweet. Markers sit at
+        # either end of the tweet or anywhere in it; a wide stack makes windows wider than the
+        # tweet, and a tweet of max_len puts window rows at positions past max_len.
+        max_len = data.draw(st.integers(3, 10), label="max_len")
+        cfg = small_cfg(max_len=max_len, vocab_size=data.draw(st.integers(8, 12), label="V"),
+                        context_window=data.draw(st.integers(0, 3), label="context_window"),
+                        num_layers=data.draw(st.integers(4, 5), label="num_layers"),
+                        hidden_size=data.draw(st.sampled_from([4, 8]), label="H"))
+        b = data.draw(st.integers(1, 5), label="B")
+        lengths = np.array(data.draw(st.lists(st.one_of(st.just(max_len), st.integers(1, max_len)),
+                                              min_size=b, max_size=b), label="lengths"))
+        marker = np.array([data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)), label="marker")
+                           for n in lengths])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        token_ids = rng.integers(0, cfg.vocab_size, size=(b, max_len))
+        params = init_params(cfg)
+        cache = forward_batch(params, token_ids, lengths, marker)
+        # Some layers pass down signed zeros only.
+        upstream = [rng.standard_normal(x.shape) for x in cache.hidden]
+        for li in data.draw(st.sets(st.integers(0, cfg.num_layers - 1)), label="zero layers"):
+            upstream[li] = np.copysign(0.0, upstream[li])
+
+        got = backward_batch(params, cache, upstream)
+        demb = embedding_layer_grad(params, cache, upstream) * cache.mask
+        pos = cache.start[:, None] + np.arange(cache.ids.shape[1])
+        inside = (pos >= 0) & (pos < cfg.max_len)
+        token_emb, pos_emb = np.zeros_like(params.token_emb), np.zeros_like(params.pos_emb)
+        np.add.at(token_emb, cache.ids[inside], demb[inside])
+        np.add.at(pos_emb, pos[inside], demb[inside])
+        assert got.token_emb.tobytes() == token_emb.tobytes()
+        assert got.pos_emb.tobytes() == pos_emb.tobytes()
+        # The ids are the sorted rows that real tokens read; no other row can be nonzero.
+        real = cache.ids != PAD_ID
+        assert got.token_ids.tolist() == sorted(set(cache.ids[real].tolist()))
+        assert got.pos_ids.tolist() == sorted(set(pos[real].tolist()))
+        assert not np.delete(token_emb, got.token_ids, axis=0).any()
+        assert not np.delete(pos_emb, got.pos_ids, axis=0).any()

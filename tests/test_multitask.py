@@ -176,6 +176,23 @@ class TestGradients:
         _, g2 = loss_and_grads(m2, batch, TrainConfig())
         assert "proj.w" in g2 and "proj.b" in g2
 
+    def test_embedding_rows_are_the_rows_the_batch_read(self):
+        # The embeddings' dense gradients are zero outside the rows that the real tokens of
+        # each marker window read, and loss_and_grads hands those ids to the optimizer. The
+        # windows (5 rows on each side of the marker) cover these short tweets whole.
+        model = init_model(enc_cfg(), StrategyKind.PROJ4, REG, seed=0)
+        batch = tiny_batch()
+        _, grads = loss_and_grads(model, batch, TrainConfig())
+        ids = sorted({t for inst in batch for t in inst.token_ids.tolist() if t != PAD_ID})
+        assert sorted(grads.rows) == ["enc.pos_emb", "enc.token_emb"]
+        assert grads.rows["enc.token_emb"].tolist() == ids
+        assert grads.rows["enc.pos_emb"].tolist() == list(range(max(len(i.token_ids[i.token_ids != PAD_ID])
+                                                                     for i in batch)))
+        for name, rows in grads.rows.items():
+            outside = np.ones(len(grads[name]), dtype=bool)
+            outside[rows] = False
+            assert not grads[name][outside].any() and grads[name][rows].any(axis=1).all(), name
+
 
 class TestHeadMatrix:
     def test_named_head_entries_are_matrix_rows(self):
@@ -194,7 +211,9 @@ class TestHeadMatrix:
 
 class DenseAdamW:
     """The AdamW step as it was before the live-row path: every parameter
-    runs the full formula on every element. The oracle for ``AdamW``."""
+    runs the full formula on every element. The oracle for ``AdamW``. Its
+    clip norm sums a 2-D gradient's squares over the rows that hold a
+    nonzero entry, in row order, as ``AdamW`` does."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -209,7 +228,8 @@ class DenseAdamW:
                    for name, g in grads.items()}
         scale = None
         if cfg.clip_norm > 0:
-            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) for name, g in grads.items())
+            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) if g.ndim != 2
+                       else float(np.square(g[(g != 0).any(axis=1)]).sum()) for name, g in grads.items())
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
@@ -301,6 +321,49 @@ class TestAdamW:
             assert np.array_equal(opt._m[k], state[k][0]), k
             assert np.array_equal(opt._v[k], state[k][1]), k
 
+    @pytest.mark.parametrize("clip_norm", [1.0, 1e6])
+    @pytest.mark.parametrize("rows_from", ["ids", "scan"])
+    def test_bitwise_reference_trajectory_of_touched_rows(self, clip_norm, rows_from):
+        # A 2-D parameter whose touched rows come as ids (as loss_and_grads passes the
+        # embeddings') or from a scan of its gradient. Row 0 is first touched at step 3. Row 1 is
+        # touched at every step, and its gradient is all zero at steps 1 and 4: a row that is not
+        # yet live, then a live one. Rows 2-5 are touched on random steps, row 6 never. The clip
+        # norm (1.0 fires on every step, 1e6 never does) adds the squares of the rows that hold
+        # a nonzero entry, in row order.
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1, clip_norm=clip_norm)
+        rng = np.random.default_rng(8)
+        p = {"emb": rng.standard_normal((7, 3)), "bias": rng.standard_normal(4)}
+        ref = {k: v.copy() for k, v in p.items()}
+        state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in p.items()}
+        opt = AdamW(cfg)
+        fired = []
+        for t in range(1, 7):
+            touched = sorted({1, *(r for r in range(2, 6) if rng.random() < 0.5), *((0,) if t >= 3 else ())})
+            g = np.zeros_like(p["emb"])
+            g[touched] = rng.standard_normal((len(touched), 3))
+            if t in (1, 4):
+                g[1] = np.copysign(0.0, g[1])
+            grads = {"emb": g, "bias": rng.standard_normal(4)}
+            before = {k: x.copy() for k, x in grads.items()}
+            ids = np.array(touched)
+            opt.step(p, grads, {"emb": ids} if rows_from == "ids" else None)
+            assert all(same_bits(grads[k], before[k]) for k in grads) and ids.tolist() == touched
+            nonzero = g[(g != 0).any(axis=1)]
+            total = math.sqrt(float(np.sum(nonzero * nonzero)) + float(np.sum(grads["bias"] * grads["bias"])))
+            fired.append(total > clip_norm)
+            for k, gk in grads.items():
+                m, v = state[k]
+                if fired[-1]:
+                    gk = gk * (clip_norm / total)
+                ref[k], m, v = self.reference_step(ref[k], gk, m, v, t, cfg)
+                state[k] = (m, v)
+        assert all(fired) if clip_norm == 1.0 else not any(fired)
+        assert opt._live["emb"].tolist() == [True] * 6 + [False]
+        for k in ref:
+            assert same_bits(p[k], ref[k]), k
+            assert same_bits(opt._m[k], state[k][0]), k
+            assert same_bits(opt._v[k], state[k][1]), k
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_live_rows_match_dense_oracle(self, data):
@@ -311,16 +374,19 @@ class TestAdamW:
         # rows are so small that their squares underflow to 0. Weights start
         # from standard normals, so none is exactly -0.0: the decay-only step
         # turns -0.0 into +0.0, and neither init nor any update makes one.
+        # A third optimizer is handed the touched rows as ids: the nonzero
+        # rows plus some zero ones, which must change no bit.
         steps = data.draw(st.integers(4, 8), label="steps")
         late = data.draw(st.integers(2, steps), label="late")
         wd = data.draw(st.sampled_from([0.0, 0.1]), label="weight_decay")
         clip = data.draw(st.sampled_from([0.0, 0.5, 1e6]), label="clip_norm")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         cfg = TrainConfig(learning_rate=0.01, weight_decay=wd, clip_norm=clip)
-        rows, cols = 6, 3
+        rows, cols = 6, data.draw(st.sampled_from([3, 5]), label="cols")
         fast = {"emb": rng.standard_normal((rows, cols)), "bias": rng.standard_normal(cols)}
         dense = {k: v.copy() for k, v in fast.items()}
-        opt, oracle = AdamW(cfg), DenseAdamW(cfg)
+        by_ids = {k: v.copy() for k, v in fast.items()}
+        opt, oracle, opt_ids = AdamW(cfg), DenseAdamW(cfg), AdamW(cfg)
         fired = []
         for step in range(1, steps + 1):
             nonzero = set(data.draw(st.sets(st.integers(2, rows - 1)), label=f"rows at step {step}"))
@@ -332,17 +398,20 @@ class TestAdamW:
             for r in sorted(nonzero):
                 g[r] = rng.standard_normal(cols) * (1e-170 if rng.random() < 0.2 else 1.0)
             grads = {"emb": g, "bias": rng.standard_normal(cols)}
+            touched = nonzero | data.draw(st.sets(st.integers(0, rows - 1)), label=f"zero rows touched at step {step}")
             opt.step(fast, grads)
             oracle.step(dense, grads)
+            opt_ids.step(by_ids, grads, {"emb": np.array(sorted(touched), dtype=np.int64)})
             total = math.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
             fired.append(clip > 0 and total > clip)
         assert any(fired) or clip != 0.5
         assert not any(fired) or clip == 0.5
-        assert opt._t == oracle._t
+        assert opt._t == oracle._t == opt_ids._t
         for k in fast:
-            assert same_bits(fast[k], dense[k]), k
-            assert same_bits(opt._m[k], oracle._m[k]), k
-            assert same_bits(opt._v[k], oracle._v[k]), k
+            for got, state in ((fast, opt), (by_ids, opt_ids)):
+                assert same_bits(got[k], dense[k]), k
+                assert same_bits(state._m[k], oracle._m[k]), k
+                assert same_bits(state._v[k], oracle._v[k]), k
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -558,9 +627,9 @@ class TestTraining:
             calls["loss_and_grads"].append(([i.subtask for i in batch], list(grads)))
             return value, grads
 
-        def counted_step(self, named_params, grads):
+        def counted_step(self, named_params, grads, *rows):
             calls["step"] += 1
-            real_step(self, named_params, grads)
+            real_step(self, named_params, grads, *rows)
 
         monkeypatch.setattr(multitask, "loss_and_grads", counted_loss_and_grads)
         monkeypatch.setattr(AdamW, "step", counted_step)

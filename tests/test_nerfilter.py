@@ -147,6 +147,21 @@ class TestGazetteerIo:
         with pytest.raises(NerFilterError, match=f"{p}:4: phrase 'seattle' listed twice \\(first on line 1\\)"):
             load_gazetteer(tmp_path)
 
+    @pytest.mark.parametrize("name, first, second", [
+        ("person.txt", "o’brien", "o'brien"),
+        ("person.txt", "o'brien", "O’Brien"),
+        ("location.txt", "north pole", "north  pole"),
+        ("location.txt", "north\tpole", "North Pole"),
+    ])
+    def test_load_refuses_a_phrase_repeated_in_the_normal_form_of_tag(self, tmp_path, name, first, second):
+        # tag() matches both lines as one phrase, so the second is a repeat.
+        save_gazetteer(Gazetteer(phrases={}, rules=()), tmp_path)
+        p = tmp_path / name
+        p.write_text(f"{first}\nportland\n{second}\n", encoding="utf-8")
+        with pytest.raises(NerFilterError, match=rf"{re.escape(str(p))}:3: phrase {re.escape(repr(second.lower()))} "
+                                                 r"listed twice \(first on line 1\)"):
+            load_gazetteer(tmp_path)
+
     def test_uppercase_phrase_rejected(self):
         with pytest.raises(NerFilterError):
             Gazetteer(

@@ -580,6 +580,15 @@ class TestPredictionsJsonl:
         with pytest.raises(FormatError):
             load_predictions(p)
 
+    def test_rejects_a_filtered_row_that_keeps_decision_one(self, tmp_path):
+        # The filter nullifies a row by setting its decision to 0, so it never writes this row.
+        p = tmp_path / "p.jsonl"
+        save_predictions([make_record(1), make_record(0, filtered=True), make_record(1, filtered=True)], p,
+                         include_filtered=True)
+        message = f"{p}:3: field 'filtered' is true but field 'decision' is 1 (a nullified row has decision 0)"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_predictions(p)
+
     @pytest.mark.parametrize("subtask, message", [
         ("sick/name", "unknown event 'sick' in subtask key 'sick/name'"),
         ("death/Name", "subtask name 'Name' must be lowercase ASCII with underscores"),
@@ -628,9 +637,10 @@ _VALUES = st.sampled_from([
 
 @st.composite
 def _prediction_rows(draw, field):
-    """``_ROW`` with ``field``, and maybe one more field, replaced by a JSON
+    """``_ROW``, maybe marked filtered (with its decision of 1, a row the filter
+    never writes), with ``field``, and maybe one more field, replaced by a JSON
     value or dropped; sometimes joined by an unknown field."""
-    row = dict(_ROW)
+    row = dict(_ROW, filtered=draw(st.booleans(), label="filtered"))
     for name in [field, *draw(st.lists(st.sampled_from(sorted(_ROW)), max_size=1))]:
         if draw(st.booleans()):
             row[name] = draw(_VALUES)
@@ -662,6 +672,8 @@ class TestPredictionRowReader:
         cache = {"death/name": NAME}
         got = self.outcome(lambda: _prediction_from_obj(row, path, 5, cache))
         assert got == self.outcome(lambda: _checked_prediction(row, f"{path}:5", {}))
+        if not isinstance(got, str):
+            assert not (got[0].filtered and got[0].decision)
         # A subtask string is cached only once it has parsed.
         assert all(SubtaskId.parse(key) == subtask for key, subtask in cache.items())
         if not isinstance(got, str):
