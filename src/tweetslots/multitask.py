@@ -14,7 +14,9 @@ Forward-only scoring (validation and prediction) encodes each unit once:
 the subtask fan-out of one (tweet, candidate) shares one feature row that
 each of its head rows reads. Training encodes every triple on its own and
 shuffles triples of all events together, so each batch's gradient updates
-the shared trunk plus exactly the head rows present in the batch.
+the shared trunk plus exactly the head rows present in the batch. The heads
+are the whole parameters ``head.w`` and ``head.b`` from ``named_arrays``
+through the gradient to the optimizer; only the model file names them per subtask.
 The loss is class-weighted binary cross-entropy (positives up-weighted for
 the heavy negative skew of exploded candidates), optimized with AdamW under a
 global gradient-norm clip, and the returned model is the epoch snapshot with
@@ -54,15 +56,14 @@ class ModelParams:
     encoder: enc.EncoderParams
     strategy: feat.FeatureStrategy
     subtasks: tuple[SubtaskId, ...]  # sorted; row i of head_w and head_b is the head of subtasks[i]
-    head_w: np.ndarray  # (len(subtasks), feature_dim); named_arrays yields row views
+    head_w: np.ndarray  # (len(subtasks), feature_dim)
     head_b: np.ndarray  # (len(subtasks),)
 
     def named_arrays(self):
         yield from self.encoder.named_arrays()
         yield from self.strategy.named_arrays()
-        for i, subtask in enumerate(self.subtasks):
-            yield f"head.{subtask}.w", self.head_w[i]
-            yield f"head.{subtask}.b", self.head_b[i:i + 1]
+        yield "head.w", self.head_w
+        yield "head.b", self.head_b
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,10 @@ def _head_logits(
 
 
 class Gradients(dict):
-    """Gradients keyed by parameter name. ``rows`` maps the name of a 2-D parameter to the sorted
-    unique ids of the rows its gradient may be nonzero in; every other row of it is zero."""
+    """Gradients keyed by parameter name. ``rows`` maps the name of a 2-D parameter to the unique
+    ids of the rows its gradient may be nonzero in; every other row of it is zero. The embedding
+    ids are sorted. The ids of ``head.w`` are the batch's head rows in first-appearance order, and
+    they are also the only entries of ``head.b`` that may be nonzero."""
 
     def __init__(self):
         super().__init__()
@@ -208,10 +211,11 @@ def loss_and_grads(
 ) -> tuple[float, Gradients]:
     """Loss plus gradients for every parameter touched by the batch.
 
-    The gradient dict is keyed by parameter name; heads of subtasks absent
-    from the batch are absent from the dict (and therefore untouched by the
-    optimizer, weight decay included). The embedding gradients are dense
-    arrays, and the dict's ``rows`` holds the ids of the rows the batch
+    The gradient dict is keyed by parameter name. The head gradients
+    ``head.w`` and ``head.b`` are dense: heads of subtasks absent from the
+    batch are zero rows, not listed in ``rows`` (and therefore untouched by
+    the optimizer, weight decay included). The embedding gradients are dense
+    arrays too, and the dict's ``rows`` holds the ids of the rows the batch
     touched, for ``AdamW.step``.
     """
     if not batch:
@@ -231,17 +235,18 @@ def loss_and_grads(
         return value, grads
 
     dlogit = weights * (probs - labels) / len(batch)
+    head_w, head_b = np.zeros_like(params.head_w), np.zeros_like(params.head_b)
     head_of = np.empty(len(batch), dtype=np.int64)
     for row, ks in groups:
-        subtask = params.subtasks[row]
-        grads[f"head.{subtask}.w"] = feats[ks].T @ dlogit[ks]
-        grads[f"head.{subtask}.b"] = np.asarray([dlogit[ks].sum()])
+        head_w[row] = feats[ks].T @ dlogit[ks]
+        head_b[row] = dlogit[ks].sum()
         head_of[ks] = row
+    grads["head.w"], grads["head.b"] = head_w, head_b
     dfeats = dlogit[:, None] * params.head_w[head_of]  # elementwise the per-group np.outer(dlogit[ks], w)
     dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, dfeats)
     enc_grads = enc.backward_batch(params.encoder, cache, dhidden)
     grads.update(enc_grads.named_arrays())
-    grads.rows = enc_grads.touched_rows()
+    grads.rows = {"head.w": np.array([row for row, _ in groups]), **enc_grads.touched_rows()}
     if proj_grads is not None:
         grads["proj.w"] = proj_grads.w
         grads["proj.b"] = proj_grads.b
@@ -253,37 +258,32 @@ class AdamW:
 
     Each parameter keeps its own step count, advanced only when a gradient
     for it arrives; parameters without a gradient in a step are untouched
-    (no decay either), so unused heads keep their initial weights exactly.
-    The caller's gradient arrays are only read.
+    (no decay either). The caller's gradient arrays are only read.
 
-    After ``stack_heads``, the head rows are one state instead of two named
-    arrays each: the moments of ``head_w`` and ``head_b`` are the first
-    ``dim`` columns and the last column of one ``(S, dim + 1)`` pair, and
-    each row has its own step count. A step gathers the rows whose gradients
-    it holds, in the order of their names in ``grads``, runs the formula once
-    on the gathered block with the bias corrections ``1 - beta**t`` as a
-    column, and scatters the rows back; rows without a gradient keep their
-    bits. The clip norm adds the squares of the heads first, ``w`` then
-    ``b`` per row in that order, then the other arrays in dict order, which
-    is ``grads``' own order when its head names come first, as
-    ``loss_and_grads`` returns them. A 2-D array's squares are summed over
-    the block of its rows that hold a nonzero entry, in row order: the zero
-    rows add nothing, so only the order of the sum differs from a sum over
-    the whole array.
+    The heads ``head.w`` (S, dim) and ``head.b`` (S,) are stepped by row:
+    only the rows ``row_ids["head.w"]`` names, each with its own step count,
+    so unused heads keep their initial weights exactly. Their moments are
+    the first ``dim`` columns and the last column of one ``(S, dim + 1)``
+    pair. A step gathers the ``[w | b]`` rows, runs the formula once on the
+    block with the bias corrections ``1 - beta**t`` as a column, and
+    scatters the rows back. The clip norm adds the squares of the heads
+    first, ``w`` then ``b`` per row in the order of the ids (first
+    appearance, from ``loss_and_grads``), then the other arrays in dict
+    order.
 
-    A 2-D parameter (the embeddings, proj4's bias) runs the formula only on
-    its live rows: a row turns live at its first gradient with a nonzero
-    entry and stays live. Where ``row_ids`` gives a gradient's touched rows
-    (the embeddings, from ``loss_and_grads``), only those rows are tested
-    for a nonzero entry; otherwise the whole array is scanned. Either way
-    the live rows and the clip squares come out the same, so the ids save
-    reading the (V, H) gradient twice and change no bit. A row that has
-    never been live has ``m = v = 0`` and ``g = 0``, so the formula's Adam
-    term is ``0 / (sqrt(0) + eps) = 0`` and ``0 + p * wd`` is ``p * wd``:
-    its update is exactly the decay-only step ``p -= (p * wd) * lr``, which
-    the whole array gets before the live rows are written back. The one
-    exception is a weight of exactly -0.0, which keeps its sign under the
-    formula but turns +0.0 here; neither init nor any update can make one.
+    A 2-D parameter with ``row_ids`` (the embeddings) runs the formula only
+    on its live rows: a row turns live at its first gradient with a nonzero
+    entry among the rows the ids name, and stays live. The clip norm adds
+    the squares of the block of rows that hold a nonzero entry, in row
+    order; the zero rows add nothing, so only the order of the sum differs
+    from a sum over the whole array. A row that has never been live has
+    ``m = v = 0`` and ``g = 0``, so the formula's Adam term is
+    ``0 / (sqrt(0) + eps) = 0`` and ``0 + p * wd`` is ``p * wd``: its update
+    is exactly the decay-only step ``p -= (p * wd) * lr``, which the whole
+    array gets before the live rows are written back. The one exception is
+    a weight of exactly -0.0, which keeps its sign under the formula but
+    turns +0.0 here; neither init nor any update can make one. Every other
+    parameter, a 2-D one without ids (``proj4``'s bias) included, is dense.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -291,20 +291,8 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-        self._live: dict[str, np.ndarray] = {}  # per-row mask of each 2-D parameter
-        self._head_slot: dict[str, tuple[int, int]] = {}  # gradient name -> (0 for w or 1 for b, row)
-        self._head_w = self._head_b = self._head_m = self._head_v = self._head_t = np.empty(0)  # see stack_heads
-
-    def stack_heads(self, subtasks: Sequence[object], head_w: np.ndarray, head_b: np.ndarray) -> None:
-        """Step the gradients ``head.<subtasks[i]>.w`` and ``.b`` as row i of ``head_w`` and ``head_b``.
-
-        Call it before the first step; the arrays are updated in place.
-        """
-        self._head_slot = {f"head.{s}.{part}": (k, i) for i, s in enumerate(subtasks) for k, part in enumerate("wb")}
-        self._head_w, self._head_b = head_w, head_b
-        self._head_m = np.zeros((len(head_w), head_w.shape[1] + 1))
-        self._head_v = np.zeros_like(self._head_m)
-        self._head_t = np.zeros(len(head_w), dtype=np.int64)
+        self._live: dict[str, np.ndarray] = {}  # per-row mask of each 2-D parameter stepped by ids
+        self._head_m = self._head_v = self._head_t = None  # allocated at the first head step
 
     def step(
         self,
@@ -313,37 +301,28 @@ class AdamW:
         row_ids: Mapping[str, np.ndarray] | None = None,
     ) -> None:
         """One step over the parameters in ``grads``. ``row_ids`` (``Gradients.rows``) maps the name
-        of a 2-D gradient to sorted unique ids of the only rows it may be nonzero in; the rows of a
-        2-D gradient without ids come from a scan of the whole array."""
+        of a 2-D gradient to unique ids of the only rows it may be nonzero in: the head rows of the
+        step for ``head.w``, sorted ids of the rows to test for a nonzero entry for any other."""
         cfg = self.cfg
-        rows: tuple[list[int], list[int]] = ([], [])
-        head_grads: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
-        trunk = {}
-        for name, g in grads.items():
-            slot = self._head_slot.get(name)
-            if slot is None:
-                trunk[name] = g
-            else:
-                rows[slot[0]].append(slot[1])
-                head_grads[slot[0]].append(g)
-        if rows[0] != rows[1]:
-            raise ValueError("head gradients must come as .w and .b of the same rows, in the same order")
-        # Row k of head_g is [grad of w | grad of b] of head row rows[0][k].
-        head_g = np.hstack([np.stack(gs) for gs in head_grads]) if rows[0] else np.empty((0, 1))
         row_ids = row_ids or {}
-        touched = {name: _nonzero_rows(g, row_ids.get(name)) for name, g in trunk.items() if g.ndim == 2}
+        trunk = {name: g for name, g in grads.items() if name not in ("head.w", "head.b")}
+        head_g = np.empty((0, 1))
+        if "head.w" in grads:
+            rows = row_ids["head.w"]
+            # Row k of head_g is [grad of w | grad of b] of head row rows[k].
+            head_g = np.hstack((grads["head.w"][rows], grads["head.b"][rows, None]))
+        touched = {name: _nonzero_rows(g, row_ids[name]) for name, g in trunk.items() if name in row_ids}
         scale = None
         if cfg.clip_norm > 0:
             sq = head_g * head_g
             squares = np.stack((sq[:, :-1].sum(axis=1), sq[:, -1]), axis=1).ravel().tolist()
-            # A 2-D gradient adds the squares of its block of rows that hold a nonzero entry.
             blocks = [touched[name][1] if name in touched else g for name, g in trunk.items()]
             squares += [float((x * x).sum()) for x in blocks]
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
                 scale = cfg.clip_norm / total
-        if rows[0]:
-            self._step_heads(np.asarray(rows[0]), head_g, scale)
+        if "head.w" in grads:
+            self._step_heads(named_params["head.w"], named_params["head.b"], rows, head_g, scale)
         for name, g in trunk.items():
             p = named_params[name]
             if name not in self._m:
@@ -367,17 +346,21 @@ class AdamW:
             p -= (p * cfg.weight_decay) * cfg.learning_rate
             p[live_rows], m[live_rows], v[live_rows] = p_rows, m_rows, v_rows
 
-    def _step_heads(self, rows: np.ndarray, g: np.ndarray, scale) -> None:
-        """One step of the head rows ``rows``; row k of ``g`` is ``[grad of w | grad of b]`` of ``rows[k]``.
-        Rows absent from ``rows`` get no step and no decay."""
+    def _step_heads(self, head_w: np.ndarray, head_b: np.ndarray, rows: np.ndarray, g: np.ndarray, scale) -> None:
+        """One step of the head rows ``rows`` of ``head_w`` and ``head_b``, in place; row k of ``g`` is
+        ``[grad of w | grad of b]`` of ``rows[k]``. Rows absent from ``rows`` get no step and no decay."""
         cfg = self.cfg
+        if self._head_t is None:
+            self._head_m = np.zeros((len(head_w), head_w.shape[1] + 1))
+            self._head_v = np.zeros_like(self._head_m)
+            self._head_t = np.zeros(len(head_w), dtype=np.int64)
         t = self._head_t[rows] + 1
         self._head_t[rows] = t
-        corrections = tuple(np.array([[1.0 - beta ** k] for k in t.tolist()]) for beta in (cfg.beta1, cfg.beta2))
-        p = np.hstack((self._head_w[rows], self._head_b[rows, None]))
+        corrections = tuple(np.array([1.0 - beta ** k for k in t.tolist()])[:, None] for beta in (cfg.beta1, cfg.beta2))
+        p = np.hstack((head_w[rows], head_b[rows, None]))
         m, v = self._head_m[rows], self._head_v[rows]
         self._update(p, g, m, v, corrections, scale)
-        self._head_w[rows], self._head_b[rows] = p[:, :-1], p[:, -1]
+        head_w[rows], head_b[rows] = p[:, :-1], p[:, -1]
         self._head_m[rows], self._head_v[rows] = m, v
 
     def _update(self, p, g, m, v, corrections, scale) -> None:
@@ -396,10 +379,10 @@ class AdamW:
         p -= update
 
 
-def _nonzero_rows(g: np.ndarray, candidates: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted rows of 2-D ``g`` that hold a nonzero (or NaN) entry, and ``g``'s block of those
-    rows. ``candidates``, sorted ids that hold every such row, spares a scan of the whole array."""
-    ids, block = (np.arange(len(g)), g) if candidates is None else (candidates, g[candidates])
+def _nonzero_rows(g: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of 2-D ``g`` among the sorted ``ids`` that hold a nonzero (or NaN) entry, and
+    ``g``'s block of those rows; ``ids`` hold every row of ``g`` that may be nonzero."""
+    block = g[ids]
     # Summed |g| is nonzero (or NaN) exactly where a row has a nonzero entry.
     keep = np.abs(block) @ np.ones(g.shape[1]) != 0
     return ids[keep], block[keep]
@@ -452,7 +435,6 @@ def train(
     _head_groups(params, val_set)
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
-    optimizer.stack_heads(params.subtasks, params.head_w, params.head_b)
     named = dict(params.named_arrays())
     n = len(train_set)
     best_score = -1.0

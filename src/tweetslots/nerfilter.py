@@ -141,12 +141,17 @@ def _read_phrase_file(path: Path) -> frozenset[str]:
 
 
 def _read_rules_file(path: Path) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
+    """The rules of ``path``; refuses a rule whose stripped type and pattern repeat an earlier line's."""
     rules = []
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in table_lines(read_utf8(path, NerFilterError)):
         type_name, tab, pattern = line.partition("\t")
         if not tab:
             raise NerFilterError(f"{path}:{lineno}: expected 'TYPE<TAB>pattern'")
         type_name, pattern = type_name.strip(), pattern.strip()
+        if first_line.setdefault((type_name, pattern), lineno) != lineno:
+            raise NerFilterError(f"{path}:{lineno}: rule '{type_name}<TAB>{pattern}' listed twice "
+                                 f"(first on line {first_line[type_name, pattern]})")
         try:
             etype = EntityType[type_name]
         except KeyError:
@@ -227,7 +232,7 @@ def default_type_map() -> TypeMap:
 
 
 def _normalize(text: str) -> str:
-    return re.sub(r"\s+", " ", text.translate(_PUNCT_TABLE).lower()).strip()
+    return " ".join(text.translate(_PUNCT_TABLE).lower().split())
 
 
 def tag(chunk_text: str, gaz: Gazetteer) -> EntityType:

@@ -4,7 +4,8 @@ The model file is self-describing: an 8-byte magic, a little-endian u32
 format version, a u32 header length, a canonical-JSON header (encoder config,
 strategy, subtask list, and an array manifest with shapes), then the raw
 float64 little-endian array bytes in manifest order. Identical parameters
-produce identical bytes.
+produce identical bytes. The heads are stored as one pair of arrays per row,
+``head.<subtask>.w`` and ``.b``, in sorted subtask order.
 
 JSONL rows are canonical JSON (sorted keys, compact separators) so files are
 reproducible byte-for-byte; loaders validate schemas, refuse fields they do
@@ -67,11 +68,21 @@ def _check_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
         raise FormatError(f"{path}: array {name!r} holds non-finite values")
 
 
+def _file_arrays(params: ModelParams):
+    """(name, array) pairs in file order: the trunk, then per subtask ``head.<subtask>.w``, a
+    row view of ``head_w``, and ``head.<subtask>.b``, a (1,) view of ``head_b``."""
+    yield from params.encoder.named_arrays()
+    yield from params.strategy.named_arrays()
+    for i, subtask in enumerate(params.subtasks):
+        yield f"head.{subtask}.w", params.head_w[i]
+        yield f"head.{subtask}.b", params.head_b[i:i + 1]
+
+
 def save_model(params: ModelParams, path: str | Path) -> None:
     """Write the model container, one array at a time; refuses a model with
     a non-finite weight."""
     cfg = params.encoder.config
-    arrays = list(params.named_arrays())
+    arrays = list(_file_arrays(params))
     for name, arr in arrays:
         _check_finite(path, name, arr)
     header = {
@@ -124,7 +135,7 @@ def load_model(path: str | Path) -> ModelParams:
     if data_len > implied:
         raise FormatError(f"{path}: {data_len - implied} trailing bytes after array data")
     params = _empty_model(cfg, kind, subtasks)
-    arrays = list(params.named_arrays())
+    arrays = list(_file_arrays(params))
     # Compared as canonical JSON, so a shape of 4.0 or true never passes for 4.
     if canonical_json(declared) != canonical_json([[name, list(arr.shape)] for name, arr in arrays]):
         raise FormatError(f"{path}: array manifest does not match the declared config")

@@ -160,12 +160,16 @@ class TestGradients:
                 assert abs(gflat[i] - fd) / max(abs(fd), 1.0) < 1e-5, (name, i)
 
     def test_absent_heads_get_no_gradient(self):
+        # The head gradients are whole arrays; the rows of subtasks absent from the batch are
+        # zero and not listed in `rows`, so the optimizer leaves them alone.
         model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
         batch = [make_instance([], "x", NAME, 1)]
         _, grads = loss_and_grads(model, batch, TrainConfig())
-        assert f"head.{NAME}.w" in grads
-        assert f"head.{AGE}.w" not in grads
-        assert f"head.{OPINION}.w" not in grads
+        row, others = model.subtasks.index(NAME), [model.subtasks.index(AGE), model.subtasks.index(OPINION)]
+        assert grads["head.w"].shape == model.head_w.shape and grads["head.b"].shape == model.head_b.shape
+        assert grads.rows["head.w"].tolist() == [row]
+        assert grads["head.w"][row].all() and grads["head.b"][row] != 0.0
+        assert same_bits(grads["head.w"][others], np.zeros((2, 8))) and same_bits(grads["head.b"][others], np.zeros(2))
 
     def test_proj_grads_only_for_proj4(self):
         batch = tiny_batch()
@@ -184,7 +188,9 @@ class TestGradients:
         batch = tiny_batch()
         _, grads = loss_and_grads(model, batch, TrainConfig())
         ids = sorted({t for inst in batch for t in inst.token_ids.tolist() if t != PAD_ID})
-        assert sorted(grads.rows) == ["enc.pos_emb", "enc.token_emb"]
+        assert sorted(grads.rows) == ["enc.pos_emb", "enc.token_emb", "head.w"]
+        # The head rows come in order of first appearance (NAME, AGE, OPINION), not sorted.
+        assert grads.rows["head.w"].tolist() == [model.subtasks.index(s) for s in (NAME, AGE, OPINION)] == [2, 1, 0]
         assert grads.rows["enc.token_emb"].tolist() == ids
         assert grads.rows["enc.pos_emb"].tolist() == list(range(max(len(i.token_ids[i.token_ids != PAD_ID])
                                                                      for i in batch)))
@@ -195,25 +201,23 @@ class TestGradients:
 
 
 class TestHeadMatrix:
-    def test_named_head_entries_are_matrix_rows(self):
-        model = init_model(enc_cfg(), StrategyKind.SUM4, REG, seed=0)
+    def test_named_heads_are_the_matrix(self):
+        # The heads are two whole parameters; only the model file names them per subtask.
+        model = init_model(enc_cfg(), StrategyKind.PROJ4, REG, seed=0)
         named = dict(model.named_arrays())
-        assert model.subtasks == (OPINION, AGE, NAME)  # sorted by (event, name)
+        assert model.subtasks == (OPINION, AGE, NAME)  # sorted by (event, name); row i is subtasks[i]
         assert model.head_w.shape == (3, 8) and model.head_b.shape == (3,)
-        for row, subtask in enumerate(model.subtasks):
-            w, b = named[f"head.{subtask}.w"], named[f"head.{subtask}.b"]
-            assert np.shares_memory(w, model.head_w) and np.shares_memory(b, model.head_b)
-            w[0] = 7.0 + row
-            b[:] = -1.0 - row
-        assert list(model.head_w[:, 0]) == [7.0, 8.0, 9.0]
-        assert list(model.head_b) == [-1.0, -2.0, -3.0]
+        assert named["head.w"] is model.head_w and named["head.b"] is model.head_b
+        assert list(named)[-2:] == ["head.w", "head.b"]
+        assert [name for name in named if name.startswith("head.")] == ["head.w", "head.b"]
 
 
 class DenseAdamW:
     """The AdamW step as it was before the live-row path: every parameter
     runs the full formula on every element. The oracle for ``AdamW``. Its
-    clip norm sums a 2-D gradient's squares over the rows that hold a
-    nonzero entry, in row order, as ``AdamW`` does."""
+    clip norm sums the squares of a 2-D gradient named in ``row_ids`` over
+    the rows that hold a nonzero entry, in row order, as ``AdamW`` does, and
+    those of any other gradient over the whole array."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -221,14 +225,14 @@ class DenseAdamW:
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
 
-    def step(self, named_params, grads) -> None:
+    def step(self, named_params, grads, row_ids=()) -> None:
         cfg = self.cfg
         buf = np.empty((2, max((g.size for g in grads.values()), default=0)))
         scratch = {name: (buf[0, :g.size].reshape(g.shape), buf[1, :g.size].reshape(g.shape))
                    for name, g in grads.items()}
         scale = None
         if cfg.clip_norm > 0:
-            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) if g.ndim != 2
+            squares = (float(np.multiply(g, g, scratch[name][0]).sum()) if name not in row_ids
                        else float(np.square(g[(g != 0).any(axis=1)]).sum()) for name, g in grads.items())
             total = math.sqrt(sum(squares))
             if total > cfg.clip_norm:
@@ -322,14 +326,15 @@ class TestAdamW:
             assert np.array_equal(opt._v[k], state[k][1]), k
 
     @pytest.mark.parametrize("clip_norm", [1.0, 1e6])
-    @pytest.mark.parametrize("rows_from", ["ids", "scan"])
+    @pytest.mark.parametrize("rows_from", ["ids", "dense"])
     def test_bitwise_reference_trajectory_of_touched_rows(self, clip_norm, rows_from):
         # A 2-D parameter whose touched rows come as ids (as loss_and_grads passes the
-        # embeddings') or from a scan of its gradient. Row 0 is first touched at step 3. Row 1 is
-        # touched at every step, and its gradient is all zero at steps 1 and 4: a row that is not
-        # yet live, then a live one. Rows 2-5 are touched on random steps, row 6 never. The clip
-        # norm (1.0 fires on every step, 1e6 never does) adds the squares of the rows that hold
-        # a nonzero entry, in row order.
+        # embeddings'), or without ids, which takes the dense path. Row 0 is first touched at
+        # step 3. Row 1 is touched at every step, and its gradient is all zero at steps 1 and 4:
+        # a row that is not yet live, then a live one. Rows 2-5 are touched on random steps, row
+        # 6 never. The clip norm (1.0 fires on every step, 1e6 never does) adds the squares of
+        # the rows that hold a nonzero entry, in row order, with ids, and of the whole array
+        # without.
         cfg = TrainConfig(learning_rate=0.01, weight_decay=0.1, clip_norm=clip_norm)
         rng = np.random.default_rng(8)
         p = {"emb": rng.standard_normal((7, 3)), "bias": rng.standard_normal(4)}
@@ -348,8 +353,8 @@ class TestAdamW:
             ids = np.array(touched)
             opt.step(p, grads, {"emb": ids} if rows_from == "ids" else None)
             assert all(same_bits(grads[k], before[k]) for k in grads) and ids.tolist() == touched
-            nonzero = g[(g != 0).any(axis=1)]
-            total = math.sqrt(float(np.sum(nonzero * nonzero)) + float(np.sum(grads["bias"] * grads["bias"])))
+            summed = g[(g != 0).any(axis=1)] if rows_from == "ids" else g
+            total = math.sqrt(float(np.sum(summed * summed)) + float(np.sum(grads["bias"] * grads["bias"])))
             fired.append(total > clip_norm)
             for k, gk in grads.items():
                 m, v = state[k]
@@ -358,7 +363,7 @@ class TestAdamW:
                 ref[k], m, v = self.reference_step(ref[k], gk, m, v, t, cfg)
                 state[k] = (m, v)
         assert all(fired) if clip_norm == 1.0 else not any(fired)
-        assert opt._live["emb"].tolist() == [True] * 6 + [False]
+        assert opt._live["emb"].tolist() == [True] * 6 + [False] if rows_from == "ids" else "emb" not in opt._live
         for k in ref:
             assert same_bits(p[k], ref[k]), k
             assert same_bits(opt._m[k], state[k][0]), k
@@ -374,8 +379,10 @@ class TestAdamW:
         # rows are so small that their squares underflow to 0. Weights start
         # from standard normals, so none is exactly -0.0: the decay-only step
         # turns -0.0 into +0.0, and neither init nor any update makes one.
-        # A third optimizer is handed the touched rows as ids: the nonzero
-        # rows plus some zero ones, which must change no bit.
+        # One optimizer is handed the nonzero rows as ids, another the nonzero
+        # rows plus some zero ones, which must change no bit. A third gets no
+        # ids and takes the dense path, against an oracle whose clip norm adds
+        # the whole array's squares.
         steps = data.draw(st.integers(4, 8), label="steps")
         late = data.draw(st.integers(2, steps), label="late")
         wd = data.draw(st.sampled_from([0.0, 0.1]), label="weight_decay")
@@ -386,7 +393,9 @@ class TestAdamW:
         fast = {"emb": rng.standard_normal((rows, cols)), "bias": rng.standard_normal(cols)}
         dense = {k: v.copy() for k, v in fast.items()}
         by_ids = {k: v.copy() for k, v in fast.items()}
+        no_ids, dense_no_ids = ({k: v.copy() for k, v in fast.items()} for _ in range(2))
         opt, oracle, opt_ids = AdamW(cfg), DenseAdamW(cfg), AdamW(cfg)
+        opt_no_ids, oracle_no_ids = AdamW(cfg), DenseAdamW(cfg)
         fired = []
         for step in range(1, steps + 1):
             nonzero = set(data.draw(st.sets(st.integers(2, rows - 1)), label=f"rows at step {step}"))
@@ -399,30 +408,34 @@ class TestAdamW:
                 g[r] = rng.standard_normal(cols) * (1e-170 if rng.random() < 0.2 else 1.0)
             grads = {"emb": g, "bias": rng.standard_normal(cols)}
             touched = nonzero | data.draw(st.sets(st.integers(0, rows - 1)), label=f"zero rows touched at step {step}")
-            opt.step(fast, grads)
-            oracle.step(dense, grads)
+            opt.step(fast, grads, {"emb": np.array(sorted(nonzero), dtype=np.int64)})
+            oracle.step(dense, grads, {"emb"})
             opt_ids.step(by_ids, grads, {"emb": np.array(sorted(touched), dtype=np.int64)})
+            opt_no_ids.step(no_ids, grads)
+            oracle_no_ids.step(dense_no_ids, grads)
             total = math.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
             fired.append(clip > 0 and total > clip)
         assert any(fired) or clip != 0.5
         assert not any(fired) or clip == 0.5
-        assert opt._t == oracle._t == opt_ids._t
+        assert opt._t == oracle._t == opt_ids._t == opt_no_ids._t
+        assert "emb" in opt._live and "emb" in opt_ids._live and "emb" not in opt_no_ids._live
         for k in fast:
-            for got, state in ((fast, opt), (by_ids, opt_ids)):
-                assert same_bits(got[k], dense[k]), k
-                assert same_bits(state._m[k], oracle._m[k]), k
-                assert same_bits(state._v[k], oracle._v[k]), k
+            for got, state, want, ref in ((fast, opt, dense, oracle), (by_ids, opt_ids, dense, oracle),
+                                          (no_ids, opt_no_ids, dense_no_ids, oracle_no_ids)):
+                assert same_bits(got[k], want[k]), k
+                assert same_bits(state._m[k], ref._m[k]), k
+                assert same_bits(state._v[k], ref._v[k]), k
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_stacked_heads_match_dense_oracle(self, data):
-        # S head rows stepped as one state against the oracle stepping each
-        # row's w and b as named arrays, next to two trunk arrays that share
-        # the clip norm. The dims straddle NumPy's pairwise-sum blocks (8-wide
-        # unrolled, 128-element blocks), so a per-row square sum that took
-        # another path would change the norm's last bits. Each step holds a
-        # random subset of rows in random first-appearance order; row `never`
-        # gets no gradient at all.
+    def test_head_rows_match_dense_oracle(self, data):
+        # The head parameters `head.w` (S, dim) and `head.b` (S,), stepped by the rows the ids
+        # name, against the oracle stepping each listed row's w and b as named arrays, next to
+        # two trunk arrays that share the clip norm. The dims straddle NumPy's pairwise-sum
+        # blocks (8-wide unrolled, 128-element blocks), so a per-row square sum that took
+        # another path would change the norm's last bits. Each step lists a random subset of
+        # rows in random first-appearance order, and the clip norm adds their squares in that
+        # order; the other rows of the gradients are zero, and row `never` is listed at no step.
         S = data.draw(st.integers(1, 8), label="S")
         dim = data.draw(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 256]), label="dim")
         never = data.draw(st.integers(0, S - 1), label="never") if S > 1 else None
@@ -431,65 +444,54 @@ class TestAdamW:
         clip = data.draw(st.sampled_from([0.0, 0.5, 1e6]), label="clip_norm")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         cfg = TrainConfig(learning_rate=0.01, weight_decay=wd, clip_norm=clip)
-        names = [f"s{i}" for i in range(S)]
-        head_w, head_b = rng.standard_normal((S, dim)), rng.standard_normal(S)
-        w0, b0 = head_w.copy(), head_b.copy()
-        trunk = {"emb": rng.standard_normal((3, 4)), "bias": rng.standard_normal(5)}
-        fast = {k: v.copy() for k, v in trunk.items()}
-        dense = {k: v.copy() for k, v in trunk.items()}
-        ref_w, ref_b = head_w.copy(), head_b.copy()
-        for i, s in enumerate(names):
-            dense[f"head.{s}.w"], dense[f"head.{s}.b"] = ref_w[i], ref_b[i:i + 1]
+        fast = {"head.w": rng.standard_normal((S, dim)), "head.b": rng.standard_normal(S),
+                "emb": rng.standard_normal((3, 4)), "bias": rng.standard_normal(5)}
+        w0, b0 = fast["head.w"].copy(), fast["head.b"].copy()
+        dense = {k: v.copy() for k, v in fast.items() if not k.startswith("head.")}
+        ref_w, ref_b = w0.copy(), b0.copy()
+        for i in range(S):
+            dense[f"head.s{i}.w"], dense[f"head.s{i}.b"] = ref_w[i], ref_b[i:i + 1]
         opt, oracle = AdamW(cfg), DenseAdamW(cfg)
-        opt.stack_heads(names, head_w, head_b)
         fired = []
         for step in range(1, steps + 1):
             order = data.draw(st.permutations([i for i in range(S) if i != never]), label=f"order at step {step}")
             present = order[:data.draw(st.integers(0, len(order)), label=f"rows at step {step}")]
-            grads = {}
+            grads = {"head.w": np.zeros((S, dim)), "head.b": np.zeros(S)}
+            per_row = {}
             for i in present:
-                grads[f"head.{names[i]}.w"] = rng.standard_normal(dim)
-                grads[f"head.{names[i]}.b"] = rng.standard_normal(1)
-            grads.update({k: rng.standard_normal(v.shape) for k, v in trunk.items()})
-            opt.step(fast, grads)
-            oracle.step(dense, grads)
+                grads["head.w"][i], grads["head.b"][i] = rng.standard_normal(dim), rng.standard_normal()
+                per_row[f"head.s{i}.w"], per_row[f"head.s{i}.b"] = grads["head.w"][i], grads["head.b"][i:i + 1]
+            trunk = {k: rng.standard_normal(v.shape) for k, v in fast.items() if not k.startswith("head.")}
+            grads.update(trunk)
+            opt.step(fast, grads, {"head.w": np.array(present, dtype=np.int64)})
+            oracle.step(dense, {**per_row, **trunk})
             total = math.sqrt(sum(float(np.sum(x * x)) for x in grads.values()))
             fired.append(clip > 0 and total > clip)
         assert any(fired) or clip != 0.5
         assert not any(fired) or clip == 0.5
-        assert same_bits(head_w, ref_w) and same_bits(head_b, ref_b)
-        for i, s in enumerate(names):
-            w, b = f"head.{s}.w", f"head.{s}.b"
-            assert opt._head_t[i] == oracle._t.get(w, 0) == oracle._t.get(b, 0), s
+        assert same_bits(fast["head.w"], ref_w) and same_bits(fast["head.b"], ref_b)
+        for i in range(S):
+            w, b = f"head.s{i}.w", f"head.s{i}.b"
+            assert opt._head_t[i] == oracle._t.get(w, 0) == oracle._t.get(b, 0), i
             m_w, m_b = oracle._m.get(w, np.zeros(dim)), oracle._m.get(b, np.zeros(1))
             v_w, v_b = oracle._v.get(w, np.zeros(dim)), oracle._v.get(b, np.zeros(1))
-            assert same_bits(opt._head_m[i], np.concatenate((m_w, m_b))), s
-            assert same_bits(opt._head_v[i], np.concatenate((v_w, v_b))), s
+            assert same_bits(opt._head_m[i], np.concatenate((m_w, m_b))), i
+            assert same_bits(opt._head_v[i], np.concatenate((v_w, v_b))), i
         if never is not None:
             assert opt._head_t[never] == 0
-            assert same_bits(head_w[never], w0[never]) and same_bits(head_b[never:never + 1], b0[never:never + 1])
-        assert opt._t == {k: oracle._t[k] for k in trunk}
-        for k in trunk:
+            assert same_bits(fast["head.w"][never], w0[never]) and same_bits(fast["head.b"][never], b0[never])
+        assert opt._t == {k: oracle._t[k] for k in ("emb", "bias")}
+        for k in ("emb", "bias"):
             assert same_bits(fast[k], dense[k]), k
             assert same_bits(opt._m[k], oracle._m[k]), k
             assert same_bits(opt._v[k], oracle._v[k]), k
 
-    def test_stacked_heads_refuse_unpaired_rows(self):
-        cfg = TrainConfig(clip_norm=0.0)
-        head_w, head_b = np.zeros((2, 3)), np.zeros(2)
-        opt = AdamW(cfg)
-        opt.stack_heads(["a", "b"], head_w, head_b)
-        for grads in ({"head.a.w": np.ones(3)},
-                      {"head.a.w": np.ones(3), "head.b.w": np.ones(3), "head.b.b": np.ones(1), "head.a.b": np.ones(1)}):
-            with pytest.raises(ValueError, match="head gradients"):
-                opt.step({}, grads)
-
     def test_live_rows_are_the_rows_with_a_gradient(self):
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, clip_norm=0.0)
-        p = {"emb": np.ones((4, 2))}
+        p, ids = {"emb": np.ones((4, 2))}, {"emb": np.arange(4)}
         opt = AdamW(cfg)
-        opt.step(p, {"emb": np.array([[0.0, 0.0], [0.0, 1e-300], [-0.0, 0.0], [2.0, 0.0]])})
-        opt.step(p, {"emb": np.zeros((4, 2))})
+        opt.step(p, {"emb": np.array([[0.0, 0.0], [0.0, 1e-300], [-0.0, 0.0], [2.0, 0.0]])}, ids)
+        opt.step(p, {"emb": np.zeros((4, 2))}, ids)
         assert list(opt._live["emb"]) == [False, True, False, True]
         # A row that never had a gradient gets the decay-only step, twice.
         decayed = 1.0
@@ -624,7 +626,7 @@ class TestTraining:
 
         def counted_loss_and_grads(params, batch, cfg, *args, **kwargs):
             value, grads = real_loss_and_grads(params, batch, cfg, *args, **kwargs)
-            calls["loss_and_grads"].append(([i.subtask for i in batch], list(grads)))
+            calls["loss_and_grads"].append(([i.subtask for i in batch], list(grads), grads.rows["head.w"].tolist()))
             return value, grads
 
         def counted_step(self, named_params, grads, *rows):
@@ -637,9 +639,9 @@ class TestTraining:
         batches = cfg.epochs * math.ceil(len(train_set) / cfg.batch_size)
         assert len(calls["loss_and_grads"]) == calls["step"] == batches
         trunk = [name for name, _ in model.named_arrays() if not name.startswith("head.")]
-        for subtasks, names in calls["loss_and_grads"]:
-            heads = [f"head.{s}.{part}" for s in dict.fromkeys(subtasks) for part in "wb"]
-            assert names == heads + trunk
+        for subtasks, names, head_rows in calls["loss_and_grads"]:
+            assert names == ["head.w", "head.b"] + trunk
+            assert head_rows == [model.subtasks.index(s) for s in dict.fromkeys(subtasks)]
         assert trunk[0] == "enc.token_emb" and trunk[-2:] == ["proj.w", "proj.b"]
 
     def test_divergence_detected(self):

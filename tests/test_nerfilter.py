@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from tweetslots.corpus import EventType, SubtaskId
 from tweetslots import nerfilter
 from tweetslots.multitask import PredictionRecord
+from tweetslots.preprocess import _PUNCT_TABLE
 from tweetslots.nerfilter import (
     _PERSON_CUES,
     NOT_SPECIFIED,
@@ -99,6 +101,23 @@ class TestTag:
         assert tag("abcdcde", gaz) is EntityType.OTHER
 
 
+_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+_BLANKS = "".join(c for c in _CODE_POINTS if c.isspace())
+
+
+class TestNormalize:
+    def test_regex_blanks_are_the_str_blanks(self):
+        # `\s` and `str.isspace` agree on every code point, so splitting on blanks and
+        # collapsing `\s+` runs cut the text at the same places.
+        assert "".join(re.findall(r"\s", _CODE_POINTS)) == _BLANKS
+
+    @given(st.text(st.sampled_from(_BLANKS) | st.sampled_from(sorted(map(chr, _PUNCT_TABLE))) | st.characters()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_regex_form(self, text):
+        regex_form = re.sub(r"\s+", " ", text.translate(_PUNCT_TABLE).lower()).strip()
+        assert nerfilter._normalize(text) == regex_form
+
+
 class TestGazetteerIo:
     def test_loads_all_types(self, gaz):
         assert len(gaz.phrases[EntityType.PERSON]) > 50
@@ -138,6 +157,29 @@ class TestGazetteerIo:
         (tmp_path / "rules.txt").write_text("  # note\n AGE\t\\d+ years? old \n")
         [(etype, pattern)] = load_gazetteer(tmp_path).rules
         assert (etype, pattern.pattern) == (EntityType.AGE, r"\d+ years? old")
+
+    @pytest.mark.parametrize("second", ["AGE\t\\d+ years? old", " AGE \t \\d+ years? old  "])
+    def test_load_refuses_a_rule_listed_twice(self, tmp_path, second):
+        # The same pattern under another type is another rule; the same type and pattern after
+        # stripping is a repeat, named on its line.
+        save_gazetteer(Gazetteer(phrases={}, rules=()), tmp_path)
+        p = tmp_path / "rules.txt"
+        p.write_text(f"AGE\t\\d+ years? old\n# note\nDURATION\t\\d+ years? old\n{second}\n")
+        with pytest.raises(NerFilterError, match=re.escape(f"{p}:4: rule 'AGE<TAB>\\d+ years? old' listed twice "
+                                                           "(first on line 1)")):
+            load_gazetteer(tmp_path)
+        p.write_text("AGE\t\\d+ years? old\nDURATION\t\\d+ years? old\n")
+        assert len(load_gazetteer(tmp_path).rules) == 2
+
+    def test_load_refuses_a_packaged_rule_listed_twice(self, gaz, tmp_path):
+        save_gazetteer(gaz, tmp_path)
+        p = tmp_path / "rules.txt"
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines + lines[:1]))
+        first = lines[0].rstrip("\n").replace("\t", "<TAB>")
+        with pytest.raises(NerFilterError, match=re.escape(f"{p}:{len(lines) + 1}: rule '{first}' listed twice "
+                                                           "(first on line 1)")):
+            load_gazetteer(tmp_path)
 
     @pytest.mark.parametrize("second", ["Seattle", "seattle", "  SEATTLE  "])
     def test_load_refuses_a_phrase_repeated_after_lower_casing(self, gaz, tmp_path, second):

@@ -91,8 +91,12 @@ class TestModelBinary:
         save_model(model, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
-    def test_header_layout(self, tmp_path):
-        model = small_model()
+    @pytest.mark.parametrize("kind", [StrategyKind.SUM4, StrategyKind.PROJ4])
+    def test_header_layout(self, kind, tmp_path):
+        # The manifest is the trunk, then one (dim,) and one (1,) array per sorted subtask: the
+        # model's `head.w` and `head.b` are stored row by row, and the data follows that order.
+        model = small_model(kind)
+        model.head_b[:] = np.arange(len(model.subtasks)) + 0.5
         p = tmp_path / "m.bin"
         save_model(model, p)
         blob = p.read_bytes()
@@ -100,13 +104,21 @@ class TestModelBinary:
         version, header_len = struct.unpack_from("<II", blob, len(MODEL_MAGIC))
         assert version == 1
         header = json.loads(blob[16:16 + header_len])
-        assert header["strategy"] == "sum4"
-        assert [s for s in header["subtasks"]] == [str(s) for s in sorted(REG.all_subtasks())]
-        names = [name for name, shape in header["arrays"]]
-        assert names[0] == "enc.token_emb"
-        assert names == [n for n, _ in model.named_arrays()]
-        shapes = [tuple(shape) for name, shape in header["arrays"]]
-        assert shapes == [a.shape for _, a in model.named_arrays()]
+        assert header["strategy"] == kind.value
+        subtasks = [str(s) for s in model.subtasks]
+        assert header["subtasks"] == subtasks == sorted(subtasks) == [str(s) for s in sorted(REG.all_subtasks())]
+        h, dim = ENC.hidden_size, model.head_w.shape[1]
+        want = [["enc.token_emb", [ENC.vocab_size, h]], ["enc.pos_emb", [ENC.max_len, h]]]
+        for i in range(ENC.num_layers):
+            want += [[f"enc.layer{i}.w", [ENC.num_taps, h, h]], [f"enc.layer{i}.b", [h]]]
+        if kind is StrategyKind.PROJ4:
+            want += [["proj.w", [4, h, h // 4]], ["proj.b", [4, h // 4]]]
+        for subtask in subtasks:
+            want += [[f"head.{subtask}.w", [dim]], [f"head.{subtask}.b", [1]]]
+        assert header["arrays"] == want
+        data = np.frombuffer(blob[16 + header_len:], dtype="<f8")
+        heads = data[-len(subtasks) * (dim + 1):].reshape(len(subtasks), dim + 1)
+        assert heads[:, :dim].tobytes() == model.head_w.tobytes() and heads[:, dim].tobytes() == model.head_b.tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "m.bin"
@@ -154,9 +166,9 @@ class TestModelBinary:
         model = small_model()
         p = tmp_path / "m.bin"
         save_model(model, p)
-        last_name, last = list(model.named_arrays())[-1]
+        last_name = f"head.{model.subtasks[-1]}.b"  # the file's last array holds one value
         blob = bytearray(p.read_bytes())
-        struct.pack_into("<d", blob, len(blob) - 8 * last.size, np.nan)
+        struct.pack_into("<d", blob, len(blob) - 8, np.nan)
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"m\\.bin: array '{last_name}' holds non-finite"):
             load_model(p)
