@@ -17,7 +17,7 @@ subtask-name rule, and a file's bad name is refused on its line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -57,6 +57,8 @@ _PHRASE_FILES = {
     EntityType.AGE: "age.txt",
 }
 _REQUIRED_FILES = ("person.txt", "location.txt", "organization.txt", "rules.txt")
+# The characters that end a line of a table (corpus.table_lines).
+_LINE_BREAK = re.compile(r"[\r\n]")
 
 # Head-noun fallback: chunks containing these read as people.
 _PERSON_CUES = frozenset(
@@ -79,26 +81,51 @@ class Gazetteer:
     phrases: Mapping[EntityType, frozenset[str]]
     rules: tuple[tuple[EntityType, "re.Pattern[str]"], ...]
 
+    _forms: Mapping[EntityType, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
+        """Refuses what ``save_gazetteer`` could not write as a directory that
+        ``load_gazetteer`` reads back as this gazetteer: a phrase that is not
+        one line of its type's file, two phrases of a type with one normal
+        form, a pattern that is not one line's trimmed text, a repeated rule."""
         # Private read-only copies, so the compiled matchers cannot go stale.
         object.__setattr__(self, "phrases", MappingProxyType({e: frozenset(p) for e, p in self.phrases.items()}))
         object.__setattr__(self, "rules", tuple(self.rules))
+        seen = set()
+        for etype, pattern in self.rules:
+            text = pattern.pattern
+            if not text or text != text.strip() or _LINE_BREAK.search(text):
+                raise NerFilterError(f"{etype.name} rule pattern {text!r} must be nonempty, trimmed, one line")
+            if (etype, text) in seen:
+                raise NerFilterError(f"rule '{etype.name}<TAB>{text}' listed twice")
+            seen.add((etype, text))
+        forms = {}
         for etype, phrases in self.phrases.items():
-            for p in phrases:
-                if not p or p != p.strip() or p != p.lower():
-                    raise NerFilterError(f"{etype.value} phrase {p!r} must be nonempty, trimmed, lowercase")
+            if phrases and etype not in _PHRASE_FILES:
+                raise NerFilterError(f"{etype.value} has no phrase file, so it takes no phrases")
+            first: dict[str, str] = {}  # normal form -> phrase
+            for p in sorted(phrases):
+                if not p or p != p.strip() or p != p.lower() or _LINE_BREAK.search(p) or p.startswith("#"):
+                    raise NerFilterError(f"{etype.value} phrase {p!r} must be nonempty, trimmed, lowercase, "
+                                         "one line, and not begin with '#'")
+                key = _normalize(p)
+                if first.setdefault(key, p) != p:
+                    raise NerFilterError(f"{etype.value} phrases {first[key]!r} and {p!r} have one normal form {key!r}")
+            # Kept for the matchers; a phrase that is its own normal form lends its string.
+            forms[etype] = tuple(p if key == p else key for key, p in first.items())
+        object.__setattr__(self, "_forms", MappingProxyType(forms))
 
     @cached_property
     def _matchers(self) -> tuple[tuple[EntityType, "re.Pattern[str]"], ...]:
         """Per-type anchored phrase matchers, compiled once per gazetteer."""
         matchers = []
         for etype in EntityType:
-            phrases = self.phrases.get(etype) if etype is not EntityType.OTHER else None
-            if not phrases:
+            forms = self._forms.get(etype)
+            if not forms:
                 continue
             # Longest alternative first, so an anchored match returns the longest phrase
             # starting at that position; phrases are matched in the form tag() compares.
-            alts = sorted({_normalize(p) for p in phrases}, key=len, reverse=True)
+            alts = sorted(forms, key=len, reverse=True)
             pattern = "(?:" + "|".join(re.escape(p) for p in alts) + r")\b"
             matchers.append((etype, re.compile(pattern)))
         return tuple(matchers)

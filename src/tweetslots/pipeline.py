@@ -381,14 +381,17 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
     split = load_and_split(cfg, registry)
     path = out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl")
     records = serialize.load_predictions(path)
-    report = metrics_mod.score(
-        records,
-        split.val_tweets,
-        registry,
-        model_id=f"ensemble-top{cfg.ensemble_k}",
-        corpus_id=f"{split.digest}/val",
-        filtered=filtered,
-    )
+    try:
+        report = metrics_mod.score(
+            records,
+            split.val_tweets,
+            registry,
+            model_id=f"ensemble-top{cfg.ensemble_k}",
+            corpus_id=f"{split.digest}/val",
+            filtered=filtered,
+        )
+    except metrics_mod.MetricsError as exc:  # the gold tweets' ids are distinct, so a row is at fault
+        raise metrics_mod.MetricsError(f"{path}: {exc}") from None
     # score refuses every row that is not one distinct validation triple, so fewer rows
     # than triples means a triple without a row: a gold positive there counts as no FN.
     expected = sum(len(registry.names_for(t.event)) * len(t.candidates) for t in split.val_tweets)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import logging
@@ -10,7 +11,9 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from tweetslots.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, _bu
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import init_model
 
-from conftest import CONFIG_TEXT, FLOAT_TRAIN_KEYS, lock_holder, tree_bytes, ws_config
+from conftest import FLOAT_TRAIN_KEYS, lock_holder, tree_bytes, ws_config
 
 
 @pytest.fixture(scope="module")
@@ -126,18 +129,6 @@ class TestStageTable:
             assert os.path.samestat(lock.stat(), held)
         assert not (out / "ablation.json").exists()
 
-    def test_stage_refuses_the_lock_of_a_live_pid(self, ws, cli_run, tmp_path):
-        out = tmp_path / "held"
-        self._reports(cli_run, out)
-        lock = out / ".lock"
-        with lock_holder(out):
-            held = lock.stat()
-            assert self._ablate(ws, out) == EXIT_DATA
-            after = lock.stat()
-            assert os.path.samestat(after, held)
-            assert (after.st_size, after.st_mtime_ns) == (held.st_size, held.st_mtime_ns)
-            assert not (out / "ablation.json").exists()
-
     def test_stage_refuses_a_held_lock_whatever_its_file_says(self, ws, cli_run, tmp_path):
         out = tmp_path / "held"
         self._reports(cli_run, out)
@@ -149,18 +140,6 @@ class TestStageTable:
             assert self._ablate(ws, out) == EXIT_DATA
             assert lock.read_text() == f"{dead.pid} {os.uname().nodename}\n"
             assert not (out / "ablation.json").exists()
-
-    def test_stage_takes_the_lock_of_a_killed_holder(self, ws, cli_run, tmp_path, caplog):
-        out = tmp_path / "crashed"
-        self._reports(cli_run, out)
-        with lock_holder(out) as holder:
-            holder.kill()
-            holder.wait(timeout=60)
-            assert (out / ".lock").exists()  # SIGKILL gives no chance to clean up
-            assert self._ablate(ws, out) == EXIT_OK
-        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
-        assert (out / "ablation.json").is_file()
-        assert not (out / ".lock").exists()
 
     def test_stage_fails_where_flock_is_not_supported(self, ws, cli_run, tmp_path, monkeypatch, caplog):
         import fcntl
@@ -191,196 +170,15 @@ class TestPredict:
         assert len(records) == n_val
         assert all(r.decision in (0, 1) for r in records)
 
-    def test_instances_of_another_max_len_are_data_error(self, ws, cli_run, tmp_path, caplog):
-        cfg = pipeline.load_config(ws / "config.ini")
-        wider = replace(cfg.encoder, max_len=cfg.encoder.max_len + 1)
-        serialize.save_model(init_model(wider, StrategyKind.LAST, pipeline.make_registry(cfg)), tmp_path / "m.bin")
-        out_file = tmp_path / "single.jsonl"
-        code = main([
-            "predict", "--config", str(ws / "config.ini"), "--output", str(cli_run),
-            "--model", str(tmp_path / "m.bin"), "--out", str(out_file),
-        ])
-        assert code == EXIT_DATA
-        assert f"field 'max_len' is {cfg.encoder.max_len}, the encoder's max_len is {wider.max_len}" in caplog.text
-        assert not out_file.exists()
-
-    def test_missing_model_is_data_error(self, ws, tmp_path):
-        out_file = tmp_path / "single.jsonl"
-        code = main([
-            "predict", "--config", str(ws / "config.ini"), "--output", str(tmp_path),
-            "--model", str(tmp_path / "absent.bin"), "--out", str(out_file),
-        ])
-        assert code == EXIT_DATA
-        assert not out_file.exists()
-
-    def test_out_is_required(self, ws, cli_run):
-        # With no default, predict cannot replace the ensemble's predictions.jsonl
-        # and leave run_manifest.json's sha256 for it stale.
-        before = (cli_run / "predictions.jsonl").read_bytes()
-        with pytest.raises(SystemExit) as info:
-            main([
-                "predict", "--config", str(ws / "config.ini"), "--output", str(cli_run),
-                "--model", str(cli_run / "models" / "last-s0.bin"),
-            ])
-        assert info.value.code == EXIT_CONFIG
-        assert (cli_run / "predictions.jsonl").read_bytes() == before
-
-
-class TestConfigErrors:
-    def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "no.ini")]) == EXIT_CONFIG
-
-    def test_unknown_key(self, ws, tmp_path):
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\nmystery = 1\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", FLOAT_TRAIN_KEYS)
-    def test_non_finite_train_value(self, ws, tmp_path, caplog, key, value):
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{key} = {value}\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"{key.split('.')[1]} must be finite" in caplog.text
-        assert not (tmp_path / "o").exists()
-
-    def test_repeated_pool_entry(self, ws, tmp_path, caplog):
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\nensemble.strategies = last,last\nensemble.k = 1\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "ensemble.strategies lists 'last' more than once" in caplog.text
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("seed = -1", "seed must be >= 0, got -1"),
-            ("ensemble.seeds = 0,-1\nensemble.k = 1", "ensemble.seeds entries must be >= 0, got -1"),
-        ],
-        ids=["seed", "ensemble-seed"],
-    )
-    def test_negative_seed(self, ws, tmp_path, caplog, line, message):
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {ws / 'corpus.jsonl'}\n{line}\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"{p}:2: {message}" in caplog.text
-        assert not (tmp_path / "o").exists()
-
-    def test_missing_corpus_path(self, tmp_path):
-        p = tmp_path / "c.ini"
-        p.write_text("data.corpus = gone.jsonl\n")
-        assert main(["run", "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-
-
-class TestDataErrors:
-    def test_malformed_corpus_row(self, tmp_path):
-        corpus = tmp_path / "bad.jsonl"
-        corpus.write_text('{"id": "a"\n')
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {corpus}\n")
-        code = main(["preprocess", "--config", str(p), "--output", str(tmp_path / "o")])
-        assert code == EXIT_DATA
-
-    def test_non_object_instance_row(self, ws, cli_run, tmp_path, caplog):
-        out = tmp_path / "o"
-        out.mkdir()
-        first = (cli_run / "val_instances.jsonl").read_text().splitlines()[0]
-        (out / "val_instances.jsonl").write_text(f"{first}\n5\n")
-        code = main(["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)])
-        assert code == EXIT_DATA
-        assert f"{out / 'val_instances.jsonl'}:2: expected an object, got 5" in caplog.text
-
-    @pytest.mark.parametrize("command", ["preprocess", "run"])
-    def test_corpus_that_is_not_utf8(self, ws, tmp_path, caplog, command):
-        corpus = tmp_path / "corpus.jsonl"
-        first = (ws / "corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
-        corpus.write_bytes(first + first.replace(b'"text":"', b'"text":"\xff', 1))
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {corpus}\ndata.subtasks = {ws / 'subtasks.txt'}\n")
-        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_DATA
-        assert f"{corpus}:2: not UTF-8 (byte 0xff)" in caplog.text
-
-    @pytest.mark.parametrize("command", ["preprocess", "run"])
-    def test_corpus_with_a_lone_surrogate(self, ws, tmp_path, caplog, command):
-        # Read as text, the escape would reach the corpus digest, which cannot encode it as UTF-8.
-        corpus = tmp_path / "corpus.jsonl"
-        first = (ws / "corpus.jsonl").read_bytes().splitlines(keepends=True)[0]
-        corpus.write_bytes(first + first.replace(b'"text":"', b'"text":"\\ud83d', 1))
-        p = tmp_path / "c.ini"
-        p.write_text(f"data.corpus = {corpus}\ndata.subtasks = {ws / 'subtasks.txt'}\n")
-        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_DATA
-        assert f"{corpus}:2: field 'text' holds a lone surrogate '\\ud83d', not text" in caplog.text
-
-    @pytest.mark.parametrize("command", ["preprocess", "run"])
-    def test_config_that_is_not_utf8(self, ws, tmp_path, caplog, command):
-        p = tmp_path / "c.ini"
-        p.write_bytes(f"data.corpus = {ws / 'corpus.jsonl'}\n# caf\xe9 latin-1\n".encode("latin-1"))
-        assert main([command, "--config", str(p), "--output", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"{p}:2: not UTF-8 (byte 0xe9)" in caplog.text
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("fraction, side", [(0.001, "train"), (0.99, "validation")])
-    def test_split_with_an_empty_side(self, ws, tmp_path, caplog, fraction, side):
-        # The workspace corpus holds 16 tweets: 0.001 puts none on the train
-        # side, 0.99 all of them.
-        p = tmp_path / "c.ini"
-        p.write_text(CONFIG_TEXT.replace("seed = 1", f"seed = 1\nsplit.train_fraction = {fraction}"))
-        for name in ("corpus.jsonl", "subtasks.txt"):
-            (tmp_path / name).write_bytes((ws / name).read_bytes())
-        out = tmp_path / "o"
-        assert main(["preprocess", "--config", str(p), "--output", str(out)]) == EXIT_DATA
-        corpus = (tmp_path / "corpus.jsonl").resolve()
-        assert f"{corpus}: split.train_fraction = {fraction} leaves the {side} side of 16 tweets empty" in caplog.text
-        assert not list(out.glob("*instances.jsonl"))
-
-    def test_ablate_refuses_a_report_its_counts_do_not_give(self, ws, cli_run, tmp_path, caplog):
-        out = tmp_path / "o"
-        TestStageTable._reports(cli_run, out)
-        report = json.loads((out / "report_filtered.json").read_text())
-        report["micro_f1"] = 0.99
-        (out / "report_filtered.json").write_text(json.dumps(report))
-        assert TestStageTable._ablate(ws, out) == EXIT_DATA
-        assert f"{out / 'report_filtered.json'}: field 'micro_f1' is 0.99, but the counts give " in caplog.text
-        assert not (out / "ablation.json").exists()
-
-    def test_ensemble_refuses_a_marker_off_its_open_marker(self, ws, cli_run, tmp_path, caplog):
-        # Read from the token after <E>, the row would be scored from context, and ensemble would exit 0.
-        out = tmp_path / "o"
-        shutil.copytree(cli_run, out)
-        lines = (out / "val_instances.jsonl").read_text().splitlines(keepends=True)
-        row = json.loads(lines[1])
-        row["marker_pos"] += 1
-        lines[1] = json.dumps(row) + "\n"
-        (out / "val_instances.jsonl").write_text("".join(lines))
-        before = (out / "predictions.jsonl").read_bytes()
-        assert main(["ensemble", "--config", str(ws / "config.ini"), "--output", str(out)]) == EXIT_DATA
-        token_id = row["token_ids"][row["marker_pos"]]
-        assert (f"{out / 'val_instances.jsonl'}:2: field 'marker_pos' is {row['marker_pos']}, where token_ids holds "
-                f"{token_id}, not the <E> id 2") in caplog.text
-        assert (out / "predictions.jsonl").read_bytes() == before
-
-    def test_evaluate_without_predictions(self, ws, tmp_path):
-        code = main([
-            "evaluate", "--config", str(ws / "config.ini"), "--output", str(tmp_path / "empty"),
-        ])
-        assert code == EXIT_DATA
-
-    @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "filtered"])
-    def test_evaluate_refuses_predictions_that_skip_triples(self, ws, cli_run, tmp_path, caplog, filtered):
-        # A gold positive without a row would count as no false negative. The rows go in
-        # triple order, so the first one dropped is the first triple missing.
-        name = "predictions_filtered.jsonl" if filtered else "predictions.jsonl"
-        out = tmp_path / "o"
-        out.mkdir()
-        lines = (cli_run / name).read_text().splitlines(keepends=True)
-        kept, first = lines[::2], json.loads(lines[1])
-        (out / name).write_text("".join(kept))
-        argv = ["evaluate", "--config", str(ws / "config.ini"), "--output", str(out)]
-        assert main(argv + ["--filtered"] * filtered) == EXIT_DATA
-        assert (f"{out / name}: {len(kept)} predictions for {len(lines)} validation triples; first missing: "
-                f"tweet {first['tweet_id']!r}, subtask {first['subtask']}, candidate {first['candidate_index']}"
-                ) in caplog.text
-        assert not list(out.glob("report_*.json"))
-
+    @pytest.mark.parametrize("kind", [k.value for k in StrategyKind])
+    def test_the_one_member_of_a_pool_predicts_the_ensembles_file(self, ws, tmp_path, kind):
+        p = ws_config(ws, f"one-{kind}.ini", "ensemble.strategies = last,sum4\nensemble.seeds = 0,1,2\nensemble.k = 3",
+                      f"ensemble.strategies = {kind}\nensemble.seeds = 0\nensemble.k = 1")
+        out, single = tmp_path / "o", tmp_path / "single.jsonl"
+        assert main(["run", "--config", str(p), "--output", str(out)]) == EXIT_OK
+        assert main(["predict", "--config", str(p), "--output", str(out),
+                     "--model", str(out / "models" / f"{kind}-s0.bin"), "--out", str(single)]) == EXIT_OK
+        assert single.read_bytes() == (out / "predictions.jsonl").read_bytes()
 
 class TestEnsemblePool:
     """``ensemble`` ranks the config's pool by the members' training logs."""
@@ -402,31 +200,6 @@ class TestEnsemblePool:
         assert f"{top}.bin" not in loaded
         assert len(loaded) == len(before)
 
-    def test_untrained_member_names_its_log(self, ws, cli_run, tmp_path, caplog):
-        out = tmp_path / "o"
-        shutil.copytree(cli_run, out)
-        p = tmp_path / "c.ini"
-        p.write_text(CONFIG_TEXT.replace("ensemble.seeds = 0,1,2", "ensemble.seeds = 0,1,2,5"))
-        for name in ("corpus.jsonl", "subtasks.txt"):
-            (tmp_path / name).write_bytes((ws / name).read_bytes())
-        code = main(["ensemble", "--config", str(p), "--output", str(out)])
-        assert code == EXIT_DATA
-        assert str(out / "logs" / "last-s5.jsonl") in caplog.text
-
-
-class TestDivergence:
-    def test_exit_four(self, ws, tmp_path):
-        p = tmp_path / "c.ini"
-        p.write_text(CONFIG_TEXT.replace("seed = 1", "seed = 1\ntrain.learning_rate = 1e200\n"))
-        for name in ("corpus.jsonl", "subtasks.txt"):
-            (tmp_path / name).write_bytes((ws / name).read_bytes())
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["run", "--config", str(p), "--output", str(tmp_path / "o")])
-        assert code == EXIT_DIVERGENCE
-        obj = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
-        assert obj["status"] == "failed"
-        assert obj["failed_stage"] == "train"
-
 
 class TestFlags:
     """What the deleted ``--seed`` and ``--no-clean`` flags did, now done by
@@ -447,3 +220,283 @@ class TestFlags:
         assert pipeline.load_config(p).clean_enabled is False
         assert main(["preprocess", "--config", str(p), "--output", str(out)]) == EXIT_OK
         assert (out / "train_instances.jsonl").is_file()
+
+
+# The CLI's refusals, one table. A case starts from a directory ``in``, holding
+# the workspace's inputs (start "inputs" or "run") or nothing (start "empty"),
+# and ``out``, a copy of the ``cli_run`` tree (start "run") or absent. It makes
+# one edit, runs one command, and checks the exit code, the message, and what
+# the command left alone. Both runners run every case: ``main`` in process, and
+# the ``tweetslots`` script (or ``python -m tweetslots.cli`` where none is
+# installed) as a child process that imports this package.
+
+
+@dataclass(frozen=True)
+class Case:
+    """``argv`` and ``message`` are formatted with the case's ``inputs`` and
+    ``out`` paths and what ``edit`` returns. Each glob of ``absent`` is removed
+    before the command and must match nothing after it; each path of
+    ``unchanged`` keeps its bytes, inode and mtime; each (path, text) of
+    ``holds`` names a file that must hold that text after the command.
+    ``holder`` is a second process holding ``out``'s lock ("live"), or killed
+    after taking it ("killed"). A case that exits 0 logs no warning."""
+
+    id: str
+    start: str
+    argv: str
+    code: int
+    message: str
+    edit: Callable[[Path], dict | None] = lambda root: None
+    absent: tuple[str, ...] = ()
+    unchanged: tuple[str, ...] = ()
+    holds: tuple[tuple[str, str], ...] = ()
+    holder: str | None = None
+
+
+def _write(rel: str, data: str | bytes):
+    """An edit that writes ``data`` to ``rel``."""
+    def edit(root):
+        (root / rel).write_bytes(data.encode() if isinstance(data, str) else data)
+    return edit
+
+
+def _lines(rel: str, change):
+    """An edit of ``rel``'s lines (bytes): ``change`` returns the new lines and the values it formats."""
+    def edit(root):
+        path = root / rel
+        lines, values = change(path.read_bytes().splitlines(keepends=True))
+        path.write_bytes(b"".join(lines))
+        return values
+    return edit
+
+
+def _replace(rel: str, old: str, new: str):
+    """An edit that replaces the first ``old`` in ``rel`` with ``new``."""
+    def change(lines):
+        text = b"".join(lines).decode()
+        assert old in text, old
+        return [text.replace(old, new, 1).encode()], {}
+    return _lines(rel, change)
+
+
+def _row(rel: str, change, line: int = 1):
+    """An edit of JSON row ``line`` of ``rel``: ``change`` alters the row and returns the values it formats."""
+    def change_lines(lines):
+        row = json.loads(lines[line - 1])
+        values = change(row)
+        return [*lines[:line - 1], (json.dumps(row, ensure_ascii=False) + "\n").encode(), *lines[line:]], values
+    return _lines(rel, change_lines)
+
+
+def _skip_rows(rel: str, keep):
+    """Keep the prediction rows whose index ``keep(i, n)`` accepts; formats their count
+    ``kept``, the ``total``, and the first dropped triple as ``missing``."""
+    def change(lines):
+        kept = [line for i, line in enumerate(lines) if keep(i, len(lines))]
+        first = json.loads(next(line for i, line in enumerate(lines) if not keep(i, len(lines))))
+        missing = f"tweet {first['tweet_id']!r}, subtask {first['subtask']}, candidate {first['candidate_index']}"
+        return kept, {"kept": len(kept), "total": len(lines), "missing": missing}
+    return _lines(rel, change)
+
+
+def _text_prefix(line: int, prefix: bytes):
+    """Put ``prefix`` before the text of corpus line ``line``."""
+    return _lines("in/corpus.jsonl", lambda lines: (
+        [*lines[:line - 1], lines[line - 1].replace(b'"text":"', b'"text":"' + prefix, 1), *lines[line:]], {}))
+
+
+def _move_marker(row):
+    row["marker_pos"] += 1
+    return {"pos": row["marker_pos"], "token": row["token_ids"][row["marker_pos"]]}
+
+
+def _other_event(row):
+    subtask = row["subtask"]
+    row["subtask"] = "death/age" if subtask.startswith("cure_and_prevention/") else "cure_and_prevention/opinion"
+    return {"tweet": row["tweet_id"], "event": subtask.split("/")[0], "subtask": row["subtask"]}
+
+
+def _first_row_twice(lines):
+    row = json.loads(lines[0])
+    return [lines[0], *lines[:-1]], {"key": (row["tweet_id"], tuple(row["subtask"].split("/")), row["candidate_index"])}
+
+
+def _wider_model(root):
+    cfg = pipeline.load_config(root / "in" / "config.ini")
+    wider = replace(cfg.encoder, max_len=cfg.encoder.max_len + 1)
+    serialize.save_model(init_model(wider, StrategyKind.LAST, pipeline.make_registry(cfg)), root / "in" / "m.bin")
+    return {"max_len": cfg.encoder.max_len, "wider": wider.max_len}
+
+
+_STAGE = "--config {inputs}/config.ini --output {out}"
+_C_INI = "--config {inputs}/c.ini --output {out}"
+_PREDICT = "predict " + _STAGE + " --model {inputs}/m.bin --out {inputs}/single.jsonl"
+_PREDICTIONS = "{out}/predictions.jsonl: "
+
+CASES = (
+    Case("evaluate-without-the-last-row", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "{kept} predictions for {total} validation triples; first missing: {missing}",
+         _skip_rows("out/predictions.jsonl", lambda i, n: i < n - 1), absent=("out/report_*.json",)),
+    *(Case(f"evaluate-skipping-triples-{label}", "run", f"evaluate {_STAGE}{flag}", EXIT_DATA,
+           f"{{out}}/{name}: {{kept}} predictions for {{total}} validation triples; first missing: {{missing}}",
+           _skip_rows(f"out/{name}", lambda i, n: i % 2 == 0), absent=("out/report_*.json",))
+      for label, flag, name in (("unfiltered", "", "predictions.jsonl"),
+                                ("filtered", " --filtered", "predictions_filtered.jsonl"))),
+    Case("evaluate-unknown-tweet", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "prediction references unknown tweet ''",
+         _row("out/predictions.jsonl", lambda row: row.update(tweet_id="")), absent=("out/report_*.json",)),
+    Case("evaluate-unregistered-subtask", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "prediction references unregistered subtask death/when",
+         _row("out/predictions.jsonl", lambda row: row.update(subtask="death/when")), absent=("out/report_*.json",)),
+    Case("evaluate-foreign-event", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "tweet {tweet!r} is a {event} tweet; prediction for {subtask} cannot join it",
+         _row("out/predictions.jsonl", _other_event), absent=("out/report_*.json",)),
+    Case("evaluate-candidate-out-of-range", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "tweet {tweet!r}: candidate index 99 out of range",
+         _row("out/predictions.jsonl", lambda row: row.update(candidate_index=99) or {"tweet": row["tweet_id"]}),
+         absent=("out/report_*.json",)),
+    Case("evaluate-duplicate-row", "run", "evaluate " + _STAGE, EXIT_DATA,
+         _PREDICTIONS + "duplicate prediction for {key}",
+         _lines("out/predictions.jsonl", _first_row_twice), absent=("out/report_*.json",)),
+    Case("evaluate-without-predictions", "inputs", "evaluate " + _STAGE, EXIT_DATA,
+         "No such file or directory: '{out}/predictions.jsonl'", absent=("out/report_*.json",)),
+    Case("ensemble-marker-off-its-open-marker", "run", "ensemble " + _STAGE, EXIT_DATA,
+         "{out}/val_instances.jsonl:1: field 'marker_pos' is {pos}, where token_ids holds {token}, not the <E> id 2",
+         _row("out/val_instances.jsonl", _move_marker), unchanged=("out/predictions.jsonl",)),
+    Case("ensemble-without-its-close-marker", "run", "ensemble " + _STAGE, EXIT_DATA,
+         "{out}/val_instances.jsonl:1: field 'token_ids' must hold one <E> id 2, at marker_pos, and one </E> id 3",
+         _row("out/val_instances.jsonl", lambda row: row["token_ids"].__setitem__(row["token_ids"].index(3), 7)),
+         unchanged=("out/predictions.jsonl",)),
+    Case("ensemble-non-object-instance-row", "run", "ensemble " + _STAGE, EXIT_DATA,
+         "{out}/val_instances.jsonl:2: expected an object, got 5",
+         _lines("out/val_instances.jsonl", lambda lines: ([lines[0], b"5\n"], {})),
+         unchanged=("out/predictions.jsonl",)),
+    Case("ensemble-untrained-member", "run", "ensemble " + _STAGE, EXIT_DATA, "{out}/logs/last-s5.jsonl",
+         _replace("in/config.ini", "ensemble.seeds = 0,1,2", "ensemble.seeds = 0,1,2,5"),
+         unchanged=("out/predictions.jsonl",)),
+    Case("ablate-report-its-counts-do-not-give", "run", "ablate " + _STAGE, EXIT_DATA,
+         "{out}/report_filtered.json: field 'micro_f1' is 0.99, but the counts give ",
+         _lines("out/report_filtered.json", lambda lines: (
+             [json.dumps({**json.loads(b"".join(lines)), "micro_f1": 0.99}).encode()], {})),
+         absent=("out/ablation.json",)),
+    Case("ablate-under-a-live-holder", "run", "ablate " + _STAGE, EXIT_DATA,
+         "output directory is locked by {out}/.lock: another command holds it",
+         absent=("out/ablation.json",), unchanged=("out/.lock",), holder="live"),
+    Case("ablate-after-the-holder-is-killed", "run", "ablate " + _STAGE, EXIT_OK, "",
+         _write("out/ablation.json", ""), absent=("out/.lock",),
+         holds=(("out/ablation.json", '"label_b": "filtered"'),), holder="killed"),
+    *(Case(f"{command}-lone-surrogate", "inputs", f"{command} {_STAGE}", EXIT_DATA,
+           "{inputs}/corpus.jsonl:4: field 'text' holds a lone surrogate '\\ud83d', not text",
+           _text_prefix(4, b"\\ud83d"), absent=("out/*instances.jsonl",))
+      for command in ("preprocess", "run")),
+    *(Case(f"{command}-corpus-not-utf8", "inputs", f"{command} {_STAGE}", EXIT_DATA,
+           "{inputs}/corpus.jsonl:2: not UTF-8 (byte 0xff)", _text_prefix(2, b"\xff"),
+           absent=("out/*instances.jsonl",))
+      for command in ("preprocess", "run")),
+    Case("preprocess-malformed-corpus-row", "inputs", "preprocess " + _STAGE, EXIT_DATA,
+         "{inputs}/corpus.jsonl:1: malformed JSON", _write("in/corpus.jsonl", '{"id": "a"\n'),
+         absent=("out/*instances.jsonl",)),
+    *(Case(f"preprocess-split-leaves-{side}-empty", "inputs", "preprocess " + _STAGE, EXIT_DATA,
+           f"{{inputs}}/corpus.jsonl: split.train_fraction = {fraction} leaves the {side} side of 16 tweets empty",
+           _replace("in/config.ini", "seed = 1", f"seed = 1\nsplit.train_fraction = {fraction}"),
+           absent=("out/*instances.jsonl",))
+      for fraction, side in ((0.001, "train"), (0.99, "validation"))),
+    Case("run-diverges", "inputs", "run " + _STAGE, EXIT_DIVERGENCE,
+         "training diverged: non-finite loss at epoch 1, batch 1",
+         _replace("in/config.ini", "seed = 1", "seed = 1\ntrain.learning_rate = 1e200"),
+         absent=("out/predictions.jsonl",),
+         holds=(("out/run_manifest.json", '"status": "failed"'), ("out/run_manifest.json", '"failed_stage": "train"'))),
+    Case("predict-instances-of-another-max-len", "run", _PREDICT, EXIT_DATA,
+         "field 'max_len' is {max_len}, the encoder's max_len is {wider}", _wider_model,
+         absent=("in/single.jsonl",)),
+    Case("predict-missing-model", "inputs", _PREDICT, EXIT_DATA,
+         "No such file or directory: '{inputs}/m.bin'", absent=("in/single.jsonl",)),
+    Case("predict-without-out", "run", "predict " + _STAGE + " --model {out}/models/last-s0.bin", EXIT_CONFIG,
+         "the following arguments are required: --out", unchanged=("out/predictions.jsonl",)),
+    Case("run-missing-config", "empty", "run --config {inputs}/no.ini", EXIT_CONFIG,
+         "config file not found: {inputs}/no.ini", absent=("out",)),
+    Case("preprocess-form-feed-ends-no-line", "empty", "preprocess " + _C_INI, EXIT_CONFIG,
+         "{inputs}/c.ini:2: unknown config key 'bogus.key'",
+         _write("in/c.ini", "# page\f\nbogus.key = 1\n"), absent=("out",)),
+    Case("preprocess-batch-size-zero", "inputs", "preprocess " + _C_INI, EXIT_CONFIG,
+         "{inputs}/c.ini:2: config key 'train.batch_size': batch_size must be >= 1, got 0",
+         _write("in/c.ini", "data.corpus = corpus.jsonl\ntrain.batch_size = 0\n"), absent=("out",)),
+    Case("run-unknown-key", "inputs", "run " + _C_INI, EXIT_CONFIG, "{inputs}/c.ini:2: unknown config key 'mystery'",
+         _write("in/c.ini", "data.corpus = corpus.jsonl\nmystery = 1\n"), absent=("out",)),
+    Case("run-missing-corpus", "empty", "run " + _C_INI, EXIT_CONFIG,
+         "{inputs}/c.ini:1: config key 'data.corpus': path does not exist: {inputs}/gone.jsonl",
+         _write("in/c.ini", "data.corpus = gone.jsonl\n"), absent=("out",)),
+    Case("run-repeated-pool-entry", "inputs", "run " + _C_INI, EXIT_CONFIG,
+         "ensemble.strategies lists 'last' more than once",
+         _write("in/c.ini", "data.corpus = corpus.jsonl\nensemble.strategies = last,last\nensemble.k = 1\n"),
+         absent=("out",)),
+    *(Case(f"run-negative-{name}", "inputs", "run " + _C_INI, EXIT_CONFIG, "{inputs}/c.ini:2: " + message,
+           _write("in/c.ini", f"data.corpus = corpus.jsonl\n{line}\n"), absent=("out",))
+      for name, line, message in (
+          ("seed", "seed = -1", "seed must be >= 0, got -1"),
+          ("ensemble-seed", "ensemble.seeds = 0,-1\nensemble.k = 1", "ensemble.seeds entries must be >= 0, got -1"))),
+    *(Case(f"{command}-config-not-utf8", "inputs", f"{command} {_C_INI}", EXIT_CONFIG,
+           "{inputs}/c.ini:2: not UTF-8 (byte 0xe9)",
+           _write("in/c.ini", "data.corpus = corpus.jsonl\n# caf\xe9 latin-1\n".encode("latin-1")), absent=("out",))
+      for command in ("preprocess", "run")),
+    *(Case(f"run-non-finite-{key}-{value}", "inputs", "run " + _C_INI, EXIT_CONFIG,
+           f"{{inputs}}/c.ini:2: config key '{key}': {key.split('.')[1]} must be finite, got {value}",
+           _write("in/c.ini", f"data.corpus = corpus.jsonl\n{key} = {value}\n"), absent=("out",))
+      for key in FLOAT_TRAIN_KEYS for value in ("nan", "inf", "-inf")),
+)
+
+# Where no ``tweetslots`` script is installed, the module stands in for it. Through
+# PYTHONPATH the child imports this process's copy of the package, whichever copy the
+# script was installed from.
+_INSTALLED = shutil.which("tweetslots")
+_SCRIPT = [_INSTALLED] if _INSTALLED else [sys.executable, "-m", "tweetslots.cli"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.id for c in CASES])
+@pytest.mark.parametrize("runner", ["main", "script"])
+def test_refusal(runner, case, ws, cli_run, tmp_path, monkeypatch, caplog, capsys):
+    root = tmp_path.resolve()
+    inputs, out = root / "in", root / "out"
+    inputs.mkdir()
+    if case.start != "empty":
+        for name in ("corpus.jsonl", "subtasks.txt", "config.ini"):
+            shutil.copyfile(ws / name, inputs / name)
+    if case.start == "run":
+        shutil.copytree(cli_run, out)
+    names = {"inputs": inputs, "out": out, **(case.edit(root) or {})}
+    for pattern in case.absent:
+        for path in root.glob(pattern):
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+    argv = [arg.format(**names) for arg in case.argv.split()]
+    monkeypatch.chdir(root)
+    with lock_holder(out) if case.holder else contextlib.nullcontext() as holder:
+        if case.holder == "killed":
+            holder.kill()
+            holder.wait(timeout=60)
+            assert (out / ".lock").exists()  # SIGKILL gives no chance to clean up
+        before = {rel: _stamp(root / rel) for rel in case.unchanged}
+        if runner == "main":
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # a diverging run overflows on purpose
+                    code = main(argv)
+            except SystemExit as exc:  # argparse's refusal
+                code = exc.code
+            text = caplog.text + capsys.readouterr().err
+        else:
+            env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+            proc = subprocess.run([*_SCRIPT, *argv], capture_output=True, text=True, env=env, timeout=600)
+            code, text = proc.returncode, proc.stderr
+        assert code == case.code, text
+        assert case.message.format(**names) in text
+        if code == EXIT_OK:
+            assert not [line for line in text.splitlines() if line.startswith(("WARNING", "ERROR"))], text
+        assert {rel: _stamp(root / rel) for rel in case.unchanged} == before
+    for pattern in case.absent:
+        assert not list(root.glob(pattern)), pattern
+    for rel, held in case.holds:
+        assert held in (root / rel).read_text(), rel
+
+
+def _stamp(path: Path):
+    stat = path.stat()
+    return path.read_bytes(), stat.st_ino, stat.st_mtime_ns

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import re
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tweetslots.corpus import EventType, SubtaskId
@@ -118,6 +119,12 @@ class TestNormalize:
         assert nerfilter._normalize(text) == regex_form
 
 
+# Text for a phrase or a rule: mostly letters, blanks and punctuation that the normal form of
+# tag() standardises; sometimes an upper-case letter, a comment mark or a line end.
+_TABLE_TEXT = (st.text(st.sampled_from("ab .'\u2019\u2026"), min_size=1, max_size=5)
+               | st.text(st.sampled_from("ab A#\t\n\r\xa0"), min_size=1, max_size=3))
+
+
 class TestGazetteerIo:
     def test_loads_all_types(self, gaz):
         assert len(gaz.phrases[EntityType.PERSON]) > 50
@@ -140,6 +147,37 @@ class TestGazetteerIo:
         save_gazetteer(again, tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_text() == (tmp_path / "b" / f.name).read_text()
+
+    @given(phrases=st.dictionaries(st.sampled_from(list(EntityType)), st.frozensets(_TABLE_TEXT, max_size=4),
+                                   max_size=3),
+           rules=st.lists(st.tuples(st.sampled_from(list(EntityType)), _TABLE_TEXT), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_any_gazetteer_that_constructs_loads_back(self, phrases, rules):
+        try:
+            gz = Gazetteer(phrases=phrases, rules=tuple((etype, re.compile(re.escape(t))) for etype, t in rules))
+        except NerFilterError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as directory:
+            save_gazetteer(gz, directory)
+            again = load_gazetteer(directory)
+        for etype in EntityType:
+            assert again.phrases.get(etype, frozenset()) == gz.phrases.get(etype, frozenset()), etype
+        assert sorted((t.name, p.pattern) for t, p in again.rules) == sorted((t.name, p.pattern) for t, p in gz.rules)
+
+    def test_gazetteer_refuses_a_rule_twice(self):
+        # Saved, the second copy would be refused on its line of rules.txt.
+        rule = (EntityType.AGE, re.compile(r"\d+ yo"))
+        with pytest.raises(NerFilterError, match=re.escape(r"rule 'AGE<TAB>\d+ yo' listed twice")):
+            Gazetteer(phrases={}, rules=(rule, (EntityType.AGE, re.compile(r"\d+ yo", re.IGNORECASE))))
+
+    def test_gazetteer_refuses_two_phrases_of_one_normal_form(self):
+        # tag() matches both as one phrase; saved, the second line of person.txt would be refused.
+        with pytest.raises(NerFilterError, match="person phrases \"o'brien\" and 'o’brien' have one normal "
+                                                 "form \"o'brien\""):
+            Gazetteer(phrases={EntityType.PERSON: frozenset({"o’brien", "o'brien"})}, rules=())
+        # The same normal form under two types is two phrases.
+        Gazetteer(phrases={EntityType.PERSON: frozenset({"o'brien"}), EntityType.LOCATION: frozenset({"o’brien"})},
+                  rules=())
 
     def test_missing_required_file(self, tmp_path):
         (tmp_path / "person.txt").write_text("wife\n")
@@ -255,7 +293,9 @@ def _gazetteers(draw):
     shared = draw(_phrase)
     for etype in draw(st.lists(st.sampled_from(_TYPED), min_size=2, max_size=2, unique=True)):
         phrases[etype].add(shared)
-    rules = draw(st.lists(st.tuples(st.sampled_from(_TYPED), st.sampled_from(_WORDS)), max_size=3))
+    # Distinct rules, as a Gazetteer requires; the phrases are in tag()'s normal form already,
+    # so a type's distinct phrases have distinct normal forms.
+    rules = draw(st.lists(st.tuples(st.sampled_from(_TYPED), st.sampled_from(_WORDS)), max_size=3, unique=True))
     return phrases, rules
 
 
