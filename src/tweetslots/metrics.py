@@ -33,7 +33,12 @@ from .multitask import PredictionRecord, micro_f1_counts
 
 
 class MetricsError(DataError):
-    """Predictions that do not join the gold corpus, or report misuse."""
+    """Predictions that do not join the gold corpus, or report misuse. ``row``
+    is the index of the prediction at fault, where one is."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
@@ -84,7 +89,7 @@ def score(
     Every registered subtask appears in the report (zero counts when it never
     occurs). A prediction that references an unknown tweet, a subtask foreign
     to that tweet's event, an out-of-range candidate, or a duplicate triple
-    is an error.
+    is an error whose ``row`` is that prediction's index.
     """
     registry = registry or SubtaskRegistry.default()
     by_id: dict[str, AnnotatedTweet] = {}
@@ -94,21 +99,21 @@ def score(
         by_id[tweet.id] = tweet
     counts = {subtask: SubtaskCounts() for subtask in sorted(registry.all_subtasks())}
     seen: set[tuple] = set()
-    for rec in predictions:
+    for row, rec in enumerate(predictions):
         tweet = by_id.get(rec.tweet_id)
         if tweet is None:
-            raise MetricsError(f"prediction references unknown tweet {rec.tweet_id!r}")
+            raise MetricsError(f"prediction references unknown tweet {rec.tweet_id!r}", row)
         cell = counts.get(rec.subtask)
         if cell is None:
-            raise MetricsError(f"prediction references unregistered subtask {rec.subtask}")
+            raise MetricsError(f"prediction references unregistered subtask {rec.subtask}", row)
         if rec.subtask.event is not tweet.event:
             raise MetricsError(f"tweet {rec.tweet_id!r} is a {tweet.event.value} tweet; "
-                               f"prediction for {rec.subtask} cannot join it")
+                               f"prediction for {rec.subtask} cannot join it", row)
         if not 0 <= rec.candidate_index < len(tweet.candidates):
-            raise MetricsError(f"tweet {rec.tweet_id!r}: candidate index {rec.candidate_index} out of range")
+            raise MetricsError(f"tweet {rec.tweet_id!r}: candidate index {rec.candidate_index} out of range", row)
         key = (rec.tweet_id, rec.subtask.key, rec.candidate_index)
         if key in seen:
-            raise MetricsError(f"duplicate prediction for {key}")
+            raise MetricsError(f"duplicate prediction for {key}", row)
         seen.add(key)
         positive = rec.candidate_index in tweet.gold.get(rec.subtask.name, frozenset())
         if rec.decision == 1 and positive:

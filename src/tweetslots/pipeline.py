@@ -12,7 +12,9 @@ concurrent commands apart.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import logging
 import os
 from dataclasses import Field, dataclass, fields, replace
@@ -380,7 +382,7 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
     registry = make_registry(cfg)
     split = load_and_split(cfg, registry)
     path = out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl")
-    records = serialize.load_predictions(path)
+    records = serialize.load_predictions(path, filtered)
     try:
         report = metrics_mod.score(
             records,
@@ -391,7 +393,8 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
             filtered=filtered,
         )
     except metrics_mod.MetricsError as exc:  # the gold tweets' ids are distinct, so a row is at fault
-        raise metrics_mod.MetricsError(f"{path}: {exc}") from None
+        lineno = next(itertools.islice(corpus_mod.read_jsonl(path, serialize.FormatError), exc.row, None))[0]
+        raise metrics_mod.MetricsError(f"{path}:{lineno}: {exc}") from None
     # score refuses every row that is not one distinct validation triple, so fewer rows
     # than triples means a triple without a row: a gold positive there counts as no FN.
     expected = sum(len(registry.names_for(t.event)) * len(t.candidates) for t in split.val_tweets)
@@ -447,7 +450,9 @@ class _OutputLock:
     a file a crashed command left is free. Release unlinks the file while
     still holding it; a taker that locked a file the path no longer names
     reopens, so one release never seats two holders. Without ``flock``
-    support it raises ``OSError`` naming the lock file."""
+    support it raises ``OSError`` naming the lock file. An output directory
+    that the lock made goes with the lock file when nothing else is in it,
+    so a refused command leaves no directory behind."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -456,8 +461,13 @@ class _OutputLock:
     def __enter__(self):
         import fcntl  # POSIX only; imported here so the package imports wherever it did
 
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._made = False
         while self._fd is None:
+            try:  # in the loop: a releaser that made the directory may have taken it back
+                self.path.parent.mkdir(parents=True)
+                self._made = True
+            except FileExistsError:
+                pass
             fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -468,6 +478,8 @@ class _OutputLock:
             except FileNotFoundError:
                 pass  # released and unlinked after our open: lock the file now at the path
             except OSError as exc:  # no flock on this filesystem: say which file
+                if self._made:  # nobody can lock a file here, so this lock's own directory goes
+                    self._take_back()
                 raise OSError(exc.errno, exc.strerror, str(self.path)) from None
             finally:
                 if self._fd != fd:
@@ -475,9 +487,16 @@ class _OutputLock:
         return self
 
     def __exit__(self, *exc_info):
-        self.path.unlink(missing_ok=True)
+        self._take_back()
         os.close(self._fd)
         self._fd = None
+
+    def _take_back(self) -> None:
+        """Unlink the lock file, then the output directory if this lock made it and it is empty."""
+        self.path.unlink(missing_ok=True)
+        if self._made:
+            with contextlib.suppress(OSError):  # not empty: the command wrote to it
+                self.path.parent.rmdir()
 
 
 def _write_run_manifest(

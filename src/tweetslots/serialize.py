@@ -171,7 +171,20 @@ def _empty_model(cfg: EncoderConfig, kind: StrategyKind, subtasks: tuple[Subtask
 # The features are read at ``marker_pos``, the one ``<E>`` of ``token_ids``.
 
 
-def _check_marker_pair(ids: list, marker_pos: int, where: str) -> None:
+def _check_unit_tokens(ids: list, length: int, max_len: int, marker_pos: int, where: str) -> None:
+    """Refuse a unit whose real tokens ``ids``, the ids before its PAD tail, break a rule that
+    the writer and the loader share; masking breaks none of them."""
+    if not 0 < length <= max_len:
+        raise FormatError(f"{where}: field 'length' must lie in [1, max_len {max_len}], got {length}")
+    if len(ids) != length:
+        raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
+    if not 0 <= marker_pos < length:
+        raise FormatError(f"{where}: field 'marker_pos' must lie in [0, length), got {marker_pos}")
+    if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
+        raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
+    if PAD_ID in ids:
+        raise FormatError(f"{where}: field 'token_ids' holds PAD id {PAD_ID} inside its length, "
+                          f"at position {ids.index(PAD_ID)}")
     if ids[marker_pos] != E_OPEN_ID:
         raise FormatError(f"{where}: field 'marker_pos' is {marker_pos}, where token_ids holds "
                           f"{ids[marker_pos]}, not the <E> id {E_OPEN_ID}")
@@ -207,24 +220,15 @@ def save_instances(instances: Sequence[MaskedInstance], path: str | Path) -> Non
         names = [s.name for s in _label_subtasks(event.value, labels[rows[0]], where, parsed)]
         if [(s.name, u) for u, s, _ in triples] != [(n, u) for n in names for u in rows]:
             raise FormatError(f"{where}: instances are not one per (subtask, candidate) in explode order")
-        for u in rows:  # each row's fields, refused as the loader would refuse them; ids checked as a whole
+        for u in rows:  # each row's fields, refused as the loader would refuse them
             ids, length, marker_pos = table.token_ids[u], lengths[u], markers[u]
             unit_where = f"{where}: candidate {cands[u]}"
             if cands[u] < 0:
                 raise FormatError(f"{unit_where}: field 'candidate_index' must be >= 0")
-            if not 0 < length <= len(ids):
-                raise FormatError(f"{unit_where}: field 'length' must lie in [1, max_len {len(ids)}], got {length}")
-            if not 0 <= marker_pos < length:
-                raise FormatError(f"{unit_where}: field 'marker_pos' must lie in [0, length), got {marker_pos}")
-            if ids.dtype.kind not in "iu" or ids[:length].min() <= PAD_ID:  # PAD_ID is the lowest valid id
-                if ids.dtype.kind not in "iu" or ids[:length].min() < 0:
-                    raise FormatError(f"{unit_where}: field 'token_ids' must hold nonnegative integers")
-                raise FormatError(f"{unit_where}: field 'token_ids' holds PAD id {PAD_ID} inside its length, "
-                                  f"at position {np.flatnonzero(ids[:length] == PAD_ID)[0]}")
+            row = ids[:length].tolist()
+            _check_unit_tokens(row, length, len(ids), marker_pos, unit_where)
             if np.count_nonzero(ids[length:] != PAD_ID):
                 raise FormatError(f"{unit_where} has non-PAD token ids past its length")
-            row = ids[:length].tolist()
-            _check_marker_pair(row, marker_pos, unit_where)
             lines.append(canonical_json({
                 "tweet_id": tweet_id, "candidate_index": cands[u], "event": event.value,
                 "chunk_text": table.chunk_texts[u], "marker_pos": marker_pos, "length": length,
@@ -254,21 +258,10 @@ def load_instances(path: str | Path, cfg: EncoderConfig) -> InstanceTable:
         labels = json_field(obj, "labels", dict, where, FormatError)
         if max_len != cfg.max_len:
             raise FormatError(f"{where}: field 'max_len' is {max_len}, the encoder's max_len is {cfg.max_len}")
-        if not 0 < length <= max_len:
-            raise FormatError(f"{where}: field 'length' must lie in [1, max_len]")
-        if len(ids) != length:
-            raise FormatError(f"{where}: field 'token_ids' holds {len(ids)} ids, length says {length}")
-        if marker_pos >= length:
-            raise FormatError(f"{where}: field 'marker_pos' outside the token range")
-        if not (set(map(type, ids)) <= {int} and min(ids) >= 0):
-            raise FormatError(f"{where}: field 'token_ids' must hold nonnegative integers")
-        if PAD_ID in ids:
-            raise FormatError(f"{where}: field 'token_ids' holds PAD id {PAD_ID} inside its length, "
-                              f"at position {ids.index(PAD_ID)}")
+        _check_unit_tokens(ids, length, max_len, marker_pos, where)
         if max(ids) >= cfg.vocab_size:
             raise FormatError(f"{where}: field 'token_ids' holds id {max(ids)}, "
                               f"the encoder's vocab_size is {cfg.vocab_size}")
-        _check_marker_pair(ids, marker_pos, where)
         if not labels:
             raise FormatError(f"{where}: field 'labels' names no subtask")
         for name in labels:
@@ -343,74 +336,52 @@ def save_predictions(records: Iterable[PredictionRecord], path: str | Path, incl
     write_file(path, (canonical_json(row) + "\n" for row in rows))
 
 
-def load_predictions(path: str | Path) -> list[PredictionRecord]:
+def load_predictions(path: str | Path, include_filtered: bool = False) -> list[PredictionRecord]:
+    """Read prediction JSONL as ``save_predictions`` writes it with the same ``include_filtered``:
+    a row holds the 'filtered' flag exactly when the file is postprocessed. Each field is checked
+    in turn; the ``<file>:<line>`` text is built only for a field that fails, and each subtask
+    string is parsed once per file."""
     path = Path(path)
+    known = _PREDICTION_FIELDS | {"filtered"} if include_filtered else _PREDICTION_FIELDS
     subtasks: dict[str, SubtaskId] = {}  # each subtask string of the file, once it has parsed
-    return [_prediction_from_obj(obj, path, lineno, subtasks) for lineno, obj in read_jsonl(path, FormatError)]
+    records = []
+    for lineno, obj in read_jsonl(path, FormatError):
+        if not obj.keys() <= known:
+            json_known_fields(obj, known, f"{path}:{lineno}", FormatError)
+        key = obj.get("subtask")
+        subtask = subtasks.get(key) if type(key) is str else None
+        if subtask is None:
+            subtask = subtasks[key] = _subtask_field(obj, f"{path}:{lineno}")
+        # Where a value's JSON type is wrong or it is missing, the json_* helper raises the message.
+        index = obj.get("candidate_index")
+        if type(index) is not int or index < 0:
+            json_nonnegative_int(obj, "candidate_index", f"{path}:{lineno}", FormatError)
+        probability = obj.get("probability")
+        if type(probability) is not float:
+            probability = json_field(obj, "probability", float, f"{path}:{lineno}", FormatError)
+        decision = obj.get("decision")
+        if type(decision) is not int:
+            json_field(obj, "decision", int, f"{path}:{lineno}", FormatError)
+        if decision not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: field 'decision' must be 0 or 1")
+        if not 0.0 <= probability <= 1.0:
+            raise FormatError(f"{path}:{lineno}: field 'probability' must lie in [0, 1]")
+        tweet_id, chunk_text = obj.get("tweet_id"), obj.get("chunk_text")
+        if type(tweet_id) is not str:
+            json_field(obj, "tweet_id", str, f"{path}:{lineno}", FormatError)
+        if type(chunk_text) is not str:
+            json_field(obj, "chunk_text", str, f"{path}:{lineno}", FormatError)
+        filtered = obj.get("filtered") if include_filtered else False
+        if type(filtered) is not bool:
+            json_field(obj, "filtered", bool, f"{path}:{lineno}", FormatError)
+        if filtered and decision:
+            raise FormatError(f"{path}:{lineno}: field 'filtered' is true but field 'decision' is 1 "
+                              "(a nullified row has decision 0)")
+        records.append(PredictionRecord(tweet_id, subtask, index, chunk_text, probability, decision, filtered))
+    return records
 
 
-_PREDICTION_FIELDS = frozenset(
-    ("tweet_id", "subtask", "candidate_index", "chunk_text", "probability", "decision", "filtered")
-)
-
-
-def _prediction_from_obj(obj: dict, path: Path, lineno: int, subtasks: dict[str, SubtaskId]) -> PredictionRecord:
-    """The record of one row. A row whose fields all pass and whose subtask
-    string already parsed in this file is built here, with no per-field
-    calls and no ``where`` text; any other row goes to ``_checked_prediction``."""
-    key, index, probability = obj.get("subtask"), obj.get("candidate_index"), obj.get("probability")
-    tweet_id, chunk_text, decision = obj.get("tweet_id"), obj.get("chunk_text"), obj.get("decision")
-    filtered = obj.get("filtered", False)
-    subtask = subtasks.get(key) if type(key) is str else None
-    if (
-        subtask is None
-        or not obj.keys() <= _PREDICTION_FIELDS
-        or type(index) is not int or index < 0
-        or type(probability) not in (float, int) or not 0.0 <= probability <= 1.0
-        or type(decision) is not int or decision not in (0, 1)
-        or type(tweet_id) is not str or type(chunk_text) is not str or type(filtered) is not bool
-        or (filtered and decision)
-    ):
-        return _checked_prediction(obj, f"{path}:{lineno}", subtasks)
-    return PredictionRecord(
-        tweet_id=tweet_id,
-        subtask=subtask,
-        candidate_index=index,
-        chunk_text=chunk_text,
-        probability=float(probability),
-        decision=decision,
-        filtered=filtered,
-    )
-
-
-def _checked_prediction(obj: dict, where: str, subtasks: dict[str, SubtaskId]) -> PredictionRecord:
-    """The record of one row, checked field by field; raises naming ``where``
-    and the field of the first problem, and caches a subtask string once it parses."""
-    json_known_fields(obj, _PREDICTION_FIELDS, where, FormatError)
-    subtask = subtasks[obj["subtask"]] = _subtask_field(obj, where)
-    candidate_index = json_nonnegative_int(obj, "candidate_index", where, FormatError)
-    probability = json_field(obj, "probability", float, where, FormatError)
-    decision = json_field(obj, "decision", int, where, FormatError)
-    if decision not in (0, 1):
-        raise FormatError(f"{where}: field 'decision' must be 0 or 1")
-    if not 0.0 <= probability <= 1.0:
-        raise FormatError(f"{where}: field 'probability' must lie in [0, 1]")
-    tweet_id = json_field(obj, "tweet_id", str, where, FormatError)
-    chunk_text = json_field(obj, "chunk_text", str, where, FormatError)
-    filtered = json_field(obj, "filtered", bool, where, FormatError) if "filtered" in obj else False
-    if filtered and decision:
-        raise FormatError(
-            f"{where}: field 'filtered' is true but field 'decision' is 1 (a nullified row has decision 0)"
-        )
-    return PredictionRecord(
-        tweet_id=tweet_id,
-        subtask=subtask,
-        candidate_index=candidate_index,
-        chunk_text=chunk_text,
-        probability=probability,
-        decision=decision,
-        filtered=filtered,
-    )
+_PREDICTION_FIELDS = frozenset(("tweet_id", "subtask", "candidate_index", "chunk_text", "probability", "decision"))
 
 
 # -- training log ------------------------------------------------------------

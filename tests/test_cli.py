@@ -317,8 +317,10 @@ def _other_event(row):
 
 
 def _first_row_twice(lines):
+    """Repeat row 1 after a blank line, which the line count counts and the reader skips."""
     row = json.loads(lines[0])
-    return [lines[0], *lines[:-1]], {"key": (row["tweet_id"], tuple(row["subtask"].split("/")), row["candidate_index"])}
+    return [lines[0], b"\n", *lines[:-1]], {
+        "key": (row["tweet_id"], tuple(row["subtask"].split("/")), row["candidate_index"])}
 
 
 def _wider_model(root):
@@ -331,11 +333,10 @@ def _wider_model(root):
 _STAGE = "--config {inputs}/config.ini --output {out}"
 _C_INI = "--config {inputs}/c.ini --output {out}"
 _PREDICT = "predict " + _STAGE + " --model {inputs}/m.bin --out {inputs}/single.jsonl"
-_PREDICTIONS = "{out}/predictions.jsonl: "
 
 CASES = (
     Case("evaluate-without-the-last-row", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "{kept} predictions for {total} validation triples; first missing: {missing}",
+         "{out}/predictions.jsonl: {kept} predictions for {total} validation triples; first missing: {missing}",
          _skip_rows("out/predictions.jsonl", lambda i, n: i < n - 1), absent=("out/report_*.json",)),
     *(Case(f"evaluate-skipping-triples-{label}", "run", f"evaluate {_STAGE}{flag}", EXIT_DATA,
            f"{{out}}/{name}: {{kept}} predictions for {{total}} validation triples; first missing: {{missing}}",
@@ -343,23 +344,31 @@ CASES = (
       for label, flag, name in (("unfiltered", "", "predictions.jsonl"),
                                 ("filtered", " --filtered", "predictions_filtered.jsonl"))),
     Case("evaluate-unknown-tweet", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "prediction references unknown tweet ''",
-         _row("out/predictions.jsonl", lambda row: row.update(tweet_id="")), absent=("out/report_*.json",)),
+         "{out}/predictions.jsonl:3: prediction references unknown tweet ''",
+         _row("out/predictions.jsonl", lambda row: row.update(tweet_id=""), line=3), absent=("out/report_*.json",)),
     Case("evaluate-unregistered-subtask", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "prediction references unregistered subtask death/when",
+         "{out}/predictions.jsonl:1: prediction references unregistered subtask death/when",
          _row("out/predictions.jsonl", lambda row: row.update(subtask="death/when")), absent=("out/report_*.json",)),
     Case("evaluate-foreign-event", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "tweet {tweet!r} is a {event} tweet; prediction for {subtask} cannot join it",
-         _row("out/predictions.jsonl", _other_event), absent=("out/report_*.json",)),
+         "{out}/predictions.jsonl:2: tweet {tweet!r} is a {event} tweet; prediction for {subtask} cannot join it",
+         _row("out/predictions.jsonl", _other_event, line=2), absent=("out/report_*.json",)),
     Case("evaluate-candidate-out-of-range", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "tweet {tweet!r}: candidate index 99 out of range",
+         "{out}/predictions.jsonl:1: tweet {tweet!r}: candidate index 99 out of range",
          _row("out/predictions.jsonl", lambda row: row.update(candidate_index=99) or {"tweet": row["tweet_id"]}),
          absent=("out/report_*.json",)),
     Case("evaluate-duplicate-row", "run", "evaluate " + _STAGE, EXIT_DATA,
-         _PREDICTIONS + "duplicate prediction for {key}",
+         "{out}/predictions.jsonl:3: duplicate prediction for {key}",
          _lines("out/predictions.jsonl", _first_row_twice), absent=("out/report_*.json",)),
     Case("evaluate-without-predictions", "inputs", "evaluate " + _STAGE, EXIT_DATA,
-         "No such file or directory: '{out}/predictions.jsonl'", absent=("out/report_*.json",)),
+         "No such file or directory: '{out}/predictions.jsonl'", absent=("out",)),
+    Case("evaluate-filtered-row-without-its-flag", "run", "evaluate " + _STAGE + " --filtered", EXIT_DATA,
+         "{out}/predictions_filtered.jsonl:2: missing field 'filtered'",
+         _row("out/predictions_filtered.jsonl", lambda row: row.__delitem__("filtered"), line=2),
+         absent=("out/report_*.json",)),
+    Case("postprocess-filtered-flag-in-predictions", "run", "postprocess " + _STAGE, EXIT_DATA,
+         "{out}/predictions.jsonl:3: unknown field 'filtered'",
+         _row("out/predictions.jsonl", lambda row: row.update(filtered=True, decision=0), line=3),
+         unchanged=("out/predictions_filtered.jsonl",)),
     Case("ensemble-marker-off-its-open-marker", "run", "ensemble " + _STAGE, EXIT_DATA,
          "{out}/val_instances.jsonl:1: field 'marker_pos' is {pos}, where token_ids holds {token}, not the <E> id 2",
          _row("out/val_instances.jsonl", _move_marker), unchanged=("out/predictions.jsonl",)),
@@ -394,8 +403,10 @@ CASES = (
            absent=("out/*instances.jsonl",))
       for command in ("preprocess", "run")),
     Case("preprocess-malformed-corpus-row", "inputs", "preprocess " + _STAGE, EXIT_DATA,
+         "{inputs}/corpus.jsonl:1: malformed JSON", _write("in/corpus.jsonl", '{"id": "a"\n'), absent=("out",)),
+    Case("run-malformed-corpus-row-keeps-its-manifest", "inputs", "run " + _STAGE, EXIT_DATA,
          "{inputs}/corpus.jsonl:1: malformed JSON", _write("in/corpus.jsonl", '{"id": "a"\n'),
-         absent=("out/*instances.jsonl",)),
+         absent=("out/*instances.jsonl",), holds=(("out/run_manifest.json", '"failed_stage": "preprocess"'),)),
     *(Case(f"preprocess-split-leaves-{side}-empty", "inputs", "preprocess " + _STAGE, EXIT_DATA,
            f"{{inputs}}/corpus.jsonl: split.train_fraction = {fraction} leaves the {side} side of 16 tweets empty",
            _replace("in/config.ini", "seed = 1", f"seed = 1\nsplit.train_fraction = {fraction}"),

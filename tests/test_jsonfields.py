@@ -26,7 +26,6 @@ from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
     load_model,
-    load_predictions,
     load_train_log,
     save_model,
 )
@@ -56,6 +55,11 @@ PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 def load_instances(path):
     """``serialize.load_instances`` for the encoder the ``INSTANCE`` rows fit."""
     return serialize.load_instances(path, INSTANCE_ENCODER)
+
+
+def load_predictions(path):
+    """``serialize.load_predictions`` for a postprocessed file, whose rows, like ``PREDICTION``, hold 'filtered'."""
+    return serialize.load_predictions(path, include_filtered=True)
 
 
 def json_kind(value) -> str:

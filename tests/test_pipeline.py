@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -471,6 +472,32 @@ class TestOutputLock:
         assert os.path.samestat(os.fstat(holder._fd), lock.stat())
         holder.__exit__(None, None, None)
         assert not lock.exists()
+
+    def test_a_directory_the_lock_made_goes_when_nothing_else_is_in_it(self, tmp_path):
+        made, kept, old = tmp_path / "made", tmp_path / "kept", tmp_path / "old"
+        old.mkdir()
+        for out in (made, kept, old):
+            with pipeline._OutputLock(out):
+                assert (out / ".lock").is_file()
+                if out is kept:
+                    (out / "report.json").write_text("{}")
+        assert not made.exists()
+        assert [p.name for p in kept.iterdir()] == ["report.json"]
+        assert list(old.iterdir()) == []
+
+    def test_a_directory_the_lock_made_goes_when_flock_fails(self, tmp_path, monkeypatch):
+        import fcntl
+
+        def unsupported(fd, operation):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", unsupported)
+        old = tmp_path / "old"
+        old.mkdir()
+        for out in (tmp_path / "made", old):
+            with pytest.raises(OSError, match=re.escape(f"No locks available: '{out / '.lock'}'")):
+                pipeline._OutputLock(out).__enter__()
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
 
     def test_a_left_file_is_taken_unread(self, tmp_path, caplog):
         (tmp_path / ".lock").write_bytes(b"\xff not a pid\n")

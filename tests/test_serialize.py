@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import cut_short
-from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry
+from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry, canonical_json
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import (
@@ -39,8 +39,6 @@ from tweetslots.preprocess import (
 from tweetslots.serialize import (
     MODEL_MAGIC,
     FormatError,
-    _checked_prediction,
-    _prediction_from_obj,
     file_sha256,
     load_instances,
     load_model,
@@ -310,7 +308,8 @@ class TestInstancesJsonl:
     ), min_size=1, max_size=10))
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_token_id_check_matches_per_token_predicate(self, tmp_path, ids):
-        # Oracle: the same rules checked token by token.
+        # Oracle: the same rules checked token by token; the encoder's vocabulary, which only the
+        # loader knows, is checked after the rules the writer shares.
         cfg = replace(ENC, vocab_size=2**20)
         bad = any(isinstance(t, bool) or not isinstance(t, int) or t < 0 for t in ids)
         obj = {"event": "death", "labels": {"name": 0}, "length": len(ids), "max_len": 10, "marker_pos": 0,
@@ -326,10 +325,6 @@ class TestInstancesJsonl:
             with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds PAD id {PAD_ID} "
                                                   rf"inside its length, at position {first}$"):
                 load_instances(p, cfg)
-        elif any(t >= cfg.vocab_size for t in ids):
-            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds id {max(ids)}, "
-                                                  rf"the encoder's vocab_size is {2**20}$"):
-                load_instances(p, cfg)
         elif ids[0] != E_OPEN_ID:
             with pytest.raises(FormatError, match=rf"^{where}: field 'marker_pos' is 0, where token_ids holds "
                                                   rf"{ids[0]}, not the <E> id {E_OPEN_ID}$"):
@@ -337,6 +332,10 @@ class TestInstancesJsonl:
         elif ids.count(E_OPEN_ID) != 1 or ids.count(E_CLOSE_ID) != 1 or E_CLOSE_ID not in ids[1:]:
             with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' must hold one <E> id {E_OPEN_ID}, "
                                                   rf"at marker_pos, and one </E> id {E_CLOSE_ID} after it$"):
+                load_instances(p, cfg)
+        elif any(t >= cfg.vocab_size for t in ids):
+            with pytest.raises(FormatError, match=rf"^{where}: field 'token_ids' holds id {max(ids)}, "
+                                                  rf"the encoder's vocab_size is {2**20}$"):
                 load_instances(p, cfg)
         else:
             assert load_instances(p, cfg)[0].token_ids[:len(ids)].tolist() == ids
@@ -421,7 +420,7 @@ class TestInstancesJsonl:
     def test_writer_refuses_rows_the_loader_refuses(self, tmp_path, edit, field):
         inst = edit(make_instance(candidate_index=0))
         p = tmp_path / "i.jsonl"
-        with pytest.raises(FormatError, match=re.escape(f"{p}: tweet 'tw1': ") + f".*field '{field}'"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: tweet 'tw1': ") + f".*field '{field}'") as wrote:
             save_instances([inst], p)
         assert not p.exists()
         # The row the writer would have written, built by hand: the loader refuses it too.
@@ -429,8 +428,12 @@ class TestInstancesJsonl:
                "chunk_text": inst.chunk_text, "marker_pos": inst.marker_pos, "length": inst.length,
                "max_len": 10, "token_ids": inst.token_ids[:inst.length].tolist(), "labels": {inst.subtask.name: 1}}
         write_lines(p, [row])
-        with pytest.raises(FormatError, match=re.escape(f"{p}:1: ") + f".*field '{field}'"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1: ") + f".*field '{field}'") as loaded:
             load_instances(p, ENC)
+        # A rule both share gives one message; the loader refuses a negative JSON integer by its type rule first.
+        if inst.marker_pos >= 0 and inst.candidate_index >= 0:
+            wrote, loaded = str(wrote.value), str(loaded.value)
+            assert wrote[wrote.index("field '"):] == loaded[loaded.index("field '"):]
 
     def test_writer_names_a_pad_inside_the_length(self, tmp_path):
         # The encoder would read the token as padding, so the row is refused with its position.
@@ -561,8 +564,21 @@ class TestPredictionsJsonl:
         save_predictions([make_record(0, filtered=True)], p, include_filtered=True)
         row = json.loads(p.read_text().splitlines()[0])
         assert row["filtered"] is True
-        [rec] = load_predictions(p)
+        [rec] = load_predictions(p, include_filtered=True)
         assert rec.filtered is True
+
+    @pytest.mark.parametrize("include_filtered, message", [
+        (False, "unknown field 'filtered'"),
+        (True, "missing field 'filtered'"),
+    ])
+    def test_the_filtered_flag_is_in_the_filtered_file_only(self, tmp_path, include_filtered, message):
+        # Line 2 is written for the other kind of file.
+        p = tmp_path / "p.jsonl"
+        save_predictions([make_record(0)], p, include_filtered)
+        save_predictions([make_record(0)], tmp_path / "other.jsonl", not include_filtered)
+        p.write_text(p.read_text() + (tmp_path / "other.jsonl").read_text())
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}$"):
+            load_predictions(p, include_filtered)
 
     def test_save_cut_short_keeps_the_old_file(self, tmp_path):
         p = tmp_path / "p.jsonl"
@@ -599,7 +615,7 @@ class TestPredictionsJsonl:
                          include_filtered=True)
         message = f"{p}:3: field 'filtered' is true but field 'decision' is 1 (a nullified row has decision 0)"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
-            load_predictions(p)
+            load_predictions(p, include_filtered=True)
 
     @pytest.mark.parametrize("subtask, message", [
         ("sick/name", "unknown event 'sick' in subtask key 'sick/name'"),
@@ -640,7 +656,7 @@ class TestPredictionsJsonl:
 
 
 _ROW = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
-        "probability": 0.75, "decision": 1, "filtered": False}
+        "probability": 0.75, "decision": 1}
 _VALUES = st.sampled_from([
     True, False, 0, 1, -1, 2, 0.5, 1.5, float("nan"), None, [1], {},
     "death/name", "death/age", "sick/name", "death/Name", "", "t1",
@@ -648,12 +664,12 @@ _VALUES = st.sampled_from([
 
 
 @st.composite
-def _prediction_rows(draw, field):
-    """``_ROW``, maybe marked filtered (with its decision of 1, a row the filter
-    never writes), with ``field``, and maybe one more field, replaced by a JSON
+def _prediction_rows(draw, field, include_filtered):
+    """``_ROW``, in a filtered file marked filtered or not (a filtered row with its decision of 1
+    is one the filter never writes), with ``field``, and maybe one more field, replaced by a JSON
     value or dropped; sometimes joined by an unknown field."""
-    row = dict(_ROW, filtered=draw(st.booleans(), label="filtered"))
-    for name in [field, *draw(st.lists(st.sampled_from(sorted(_ROW)), max_size=1))]:
+    row = dict(_ROW, filtered=draw(st.booleans(), label="filtered")) if include_filtered else dict(_ROW)
+    for name in [field, *draw(st.lists(st.sampled_from([*_ROW, "filtered"]), max_size=1))]:
         if draw(st.booleans()):
             row[name] = draw(_VALUES)
         else:
@@ -664,32 +680,29 @@ def _prediction_rows(draw, field):
 
 
 class TestPredictionRowReader:
-    """Rows naming a parsed subtask string are read without the per-field
-    checks; the checked reader is the oracle for every row."""
+    """The reader refuses a row naming its file, its line and a field, or it accepts the row,
+    and the writer writes it back as it was, in either kind of prediction file."""
 
-    @staticmethod
-    def outcome(read):
-        try:
-            rec = read()
-        except FormatError as exc:
-            return str(exc)
-        return rec, type(rec.probability), type(rec.decision), type(rec.filtered)
-
-    @pytest.mark.parametrize("field", sorted(_ROW))
+    @pytest.mark.parametrize("include_filtered", [False, True], ids=["predictions", "filtered"])
+    @pytest.mark.parametrize("field", [*_ROW, "filtered"])
     @given(data=st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_direct_read_matches_the_checked_reader(self, field, data):
-        row = data.draw(_prediction_rows(field))
-        path = Path("p.jsonl")
-        cache = {"death/name": NAME}
-        got = self.outcome(lambda: _prediction_from_obj(row, path, 5, cache))
-        assert got == self.outcome(lambda: _checked_prediction(row, f"{path}:5", {}))
-        if not isinstance(got, str):
-            assert not (got[0].filtered and got[0].decision)
-        # A subtask string is cached only once it has parsed.
-        assert all(SubtaskId.parse(key) == subtask for key, subtask in cache.items())
-        if not isinstance(got, str):
-            assert cache[row["subtask"]] is got[0].subtask
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_row_is_refused_naming_a_field_or_written_back(self, tmp_path, include_filtered, field, data):
+        # Line 1 is a good row, so line 2 may name a subtask string that has already parsed.
+        rows = [dict(_ROW, filtered=False) if include_filtered else _ROW,
+                data.draw(_prediction_rows(field, include_filtered))]
+        p, again = tmp_path / "p.jsonl", tmp_path / "again.jsonl"
+        write_lines(p, rows)
+        try:
+            records = load_predictions(p, include_filtered)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{p}:2: ")
+            assert re.search(r"field '\w+'|subtask (key|name) '", str(exc)), str(exc)
+            return
+        save_predictions(records, again, include_filtered)
+        # The one normalisation: an integer probability is written back as a float.
+        assert again.read_text().splitlines() == [canonical_json({**row, "probability": float(row["probability"])})
+                                                  for row in rows]
 
 
 class TestTrainLog:
