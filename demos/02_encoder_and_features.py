@@ -24,7 +24,7 @@ token_ids = np.array([[7, 8, 2, 9, 3, 0, 0, 0, 0, 0]])
 lengths, marker = np.array([5]), np.array([2])
 
 # L layers of half-width w give the marker a reach of L*w positions; the
-# window holds one more on each side, so every layer keeps at least 3 rows.
+# window holds just that field, so the last layer holds the marker row alone.
 cache = forward_batch(params, token_ids, lengths, marker)
 start = cache.start
 print(f"window radius {window_radius(cfg)}: ids {cache.ids[0].tolist()} from position {start[0]}")

@@ -10,24 +10,28 @@ every layer: padding never influences real positions.
 
 The features read only each layer's row at the ``<E>`` marker, and a stack
 of L convolutions of half-width w gives that row a receptive field of L·w
-positions on each side. So the encoder computes only that field, plus one
-row on each side: ``forward_batch`` takes each unit's padded token row,
-length and marker, and gathers into layer 0 the ``2 * window_radius + 1``
-positions centred on the marker (``window_radius`` is L·w + 1; ids outside
-the tweet are PAD). Layer l is a valid convolution of layer l - 1 over
-``2 * ((L - l) * w + 1) + 1`` rows, so every layer's centre row is the
-marker. At the default L = 4, w = 2 the layers hold 19, 15, 11, 7 and 3
-rows, whatever the tweet length; a large L·w against short tweets can make
-the window wider than the tweet. The extra row keeps the last layer at 3
-rows: a 1-row product goes through OpenBLAS's GEMV path and rounds
-differently from the same row of a larger product, so with it each row is
-bitwise the value a forward over the whole tweet gives that position.
+positions on each side. So the encoder computes only that field:
+``forward_batch`` takes each unit's padded token row, length and marker,
+and gathers into layer 0 the ``2 * window_radius + 1`` positions centred on
+the marker (``window_radius`` is L·w; ids outside the tweet are PAD). Layer
+l is a valid convolution of layer l - 1 over ``2 * (L - l) * w + 1`` rows,
+so every layer's centre row is the marker and the top layer holds the
+marker row alone. At the default L = 4, w = 2 the layers hold 17, 13, 9, 5
+and 1 rows, whatever the tweet length; a large L·w against short tweets can
+make the window wider than the tweet. A 1-row product would go through
+OpenBLAS's GEMV path, which rounds differently from the same row of a larger
+product. So where a layer's output is a single row (the top layer, or every
+layer at w = 0), each tap product runs as a 3-row product: the row with a
+zero row on each side, keeping the centre. With that, each row is bitwise
+the value a forward over the whole tweet gives that position, and a unit's
+bits do not depend on the batch it is encoded in.
 
 Everything runs in float64. ``backward_batch`` is the hand-derived adjoint of
 ``forward_batch`` and is validated against central finite differences and
-against a full-length forward in the test suite. Its weight gradient is one
-GEMM per tap: the shifted layer input and the pre-activation gradient are
-flattened to (B * rows, H), so BLAS reduces over batch and window in a single
+against a full-length forward in the test suite. Its input-gradient products
+follow the forward's 3-row rule. Its weight gradient is one GEMM per tap: the
+shifted layer input and the pre-activation gradient are flattened to
+(B * rows, H), so BLAS reduces over batch and window in a single
 (H, B * rows) @ (B * rows, H) product. Its embedding gradients are row-sparse:
 a batch touches few of the vocabulary's rows, so it sums only the rows that
 the window's real tokens read and returns their sorted ids with the dense
@@ -127,8 +131,8 @@ def zero_grads(cfg: EncoderConfig) -> EncoderParams:
 
 
 def window_radius(cfg: EncoderConfig) -> int:
-    """Rows on each side of the marker that layer 0 holds: L·w + 1."""
-    return cfg.num_layers * cfg.context_window + 1
+    """Rows on each side of the marker that layer 0 holds: L·w, the marker row's receptive field."""
+    return cfg.num_layers * cfg.context_window
 
 
 @dataclass
@@ -136,7 +140,8 @@ class EncoderCache:
     """Forward intermediates needed by the backward pass.
 
     Layer l holds ``2 * (window_radius - l * w) + 1`` rows centred on each
-    unit's marker; row j of layer 0 is tweet position ``start + j``.
+    unit's marker, so the top layer holds the marker row alone; row j of
+    layer 0 is tweet position ``start + j``.
     """
 
     ids: np.ndarray  # (B, 2 * window_radius + 1) the gathered window, PAD outside the tweet
@@ -158,6 +163,17 @@ def centre(a: np.ndarray, rows: int) -> np.ndarray:
     return a[:, offset:offset + rows]
 
 
+def _product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` for a stack of row blocks ``a`` (B, rows, H). A 1-row block would take
+    OpenBLAS's GEMV path, which rounds differently from a row of a larger product, so it
+    runs as the middle row of a 3-row block with a zero row on each side."""
+    if a.shape[1] > 1:
+        return a @ m
+    block = np.zeros((a.shape[0], 3, a.shape[2]))
+    block[:, 1:2] = a
+    return (block @ m)[:, 1:2]
+
+
 def forward_batch(
     params: EncoderParams, token_ids: np.ndarray, lengths: np.ndarray, marker_pos: np.ndarray
 ) -> EncoderCache:
@@ -169,7 +185,9 @@ def forward_batch(
     the tweet. A row whose length is outside ``[1, min(id width, max_len)]``
     or whose marker is outside ``[0, length)`` is refused by batch row. PAD
     rows are zeroed at every layer, so each real position depends only on
-    real tokens within its receptive field.
+    real tokens within its receptive field. Every tap product has at least 3
+    rows (``_product``), so no product takes the GEMV path: each row has the
+    bits of a forward over the whole tweet, whatever the batch.
     """
     cfg = params.config
     token_ids, lengths, marker_pos = (np.asarray(a, dtype=np.int64) for a in (token_ids, lengths, marker_pos))
@@ -201,7 +219,7 @@ def forward_batch(
         rows = x.shape[1] - 2 * w
         pre = np.broadcast_to(layer.b, (len(ids), rows, cfg.hidden_size)).copy()
         for k in range(cfg.num_taps):
-            pre += x[:, k:k + rows] @ layer.w[k]
+            pre += _product(x[:, k:k + rows], layer.w[k])
         h = np.tanh(pre, out=pre)
         x = centre(x, rows) + h
         x *= centre(mask, rows)
@@ -249,7 +267,9 @@ def backward_batch(
     it, in (unit, row) order. The masked positions are left out: for a finite
     upstream their gradient is ±0.0, and adding ±0.0 to a sum that starts at
     +0.0 changes no bit. So the result equals a dense scatter of the whole
-    window bitwise.
+    window bitwise. The input-gradient products follow the forward's 3-row
+    rule (``_product``), so a unit's share of the gradient does not depend
+    on its batch either.
     """
     cfg = params.config
     l = cfg.num_layers
@@ -278,7 +298,7 @@ def backward_batch(
         centre(gp, rows)[...] = g
         for k in range(cfg.num_taps):
             grads.layers[li].w[k] += x_prev[:, k:k + rows].reshape(-1, h).T @ dpre_rows
-            gp[:, k:k + rows] += dpre @ params.layers[li].w[k].T
+            gp[:, k:k + rows] += _product(dpre, params.layers[li].w[k].T)
         g = gp
     # Real tokens lie inside the tweet, so their positions lie in [0, max_len); the mask is 1.0 there.
     real = cache.ids != PAD_ID

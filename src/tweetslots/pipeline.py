@@ -12,7 +12,6 @@ concurrent commands apart.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import logging
@@ -450,9 +449,10 @@ class _OutputLock:
     a file a crashed command left is free. Release unlinks the file while
     still holding it; a taker that locked a file the path no longer names
     reopens, so one release never seats two holders. Without ``flock``
-    support it raises ``OSError`` naming the lock file. An output directory
-    that the lock made goes with the lock file when nothing else is in it,
-    so a refused command leaves no directory behind."""
+    support it raises ``OSError`` naming the lock file. Each directory that
+    the lock made, the output directory and any parents it lacked, goes with
+    the lock file, innermost first, while nothing else is in it, so a
+    refused command leaves no directory behind."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -461,13 +461,9 @@ class _OutputLock:
     def __enter__(self):
         import fcntl  # POSIX only; imported here so the package imports wherever it did
 
-        self._made = False
+        self._made: list[Path] = []
         while self._fd is None:
-            try:  # in the loop: a releaser that made the directory may have taken it back
-                self.path.parent.mkdir(parents=True)
-                self._made = True
-            except FileExistsError:
-                pass
+            self._make(self.path.parent)  # in the loop: a releaser that made the directory may have taken it back
             fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -491,12 +487,26 @@ class _OutputLock:
         os.close(self._fd)
         self._fd = None
 
+    def _make(self, path: Path) -> None:
+        """Make ``path`` and the parents it lacks, as ``mkdir -p`` does; record each directory made."""
+        try:
+            path.mkdir()
+        except FileNotFoundError:  # a parent is missing: make it, then try again
+            self._make(path.parent)
+            self._make(path)
+        except FileExistsError:
+            pass
+        else:
+            self._made.append(path)
+
     def _take_back(self) -> None:
-        """Unlink the lock file, then the output directory if this lock made it and it is empty."""
+        """Unlink the lock file, then each directory this lock made, innermost first, while it is empty."""
         self.path.unlink(missing_ok=True)
-        if self._made:
-            with contextlib.suppress(OSError):  # not empty: the command wrote to it
-                self.path.parent.rmdir()
+        for path in reversed(self._made):
+            try:
+                path.rmdir()
+            except OSError:  # not empty: the command wrote to it, so its parents hold it
+                break
 
 
 def _write_run_manifest(

@@ -361,6 +361,9 @@ CASES = (
          _lines("out/predictions.jsonl", _first_row_twice), absent=("out/report_*.json",)),
     Case("evaluate-without-predictions", "inputs", "evaluate " + _STAGE, EXIT_DATA,
          "No such file or directory: '{out}/predictions.jsonl'", absent=("out",)),
+    Case("evaluate-into-missing-parents", "inputs", "evaluate --config {inputs}/config.ini --output {nested}",
+         EXIT_DATA, "No such file or directory: '{nested}/predictions.jsonl'",
+         lambda root: {"nested": root / "nest" / "a" / "o3"}, absent=("nest",)),
     Case("evaluate-filtered-row-without-its-flag", "run", "evaluate " + _STAGE + " --filtered", EXIT_DATA,
          "{out}/predictions_filtered.jsonl:2: missing field 'filtered'",
          _row("out/predictions_filtered.jsonl", lambda row: row.__delitem__("filtered"), line=2),

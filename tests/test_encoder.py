@@ -77,6 +77,15 @@ def at_window(cfg: EncoderConfig, cache: EncoderCache, layer: int, states: np.nd
     return padded[np.arange(b)[:, None], positions(cfg, cache, layer) + r]
 
 
+def tap_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The encoder's rule for a tap product over row blocks ``a`` (B, rows, H), restated: a
+    1-row block is the middle row of a 3-row block padded with zero rows, so no product
+    takes OpenBLAS's 1-row GEMV path."""
+    if a.shape[1] == 1:
+        return (np.pad(a, ((0, 0), (1, 1), (0, 0))) @ m)[:, 1:2]
+    return a @ m
+
+
 def naive_forward(params: EncoderParams, ids: np.ndarray) -> list:
     """Per-position loop re-statement of the forward contract over whole rows."""
     cfg = params.config
@@ -291,7 +300,8 @@ class TestForward:
         for layer, x in enumerate(cache.xs):
             pos = positions(cfg, cache, layer)
             outside = (pos < 0) | (pos >= np.array([[2], [3]]))
-            assert outside.any() and not outside.all()
+            # Every layer below the top has rows outside the tweet; the top holds the markers alone.
+            assert outside.any() == (layer < cfg.num_layers) and not outside.all()
             assert np.array_equal(x[outside], np.zeros((int(outside.sum()), cfg.hidden_size)))
 
     def test_pad_tail_extension_is_exact(self):
@@ -325,12 +335,13 @@ class TestForward:
         params = init_params(cfg)
         states = encode(params, np.array([[3, 4, 5]], dtype=np.int64), [0]).hidden
         assert len(states) == cfg.num_layers
-        # Layer 1 holds (L - 1) * w + 1 rows on each side of the marker.
-        assert states[0][0].shape == (2 * ((cfg.num_layers - 1) * cfg.context_window + 1) + 1, cfg.hidden_size)
+        # Layer 1 holds (L - 1) * w rows on each side of the marker, and the top layer the marker alone.
+        assert states[0][0].shape == (2 * (cfg.num_layers - 1) * cfg.context_window + 1, cfg.hidden_size)
+        assert states[-1][0].shape == (1, cfg.hidden_size)
 
     def test_receptive_field_respects_window(self):
         # With window w and L layers, the marker row reaches at most w*L
-        # positions away.
+        # positions away; the top layer holds the marker row alone.
         cfg = small_cfg(context_window=1, max_len=16)
         params = init_params(cfg)
         base = np.full((1, 12), 3, dtype=np.int64)
@@ -338,8 +349,8 @@ class TestForward:
         edit[0, 0] = 9
         reach = cfg.context_window * cfg.num_layers
         changed = [m for m in range(12)
-                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 1],
-                                         encode(params, edit, [m]).hidden[-1][0, 1])]
+                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 0],
+                                         encode(params, edit, [m]).hidden[-1][0, 0])]
         assert max(changed) <= reach
 
     def test_window_zero_is_per_position(self):
@@ -348,8 +359,8 @@ class TestForward:
         base = np.array([[3, 4, 5, 6]], dtype=np.int64)
         edit = np.array([[3, 9, 5, 6]], dtype=np.int64)
         changed = [m for m in range(4)
-                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 1],
-                                         encode(params, edit, [m]).hidden[-1][0, 1])]
+                   if not np.array_equal(encode(params, base, [m]).hidden[-1][0, 0],
+                                         encode(params, edit, [m]).hidden[-1][0, 0])]
         assert changed == [1]
 
     def test_input_validation(self):
@@ -386,17 +397,22 @@ class TestForward:
             forward_batch(params, token_ids, lengths, [3, 10])
 
     def test_window_is_centred_and_pad_outside_the_tweet(self):
-        # Four layers of half-width 0: the window holds one row on each side of the marker.
-        params = init_params(small_cfg(context_window=0))
+        # Four layers of half-width 1: the window holds L·w = 4 rows on each side of the marker.
+        # The id past row 0's length is PAD in its window.
         token_ids = np.array([[5, 6, 7, 8, 9, 9], [1, 2, 3, 0, 0, 0]], dtype=np.int64)
-        cache = forward_batch(params, token_ids, [5, 3], [0, 2])
-        assert cache.start.tolist() == [-1, 1]
-        assert cache.ids.tolist() == [[PAD_ID, 5, 6], [2, 3, PAD_ID]]
+        cache = forward_batch(init_params(small_cfg(context_window=1)), token_ids, [5, 3], [0, 2])
+        assert cache.start.tolist() == [-4, -2]
+        assert cache.ids.tolist() == [[PAD_ID] * 4 + [5, 6, 7, 8, 9], [PAD_ID] * 2 + [1, 2, 3] + [PAD_ID] * 4]
+        # Half-width 0: the window is the marker alone.
+        cache = forward_batch(init_params(small_cfg(context_window=0)), token_ids, [5, 3], [0, 2])
+        assert cache.start.tolist() == [0, 2]
+        assert cache.ids.tolist() == [[5], [3]]
 
 
 def gathered_forward(params: EncoderParams, token_ids: np.ndarray, lengths, marker_pos) -> EncoderCache:
     """The earlier two-step path, for rows the rules accept: gather each row's window of ids and
-    its start position, then run the forward that was handed the pair (its checks left out)."""
+    its start position, then run the forward that was handed the pair (its checks left out).
+    Its tap products follow the encoder's 3-row rule (``tap_product``)."""
     cfg = params.config
     radius = window_radius(cfg)
     lengths, marker_pos = np.asarray(lengths, dtype=np.int64), np.asarray(marker_pos, dtype=np.int64)
@@ -418,7 +434,7 @@ def gathered_forward(params: EncoderParams, token_ids: np.ndarray, lengths, mark
         rows = x.shape[1] - 2 * w
         pre = np.broadcast_to(layer.b, (len(ids), rows, cfg.hidden_size)).copy()
         for k in range(cfg.num_taps):
-            pre += x[:, k:k + rows] @ layer.w[k]
+            pre += tap_product(x[:, k:k + rows], layer.w[k])
         h = np.tanh(pre, out=pre)
         x = centre(x, rows) + h
         x *= centre(mask, rows)
@@ -476,7 +492,7 @@ class TestFullLengthOracle:
         max_len = data.draw(st.integers(3, 14), label="max_len")
         b = data.draw(st.integers(1, 3), label="B")
         cfg = small_cfg(context_window=window, num_layers=num_layers, max_len=max_len,
-                        hidden_size=data.draw(st.sampled_from([4, 8]), label="H"), vocab_size=16)
+                        hidden_size=data.draw(st.sampled_from([4, 8, 32]), label="H"), vocab_size=16)
         lengths = np.array(data.draw(st.lists(st.integers(1, max_len), min_size=b, max_size=b), label="lengths"))
         marker = np.array([data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)), label="marker")
                            for n in lengths])
@@ -491,7 +507,7 @@ class TestFullLengthOracle:
         full = full_forward(params, ids)
         r = window_radius(cfg)
         assert [x.shape[1] for x in cache.xs] == [2 * (r - li * window) + 1 for li in range(num_layers + 1)]
-        assert min(x.shape[1] for x in cache.xs) >= 2
+        assert cache.xs[-1].shape[1] == 1
         rows = np.arange(b)
         for li in range(num_layers + 1):
             assert np.array_equal(cache.xs[li][:, cache.xs[li].shape[1] // 2], full.xs[li][rows, marker]), li
@@ -509,6 +525,41 @@ class TestFullLengthOracle:
         want = full_backward(params, full, full_up)
         for (name, g), (_, v) in zip(got.named_arrays(), want.named_arrays()):
             assert np.all(np.abs(g - v) <= 1e-12 * max(np.abs(v).max(), 1e-300)), name
+
+
+class TestBatchOfOne:
+    """A unit encoded alone has the bits of its row in a batch, forward and backward. The top
+    layer holds one row per unit; a product over one row takes OpenBLAS's GEMV path and rounds
+    otherwise than a row of a larger product, so a top-layer product over the batch's stacked
+    rows, (B, H) @ (H, H), gives a unit alone other bits than the same unit in a batch."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_unit_alone_matches_its_batch_row(self, data):
+        hidden = data.draw(st.sampled_from([8, 32, 64]), label="H")
+        max_len = data.draw(st.integers(3, 12), label="max_len")
+        cfg = small_cfg(hidden_size=hidden, max_len=max_len, vocab_size=16,
+                        context_window=data.draw(st.integers(0, 2), label="context_window"))
+        b = data.draw(st.integers(2, 5), label="B")
+        lengths = np.array(data.draw(st.lists(st.integers(1, max_len), min_size=b, max_size=b), label="lengths"))
+        marker = np.array([data.draw(st.integers(0, n - 1), label="marker") for n in lengths])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        params = init_params(cfg)
+        for layer in params.layers:
+            layer.b[:] = rng.standard_normal(hidden) * 0.1
+        token_ids = rng.integers(1, cfg.vocab_size, size=(b, max_len))
+        batch = forward_batch(params, token_ids, lengths, marker)
+        upstream = [rng.standard_normal(x.shape) for x in batch.hidden]
+        for i in range(b):
+            solo = forward_batch(params, token_ids[i:i + 1], lengths[i:i + 1], marker[i:i + 1])
+            for li, (x, y) in enumerate(zip(batch.xs + batch.hs, solo.xs + solo.hs)):
+                assert x[i:i + 1].tobytes() == y.tobytes(), li
+            # Only unit i passes a gradient down, so the batch's gradients are unit i's alone.
+            alone = [np.where(np.arange(b)[:, None, None] == i, u, 0.0) for u in upstream]
+            got = backward_batch(params, batch, alone)
+            want = backward_batch(params, solo, [u[i:i + 1] for u in upstream])
+            for (name, g), (_, v) in zip(got.named_arrays(), want.named_arrays()):
+                assert g.tobytes() == v.tobytes(), name
 
 
 def scalar_loss(params: EncoderParams, ids: np.ndarray, marker, upstream: list) -> float:
@@ -696,7 +747,8 @@ class TestBackward:
 
 def embedding_layer_grad(params: EncoderParams, cache: EncoderCache, upstream) -> np.ndarray:
     """The gradient that reaches the embedding layer's window: the adjoint recursion of
-    ``backward_batch`` with the same operations in the same order, so it has the same bits."""
+    ``backward_batch`` with the same operations in the same order, and its products by the
+    same 3-row rule (``tap_product``), so it has the same bits."""
     cfg = params.config
     w = cfg.context_window
     g = np.zeros_like(upstream[-1])
@@ -707,7 +759,7 @@ def embedding_layer_grad(params: EncoderParams, cache: EncoderCache, upstream) -
         gp = np.zeros((len(g), rows + 2 * w, cfg.hidden_size))
         centre(gp, rows)[...] = g
         for k in range(cfg.num_taps):
-            gp[:, k:k + rows] += dpre @ params.layers[li].w[k].T
+            gp[:, k:k + rows] += tap_product(dpre, params.layers[li].w[k].T)
         g = gp
     return g
 

@@ -741,16 +741,16 @@ class TestLengthPastItsIds:
 
 class TestWindowRows:
     def test_rows_per_layer_do_not_depend_on_tweet_length(self):
-        # L = 4 layers of half-width 2: 19 rows of ids, then 15, 11, 7 and 3 rows.
+        # L = 4 layers of half-width 2: 17 rows of ids, then 13, 9, 5 and 1 rows.
         from tweetslots import multitask as mt
 
         model = init_model(enc_cfg(context_window=2), StrategyKind.SUM4, REG, seed=0)
         for words in ([], ["a"] * 3, ["a"] * 7):
             table = mt.as_table([make_instance(words, "uncle", NAME, 1), make_instance([], "x", AGE, 0, "t1")])
             cache, feats = mt._batch_features(model, table, np.arange(2))
-            assert cache.ids.shape == (2, 19)
-            assert [x.shape for x in cache.xs] == [(2, n, 8) for n in (19, 15, 11, 7, 3)]
-            assert [h.shape for h in cache.hs] == [(2, n, 8) for n in (15, 11, 7, 3)]
+            assert cache.ids.shape == (2, 17)
+            assert [x.shape for x in cache.xs] == [(2, n, 8) for n in (17, 13, 9, 5, 1)]
+            assert [h.shape for h in cache.hs] == [(2, n, 8) for n in (13, 9, 5, 1)]
             assert feats.shape == (2, 8)
 
 

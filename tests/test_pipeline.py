@@ -475,15 +475,20 @@ class TestOutputLock:
 
     def test_a_directory_the_lock_made_goes_when_nothing_else_is_in_it(self, tmp_path):
         made, kept, old = tmp_path / "made", tmp_path / "kept", tmp_path / "old"
+        nested, nested_kept, sibling = tmp_path / "nest/a/o", tmp_path / "keep/a/o", tmp_path / "keep/a/b/o"
         old.mkdir()
-        for out in (made, kept, old):
+        for out in (made, kept, old, nested, nested_kept, sibling):
             with pipeline._OutputLock(out):
                 assert (out / ".lock").is_file()
-                if out is kept:
+                if out in (kept, nested_kept):
                     (out / "report.json").write_text("{}")
         assert not made.exists()
         assert [p.name for p in kept.iterdir()] == ["report.json"]
         assert list(old.iterdir()) == []
+        # The parents the lock made go too, innermost first, up to the first that is not empty.
+        assert not (tmp_path / "nest").exists()
+        assert [p.name for p in (tmp_path / "keep/a").iterdir()] == ["o"]
+        assert [p.name for p in nested_kept.iterdir()] == ["report.json"]
 
     def test_a_directory_the_lock_made_goes_when_flock_fails(self, tmp_path, monkeypatch):
         import fcntl
@@ -494,10 +499,12 @@ class TestOutputLock:
         monkeypatch.setattr(fcntl, "flock", unsupported)
         old = tmp_path / "old"
         old.mkdir()
-        for out in (tmp_path / "made", old):
+        for out in (tmp_path / "made", old, tmp_path / "nest/a/o", old / "a/o"):
             with pytest.raises(OSError, match=re.escape(f"No locks available: '{out / '.lock'}'")):
                 pipeline._OutputLock(out).__enter__()
+        # Only the directories the lock made go; the lock file stays in one it did not make.
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert [p.name for p in old.iterdir()] == [".lock"]
 
     def test_a_left_file_is_taken_unread(self, tmp_path, caplog):
         (tmp_path / ".lock").write_bytes(b"\xff not a pid\n")
