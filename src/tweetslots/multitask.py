@@ -9,7 +9,9 @@ feature rows from the window the encoder computes around the marker; another
 applies each instance's head row. The window's width depends only on the
 encoder config, so the rows the encoder computes per unit do not grow with
 tweet or batch length. Each entry point reads an ``InstanceTable``
-(``as_table`` groups a list).
+(``as_table`` groups a list), whose subtask codes are sorted positions, and
+maps it to the model's head rows once per table, so a batch taken from it
+carries head rows as codes; its head groups keep first-appearance order.
 Forward-only scoring (validation and prediction) encodes each unit once:
 the subtask fan-out of one (tweet, candidate) shares one feature row that
 each of its head rows reads. Training encodes every triple on its own and
@@ -157,15 +159,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_groups(params: ModelParams, table: InstanceTable) -> list[tuple[int, np.ndarray]]:
-    """(head row, triple positions) per subtask of ``table``, in first-appearance order; refuses missing heads."""
-    codes = table.subtask[np.sort(np.unique(table.subtask, return_index=True)[1])]
-    subtasks = [table.subtask_ids[c] for c in codes.tolist()]
+def _to_head_rows(params: ModelParams, table: InstanceTable) -> InstanceTable:
+    """``table`` with ``params``' head rows as codes (itself if they already are); refuses a subtask with no head."""
+    if table.subtask_ids == params.subtasks:
+        return table
     row_of = {subtask: row for row, subtask in enumerate(params.subtasks)}
-    missing = sorted(str(s) for s in subtasks if s not in row_of)
+    missing = sorted(str(s) for s in map(table.subtask_ids.__getitem__, np.unique(table.subtask)) if s not in row_of)
     if missing:
         raise TrainError(f"no head for subtask(s): {', '.join(missing)}")
-    return [(row_of[s], np.flatnonzero(table.subtask == c)) for c, s in zip(codes, subtasks)]
+    rows = np.asarray([row_of.get(s, -1) for s in table.subtask_ids], dtype=np.int64)
+    return replace(table, subtask=rows[table.subtask], subtask_ids=params.subtasks)
+
+
+def _head_groups(table: InstanceTable) -> list[tuple[int, np.ndarray]]:
+    """(head row, triple positions) per code of a mapped table, in first-appearance order, the clip norm's."""
+    rows = table.subtask[np.sort(np.unique(table.subtask, return_index=True)[1])]
+    return [(row, np.flatnonzero(table.subtask == row)) for row in rows.tolist()]
 
 
 def _batch_features(params: ModelParams, table: InstanceTable, units: np.ndarray):
@@ -220,11 +229,10 @@ def loss_and_grads(
     """
     if not batch:
         raise TrainError("batch must be nonempty")
-    batch = as_table(batch)
-    groups = _head_groups(params, batch)
+    batch = _to_head_rows(params, as_table(batch))
+    groups = _head_groups(batch)
     cache, feats = _batch_features(params, batch, batch.unit)
-    rows = np.arange(len(batch))
-    probs = _sigmoid(_head_logits(params, groups, feats, rows))
+    probs = _sigmoid(_head_logits(params, groups, feats, np.arange(len(batch))))
     labels = batch.label.astype(np.float64)
     clamped = np.clip(probs, 1e-12, 1.0 - 1e-12)
     weights = np.where(labels == 1.0, cfg.pos_weight, cfg.neg_weight)
@@ -236,20 +244,17 @@ def loss_and_grads(
 
     dlogit = weights * (probs - labels) / len(batch)
     head_w, head_b = np.zeros_like(params.head_w), np.zeros_like(params.head_b)
-    head_of = np.empty(len(batch), dtype=np.int64)
     for row, ks in groups:
         head_w[row] = feats[ks].T @ dlogit[ks]
         head_b[row] = dlogit[ks].sum()
-        head_of[ks] = row
     grads["head.w"], grads["head.b"] = head_w, head_b
-    dfeats = dlogit[:, None] * params.head_w[head_of]  # elementwise the per-group np.outer(dlogit[ks], w)
+    dfeats = dlogit[:, None] * params.head_w[batch.subtask]  # elementwise the per-group np.outer(dlogit[ks], w)
     dhidden, proj_grads = feat.extract_backward_batch(params.strategy, cache.hidden, dfeats)
     enc_grads = enc.backward_batch(params.encoder, cache, dhidden)
     grads.update(enc_grads.named_arrays())
     grads.rows = {"head.w": np.array([row for row, _ in groups]), **enc_grads.touched_rows()}
     if proj_grads is not None:
-        grads["proj.w"] = proj_grads.w
-        grads["proj.b"] = proj_grads.b
+        grads["proj.w"], grads["proj.b"] = proj_grads.w, proj_grads.b
     return value, grads
 
 
@@ -398,21 +403,18 @@ def predict_probs(params: ModelParams, instances: Sequence[MaskedInstance]) -> n
     default ``TrainConfig.batch_size``, and each triple's own head reads its unit's feature row."""
     if not instances:
         return np.empty(0)
-    table = as_table(instances)
-    groups = _head_groups(params, table)
+    table = _to_head_rows(params, as_table(instances))
     units, size = np.arange(len(table.lengths)), TrainConfig.batch_size
     feats = np.concatenate([
         _batch_features(params, table, units[start:start + size])[1] for start in range(0, len(units), size)
     ])
-    return _sigmoid(_head_logits(params, groups, feats, table.unit))
+    return _sigmoid(_head_logits(params, _head_groups(table), feats, table.unit))
 
 
 def validation_micro_f1(params: ModelParams, instances: Sequence[MaskedInstance], cfg: TrainConfig) -> float:
     table = as_table(instances)
-    labels, decisions = table.label, (predict_probs(params, table) >= cfg.threshold).astype(np.int64)
-    tp = int(np.sum((decisions == 1) & (labels == 1)))
-    fp = int(np.sum((decisions == 1) & (labels == 0)))
-    fn = int(np.sum((decisions == 0) & (labels == 1)))
+    decided, labels = predict_probs(params, table) >= cfg.threshold, table.label
+    tp, fp, fn = (int(np.sum(d & (labels == y))) for d, y in ((decided, 1), (decided, 0), (~decided, 1)))
     return micro_f1_counts(tp, fp, fn)
 
 
@@ -430,20 +432,15 @@ def train(
     """
     if not train_set or not val_set:
         raise TrainError("train and validation sets must both be nonempty")
-    train_set, val_set = as_table(train_set), as_table(val_set)
-    _head_groups(params, train_set)
-    _head_groups(params, val_set)
+    train_set, val_set = (_to_head_rows(params, as_table(s)) for s in (train_set, val_set))
     rng = np.random.default_rng([cfg.seed, 2])
     optimizer = AdamW(cfg)
     named = dict(params.named_arrays())
-    n = len(train_set)
-    best_score = -1.0
-    best_params = copy.deepcopy(params)
-    logs: list[TrainLogEntry] = []
+    best_score, best_params, logs = -1.0, copy.deepcopy(params), []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n)
+        order = rng.permutation(len(train_set))
         batch_losses = []
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
+        for bi, start in enumerate(range(0, len(train_set), cfg.batch_size)):
             batch = train_set.take(order[start:start + cfg.batch_size])
             value, grads = loss_and_grads(params, batch, cfg)
             if not math.isfinite(value):
@@ -453,8 +450,7 @@ def train(
         score = validation_micro_f1(params, val_set, cfg)
         logs.append(TrainLogEntry(epoch=epoch, train_loss=float(np.mean(batch_losses)), val_micro_f1=score))
         if score > best_score:
-            best_score = score
-            best_params = copy.deepcopy(params)
+            best_score, best_params = score, copy.deepcopy(params)
     return best_params, logs
 
 

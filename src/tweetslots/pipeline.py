@@ -443,16 +443,15 @@ _STAGES: tuple[tuple[str, Callable], ...] = (
 
 
 class _OutputLock:
-    """Exclusive ownership of an output directory, created if absent: an
-    exclusive ``flock`` on ``<output>/.lock``, which the kernel drops when
-    its holder exits, however it exits. The file's content is never read, so
-    a file a crashed command left is free. Release unlinks the file while
-    still holding it; a taker that locked a file the path no longer names
-    reopens, so one release never seats two holders. Without ``flock``
-    support it raises ``OSError`` naming the lock file. Each directory that
-    the lock made, the output directory and any parents it lacked, goes with
-    the lock file, innermost first, while nothing else is in it, so a
-    refused command leaves no directory behind."""
+    """Exclusive ownership of an output directory, created if absent: an exclusive
+    ``flock`` on ``<output>/.lock``, which the kernel drops when its holder exits,
+    however it exits. The file's content is never read, so a file a crashed command
+    left is free. Release unlinks the file while still holding it; a taker that
+    locked a file the path no longer names reopens, so one release never seats two
+    holders. Without ``flock`` support it raises ``OSError`` naming the lock file,
+    which it removes only if it created it. Each directory that the lock made, the
+    output directory and any parents it lacked, goes with the lock file, innermost
+    first, while nothing else is in it, so a refused command leaves no directory behind."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".lock"
@@ -464,7 +463,10 @@ class _OutputLock:
         self._made: list[Path] = []
         while self._fd is None:
             self._make(self.path.parent)  # in the loop: a releaser that made the directory may have taken it back
-            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666)
+            try:  # O_EXCL first, so the lock knows whether the file is its own
+                fd, made = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o666), True
+            except FileExistsError:  # a holder's file, or one a crashed command left
+                fd, made = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o666), False
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 if os.path.samestat(os.fstat(fd), os.stat(self.path)):
@@ -474,7 +476,7 @@ class _OutputLock:
             except FileNotFoundError:
                 pass  # released and unlinked after our open: lock the file now at the path
             except OSError as exc:  # no flock on this filesystem: say which file
-                if self._made:  # nobody can lock a file here, so this lock's own directory goes
+                if made:  # nobody can lock a file here, so the file this lock made goes, with its directories
                     self._take_back()
                 raise OSError(exc.errno, exc.strerror, str(self.path)) from None
             finally:

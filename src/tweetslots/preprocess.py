@@ -324,8 +324,8 @@ def mask_candidate(
 @dataclass(frozen=True, eq=False)
 class InstanceTable(Sequence):
     """Triples over units. Unit u, the masked input of one (tweet, candidate), is row u of the
-    unit arrays; triple k reads unit ``unit[k]``, subtask ``subtask_ids[subtask[k]]`` and label
-    ``label[k]``. Item k is a ``MaskedInstance`` view; the views of one unit share one token array."""
+    unit arrays; triple k reads unit ``unit[k]``, subtask ``subtask_ids[subtask[k]]`` (sorted, as
+    head rows are) and label ``label[k]``. Item k is a ``MaskedInstance`` view; a unit's views share one token array."""
 
     token_ids: np.ndarray  # (U, max_len), PAD fill
     lengths: np.ndarray
@@ -342,7 +342,7 @@ class InstanceTable(Sequence):
     def build(cls, units: Mapping[object, MaskedInstance], triples: Sequence[tuple]) -> InstanceTable:
         """The table of ``units`` (key -> one instance of the unit) and (unit key, subtask, label) triples."""
         index = {key: u for u, key in enumerate(units)}
-        code_of: dict[SubtaskId, int] = {}
+        code_of = {s: c for c, s in enumerate(sorted({s for _, s, _ in triples}))}  # in sorted order
         first = list(units.values())
         return cls(
             token_ids=np.stack([i.token_ids for i in first]) if first else np.zeros((0, 0), dtype=np.int64),
@@ -352,7 +352,7 @@ class InstanceTable(Sequence):
             candidate_indexes=[i.candidate_index for i in first],
             chunk_texts=[i.chunk_text for i in first],
             unit=np.asarray([index[key] for key, _, _ in triples], dtype=np.int64),
-            subtask=np.asarray([code_of.setdefault(s, len(code_of)) for _, s, _ in triples], dtype=np.int64),
+            subtask=np.asarray([code_of[s] for _, s, _ in triples], dtype=np.int64),
             label=np.asarray([y for _, _, y in triples]),  # as given, so the writer sees a label outside 0/1
             subtask_ids=tuple(code_of),
         )

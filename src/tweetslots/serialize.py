@@ -123,9 +123,11 @@ def load_model(path: str | Path) -> ModelParams:
     try:
         cfg = EncoderConfig(**enc_values)
         kind = StrategyKind(kind_name)
-        subtasks = tuple(sorted({SubtaskId.parse(key) for key in subtask_keys}))
+        subtasks = tuple(SubtaskId.parse(key) for key in subtask_keys)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from None
+    if subtasks != tuple(sorted(set(subtasks))):
+        raise FormatError(f"{where}: field 'subtasks' must list each subtask once, in sorted order")
     # Checked before anything is allocated, so a header cannot ask for more
     # memory than the file holds data for.
     offset = body_start + header_len

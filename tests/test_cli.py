@@ -34,10 +34,27 @@ def cli_run(ws, tmp_path_factory):
     return out
 
 
+# SHA-256 of the reports of the workspace run. They move only when a decision or a
+# nullification changes (a model that moves in its last bits keeps them), so a change
+# that moves them on purpose updates them here and says why.
+REPORT_SHA256 = {
+    "ablation.json": "e05b88143884ace6279e6ef9ef898fd4bc68405889f014a3d66c571d6a45b568",
+    "ablation.txt": "7a9bb8f312a36789c988647ecd9b4c6ee292d0d8ca9adaf025b2bf32ca878a7a",
+    "report_filtered.json": "e051bf2d3540b320a06fa478bcc28721606fba24bdf9664507e9423b2ab47e3d",
+    "report_unfiltered.json": "0113cd8336fbeb0d9da59b7beeaf039fb6b3691f28e5e2b8b12dbadbb5a0acbb",
+    "table_filtered.txt": "8c0bc6033761244e0107777d271db7eb657eba87819b814175b37166c967221f",
+    "table_unfiltered.txt": "6a52028988a143d5c0ad08ed1a5562ad508c2291fd5b432de41aa6def6b2ba8d",
+}
+
+
 class TestRun:
     def test_exit_zero_and_manifest(self, cli_run):
         obj = json.loads((cli_run / "run_manifest.json").read_text())
         assert obj["status"] == "ok"
+
+    def test_reports_are_pinned(self, cli_run):
+        reports = (p for p in cli_run.iterdir() if p.name.startswith(("report_", "table_", "ablation.")))
+        assert {p.name: serialize.file_sha256(p) for p in reports} == REPORT_SHA256
 
     def test_console_script_entry_point(self, ws, tmp_path):
         proc = subprocess.run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -831,6 +832,75 @@ class TestSharedEncoderInput:
         got = predict_probs(model, insts)
         assert rows == [32, 32, 6]
         assert list(got) == pytest.approx(singles, rel=1e-12, abs=1e-15)
+
+
+class TestSubtaskCodeSpace:
+    """A table codes each subtask by its sorted position, and training and scoring map a table
+    to a model's head rows once; the bits do not depend on how a table numbers its subtasks."""
+
+    @staticmethod
+    def renumbered(table, perm):
+        """``table`` with subtask code c renumbered ``perm[c]``."""
+        ids = [None] * len(perm)
+        for code, new in enumerate(perm):
+            ids[new] = table.subtask_ids[code]
+        return replace(table, subtask=np.asarray(perm, dtype=np.int64)[table.subtask], subtask_ids=tuple(ids))
+
+    @given(data=st.data(), kind=st.sampled_from(list(StrategyKind)), seed=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_bits_do_not_depend_on_the_code_space(self, data, kind, seed):
+        units = data.draw(st.lists(st.tuples(st.lists(st.sampled_from(["sad", "news", "w"]), max_size=3),
+                                             st.sampled_from(["uncle", "sixty", "masks"])), min_size=1, max_size=4))
+        triples = data.draw(st.lists(st.tuples(st.integers(0, len(units) - 1), st.sampled_from([NAME, AGE, OPINION]),
+                                               st.integers(0, 1)), min_size=1, max_size=12))
+        insts = [make_instance(*units[u], s, y, f"t{u}", u) for u, s, y in triples]
+        table = multitask.as_table(insts)
+        assert table.subtask_ids == tuple(sorted({s for _, s, _ in triples}))
+        perm = data.draw(st.permutations(range(len(table.subtask_ids))))
+        tables = [table, self.renumbered(table, perm), multitask.as_table(list(table)), insts]
+        model = init_model(enc_cfg(), kind, REG, seed=seed)
+        cfg = TrainConfig(clip_norm=data.draw(st.sampled_from([0.0, 1e-3, 5.0])))
+
+        want_value, want_grads = loss_and_grads(model, table, cfg)
+        want_probs = predict_probs(model, table)
+        for other in tables[1:]:
+            value, grads = loss_and_grads(model, other, cfg)
+            assert value.hex() == want_value.hex()
+            assert list(grads) == list(want_grads) and list(grads.rows) == list(want_grads.rows)
+            assert all(same_bits(grads[name], want_grads[name]) for name in grads)
+            assert all(same_bits(grads.rows[name], want_grads.rows[name]) for name in grads.rows)
+            assert same_bits(predict_probs(model, other), want_probs)
+        head_rows = want_grads.rows["head.w"].tolist()
+        assert head_rows == [model.subtasks.index(s) for s in dict.fromkeys(s for _, s, _ in triples)]
+
+        # Mapped once, a table and every batch taken from it are already in the model's rows.
+        mapped = multitask._to_head_rows(model, tables[1])
+        assert [model.subtasks[row] for row in mapped.subtask.tolist()] == [s for _, s, _ in triples]
+        batch = mapped.take(np.arange(len(mapped))[::-1])
+        assert multitask._to_head_rows(model, batch) is batch
+
+        # A model with a head more scores the shared subtasks the same.
+        more = SubtaskRegistry({EventType.DEATH: ("age", "name", "when"), EventType.CURE_AND_PREVENTION: ("opinion",)})
+        wide = init_model(enc_cfg(), kind, more, seed=seed + 1)
+        for (name, a), (_, b) in zip(model.named_arrays(), wide.named_arrays()):
+            if not name.startswith("head."):
+                b[...] = a
+        rows = [wide.subtasks.index(s) for s in model.subtasks]
+        wide.head_w[rows], wide.head_b[rows] = model.head_w, model.head_b
+        assert same_bits(predict_probs(wide, tables[1]), want_probs)
+        assert loss_and_grads(wide, tables[1], cfg)[0].hex() == want_value.hex()
+
+    @pytest.mark.parametrize("lacking", ["train", "validation"])
+    def test_a_missing_head_is_refused_before_the_first_step(self, lacking, monkeypatch):
+        death_only = init_model(enc_cfg(), StrategyKind.SUM4, SubtaskRegistry({EventType.DEATH: ("age", "name")}))
+        known = [make_instance(["sad"], "uncle", NAME, 1), make_instance(["sad"], "uncle", AGE, 0)]
+        sets = {"train": known, "validation": known}
+        sets[lacking] = [*known, make_instance([], "masks", OPINION, 1, "t1")]
+        steps = []
+        monkeypatch.setattr(multitask, "loss_and_grads", lambda *args: steps.append(args))
+        with pytest.raises(TrainError, match=r"^no head for subtask\(s\): cure_and_prevention/opinion$"):
+            train(death_only, sets["train"], sets["validation"], TrainConfig(epochs=1))
+        assert steps == []
 
 
 class TestMicroF1:

@@ -502,9 +502,26 @@ class TestOutputLock:
         for out in (tmp_path / "made", old, tmp_path / "nest/a/o", old / "a/o"):
             with pytest.raises(OSError, match=re.escape(f"No locks available: '{out / '.lock'}'")):
                 pipeline._OutputLock(out).__enter__()
-        # Only the directories the lock made go; the lock file stays in one it did not make.
+        # Only the directories the lock made go, and the lock file it made goes with them.
         assert [p.name for p in tmp_path.iterdir()] == ["old"]
-        assert [p.name for p in old.iterdir()] == [".lock"]
+        assert [p.name for p in old.iterdir()] == []
+
+    def test_only_a_lock_file_the_lock_made_goes_when_flock_fails(self, tmp_path, monkeypatch):
+        import fcntl
+
+        def unsupported(fd, operation):
+            raise OSError(errno.ENOLCK, "No locks available")
+
+        monkeypatch.setattr(fcntl, "flock", unsupported)
+        made, left = tmp_path / "made", tmp_path / "left"
+        made.mkdir()
+        left.mkdir()
+        (left / ".lock").write_bytes(b"a crashed holder's")
+        for out in (made, left):
+            with pytest.raises(OSError, match=re.escape(f"No locks available: '{out / '.lock'}'")):
+                pipeline._OutputLock(out).__enter__()
+        assert list(made.iterdir()) == []
+        assert (left / ".lock").read_bytes() == b"a crashed holder's"
 
     def test_a_left_file_is_taken_unread(self, tmp_path, caplog):
         (tmp_path / ".lock").write_bytes(b"\xff not a pid\n")

@@ -171,18 +171,35 @@ class TestModelBinary:
         with pytest.raises(FormatError, match=f"m\\.bin: array '{last_name}' holds non-finite"):
             load_model(p)
 
-    def test_header_implying_more_data_than_the_file_holds(self, tmp_path):
-        # Refused before the zeroed model is built: it would need 58 TiB.
-        p = tmp_path / "m.bin"
-        save_model(small_model(), p)
-        blob = p.read_bytes()
+    @staticmethod
+    def saved_with_header(path, edit):
+        """Save a small model to ``path``, then rewrite its JSON header through ``edit``."""
+        save_model(small_model(), path)
+        blob = path.read_bytes()
         start = len(MODEL_MAGIC) + 8
         header_len = struct.unpack_from("<I", blob, len(MODEL_MAGIC) + 4)[0]
         header = json.loads(blob[start:start + header_len])
-        header["encoder"]["vocab_size"] = 10**12
+        edit(header)
         text = json.dumps(header).encode()
-        p.write_bytes(blob[:len(MODEL_MAGIC) + 4] + struct.pack("<I", len(text)) + text + blob[start + header_len:])
+        path.write_bytes(blob[:len(MODEL_MAGIC) + 4] + struct.pack("<I", len(text)) + text + blob[start + header_len:])
+
+    def test_header_implying_more_data_than_the_file_holds(self, tmp_path):
+        # Refused before the zeroed model is built: it would need 58 TiB.
+        p = tmp_path / "m.bin"
+        self.saved_with_header(p, lambda header: header["encoder"].update(vocab_size=10**12))
         with pytest.raises(FormatError, match=r"m\.bin: truncated array data: \d+ bytes, the header implies 64\d{12}$"):
+            load_model(p)
+
+    @pytest.mark.parametrize("reorder", [lambda keys: keys[::-1], lambda keys: [*keys, keys[0]],
+                                         lambda keys: [keys[1], keys[0], keys[1], keys[2]]],
+                             ids=["reversed", "repeat", "swapped-and-repeat"])
+    def test_subtasks_other_than_the_sorted_distinct_list_refused(self, reorder, tmp_path):
+        # The writer lists each subtask once, sorted (the head rows' order); the loader
+        # refuses any other list instead of sorting it and dropping repeats.
+        p = tmp_path / "m.bin"
+        self.saved_with_header(p, lambda header: header.update(subtasks=reorder(header["subtasks"])))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: model header: field 'subtasks' must list each subtask once, in sorted order")):
             load_model(p)
 
     def test_proj4_round_trips_projections(self, tmp_path):
