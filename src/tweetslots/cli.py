@@ -2,15 +2,17 @@
 
 ``run`` executes the whole pipeline. Every stage of ``pipeline._STAGES`` is
 also a subcommand of the same name (``evaluate --filtered`` selects
-``evaluate_filtered``) that calls the stage function directly, under the
-same output-directory lock as ``run``, an ``flock`` that dies with its
-holder (a held lock gives exit 3). Running the stages in sequence over
-one output directory reproduces the ``run`` tree byte for byte, except for
-``run_manifest.json``, which only ``run`` writes. ``predict`` is not a
-stage: it scores instances with one trained model into its required
-``--out``, so it never overwrites a stage artifact by default. No option
-sets a config key: the config file is the whole record of a run. Logs go
-to stderr.
+``evaluate_filtered``). ``run`` and each stage subcommand reach a stage only
+through ``pipeline.run_stage``, under the same output-directory lock, an
+``flock`` that dies with its holder (a held lock gives exit 3). A stage
+whose declared input is missing exits 3, naming the file and the subcommand
+that writes it. Running the stages in sequence over one output directory
+reproduces the ``run`` tree byte for byte, except for ``run_manifest.json``,
+which only ``run`` writes. ``predict`` is not a stage: it scores instances
+with one trained model into its required ``--out``, and refuses (exit 2)
+an ``--out`` that is an artifact of ``--output`` or its ``run_manifest.json``.
+No option sets a config key: the config file is the whole record of a run.
+Logs go to stderr.
 
 Exit codes: 0 success, 2 configuration error, 3 data or environment error,
 4 numeric divergence during training.
@@ -58,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--instances",
         default=None,
         help="instance JSONL, one row per (tweet, candidate), expanded in explode order "
-        "(default: <output>/val_instances.jsonl)",
+        f"(default: <output>/{pipeline.ARTIFACTS['val_instances']})",
     )
     p.add_argument("--out", type=Path, required=True, help="prediction JSONL to write")
     add("ensemble", "majority-vote the top-k pool members")
@@ -80,9 +82,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         log.info("run complete; manifest at %s", manifest)
         return EXIT_OK
 
+    if command == "predict":  # before the lock, so a refused --out leaves nothing behind
+        tree = [*pipeline.artifact_paths(cfg, out_dir, pipeline.ARTIFACTS).values(), out_dir / pipeline.RUN_MANIFEST]
+        if args.out.resolve() in {path.resolve() for path in tree}:
+            raise ConfigError(f"--out {args.out} is a file of the run tree in --output {out_dir}; predict writes none")
     with pipeline._OutputLock(out_dir):
         if command == "predict":
-            instances_path = Path(args.instances) if args.instances else out_dir / "val_instances.jsonl"
+            instances_path = Path(args.instances) if args.instances else out_dir / pipeline.ARTIFACTS["val_instances"]
             params = serialize.load_model(args.model)
             instances = serialize.load_instances(instances_path, params.encoder.config)
             records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))
@@ -90,7 +96,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             log.info("predict: %d records -> %s", len(records), args.out)
         else:
             name = "evaluate_filtered" if command == "evaluate" and args.filtered else command
-            dict(pipeline._STAGES)[name](cfg, out_dir)
+            pipeline.run_stage(name, cfg, out_dir)
     return EXIT_OK
 
 

@@ -339,7 +339,11 @@ def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:
     file or none, never a shortened one."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except OSError as exc:  # the temp file is this function's own: name the file asked for
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)

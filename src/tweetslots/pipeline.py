@@ -4,9 +4,10 @@ The config is a flat key-value text file with dotted section prefixes
 (``train.batch_size = 32``). Each ``encoder.*``, ``train.*`` and ``split.*``
 key is a field of its section's dataclass, and a value that class refuses is
 reported as ``<file>:<line>: config key '<key>': <rule>``. Every stage writes
-its artifacts under one output directory; a run manifest records the resolved
-config hash, the seed, and a SHA-256 per artifact, so identical configs
-reproduce identical trees. An ``flock`` on ``<output>/.lock`` keeps
+its artifacts under one output directory, at the paths of ``ARTIFACTS``, and
+``_STAGES`` declares what each stage reads and writes. A run manifest records
+the resolved config hash, the seed, and a SHA-256 per artifact, so identical
+configs reproduce identical trees. An ``flock`` on ``<output>/.lock`` keeps
 concurrent commands apart.
 """
 
@@ -253,6 +254,44 @@ def make_type_map(cfg: PipelineConfig) -> nerfilter.TypeMap:
 
 # -- stages ------------------------------------------------------------------
 
+# Each file a stage writes, by the name ``run_manifest.json`` lists it under, and its
+# path under the output directory. A pool member's model and log carry its ``{tag}``.
+ARTIFACTS = {
+    "split_manifest": "split_manifest.json",
+    "train_instances": "train_instances.jsonl",
+    "val_instances": "val_instances.jsonl",
+    "model_{tag}": "models/{tag}.bin",
+    "log_{tag}": "logs/{tag}.jsonl",
+    "predictions": "predictions.jsonl",
+    "predictions_filtered": "predictions_filtered.jsonl",
+    "report_unfiltered": "report_unfiltered.json",
+    "table_unfiltered": "table_unfiltered.txt",
+    "report_filtered": "report_filtered.json",
+    "table_filtered": "table_filtered.txt",
+    "ablation_table": "ablation.txt",
+    "ablation": "ablation.json",
+}
+RUN_MANIFEST = "run_manifest.json"
+
+
+def member_tag(kind: StrategyKind, seed: int) -> str:
+    """The ``{tag}`` of a pool member's model and training log."""
+    return f"{kind.value}-s{seed}"
+
+
+def artifact_paths(cfg: PipelineConfig, out_dir: Path, names) -> dict[str, Path]:
+    """Where ``names`` live under ``out_dir``, keyed as the run manifest lists
+    them; a ``{tag}`` name is one file per pool member."""
+    tags = [member_tag(kind, seed) for kind, seed in cfg.pool]
+    return {name.format(tag=tag): out_dir / ARTIFACTS[name].format(tag=tag)
+            for name in names for tag in (tags if "{tag}" in name else [""])}
+
+
+def stage_files(name: str, cfg: PipelineConfig, out_dir: Path) -> tuple[dict[str, Path], dict[str, Path]]:
+    """Stage ``name``'s declared inputs and outputs under ``out_dir``."""
+    _, reads, writes = _STAGES[name]
+    return artifact_paths(cfg, out_dir, reads), artifact_paths(cfg, out_dir, writes)
+
 
 @dataclass
 class SplitArtifacts:
@@ -282,7 +321,7 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     clean_cfg = make_clean_config(cfg)
     vocab = Vocab(size=cfg.encoder.vocab_size)
     split = load_and_split(cfg, registry)
-    artifacts = {}
+    _, out = stage_files("preprocess", cfg, out_dir)
     manifest = {
         "corpus_digest": split.digest,
         "seed": cfg.seed,
@@ -290,37 +329,26 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
         "train_ids": [t.id for t in split.train_tweets],
         "val_ids": [t.id for t in split.val_tweets],
     }
-    path = out_dir / "split_manifest.json"
-    corpus_mod.write_file(path, [corpus_mod.json_document(manifest)])
-    artifacts["split_manifest"] = path
+    corpus_mod.write_file(out["split_manifest"], [corpus_mod.json_document(manifest)])
     for name, tweets in (("train", split.train_tweets), ("val", split.val_tweets)):
         instances = mask_corpus(tweets, vocab, clean_cfg, cfg.encoder.max_len, registry)
-        path = out_dir / f"{name}_instances.jsonl"
-        serialize.save_instances(instances, path)
-        artifacts[f"{name}_instances"] = path
+        serialize.save_instances(instances, out[f"{name}_instances"])
         log.info("preprocess: %s split -> %d instances", name, len(instances))
-    return artifacts
+    return out
 
 
 def best_val_score(logs: Sequence[multitask.TrainLogEntry]) -> float:
     return max(e.val_micro_f1 for e in logs)
 
 
-def member_tag(kind: StrategyKind, seed: int) -> str:
-    """The name of a pool member's ``models/<tag>.bin`` and ``logs/<tag>.jsonl``."""
-    return f"{kind.value}-s{seed}"
-
-
 def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     """Train every (strategy, seed) pool member; write its model and training log."""
     registry = make_registry(cfg)
-    train_instances = serialize.load_instances(out_dir / "train_instances.jsonl", cfg.encoder)
-    val_instances = serialize.load_instances(out_dir / "val_instances.jsonl", cfg.encoder)
-    models_dir = out_dir / "models"
-    logs_dir = out_dir / "logs"
-    models_dir.mkdir(exist_ok=True)
-    logs_dir.mkdir(exist_ok=True)
-    artifacts = {}
+    inputs, out = stage_files("train", cfg, out_dir)
+    train_instances = serialize.load_instances(inputs["train_instances"], cfg.encoder)
+    val_instances = serialize.load_instances(inputs["val_instances"], cfg.encoder)
+    for path in out.values():
+        path.parent.mkdir(exist_ok=True)
     for kind, seed in cfg.pool:
         tag = member_tag(kind, seed)
         params, logs = multitask.train(
@@ -329,14 +357,10 @@ def stage_train_pool(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
             val_instances,
             replace(cfg.train, seed=seed),
         )
-        model_path = models_dir / f"{tag}.bin"
-        serialize.save_model(params, model_path)
-        log_path = logs_dir / f"{tag}.jsonl"
-        serialize.save_train_log(logs, log_path)
-        artifacts[f"model_{tag}"] = model_path
-        artifacts[f"log_{tag}"] = log_path
+        serialize.save_model(params, out[f"model_{tag}"])
+        serialize.save_train_log(logs, out[f"log_{tag}"])
         log.info("train: %s best val micro-F1 %.4f", tag, best_val_score(logs))
-    return artifacts
+    return out
 
 
 def ensemble_from_manifest(
@@ -354,33 +378,34 @@ def ensemble_from_manifest(
 def stage_ensemble(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
     """Rank the config's pool by the best validation micro-F1 in each
     member's training log and vote its top ``ensemble.k``."""
-    instances = serialize.load_instances(out_dir / "val_instances.jsonl", cfg.encoder)
+    inputs, out = stage_files("ensemble", cfg, out_dir)
+    instances = serialize.load_instances(inputs["val_instances"], cfg.encoder)
     members = []
     for kind, seed in cfg.pool:
         tag = member_tag(kind, seed)
-        logs = serialize.load_train_log(out_dir / "logs" / f"{tag}.jsonl")
-        members.append((out_dir / "models" / f"{tag}.bin", best_val_score(logs)))
+        logs = serialize.load_train_log(inputs[f"log_{tag}"])
+        members.append((inputs[f"model_{tag}"], best_val_score(logs)))
     records = ensemble_from_manifest(members, instances, cfg.ensemble_k, cfg.train.threshold)
-    path = out_dir / "predictions.jsonl"
-    serialize.save_predictions(records, path)
-    return {"predictions": path}
+    serialize.save_predictions(records, out["predictions"])
+    return out
 
 
 def stage_postprocess(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    records = serialize.load_predictions(out_dir / "predictions.jsonl")
+    inputs, out = stage_files("postprocess", cfg, out_dir)
+    records = serialize.load_predictions(inputs["predictions"])
     filtered = nerfilter.filter_predictions(records, make_type_map(cfg), make_gazetteer(cfg))
-    path = out_dir / "predictions_filtered.jsonl"
-    serialize.save_predictions(filtered, path, include_filtered=True)
+    serialize.save_predictions(filtered, out["predictions_filtered"], include_filtered=True)
     removed = sum(1 for r in filtered if r.filtered)
     log.info("postprocess: nullified %d positive prediction(s)", removed)
-    return {"predictions_filtered": path}
+    return out
 
 
-def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, Path]:
-    label = "filtered" if filtered else "unfiltered"
+def _evaluate(cfg: PipelineConfig, out_dir: Path, stage: str) -> dict[str, Path]:
+    filtered = stage == "evaluate_filtered"
     registry = make_registry(cfg)
     split = load_and_split(cfg, registry)
-    path = out_dir / ("predictions_filtered.jsonl" if filtered else "predictions.jsonl")
+    inputs, out = stage_files(stage, cfg, out_dir)
+    (path,), (report_path, table_path) = inputs.values(), out.values()
     records = serialize.load_predictions(path, filtered)
     try:
         report = metrics_mod.score(
@@ -403,43 +428,51 @@ def _evaluate(cfg: PipelineConfig, out_dir: Path, filtered: bool) -> dict[str, P
                                        if row[:3] not in have)
         raise PipelineError(f"{path}: {len(records)} predictions for {expected} validation triples; first missing: "
                             f"tweet {tweet_id!r}, subtask {subtask}, candidate {cand}")
-    report_path = out_dir / f"report_{label}.json"
     metrics_mod.save_report(report, report_path)
-    table_path = out_dir / f"table_{label}.txt"
     corpus_mod.write_file(table_path, [metrics_mod.render_table(report)])
-    log.info("evaluate(%s): micro-F1 %.4f", label, report.micro_f1)
-    return {f"report_{label}": report_path, f"table_{label}": table_path}
+    log.info("evaluate(%s): micro-F1 %.4f", "filtered" if filtered else "unfiltered", report.micro_f1)
+    return out
 
 
 def stage_evaluate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    return _evaluate(cfg, out_dir, False)
+    return _evaluate(cfg, out_dir, "evaluate")
 
 
 def stage_evaluate_filtered(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    return _evaluate(cfg, out_dir, True)
+    return _evaluate(cfg, out_dir, "evaluate_filtered")
 
 
 def stage_ablate(cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
-    report_a = metrics_mod.load_report(out_dir / "report_unfiltered.json")
-    report_b = metrics_mod.load_report(out_dir / "report_filtered.json")
+    inputs, out = stage_files("ablate", cfg, out_dir)
+    report_a = metrics_mod.load_report(inputs["report_unfiltered"])
+    report_b = metrics_mod.load_report(inputs["report_filtered"])
     cmp = metrics_mod.compare(report_a, report_b, label_a="unfiltered", label_b="filtered")
-    text_path = out_dir / "ablation.txt"
-    corpus_mod.write_file(text_path, [metrics_mod.render_comparison(cmp)])
-    json_path = out_dir / "ablation.json"
-    metrics_mod.save_comparison(cmp, json_path)
+    corpus_mod.write_file(out["ablation_table"], [metrics_mod.render_comparison(cmp)])
+    metrics_mod.save_comparison(cmp, out["ablation"])
     log.info("ablate: micro-F1 %.4f -> %.4f (delta %+.4f)", cmp.micro_a, cmp.micro_b, cmp.micro_delta)
-    return {"ablation_table": text_path, "ablation": json_path}
+    return out
 
 
-_STAGES: tuple[tuple[str, Callable], ...] = (
-    ("preprocess", stage_preprocess),
-    ("train", stage_train_pool),
-    ("ensemble", stage_ensemble),
-    ("postprocess", stage_postprocess),
-    ("evaluate", stage_evaluate),
-    ("evaluate_filtered", stage_evaluate_filtered),
-    ("ablate", stage_ablate),
-)
+# Every stage in run order: its function, the artifacts it may read, and those it writes.
+_STAGES: dict[str, tuple[Callable, tuple[str, ...], tuple[str, ...]]] = {
+    "preprocess": (stage_preprocess, (), ("split_manifest", "train_instances", "val_instances")),
+    "train": (stage_train_pool, ("train_instances", "val_instances"), ("model_{tag}", "log_{tag}")),
+    "ensemble": (stage_ensemble, ("val_instances", "log_{tag}", "model_{tag}"), ("predictions",)),
+    "postprocess": (stage_postprocess, ("predictions",), ("predictions_filtered",)),
+    "evaluate": (stage_evaluate, ("predictions",), ("report_unfiltered", "table_unfiltered")),
+    "evaluate_filtered": (stage_evaluate_filtered, ("predictions_filtered",), ("report_filtered", "table_filtered")),
+    "ablate": (stage_ablate, ("report_unfiltered", "report_filtered"), ("ablation_table", "ablation")),
+}
+
+
+def run_stage(name: str, cfg: PipelineConfig, out_dir: Path) -> dict[str, Path]:
+    """Run stage ``name`` over ``out_dir`` once each declared input is a file (else
+    PipelineError names it and the subcommand that writes it); returns its declared outputs."""
+    for key, path in stage_files(name, cfg, out_dir)[0].items():
+        if not path.is_file():  # stage evaluate_filtered is the subcommand evaluate --filtered
+            writer = next(other for other in _STAGES if key in stage_files(other, cfg, out_dir)[1])
+            raise PipelineError(f"{path}: missing; 'tweetslots {writer.replace('_', ' --')}' writes it")
+    return _STAGES[name][0](cfg, out_dir)
 
 
 class _OutputLock:
@@ -529,7 +562,7 @@ def _write_run_manifest(
     if failed_stage is not None:
         obj["failed_stage"] = failed_stage
         obj["partial"] = True
-    corpus_mod.write_file(out_dir / "run_manifest.json", [corpus_mod.json_document(obj)])
+    corpus_mod.write_file(out_dir / RUN_MANIFEST, [corpus_mod.json_document(obj)])
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> Path:
@@ -541,14 +574,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     artifacts: dict[str, Path] = {}
     with _OutputLock(out_dir):
-        for name, stage in _STAGES:
+        for name in _STAGES:
             log.info("stage %s: start", name)
             try:
-                artifacts.update(stage(cfg, out_dir))
+                artifacts.update(run_stage(name, cfg, out_dir))
             except Exception as exc:
                 _write_run_manifest(out_dir, cfg, artifacts, "failed", name)
                 if isinstance(exc, (PipelineError, multitask.DivergenceError)):
                     raise
                 raise PipelineError(f"stage {name}: {exc}") from exc
         _write_run_manifest(out_dir, cfg, artifacts, "ok", None)
-    return out_dir / "run_manifest.json"
+    return out_dir / RUN_MANIFEST

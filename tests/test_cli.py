@@ -90,20 +90,18 @@ class TestRun:
 class TestStageTable:
     def test_every_stage_label_is_reachable(self, ws, tmp_path, monkeypatch):
         called = []
-        fakes = tuple(
-            (label, lambda cfg, out_dir, label=label: called.append(label) or {})
-            for label, _ in pipeline._STAGES
-        )
+        fakes = {label: (lambda cfg, out_dir, label=label: called.append(label) or {}, (), ())
+                 for label in pipeline._STAGES}
         monkeypatch.setattr(pipeline, "_STAGES", fakes)
         base = ["--config", str(ws / "config.ini"), "--output", str(tmp_path)]
-        for label, _ in fakes:
+        for label in fakes:
             argv = ["evaluate", *base, "--filtered"] if label == "evaluate_filtered" else [label, *base]
             assert main(argv) == EXIT_OK, argv
-        assert called == [label for label, _ in fakes]
+        assert called == list(fakes)
 
     def test_run_and_predict_are_the_only_other_subcommands(self):
         sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        stages = {label for label, _ in pipeline._STAGES} - {"evaluate_filtered"}
+        stages = set(pipeline._STAGES) - {"evaluate_filtered"}
         assert set(sub.choices) == stages | {"run", "predict"}
 
     @pytest.mark.parametrize(
@@ -377,10 +375,18 @@ CASES = (
          "{out}/predictions.jsonl:3: duplicate prediction for {key}",
          _lines("out/predictions.jsonl", _first_row_twice), absent=("out/report_*.json",)),
     Case("evaluate-without-predictions", "inputs", "evaluate " + _STAGE, EXIT_DATA,
-         "No such file or directory: '{out}/predictions.jsonl'", absent=("out",)),
+         "{out}/predictions.jsonl: missing; 'tweetslots ensemble' writes it", absent=("out",)),
     Case("evaluate-into-missing-parents", "inputs", "evaluate --config {inputs}/config.ini --output {nested}",
-         EXIT_DATA, "No such file or directory: '{nested}/predictions.jsonl'",
+         EXIT_DATA, "{nested}/predictions.jsonl: missing; 'tweetslots ensemble' writes it",
          lambda root: {"nested": root / "nest" / "a" / "o3"}, absent=("nest",)),
+    Case("train-without-instances", "inputs", "train " + _STAGE, EXIT_DATA,
+         "{out}/train_instances.jsonl: missing; 'tweetslots preprocess' writes it", absent=("out",)),
+    Case("postprocess-without-predictions", "run", "postprocess " + _STAGE, EXIT_DATA,
+         "{out}/predictions.jsonl: missing; 'tweetslots ensemble' writes it",
+         absent=("out/predictions.jsonl",), unchanged=("out/predictions_filtered.jsonl",)),
+    Case("ablate-without-the-filtered-report", "run", "ablate " + _STAGE, EXIT_DATA,
+         "{out}/report_filtered.json: missing; 'tweetslots evaluate --filtered' writes it",
+         absent=("out/report_filtered.json",), unchanged=("out/ablation.json",)),
     Case("evaluate-filtered-row-without-its-flag", "run", "evaluate " + _STAGE + " --filtered", EXIT_DATA,
          "{out}/predictions_filtered.jsonl:2: missing field 'filtered'",
          _row("out/predictions_filtered.jsonl", lambda row: row.__delitem__("filtered"), line=2),
@@ -400,7 +406,8 @@ CASES = (
          "{out}/val_instances.jsonl:2: expected an object, got 5",
          _lines("out/val_instances.jsonl", lambda lines: ([lines[0], b"5\n"], {})),
          unchanged=("out/predictions.jsonl",)),
-    Case("ensemble-untrained-member", "run", "ensemble " + _STAGE, EXIT_DATA, "{out}/logs/last-s5.jsonl",
+    Case("ensemble-untrained-member", "run", "ensemble " + _STAGE, EXIT_DATA,
+         "{out}/logs/last-s5.jsonl: missing; 'tweetslots train' writes it",
          _replace("in/config.ini", "ensemble.seeds = 0,1,2", "ensemble.seeds = 0,1,2,5"),
          unchanged=("out/predictions.jsonl",)),
     Case("ablate-report-its-counts-do-not-give", "run", "ablate " + _STAGE, EXIT_DATA,
@@ -442,6 +449,17 @@ CASES = (
          absent=("in/single.jsonl",)),
     Case("predict-missing-model", "inputs", _PREDICT, EXIT_DATA,
          "No such file or directory: '{inputs}/m.bin'", absent=("in/single.jsonl",)),
+    Case("predict-into-missing-directory", "run",
+         "predict " + _STAGE + " --model {out}/models/last-s0.bin --out {inputs}/nodir/p.jsonl", EXIT_DATA,
+         "No such file or directory: '{inputs}/nodir/p.jsonl'", absent=("in/nodir",)),
+    Case("predict-onto-an-artifact", "run",
+         "predict " + _STAGE + " --model {out}/models/last-s0.bin --out {out}/models/../predictions.jsonl", EXIT_CONFIG,
+         "--out {out}/models/../predictions.jsonl is a file of the run tree in --output {out}; predict writes none",
+         unchanged=("out/predictions.jsonl",)),
+    Case("predict-onto-the-run-manifest", "run",
+         "predict " + _STAGE + " --model {out}/models/last-s0.bin --out {out}/run_manifest.json", EXIT_CONFIG,
+         "--out {out}/run_manifest.json is a file of the run tree in --output {out}; predict writes none",
+         unchanged=("out/run_manifest.json",)),
     Case("predict-without-out", "run", "predict " + _STAGE + " --model {out}/models/last-s0.bin", EXIT_CONFIG,
          "the following arguments are required: --out", unchanged=("out/predictions.jsonl",)),
     Case("run-missing-config", "empty", "run --config {inputs}/no.ini", EXIT_CONFIG,

@@ -63,6 +63,20 @@ def test_readme_defaults_match_the_parser(ws, tmp_path):
     assert pipeline.load_config(tmp_path / "defaults.ini") == pipeline.load_config(tmp_path / "minimal.ini")
 
 
+def test_readme_output_tree_matches_the_stage_table():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| artifact | path | written by | read by |"):].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        artifact, path, writers, readers = (re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        rows[artifact[0]] = (path[0], writers, readers)
+
+    def commands(name: str, column: int) -> list[str]:  # stage evaluate_filtered is evaluate --filtered
+        return [stage.replace("_", " --") for stage, entry in pipeline._STAGES.items() if name in entry[column]]
+
+    assert rows == {name: (path, commands(name, 2), commands(name, 1)) for name, path in pipeline.ARTIFACTS.items()}
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names bound by module-level imports that no expression reads and
     ``__all__`` does not export."""

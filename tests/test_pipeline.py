@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import re
+import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -425,6 +426,44 @@ class TestStageComposition:
         assert set(a) == set(b)
         for rel in a:
             assert a[rel] == b[rel], rel
+
+
+class TestStageTable:
+    """``_STAGES`` declares, by ``ARTIFACTS`` name, what each stage may read and what it writes."""
+
+    def test_each_artifact_has_one_writer_that_runs_before_its_readers(self):
+        order = list(pipeline._STAGES)
+        for name in pipeline.ARTIFACTS:
+            (writer,) = [stage for stage, (_, _, writes) in pipeline._STAGES.items() if name in writes]
+            readers = [stage for stage, (_, reads, _) in pipeline._STAGES.items() if name in reads]
+            assert all(order.index(writer) < order.index(reader) for reader in readers), name
+
+    def test_run_tree_is_the_declared_outputs(self, ws, run_dir):
+        cfg = load_config(ws / "config.ini")
+        declared = {}
+        for stage in pipeline._STAGES:
+            declared.update(pipeline.stage_files(stage, cfg, run_dir)[1])
+        files = {p for p in run_dir.rglob("*") if p.is_file()}
+        assert files == set(declared.values()) | {run_dir / pipeline.RUN_MANIFEST}
+        listed = json.loads((run_dir / pipeline.RUN_MANIFEST).read_text())["artifacts"]
+        assert {name: run_dir / entry["path"] for name, entry in listed.items()} == declared
+
+    @pytest.mark.parametrize("stage", list(pipeline._STAGES))
+    def test_a_stage_needs_only_its_declared_inputs(self, ws, run_dir, tmp_path, stage):
+        cfg = load_config(ws / "config.ini")
+        out = tmp_path / "o"
+        out.mkdir()
+        for path in pipeline.stage_files(stage, cfg, run_dir)[0].values():
+            (out / path.relative_to(run_dir)).parent.mkdir(exist_ok=True)
+            shutil.copyfile(path, out / path.relative_to(run_dir))
+        before = tree_bytes(out)
+        written = pipeline.run_stage(stage, cfg, out)
+        after = tree_bytes(out)
+        assert written == pipeline.stage_files(stage, cfg, out)[1]
+        assert {rel: after[rel] for rel in before} == before
+        assert set(after) - set(before) == {str(path.relative_to(out)) for path in written.values()}
+        for path in written.values():
+            assert path.read_bytes() == (run_dir / path.relative_to(out)).read_bytes(), path
 
 
 class TestOutputLock:
