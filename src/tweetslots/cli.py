@@ -10,7 +10,8 @@ that writes it. Running the stages in sequence over one output directory
 reproduces the ``run`` tree byte for byte, except for ``run_manifest.json``,
 which only ``run`` writes. ``predict`` is not a stage: it scores instances
 with one trained model into its required ``--out``, and refuses (exit 2)
-an ``--out`` that is an artifact of ``--output`` or its ``run_manifest.json``.
+an ``--out`` that is its ``--config``, ``--model`` or ``--instances`` file,
+an artifact of ``--output`` or its ``run_manifest.json``.
 No option sets a config key: the config file is the whole record of a run.
 Logs go to stderr.
 
@@ -83,12 +84,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if command == "predict":  # before the lock, so a refused --out leaves nothing behind
+        instances_path = Path(args.instances) if args.instances else out_dir / pipeline.ARTIFACTS["val_instances"]
+        target = args.out.resolve()
+        for option, path in (("--config", Path(args.config)), ("--model", Path(args.model)),
+                             ("--instances", instances_path)):
+            if target == path.resolve():
+                raise ConfigError(f"--out {args.out} is the file predict reads as {option}; "
+                                  "predict overwrites no input")
         tree = [*pipeline.artifact_paths(cfg, out_dir, pipeline.ARTIFACTS).values(), out_dir / pipeline.RUN_MANIFEST]
-        if args.out.resolve() in {path.resolve() for path in tree}:
+        if target in {path.resolve() for path in tree}:
             raise ConfigError(f"--out {args.out} is a file of the run tree in --output {out_dir}; predict writes none")
     with pipeline._OutputLock(out_dir):
         if command == "predict":
-            instances_path = Path(args.instances) if args.instances else out_dir / pipeline.ARTIFACTS["val_instances"]
             params = serialize.load_model(args.model)
             instances = serialize.load_instances(instances_path, params.encoder.config)
             records = predict_records(params, instances, TrainConfig(threshold=cfg.train.threshold))

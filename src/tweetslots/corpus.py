@@ -265,10 +265,13 @@ def parse_json_object(text: str, where: str, error: type[ValueError]) -> dict:
     """The JSON object in ``text``; raises ``error`` prefixed with ``where``
     for malformed JSON, a value that is not an object, or a string holding an
     unpaired surrogate, which is not text and cannot be written as UTF-8.
-    Only a ``\\u`` escape can make one, so text without one skips that check."""
+    Only a ``\\u`` escape can make one, so text without one skips that check.
+    JSON that the parser cannot hold counts as malformed: an integer of more
+    digits than ``int`` reads (a ValueError) or nesting past the recursion
+    limit."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{where}: malformed JSON ({exc})") from None
     if type(obj) is not dict:
         raise error(f"{where}: expected an object, got {_shown(obj)}")
@@ -297,7 +300,7 @@ def read_jsonl(path: Path, error: type[ValueError]) -> Iterator[tuple[int, dict]
                 if raw.strip():
                     try:
                         obj = _decode(raw)
-                    except json.JSONDecodeError:
+                    except (ValueError, RecursionError):
                         obj = None
                     # The one path that refuses, naming file and line. A one-character search is
                     # about ten times faster than the two-character one, and few lines hold a backslash.
@@ -357,7 +360,7 @@ def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueEr
 
     Types match exactly, so a bool is neither an int nor a float. A float
     field also takes a JSON integer (JSON has one number type) and returns
-    it as a float.
+    it as a float, unless it is too large for one.
     """
     try:
         value = obj[name]
@@ -366,7 +369,10 @@ def json_field(obj: dict, name: str, kind: type, where: str, error: type[ValueEr
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise error(f"{where}: field {name!r} is an integer too large for a float") from None
     raise error(f"{where}: field {name!r} must be {_JSON_KINDS[kind]}, got {_shown(value)}")
 
 

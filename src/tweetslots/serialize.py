@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import math
 import struct
+from json.encoder import encode_basestring  # canonical_json's string encoder (ensure_ascii=False)
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -325,17 +326,42 @@ def _label_subtasks(event: str, labels: dict, where: str, parsed: dict) -> list[
 
 
 def save_predictions(records: Iterable[PredictionRecord], path: str | Path, include_filtered: bool = False) -> None:
-    """Write prediction JSONL; postprocessed files add the 'filtered' flag."""
-    rows = ({
-        "tweet_id": rec.tweet_id,
-        "subtask": str(rec.subtask),
-        "candidate_index": rec.candidate_index,
-        "chunk_text": rec.chunk_text,
-        "probability": rec.probability,
-        "decision": rec.decision,
-        **({"filtered": rec.filtered} if include_filtered else {}),
-    } for rec in records)
-    write_file(path, (canonical_json(row) + "\n" for row in rows))
+    """Write prediction JSONL; postprocessed files add the 'filtered' flag.
+
+    A row is ``canonical_json`` of {tweet_id, subtask, candidate_index, chunk_text, probability,
+    decision[, filtered]}, with ``str(subtask)`` as its key. The lines are streamed to
+    ``write_file``. A row whose fields all have their usual exact types (str, int, a finite float,
+    a bool flag) is written from one template in sorted key order: each distinct string is
+    encoded once per file by the encoder ``canonical_json`` uses, and the float by
+    ``float.__repr__``, as ``json`` writes it. Any other row, such as one holding a NaN or a
+    NumPy scalar, goes through ``canonical_json`` itself, so every record gives the bytes, or
+    the error, of ``canonical_json`` on its row."""
+    write_file(path, _prediction_lines(records, include_filtered))
+
+
+class _EncodedStrings(dict):
+    """Each string looked up, mapped to its JSON text on first use."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = encode_basestring(text)
+        return encoded
+
+
+def _prediction_lines(records: Iterable[PredictionRecord], include_filtered: bool):
+    strings, isfinite = _EncodedStrings(), math.isfinite
+    for rec in records:
+        index, chunk, decision, probability = rec.candidate_index, rec.chunk_text, rec.decision, rec.probability
+        subtask, tweet_id = str(rec.subtask), rec.tweet_id
+        flag = rec.filtered if include_filtered else False
+        if (type(index) is int and type(decision) is int and type(probability) is float and type(flag) is bool
+                and type(chunk) is str and type(subtask) is str and type(tweet_id) is str and isfinite(probability)):
+            filtered = ('"filtered":true,' if flag else '"filtered":false,') if include_filtered else ""
+            yield (f'{{"candidate_index":{index},"chunk_text":{strings[chunk]},"decision":{decision},{filtered}'
+                   f'"probability":{probability!r},"subtask":{strings[subtask]},"tweet_id":{strings[tweet_id]}}}\n')
+        else:
+            row = {"tweet_id": tweet_id, "subtask": subtask, "candidate_index": index, "chunk_text": chunk,
+                   "probability": probability, "decision": decision}
+            yield canonical_json({**row, "filtered": flag} if include_filtered else row) + "\n"
 
 
 def load_predictions(path: str | Path, include_filtered: bool = False) -> list[PredictionRecord]:

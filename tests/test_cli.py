@@ -275,6 +275,13 @@ def _write(rel: str, data: str | bytes):
     return edit
 
 
+def _copy(rel: str, to: str):
+    """An edit that copies ``rel`` to ``to``."""
+    def edit(root):
+        shutil.copyfile(root / rel, root / to)
+    return edit
+
+
 def _lines(rel: str, change):
     """An edit of ``rel``'s lines (bytes): ``change`` returns the new lines and the values it formats."""
     def edit(root):
@@ -460,6 +467,19 @@ CASES = (
          "predict " + _STAGE + " --model {out}/models/last-s0.bin --out {out}/run_manifest.json", EXIT_CONFIG,
          "--out {out}/run_manifest.json is a file of the run tree in --output {out}; predict writes none",
          unchanged=("out/run_manifest.json",)),
+    Case("predict-onto-its-model", "run",
+         "predict " + _STAGE + " --model {inputs}/m.bin --out {inputs}/../in/m.bin", EXIT_CONFIG,
+         "--out {inputs}/../in/m.bin is the file predict reads as --model; predict overwrites no input",
+         _copy("out/models/last-s0.bin", "in/m.bin"), unchanged=("in/m.bin",)),
+    Case("predict-onto-its-instances", "run",
+         "predict " + _STAGE + " --model {out}/models/last-s0.bin --instances {inputs}/my.jsonl"
+         " --out {inputs}/my.jsonl", EXIT_CONFIG,
+         "--out {inputs}/my.jsonl is the file predict reads as --instances; predict overwrites no input",
+         _copy("out/val_instances.jsonl", "in/my.jsonl"), unchanged=("in/my.jsonl",)),
+    Case("predict-onto-its-config", "run",
+         "predict " + _STAGE + " --model {out}/models/last-s0.bin --out {inputs}/config.ini", EXIT_CONFIG,
+         "--out {inputs}/config.ini is the file predict reads as --config; predict overwrites no input",
+         unchanged=("in/config.ini",)),
     Case("predict-without-out", "run", "predict " + _STAGE + " --model {out}/models/last-s0.bin", EXIT_CONFIG,
          "the following arguments are required: --out", unchanged=("out/predictions.jsonl",)),
     Case("run-missing-config", "empty", "run --config {inputs}/no.ini", EXIT_CONFIG,

@@ -48,8 +48,14 @@ def edit_row(path: Path, line: int, **changes) -> None:
                     encoding="utf-8")
 
 
+def edit_manifest(root: Path, change) -> None:
+    path = root / "run_manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    change(manifest)
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def test_identical_tree_passes(tree, copy, capsys):
-    (copy / "run_manifest.json").write_text("{}", encoding="utf-8")  # never compared
     code, v = verdict(tree, copy, capsys)
     assert code == 0
     assert v["ok"] and v["bytes_identical"]
@@ -121,3 +127,32 @@ def test_model_arrays_within_1e_9_of_their_largest_magnitude(tree, copy, capsys,
     code, v = verdict(tree, copy, capsys)
     assert (code == 0) is ok
     assert v["first_difference"] == path.relative_to(copy).as_posix()
+
+
+def test_manifest_fingerprint_and_hashes_may_differ(tree, copy, capsys):
+    def change(manifest):
+        manifest["config_sha256"] = "0" * 64
+        manifest["artifacts"]["report_filtered"]["sha256"] = "1" * 64
+    edit_manifest(copy, change)
+    code, v = verdict(tree, copy, capsys)
+    assert code == 0
+    assert v["ok"] and not v["bytes_identical"]
+    assert v["first_difference"] == "run_manifest.json"
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda m: m["artifacts"].__setitem__("ablation_text", m["artifacts"].pop("ablation_table")),
+     "artifact ablation_table: {'path': 'ablation.txt'} against None"),
+    (lambda m: m["artifacts"]["report_filtered"].__setitem__("path", "reports/filtered.json"),
+     "artifact report_filtered: {'path': 'report_filtered.json'} against {'path': 'reports/filtered.json'}"),
+    (lambda m: m.__setitem__("status", "failed"), "status 'ok' against 'failed'"),
+    (lambda m: m.__setitem__("seed", m["seed"] + 1), "seed "),
+], ids=["renamed-artifact", "moved-path", "status", "seed"])
+def test_manifest_fields_and_paths_must_agree(tree, copy, capsys, change, reason):
+    edit_manifest(copy, change)
+    code, v = verdict(tree, copy, capsys)
+    assert code == 1
+    assert not v["ok"] and not v["bytes_identical"]
+    [failure] = v["failures"]
+    assert failure["file"] == "run_manifest.json"
+    assert failure["reason"].startswith(reason)

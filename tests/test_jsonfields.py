@@ -307,3 +307,31 @@ def test_integer_probability_loads_as_float(tmp_path):
     p.write_text(json.dumps({**PREDICTION, "probability": 1}) + "\n")
     [rec] = load_predictions(p)
     assert type(rec.probability) is float and rec.probability == 1.0
+
+
+@pytest.mark.parametrize("name, row, load, field, where", [
+    ("p.jsonl", PREDICTION, load_predictions, "probability", ":1"),
+    ("log.jsonl", LOG_ROW, load_train_log, "train_loss", ":1"),
+    ("r.json", REPORT, load_report, "micro_f1", ""),
+], ids=["prediction", "log", "report"])
+def test_an_integer_too_large_for_a_float_names_its_field(tmp_path, name, row, load, field, where):
+    # float(10**400) raises OverflowError, which no loader may let escape.
+    p = tmp_path / name
+    p.write_text(json.dumps({**row, field: 10**400}) + "\n")
+    with pytest.raises((FormatError, MetricsError), match=re.escape(
+            f"{p}{where}: field {field!r} is an integer too large for a float")):
+        load(p)
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["digits", "nesting"])
+@pytest.mark.parametrize("name, row, load, where", [
+    ("p.jsonl", PREDICTION, load_predictions, ":1"),
+    ("r.json", REPORT, load_report, ""),
+], ids=["prediction", "report"])
+def test_json_the_parser_cannot_hold_is_malformed(tmp_path, name, row, load, where, value):
+    # Python's parser refuses an integer of over 4300 digits with a ValueError, and deep nesting
+    # with a RecursionError; neither is a JSONDecodeError.
+    p = tmp_path / name
+    p.write_text(json.dumps(row)[:-1] + f', "spare": {value}}}\n')
+    with pytest.raises((FormatError, MetricsError), match=re.escape(f"{p}{where}: malformed JSON (")):
+        load(p)

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cut_short
-from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry, canonical_json
+from tweetslots.corpus import AnnotatedTweet, EventType, SubtaskId, SubtaskRegistry, canonical_json, write_file
 from tweetslots.encoder import EncoderConfig
 from tweetslots.features import StrategyKind
 from tweetslots.multitask import (
@@ -675,7 +675,7 @@ class TestPredictionsJsonl:
 _ROW = {"tweet_id": "t1", "subtask": "death/name", "candidate_index": 0, "chunk_text": "my aunt",
         "probability": 0.75, "decision": 1}
 _VALUES = st.sampled_from([
-    True, False, 0, 1, -1, 2, 0.5, 1.5, float("nan"), None, [1], {},
+    True, False, 0, 1, -1, 2, 10**400, 0.5, 1.5, float("nan"), None, [1], {},
     "death/name", "death/age", "sick/name", "death/Name", "", "t1",
 ])
 
@@ -720,6 +720,76 @@ class TestPredictionRowReader:
         # The one normalisation: an integer probability is written back as a float.
         assert again.read_text().splitlines() == [canonical_json({**row, "probability": float(row["probability"])})
                                                   for row in rows]
+
+
+def dict_row_writer(records, path, include_filtered=False):
+    """The writer ``save_predictions`` replaced, one dict and one ``canonical_json`` call per row:
+    the oracle of its bytes and its errors."""
+    rows = ({
+        "tweet_id": rec.tweet_id,
+        "subtask": str(rec.subtask),
+        "candidate_index": rec.candidate_index,
+        "chunk_text": rec.chunk_text,
+        "probability": rec.probability,
+        "decision": rec.decision,
+        **({"filtered": rec.filtered} if include_filtered else {}),
+    } for rec in records)
+    write_file(path, (canonical_json(row) + "\n" for row in rows))
+
+
+# Strings from all of Unicode, lone surrogates included, with the characters JSON escapes or
+# that split lines elsewhere drawn often.
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\/\x00\x1f\x7f\x85\u2028\u2029\ud83d\U0001f637')), max_size=6)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                                                 -2.2250738585072014e-308, 1e16, 0.1]))
+_NUMPY = st.one_of(_FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-3, 3).map(np.int64),
+                   st.booleans().map(np.bool_))
+_ANY = st.one_of(_TEXT, _FLOATS, st.integers(-(2**70), 2**70), st.booleans(), _NUMPY, st.none())
+
+
+@st.composite
+def _records(draw):
+    """0-6 records whose fields have their usual types, each with up to two fields set to a value
+    of any kind."""
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        record = draw(st.builds(
+            PredictionRecord,
+            tweet_id=st.sampled_from(["t1", "t2"]) | _TEXT,
+            subtask=st.sampled_from([NAME, SubtaskId(EventType.DEATH, "age")]),
+            candidate_index=st.integers(0, 3),
+            chunk_text=st.sampled_from(["my aunt", "c"]) | _TEXT,
+            probability=_FLOATS,
+            decision=st.sampled_from([0, 1]),
+            filtered=st.booleans(),
+        ))
+        for name in draw(st.lists(st.sampled_from([*PredictionRecord.__dataclass_fields__]), max_size=2)):
+            record = replace(record, **{name: draw(_ANY)})
+        records.append(record)
+    return records
+
+
+class TestPredictionWriterOracle:
+    """``save_predictions`` writes the bytes of the dict writer it replaced, or raises the same
+    exception type and leaves the old file, in either kind of prediction file."""
+
+    @pytest.mark.parametrize("include_filtered", [False, True], ids=["predictions", "filtered"])
+    @given(records=_records())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_or_error_of_the_dict_writer(self, tmp_path, include_filtered, records):
+        outcomes = []
+        for writer, path in ((dict_row_writer, tmp_path / "oracle.jsonl"), (save_predictions, tmp_path / "p.jsonl")):
+            path.write_bytes(b"old\n")
+            try:
+                writer(records, path, include_filtered)
+            except Exception as exc:  # any type: the two writers must raise the same one
+                outcomes.append(type(exc))
+            else:
+                outcomes.append(None)
+            outcomes.append(path.read_bytes())
+        assert outcomes[2:] == outcomes[:2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.jsonl", "p.jsonl"]
 
 
 class TestTrainLog:
@@ -800,6 +870,60 @@ class TestTrainLog:
         p.write_text("\n")
         with pytest.raises(FormatError, match=f"^{re.escape(f'{p}: empty training log')}"):
             load_train_log(p)
+
+
+_LOG_ROWS = ({"epoch": 1, "train_loss": 0.5, "val_micro_f1": 0.25},
+             {"epoch": 2, "train_loss": 0.375, "val_micro_f1": 0.5})
+_LOG_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, -1, 10**400, 0.0, -0.0, 1.0, 1.0000000000000002, 5e-324, -5e-324,
+                     1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from([True, False, None, "1", "0.5", [1], {}]),
+    st.floats(), st.integers(),
+)
+
+
+@st.composite
+def _train_logs(draw):
+    """``_LOG_ROWS`` with one row changed: a field set to a boundary value or a value of another
+    JSON type, the epoch moved by one, a field dropped, or an unknown field added. Returns the
+    rows and the changed row's line."""
+    rows = [dict(row) for row in _LOG_ROWS]
+    line = draw(st.sampled_from([1, 2]), label="line")
+    row, field = rows[line - 1], draw(st.sampled_from(sorted(_LOG_ROWS[0])), label="field")
+    change = draw(st.sampled_from(["value", "epoch", "drop", "add"]), label="change")
+    if change == "value":
+        row[field] = draw(_LOG_VALUES)
+    elif change == "epoch":
+        row["epoch"] += draw(st.sampled_from([-1, 1]))
+    elif change == "drop":
+        del row[field]
+    else:
+        row[draw(st.sampled_from(["spare", "Epoch", "val_f1"]))] = draw(_LOG_VALUES)
+    return rows, line
+
+
+class TestTrainLogRowReader:
+    """The training-log reader refuses a row naming its file, its line and a field, or it accepts
+    the log, and the writer writes it back as it was."""
+
+    @given(log=_train_logs())
+    @example(log=([_LOG_ROWS[0], {**_LOG_ROWS[1], "train_loss": 10**400}], 2))  # float() raises OverflowError
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_row_is_refused_naming_a_field_or_written_back(self, tmp_path, log):
+        rows, line = log
+        p, again = tmp_path / "log.jsonl", tmp_path / "again.jsonl"
+        write_lines(p, rows)
+        try:
+            entries = load_train_log(p)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{p}:{line}: ")
+            assert re.search(r"field '\w+'", str(exc)), str(exc)
+            return
+        save_train_log(entries, again)
+        # The one normalisation: an integer loss or F1 is written back as a float.
+        assert again.read_text().splitlines() == [
+            canonical_json({**row, "train_loss": float(row["train_loss"]), "val_micro_f1": float(row["val_micro_f1"])})
+            for row in rows]
 
 
 class TestSha256:

@@ -3,17 +3,17 @@
     python tools/compare_trees.py A B
 
 A change that only reorders float arithmetic may move the last bits of a
-run's numbers, but nothing a reader sees. The rule holds file by file for
-every file but `run_manifest.json`. That file holds the run's status, the
-split seed, the other files' SHA-256 and the config fingerprint. The hashes
-differ whenever a file the rule lets differ does, and the rule compares
-those files themselves. The fingerprint hashes the resolved config's repr,
-so it moves when a config dataclass changes, even if no other file does.
-The rule:
+run's numbers, but nothing a reader sees. The rule holds file by file:
 
 - every file of one tree is in the other;
 - the split manifest, the instance files, `report_*`, `table_*`, `ablation.*`
   and every other file not named below are byte-identical;
+- `run_manifest.json` holds equal fields (the run's status, the split seed,
+  a failed stage) and the same path for each artifact name. It may differ
+  in two things. Each artifact's SHA-256 differs whenever a file that the
+  rule lets differ does, and the rule compares those files themselves. The
+  config fingerprint hashes the resolved config's repr, so it moves when a
+  config dataclass changes, even if no other file does;
 - the prediction files (`predictions*.jsonl`) have equal rows with equal
   fields, except that a probability may differ by up to 1e-11 relative;
 - in the training logs (`logs/*.jsonl`), `epoch` and `val_micro_f1` are
@@ -21,8 +21,9 @@ The rule:
 - the model files (`models/*.bin`) have equal headers, and each array value
   is within 1e-9 of that array's largest magnitude.
 
-Prints one JSON verdict: whether the trees are byte-identical, the first
-differing file, the largest relative differences seen, and each failure.
+Prints one JSON verdict: whether the trees are byte-identical (every file,
+the manifest included), the first differing file, the largest relative
+differences seen, and each failure.
 Exits 0 when the rule holds, 1 when it fails, 2 when a tree is not a
 directory. It reads the files itself and imports no `tweetslots`, so trees
 written by two versions of the package compare the same way.
@@ -41,7 +42,7 @@ PROBABILITY_RTOL = 1e-11
 TRAIN_LOSS_RTOL = 1e-11
 MODEL_ATOL = 1e-9  # times each array's largest magnitude
 MODEL_MAGIC = b"TWSLMODL"
-EXCLUDED = frozenset({"run_manifest.json"})
+MANIFEST = "run_manifest.json"
 
 
 class Mismatch(Exception):
@@ -128,9 +129,36 @@ def _close_models(a: bytes, b: bytes, name: str) -> float:
     return worst
 
 
+def _manifest_fields(data: bytes, name: str) -> dict:
+    """A run manifest's fields without its config fingerprint and its artifacts' SHA-256."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+        obj.pop("config_sha256", None)
+        obj["artifacts"] = {key: {k: v for k, v in entry.items() if k != "sha256"}
+                            for key, entry in obj["artifacts"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise Mismatch(f"{name} is not a run manifest: {exc!r}") from None
+    return obj
+
+
+def _same_manifest(a: bytes, b: bytes, name: str) -> None:
+    """Equal fields, and equal entries name by name, outside the fingerprint and the SHA-256."""
+    fields_a, fields_b = _manifest_fields(a, name), _manifest_fields(b, name)
+    for key in sorted((fields_a.keys() | fields_b.keys()) - {"artifacts"}):
+        if fields_a.get(key) != fields_b.get(key):
+            raise Mismatch(f"{key} {fields_a.get(key)!r} against {fields_b.get(key)!r}")
+    arts_a, arts_b = fields_a["artifacts"], fields_b["artifacts"]
+    for key in sorted(arts_a.keys() | arts_b.keys()):
+        if arts_a.get(key) != arts_b.get(key):
+            raise Mismatch(f"artifact {key}: {arts_a.get(key)!r} against {arts_b.get(key)!r}")
+
+
 def _check(rel: str, a: bytes, b: bytes, worst: dict[str, float]) -> None:
     """Raise Mismatch unless two unequal versions of ``rel`` satisfy the rule."""
     parts = rel.split("/")
+    if rel == MANIFEST:
+        _same_manifest(a, b, rel)
+        return
     if len(parts) == 1 and parts[0].startswith("predictions") and parts[0].endswith(".jsonl"):
         kind, rel_diff = "probability", _close_rows(a, b, rel, "probability", PROBABILITY_RTOL)
     elif len(parts) == 2 and parts[0] == "logs" and parts[1].endswith(".jsonl"):
@@ -143,7 +171,7 @@ def _check(rel: str, a: bytes, b: bytes, worst: dict[str, float]) -> None:
 
 
 def _files(root: Path) -> set[str]:
-    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()} - EXCLUDED
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
 def compare(a: Path, b: Path) -> dict:

@@ -16,6 +16,9 @@ its own `src`. Every command runs with one BLAS thread. The checks:
 - each workload of `benchmarks/workloads.py` at seeds 1, 2 and 3: `run` on
   both sides, and `tools/compare_trees.py` passes the two trees (byte for
   byte, or under its float-order rule; it prints which);
+- `joint-33` at seed 1: each side runs `predict` with its own tree's
+  `models/last-s0.bin` over its own `val_instances.jsonl`, and the two
+  `--out` files are byte-identical (`cmp`);
 - `ingest-noisy` at seed 1 with an emoji map and a COVID tag list of its own
   (`custom.ini`; the workloads clean with the packaged tables only):
   `preprocess` on both sides, and `diff -r` finds no difference;
@@ -104,6 +107,14 @@ def compare(base: str, work: Path) -> None:
                  pythonpath=f"{ROOT / 'src'}{os.pathsep}{ROOT / 'benchmarks'}")
             tweetslots("run", run / "in" / "config.ini", run / "tree")
             _run(sys.executable, ROOT / "tools" / "compare_trees.py", run / "tree-parent", run / "tree-head")
+
+    print("== joint-33, seed 1, predict", flush=True)
+    run = work / "joint-33-1"
+    for side, src in sides.items():
+        tree = run / f"tree-{side}"
+        _run(sys.executable, "-m", "tweetslots.cli", "predict", "--config", run / "in" / "config.ini", "--output", tree,
+             "--model", tree / "models" / "last-s0.bin", "--out", run / f"predict-{side}.jsonl", pythonpath=str(src))
+    _run("cmp", run / "predict-parent.jsonl", run / "predict-head.jsonl")
 
     inputs = work / "ingest-noisy-1" / "in"
     config = (inputs / "config.ini").read_text(encoding="utf-8")
